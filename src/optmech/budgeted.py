@@ -68,8 +68,8 @@ def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset
     """
     best_mask = {0: 0}
     for i, w in enumerate(x, start=1):
-        bit = 1 << i
-        # snapshot so each item is used at most once; adding bit i preserves
+        bit = 1 << (i - 1)
+        # snapshot so each item is used at most once; adding item i preserves
         # mask order because items are processed in increasing index order
         for s, mask in list(best_mask.items()):
             s2 = s + w
@@ -81,7 +81,7 @@ def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset
                 best_mask[s2] = cand
     value = max(best_mask)
     mask = best_mask[value]
-    witness = frozenset(i for i in range(1, len(x) + 1) if mask >> i & 1)
+    witness = frozenset(i for i in range(1, len(x) + 1) if mask >> (i - 1) & 1)
     return value, witness
 
 

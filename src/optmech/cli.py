@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from math import comb
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +45,6 @@ from .mechanism import (
 from .reduction import (
     count_subsetsum,
     counting_query_from_json_dict,
-    decide_lexrank,
     lexrank_oracle,
     lexrank_to_omd,
     rank_query_from_json_dict,
@@ -117,6 +115,27 @@ def _q_tuple(values) -> str:
     return "(" + ", ".join(format_rational(v) for v in values) + ")"
 
 
+def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
+    """kappa -> parameters -> greedy flow -> closed-form mechanism, replayed
+    against every BIC/IR constraint; the replay summary goes on the report."""
+    kappa = parse_rational(kappa_text, field="--kappa") if kappa_text else ONE
+    params = to_lp2_params(inst, kappa)
+    flow = canonical_solution(params)
+    mech = closed_form_mechanism(params, flow)
+    check = verify_bic_ir(inst, mech)
+    if not check.ok:
+        raise VerificationError(
+            f"constructed mechanism violates {len(check.violations)} constraints"
+        )
+    report.verification = {
+        "bic": check.bic_checked,
+        "ir": check.ir_checked,
+        "prob": check.prob_checked,
+        "violations": len(check.violations),
+    }
+    return params, flow, mech
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -136,15 +155,7 @@ def cmd_solve(args) -> int:
         print(report.render())
         return EXIT_OK
 
-    kappa = parse_rational(args.kappa, field="--kappa") if args.kappa else ONE
-    params = to_lp2_params(inst, kappa)
-    flow = canonical_solution(params)
-    mech = closed_form_mechanism(params, flow)
-    check = verify_bic_ir(inst, mech)
-    if not check.ok:
-        raise VerificationError(
-            f"constructed mechanism violates {len(check.violations)} constraints"
-        )
+    params, flow, mech = _closed_form(inst, args.kappa, report)
     revenue = expected_revenue(inst, mech)
 
     menu_lines = []
@@ -156,12 +167,6 @@ def cmd_solve(args) -> int:
     report.outputs["menu"] = "\n" + "\n".join(menu_lines)
     report.outputs["expected revenue"] = format_rational(revenue)
     report.outputs["unique"] = "yes" if mech.unique else "possibly non-unique"
-    report.verification = {
-        "bic": check.bic_checked,
-        "ir": check.ir_checked,
-        "prob": check.prob_checked,
-        "violations": len(check.violations),
-    }
 
     if args.oracle:
         lp1 = solve_lp(build_lp1(inst))
@@ -201,13 +206,8 @@ def cmd_reduce(args) -> int:
 
     if args.kind == "lexrank":
         C, S, k = rank_query_from_json_dict(doc)
-        n = len(C)
-        if not 1 <= len(S) <= n - 1:
-            raise InputError(f"S: |S| must lie in 1..{n - 1}, got {len(S)}")
-        if not 1 <= k <= comb(n, len(S)):
-            raise InputError(f"k: must lie in 1..C({n},{len(S)}), got {k}")
         out = lexrank_to_omd(C, S, k)
-        decision = decide_lexrank(C, S, k)
+        decision = out.decision()
         rank = lexrank_oracle(C, S)
         if decision != (rank <= k):
             raise VerificationError(
@@ -332,14 +332,7 @@ def cmd_sample(args) -> int:
     reported = _parse_type(args.type, inst.n)
     if args.count < 1:
         raise InputError(f"--count: must be >= 1, got {args.count}")
-    kappa = parse_rational(args.kappa, field="--kappa") if args.kappa else ONE
-    params = to_lp2_params(inst, kappa)
-    mech = closed_form_mechanism(params, canonical_solution(params))
-    check = verify_bic_ir(inst, mech)
-    if not check.ok:
-        raise VerificationError(
-            f"constructed mechanism violates {len(check.violations)} constraints"
-        )
+    _, _, mech = _closed_form(inst, args.kappa, report)
 
     rng = random.Random(args.seed)
     hits = [0] * inst.n
@@ -360,12 +353,6 @@ def cmd_sample(args) -> int:
             f"(empirical {format_rational(empirical)}, "
             f"marginal {format_rational(mech.q[reported][i - 1])})"
         )
-    report.verification = {
-        "bic": check.bic_checked,
-        "ir": check.ir_checked,
-        "prob": check.prob_checked,
-        "violations": len(check.violations),
-    }
     report.elapsed = time.perf_counter() - start
     print(report.render())
     return EXIT_OK

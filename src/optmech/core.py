@@ -78,11 +78,12 @@ def item_range(n: int) -> range:
 
 
 def subset_mask(S: Subset) -> int:
-    """Binary encoding sum(2^i for i in S); orders subsets lexicographically
-    in the convention used throughout (larger top element sorts later)."""
+    """Binary encoding sum(2^(i-1) for i in S), the index of S in
+    `all_subsets`; orders subsets lexicographically in the convention used
+    throughout (larger top element sorts later)."""
     mask = 0
     for i in S:
-        mask |= 1 << i
+        mask |= 1 << (i - 1)
     return mask
 
 
@@ -126,6 +127,29 @@ def subset_prob(p: Sequence[Fraction], S: Subset) -> Fraction:
 # Instances
 # ---------------------------------------------------------------------------
 
+def _check_vectors(obj, fields: tuple[str, ...], rationals: bool = False) -> None:
+    """Checks shared by `OMDInstance` and `LP2Params`: n >= 1, each vector
+    field coerced to a tuple of n entries (all `Fraction` when ``rationals``),
+    every d_i > 0 and every p_i in (0,1)."""
+    if obj.n < 1:
+        raise InputError(f"n: must be >= 1, got {obj.n}")
+    for field in fields:
+        seq = getattr(obj, field)
+        if not isinstance(seq, tuple):
+            seq = tuple(seq)
+            object.__setattr__(obj, field, seq)
+        if len(seq) != obj.n:
+            raise InputError(f"{field}: expected {obj.n} entries, got {len(seq)}")
+        if rationals and not all(isinstance(v, Fraction) for v in seq):
+            raise InputError(f"{field}: entries must be rationals")
+    for i, v in enumerate(obj.d, start=1):
+        if v <= 0:
+            raise InputError(f"d: entry {i} must be > 0, got {format_rational(v)}")
+    for i, v in enumerate(obj.p, start=1):
+        if not ZERO < v < ONE:
+            raise InputError(f"p: entry {i} must lie in (0,1), got {format_rational(v)}")
+
+
 @dataclass(frozen=True)
 class OMDInstance:
     """A single additive bidder with independent two-point item values.
@@ -141,26 +165,10 @@ class OMDInstance:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"n: must be >= 1, got {self.n}")
-        for field in ("a", "d", "p"):
-            seq = getattr(self, field)
-            if not isinstance(seq, tuple):
-                object.__setattr__(self, field, tuple(seq))
-                seq = getattr(self, field)
-            if len(seq) != self.n:
-                raise InputError(f"{field}: expected {self.n} entries, got {len(seq)}")
-            if not all(isinstance(v, Fraction) for v in seq):
-                raise InputError(f"{field}: entries must be rationals")
+        _check_vectors(self, ("a", "d", "p"), rationals=True)
         for i, v in enumerate(self.a, start=1):
             if v < 0:
                 raise InputError(f"a: entry {i} must be >= 0, got {format_rational(v)}")
-        for i, v in enumerate(self.d, start=1):
-            if v <= 0:
-                raise InputError(f"d: entry {i} must be > 0, got {format_rational(v)}")
-        for i, v in enumerate(self.p, start=1):
-            if not ZERO < v < ONE:
-                raise InputError(f"p: entry {i} must lie in (0,1), got {format_rational(v)}")
 
 
 @dataclass(frozen=True)
@@ -181,26 +189,12 @@ class LP2Params:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"n: must be >= 1, got {self.n}")
-        for field in ("x", "d", "p"):
-            seq = getattr(self, field)
-            if not isinstance(seq, tuple):
-                object.__setattr__(self, field, tuple(seq))
-                seq = getattr(self, field)
-            if len(seq) != self.n:
-                raise InputError(f"{field}: expected {self.n} entries, got {len(seq)}")
+        _check_vectors(self, ("x", "d", "p"))
         if not isinstance(self.B, Fraction) or self.B <= 0:
             raise InputError("B: must be a positive rational")
         for i, v in enumerate(self.x, start=1):
             if v <= 0:
                 raise InputError(f"x: entry {i} must be > 0, got {format_rational(v)}")
-        for i, v in enumerate(self.d, start=1):
-            if v <= 0:
-                raise InputError(f"d: entry {i} must be > 0, got {format_rational(v)}")
-        for i, v in enumerate(self.p, start=1):
-            if not ZERO < v < ONE:
-                raise InputError(f"p: entry {i} must lie in (0,1), got {format_rational(v)}")
 
     @property
     def kappa(self) -> Fraction:
@@ -298,8 +292,6 @@ def instance_from_json_dict(doc) -> OMDInstance:
         raw = doc[field]
         if not isinstance(raw, list):
             raise InputError(f"{field}: expected a list of rational strings")
-        if len(raw) != n:
-            raise InputError(f"{field}: expected {n} entries, got {len(raw)}")
         seqs[field] = tuple(
             parse_rational(v, field=f"{field}[{i}]") for i, v in enumerate(raw, start=1)
         )

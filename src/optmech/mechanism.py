@@ -263,11 +263,14 @@ def mechanism_from_json_dict(doc) -> Mechanism:
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"n: expected an integer, got {n!r}")
+    if n < 1:
+        raise InputError(f"n: must be >= 1, got {n}")
     menu = doc.get("menu")
     if not isinstance(menu, list):
         raise InputError("menu: missing or not a list")
-    if len(menu) != 1 << n:
-        raise InputError(f"menu: expected {1 << n} entries, got {len(menu)}")
+    # compare bit lengths first so an absurd n never builds 1 << n
+    if len(menu).bit_length() != n + 1 or len(menu) != 1 << n:
+        raise InputError(f"menu: expected 2^{n} entries, got {len(menu)}")
     u: dict[Subset, Fraction] = {}
     q: dict[Subset, tuple[Fraction, ...]] = {}
     tau: dict[Subset, Fraction] = {}

@@ -41,6 +41,7 @@ from .core import (
     subset_mask,
 )
 from .errors import InputError, PreconditionError, VerificationError
+from .exactlp import LP23_GUARD
 from .lattice import canonical_solution, node_cost
 from .mechanism import Mechanism, closed_form_mechanism
 
@@ -104,10 +105,6 @@ def _size_subsets(n: int, size: int):
 # Subset-sum counting via rank queries
 # ---------------------------------------------------------------------------
 
-def _check_weights(W: Sequence[int]) -> tuple[int, ...]:
-    return _check_collection(W, field="W")
-
-
 def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...], Subset]:
     """Stage-ell collection and its special set.
 
@@ -115,7 +112,7 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
     element n+1, and ell-1 trailing ones; the special set is the pivot plus
     all trailing ones, so its sum is 4n*T + 2n + ell - 1.
     """
-    W = _check_weights(W)
+    W = _check_collection(W, field="W")
     n = len(W)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise InputError(f"T: expected a nonnegative integer, got {T!r}")
@@ -131,7 +128,7 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
 def count_subsets_of_size(W: Sequence[int], T: int, size: int) -> int:
     """Number of size-``size`` subsets of {1..n} with weight sum <= T
     (direct enumeration)."""
-    W = _check_weights(W)
+    W = _check_collection(W, field="W")
     n = len(W)
     return sum(
         1
@@ -147,7 +144,7 @@ def count_subsetsum(W: Sequence[int], T: int) -> int:
     that recovers each per-cardinality count from one rank query -- which
     must agree exactly.
     """
-    W = _check_weights(W)
+    W = _check_collection(W, field="W")
     n = len(W)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise InputError(f"T: expected a nonnegative integer, got {T!r}")
@@ -268,7 +265,8 @@ def find_parameter(n: int, s: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """Everything the decision extraction needs about a constructed instance."""
+    """The constructed instance, its targeted node and its closed-form
+    mechanism, plus the probe that reads the rank query's answer off it."""
 
     instance: OMDInstance
     params: LP2Params
@@ -276,11 +274,24 @@ class ReductionOutput:
     distinguished_item: int
     p_tilde: Fraction
     target_T_star: Subset
+    mechanism: Mechanism
 
     def __post_init__(self):
         n = self.instance.n - 1
         if not Fraction(1, 2) <= self.p_tilde < ONE - Fraction(1, 2 * n + 2):
             raise VerificationError("p_tilde fell outside its admissible interval")
+
+    def decision(self) -> bool:
+        """The probe type's allocation probability for the distinguished
+        item, which must be exactly 0 (NO) or 1 (YES)."""
+        probe_q = self.mechanism.q[self.probe_type][self.distinguished_item - 1]
+        if probe_q == ONE:
+            return True
+        if probe_q == ZERO:
+            return False
+        raise VerificationError(
+            f"probe allocation probability is {format_rational(probe_q)}, expected 0 or 1"
+        )
 
 
 def _reduction_d(C: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -292,97 +303,82 @@ def _reduction_d(C: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(d)
 
 
-def _reduction_params(C: tuple[int, ...], p_tilde: Fraction) -> LP2Params:
+def _validate_rank_query(C, S, k, error=PreconditionError):
+    """The rank query (C, S, k) as the reduction needs it; out-of-range |S|
+    and k raise ``error``, so the JSON parser can report them as input errors."""
+    C = _check_collection(C)
     n = len(C)
-    return LP2Params(
+    S = check_subset(S, n, field="S")
+    if len(S) in (0, n):
+        raise error(f"S: |S| must lie in 1..{n - 1} for the reduction, got {len(S)}")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InputError(f"k: expected an integer, got {k!r}")
+    if not 1 <= k <= comb(n, len(S)):
+        raise error(f"k: must lie in 1..C({n},{len(S)})={comb(n, len(S))}, got {k}")
+    return C, S, k
+
+
+@lru_cache(maxsize=256)
+def _build_reduction(
+    C: tuple[int, ...], s: int, k: int
+) -> tuple[Fraction, LP2Params, OMDInstance, Subset, Mechanism]:
+    """p~, parameters, instance, targeted node and closed-form mechanism for
+    a validated query. They depend on (C, |S|, k) only, so sweeping all probe
+    sets S of one size reuses a single pipeline run."""
+    n = len(C)
+    if n + 1 > LP23_GUARD:
+        raise PreconditionError(
+            f"|C|={n} gives a lattice on {n + 1} items, past the enumeration "
+            f"guard {LP23_GUARD}"
+        )
+    p_tilde = find_parameter(n, s, k)
+    params = LP2Params(
         n=n + 1,
         x=(Fraction(2),) * (n + 1),
         B=Fraction(2 * n + 1),
         d=_reduction_d(C),
         p=(p_tilde,) * (n + 1),
     )
-
-
-def _validate_rank_query(C, S, k):
-    C = _check_collection(C)
-    n = len(C)
-    S = check_subset(S, n, field="S")
-    if len(S) in (0, n):
-        raise PreconditionError(
-            f"|S| must lie in 1..{n - 1} for the reduction, got |S|={len(S)}"
-        )
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InputError(f"k: expected an integer, got {k!r}")
-    if not 1 <= k <= comb(n, len(S)):
-        raise PreconditionError(
-            f"k must lie in 1..C({n},{len(S)})={comb(n, len(S))}, got {k}"
-        )
-    return C, S, k
-
-
-def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
-    """Construct the instance whose unique optimal mechanism answers the
-    rank query (C, S, k) through the probe type's distinguished item."""
-    C, S, k = _validate_rank_query(C, S, k)
-    n = len(C)
-    p_tilde = find_parameter(n, len(S), k)
-    params = _reduction_params(C, p_tilde)
     instance, _ = from_lp2_params(params)
-    probe = frozenset(item_range(n)) - S
-    d = params.d
     level = sorted(
-        _size_subsets(n, n - len(S)),
-        key=lambda T: (node_cost(d, T, n + 1), subset_mask(T)),
+        _size_subsets(n, n - s),
+        key=lambda T: (node_cost(params.d, T, n + 1), subset_mask(T)),
     )
-    return ReductionOutput(
-        instance=instance,
-        params=params,
-        probe_type=probe,
-        distinguished_item=n + 1,
-        p_tilde=p_tilde,
-        target_T_star=level[k - 1],
-    )
-
-
-@lru_cache(maxsize=256)
-def _reduction_mechanism(
-    C: tuple[int, ...], s: int, k: int
-) -> tuple[LP2Params, Subset, Mechanism]:
-    """The constructed mechanism depends on (C, |S|, k) only; cached so that
-    sweeping all probe sets S of one size reuses a single pipeline run."""
-    n = len(C)
-    p_tilde = find_parameter(n, s, k)
-    params = _reduction_params(C, p_tilde)
+    target = level[k - 1]
     flow = canonical_solution(params)
     if flow.partially_filled is None:
         raise VerificationError(
             "parameter search failed to produce a strictly partially filled node"
         )
-    mech = closed_form_mechanism(params, flow)
-    return params, flow.partially_filled, mech
+    if flow.partially_filled != target:
+        raise VerificationError(
+            f"partially filled node {subset_label(flow.partially_filled)} is not "
+            f"the targeted node {subset_label(target)}"
+        )
+    return p_tilde, params, instance, target, closed_form_mechanism(params, flow)
+
+
+def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
+    """Construct the instance whose unique optimal mechanism answers the
+    rank query (C, S, k) through the probe type's distinguished item, and
+    solve it in closed form."""
+    C, S, k = _validate_rank_query(C, S, k)
+    n = len(C)
+    p_tilde, params, instance, target, mech = _build_reduction(C, len(S), k)
+    return ReductionOutput(
+        instance=instance,
+        params=params,
+        probe_type=frozenset(item_range(n)) - S,
+        distinguished_item=n + 1,
+        p_tilde=p_tilde,
+        target_T_star=target,
+        mechanism=mech,
+    )
 
 
 def decide_lexrank(C: Sequence[int], S: Subset, k: int) -> bool:
-    """End-to-end decision: build the instance, solve it in closed form and
-    read the distinguished item's allocation probability for the probe type,
-    which must be exactly 0 or 1."""
-    C, S, k = _validate_rank_query(C, S, k)
-    n = len(C)
-    out = lexrank_to_omd(C, S, k)
-    _, star, mech = _reduction_mechanism(C, len(S), k)
-    if star != out.target_T_star:
-        raise VerificationError(
-            f"partially filled node {subset_label(star)} is not the targeted "
-            f"node {subset_label(out.target_T_star)}"
-        )
-    probe_q = mech.q[out.probe_type][out.distinguished_item - 1]
-    if probe_q == ONE:
-        return True
-    if probe_q == ZERO:
-        return False
-    raise VerificationError(
-        f"probe allocation probability is {format_rational(probe_q)}, expected 0 or 1"
-    )
+    """End-to-end decision: is the rank of S at most k?"""
+    return lexrank_to_omd(C, S, k).decision()
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +395,10 @@ def rank_query_from_json_dict(doc) -> tuple[tuple[int, ...], Subset, int]:
     C = doc["C"]
     if not isinstance(C, list):
         raise InputError("C: expected a list of positive integers")
-    C = _check_collection(C)
-    S_raw = doc["S"]
-    if not isinstance(S_raw, list):
+    S = doc["S"]
+    if not isinstance(S, list):
         raise InputError("S: expected a list of item indices")
-    S = check_subset(S_raw, len(C), field="S")
-    k = doc["k"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InputError(f"k: expected an integer, got {k!r}")
-    return C, S, k
+    return _validate_rank_query(C, S, doc["k"], error=InputError)
 
 
 def counting_query_from_json_dict(doc) -> tuple[tuple[int, ...], int]:
@@ -420,7 +411,7 @@ def counting_query_from_json_dict(doc) -> tuple[tuple[int, ...], int]:
     W = doc["W"]
     if not isinstance(W, list):
         raise InputError("W: expected a list of positive integers")
-    W = _check_weights(W)
+    W = _check_collection(W, field="W")
     T = doc["T"]
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise InputError(f"T: expected a nonnegative integer, got {T!r}")

@@ -39,7 +39,7 @@ from optmech import (
     verify_bic_ir,
 )
 from optmech.core import OMDInstance, all_subsets, item_range
-from optmech.reduction import _reduction_d, _reduction_mechanism, count_subsets_of_size
+from optmech.reduction import _reduction_d, count_subsets_of_size, lexrank_to_omd
 from tests.sweeps import duality_sweep
 
 ZERO, ONE = F(0), F(1)
@@ -215,7 +215,8 @@ def test_criterion_4_reduction_suite():
                     for k in range(1, comb(n, size) + 1):
                         decision = decide_lexrank(C, S, k)
                         assert decision == (rank <= k)
-                        _, star, mech = _reduction_mechanism(C, size, k)
+                        out = lexrank_to_omd(C, S, k)
+                        star, mech = out.target_T_star, out.mechanism
                         assert len(star) == n - size
                         probe = mech.q[frozenset(item_range(n)) - S][n]
                         assert probe in (ZERO, ONE)

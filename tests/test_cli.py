@@ -118,9 +118,18 @@ def test_reduce_lexrank_no(tmp_path, capsys):
 
 
 def test_reduce_lexrank_empty_probe_usage_error(tmp_path, capsys):
-    query = write(tmp_path, "q.json", '{"C": [1, 2], "S": [], "k": 1}')
-    code = main(["reduce", "lexrank", query])
-    assert code == 1
+    # empty S, S equal to all of C, k below 1 and k above C(3,1) = 3
+    for S, k in (([], 1), ([1, 2, 3], 1), ([1], 0), ([1], 4)):
+        doc = json.dumps({"C": [1, 2, 3], "S": S, "k": k})
+        query = write(tmp_path, "q.json", doc)
+        assert main(["reduce", "lexrank", query]) == 1, (S, k)
+        assert "input error" in capsys.readouterr().err
+
+
+def test_reduce_lexrank_past_lattice_guard_exit_2(tmp_path, capsys):
+    query = write(tmp_path, "q.json", json.dumps({"C": list(range(1, 15)), "S": [1], "k": 1}))
+    assert main(["reduce", "lexrank", query]) == 2
+    assert "guard 14" in capsys.readouterr().err
 
 
 def test_reduce_subsetsum(tmp_path, capsys):

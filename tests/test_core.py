@@ -64,6 +64,14 @@ def test_subset_mask_orders_lexicographically():
     assert subset_mask(frozenset({1, 3})) < subset_mask(frozenset({2, 3}))
 
 
+def test_subset_mask_indexes_all_subsets():
+    # bit i-1 stands for item i, in subset_mask and all_subsets alike
+    for n in range(1, 6):
+        subsets = all_subsets(n)
+        for S in subsets:
+            assert subsets[subset_mask(S)] == S
+
+
 # ---------------------------------------------------------------------------
 # type_prob
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from optmech import (
+    InputError,
     LP2Params,
     Mechanism,
     build_lp1,
@@ -284,3 +287,16 @@ def test_mechanism_json_round_trip():
     # re-verifies cleanly against the owning instance
     inst = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
     assert verify_bic_ir(inst, back).ok
+
+
+def test_mechanism_json_rejects_bad_n():
+    doc = mechanism_to_json_dict(mech_for(PARAMS_B))
+    # a negative n must not escape as a bare shift-count ValueError, and an
+    # absurd n must not build 1 << n before the menu length is compared
+    for n in (-1, 10**9):
+        with pytest.raises(InputError):
+            mechanism_from_json_dict({**doc, "n": n})
+    # n = 0 with the one-entry menu it would imply
+    empty = {"n": 0, "menu": [{"type": [], "u": "0", "q": [], "price": "0"}]}
+    with pytest.raises(InputError, match="n: must be >= 1"):
+        mechanism_from_json_dict(empty)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb
@@ -222,6 +223,21 @@ def test_lexrank_to_omd_rejects_degenerate_probe():
         lexrank_to_omd((1, 2), fs(), 1)
     with pytest.raises(PreconditionError):
         lexrank_to_omd((1, 2), fs(1, 2), 1)
+    for k in (0, 3):  # C(2,1) = 2
+        with pytest.raises(PreconditionError):
+            lexrank_to_omd((1, 2), fs(1), k)
+
+
+def test_reduction_refuses_lattice_past_guard():
+    # |C| = 14 puts the constructed lattice on 15 items, one past the guard;
+    # the refusal comes before any parameter search or lattice work
+    C = tuple(range(1, 15))
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="guard 14"):
+        lexrank_to_omd(C, fs(1), 1)
+    with pytest.raises(PreconditionError, match="guard 14"):
+        decide_lexrank(C, fs(1), 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_decide_examples():
