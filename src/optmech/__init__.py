@@ -15,15 +15,18 @@ from .core import (
     OMDInstance,
     Rational,
     Subset,
-    all_subsets,
+    check_subset,
     format_rational,
     from_lp2_params,
     instance_from_json,
     instance_to_json,
     parse_rational,
+    subset_label,
+    subset_probs,
+    subset_sums,
+    subset_to_list,
     to_lp2_params,
-    type_prob,
-    type_vector,
+    type_vectors,
 )
 from .errors import InputError, OptmechError, PreconditionError, VerificationError
 from .exactlp import (
@@ -45,8 +48,8 @@ from .lattice import (
     canonical_solution,
     check_single_positive,
     dump_lattice,
-    node_balance,
-    node_cost,
+    node_balances,
+    node_costs,
 )
 from .mechanism import (
     BicIrReport,
@@ -65,7 +68,6 @@ from .reduction import (
     decide_lexrank,
     eval_f,
     find_parameter,
-    lex_leq,
     lexrank_oracle,
     lexrank_to_omd,
     subsetsum_gadget,

@@ -18,10 +18,10 @@ from .core import (
     Subset,
     ZERO,
     ONE,
-    all_subsets,
     format_rational,
     parse_rational,
     subset_label,
+    subset_sums,
 )
 from .errors import InputError, PreconditionError
 from .exactlp import Constraint, LPProblem, OPTIMAL, solve_lp
@@ -56,11 +56,12 @@ class BudgetedInstance:
 
 
 def bundle_value(x: tuple[int, ...], S: Subset) -> int:
-    return sum(x[i - 1] for i in S)
+    return sum(xi for i, xi in enumerate(x) if S >> i & 1)
 
 
 def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset]:
-    """Largest subset sum not exceeding the budget, with its witness bundle.
+    """Largest subset sum not exceeding the budget, with its witness bundle
+    (a mask).
 
     Pseudo-polynomial DP over achievable sums; per sum the witness with the
     smallest binary mask is kept, so the returned bundle is the
@@ -80,14 +81,12 @@ def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset
             if prev is None or cand < prev:
                 best_mask[s2] = cand
     value = max(best_mask)
-    mask = best_mask[value]
-    witness = frozenset(i for i in range(1, len(x) + 1) if mask >> (i - 1) & 1)
-    return value, witness
+    return value, best_mask[value]
 
 
 @dataclass(frozen=True)
 class BudgetedMenu:
-    """The two-entry optimal menu and its expected revenue."""
+    """The two-entry optimal menu (bundles are masks) and its expected revenue."""
 
     full_bundle: Subset
     full_price: Fraction
@@ -103,7 +102,7 @@ def optimal_budgeted_mechanism(inst: BudgetedInstance) -> BudgetedMenu:
     value, witness = best_affordable_bundle(inst.x, inst.budget)
     revenue = (ONE - inst.eps) * total + inst.eps * value
     return BudgetedMenu(
-        full_bundle=frozenset(range(1, inst.n + 1)),
+        full_bundle=(1 << inst.n) - 1,
         full_price=Fraction(total),
         budget_bundle=witness,
         budget_price=Fraction(value),
@@ -139,35 +138,30 @@ def budgeted_oracle_lp(inst: BudgetedInstance) -> Fraction:
     n = inst.n
     if n > ORACLE_GUARD:
         raise PreconditionError(f"n={n} exceeds the oracle guard {ORACLE_GUARD}")
-    subsets = all_subsets(n)
-    v_add = {S: Fraction(bundle_value(inst.x, S)) for S in subsets}
-    v_budget = {S: min(v_add[S], Fraction(inst.budget)) for S in subsets}
+    subsets = range(1 << n)
+    v_add = subset_sums(inst.x)
+    v_budget = [min(v, Fraction(inst.budget)) for v in v_add]
 
-    def za(S: Subset) -> str:
-        return f"za({subset_label(S)})"
+    za = [f"za({subset_label(S)})" for S in subsets]
+    zb = [f"zb({subset_label(S)})" for S in subsets]
+    variables = za + zb + ["price_a", "price_b"]
 
-    def zb(S: Subset) -> str:
-        return f"zb({subset_label(S)})"
+    one_a = {za[S]: ONE for S in subsets}
+    one_b = {zb[S]: ONE for S in subsets}
 
-    variables = [za(S) for S in subsets] + [zb(S) for S in subsets]
-    variables += ["price_a", "price_b"]
-
-    one_a = {za(S): ONE for S in subsets}
-    one_b = {zb(S): ONE for S in subsets}
-
-    bic_a = {za(S): v_add[S] for S in subsets}
-    bic_a.update({zb(S): -v_add[S] for S in subsets})
+    bic_a = {za[S]: v_add[S] for S in subsets}
+    bic_a.update({zb[S]: -v_add[S] for S in subsets})
     bic_a["price_a"] = -ONE
     bic_a["price_b"] = ONE
 
-    bic_b = {zb(S): v_budget[S] for S in subsets}
-    bic_b.update({za(S): -v_budget[S] for S in subsets})
+    bic_b = {zb[S]: v_budget[S] for S in subsets}
+    bic_b.update({za[S]: -v_budget[S] for S in subsets})
     bic_b["price_b"] = -ONE
     bic_b["price_a"] = ONE
 
-    ir_a = {za(S): v_add[S] for S in subsets}
+    ir_a = {za[S]: v_add[S] for S in subsets}
     ir_a["price_a"] = -ONE
-    ir_b = {zb(S): v_budget[S] for S in subsets}
+    ir_b = {zb[S]: v_budget[S] for S in subsets}
     ir_b["price_b"] = -ONE
 
     prob = LPProblem(

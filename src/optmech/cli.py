@@ -26,16 +26,19 @@ from .core import (
     ONE,
     OMDInstance,
     check_subset,
+    decode_json,
     format_rational,
     instance_from_json,
     parse_rational,
     subset_label,
+    subset_to_list,
     to_lp2_params,
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .exactlp import OPTIMAL, build_lp1, solve_lp
 from .lattice import canonical_solution, dump_lattice
 from .mechanism import (
+    VERIFY_GUARD,
     closed_form_mechanism,
     expected_revenue,
     mechanism_to_json_dict,
@@ -99,13 +102,6 @@ def _read_input(path: str) -> tuple[str, str]:
     return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
 
 
-def _parse_json(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{what}: invalid JSON: {exc}") from None
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -117,7 +113,12 @@ def _q_tuple(values) -> str:
 
 def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
     """kappa -> parameters -> greedy flow -> closed-form mechanism, replayed
-    against every BIC/IR constraint; the replay summary goes on the report."""
+    against every BIC/IR constraint; the replay summary goes on the report.
+    An instance past the replay's guard is refused before any of that work."""
+    if inst.n > VERIFY_GUARD:
+        raise PreconditionError(
+            f"n={inst.n} exceeds the verification guard {VERIFY_GUARD}"
+        )
     kappa = parse_rational(kappa_text, field="--kappa") if kappa_text else ONE
     params = to_lp2_params(inst, kappa)
     flow = canonical_solution(params)
@@ -159,7 +160,7 @@ def cmd_solve(args) -> int:
     revenue = expected_revenue(inst, mech)
 
     menu_lines = []
-    for S in sorted(mech.u, key=lambda s: (len(s), sorted(s))):
+    for S in sorted(range(len(mech.u)), key=lambda S: (S.bit_count(), subset_to_list(S))):
         menu_lines.append(
             f"  type {subset_label(S):<12} u={format_rational(mech.u[S]):<8} "
             f"q={_q_tuple(mech.q[S]):<20} price={format_rational(mech.tau[S])}"
@@ -201,7 +202,7 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     start = time.perf_counter()
     text, digest = _read_input(args.input)
-    doc = _parse_json(text, "reduction input")
+    doc = decode_json(text, "reduction input")
     report = RunReport(command=f"reduce {args.kind} {args.input}", input_digest=digest)
 
     if args.kind == "lexrank":
@@ -274,8 +275,8 @@ def cmd_examples(args) -> int:
     inst = _example_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
     params = to_lp2_params(inst, ONE)
     mech = closed_form_mechanism(params, canonical_solution(params))
-    full = frozenset({1, 2})
-    lottery_type = frozenset({1})
+    full = 0b11
+    lottery_type = 0b01  # item 1 high, item 2 low
     menu_ok = (
         mech.tau[full] == 4
         and mech.tau[lottery_type] == Fraction(5, 2)
@@ -315,7 +316,7 @@ def cmd_examples(args) -> int:
 def _parse_type(text: str, n: int):
     text = text.strip()
     if text in ("", "-"):
-        return frozenset()
+        return 0
     try:
         indices = [int(part) for part in text.split(",")]
     except ValueError:
@@ -339,8 +340,8 @@ def cmd_sample(args) -> int:
     price = mech.tau[reported]
     for _ in range(args.count):
         allocated, _ = sample_allocation(mech, reported, rng)
-        for i in allocated:
-            hits[i - 1] += 1
+        for i in range(inst.n):
+            hits[i] += allocated >> i & 1
 
     report.outputs["reported type"] = subset_label(reported)
     report.outputs["price"] = format_rational(price)
@@ -365,7 +366,7 @@ def cmd_sample(args) -> int:
 def cmd_budgeted(args) -> int:
     start = time.perf_counter()
     text, digest = _read_input(args.input)
-    doc = _parse_json(text, "budgeted input")
+    doc = decode_json(text, "budgeted input")
     inst = budgeted_from_json_dict(doc)
     report = RunReport(command=f"budgeted {args.input}", input_digest=digest)
 

@@ -1,8 +1,13 @@
 """Exact-arithmetic foundations: rationals, item subsets, instances, parameters.
 
 Every quantity in this package is a `fractions.Fraction`; there is no floating
-point anywhere. Items are numbered 1..n. A bidder *type* is the subset of
-items she values high, represented as a ``frozenset`` of 1-based indices.
+point anywhere. Items are numbered 1..n. A bidder *type* is the set of items
+she values high, represented as an int mask with bit ``i-1`` standing for
+item ``i``; the 2^n types of an instance are ``range(1 << n)``, and per-type
+quantities are lists indexed by mask. Integer masks order types
+lexicographically (the larger top element sorts later). 1-based index lists
+appear only at the boundary: `check_subset` turns one into a mask, and
+`subset_to_list` / `subset_label` turn a mask back for output.
 
 An instance is the triple of per-item low values ``a``, increments ``d`` and
 high-value probabilities ``p``: item ``i`` is worth ``a[i]`` with probability
@@ -27,8 +32,8 @@ from .errors import InputError, PreconditionError
 # exact +, -, *, / and comparisons on arbitrary-precision integers.
 Rational = Fraction
 
-# A type / lattice node: frozenset of 1-based item indices.
-Subset = frozenset
+# A type / lattice node: int mask, bit i-1 set iff item i is in the set.
+Subset = int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,50 +82,51 @@ def item_range(n: int) -> range:
     return range(1, n + 1)
 
 
-def subset_mask(S: Subset) -> int:
-    """Binary encoding sum(2^(i-1) for i in S), the index of S in
-    `all_subsets`; orders subsets lexicographically in the convention used
-    throughout (larger top element sorts later)."""
+def check_subset(S: Iterable[int], n: int, field: str = "subset") -> Subset:
+    """Validate 1-based item indices against the ground set {1..n} and
+    return their mask; repeated indices are allowed."""
     mask = 0
     for i in S:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
+            raise InputError(f"{field}: item index {i!r} out of range 1..{n}")
         mask |= 1 << (i - 1)
     return mask
 
 
-def all_subsets(n: int) -> list[Subset]:
-    """All 2^n subsets of {1..n} in increasing mask order (the canonical
-    enumeration order everywhere in this package)."""
-    out = []
-    for mask in range(1 << n):
-        out.append(frozenset(i for i in item_range(n) if mask >> (i - 1) & 1))
-    return out
-
-
-def check_subset(S: Iterable[int], n: int, field: str = "subset") -> Subset:
-    """Validate indices against the ground set and return a frozenset."""
-    out = frozenset(S)
-    for i in out:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-            raise InputError(f"{field}: item index {i!r} out of range 1..{n}")
-    return out
+def check_mask(S: Subset, n: int, field: str = "subset") -> Subset:
+    """Validate a mask handed to the library against the ground set {1..n}."""
+    if not isinstance(S, int) or isinstance(S, bool) or not 0 <= S < 1 << n:
+        raise InputError(f"{field}: {S!r} is not a subset mask over items 1..{n}")
+    return S
 
 
 def subset_to_list(S: Subset) -> list[int]:
     """Canonical external form: sorted ascending 1-based indices."""
-    return sorted(S)
+    return [i + 1 for i in range(S.bit_length()) if S >> i & 1]
 
 
 def subset_label(S: Subset) -> str:
     """Human-readable form used in dumps and constraint names: "{}", "{1,3}"."""
-    return "{" + ",".join(str(i) for i in sorted(S)) + "}"
+    return "{" + ",".join(map(str, subset_to_list(S))) + "}"
 
 
-def subset_prob(p: Sequence[Fraction], S: Subset) -> Fraction:
-    """prod_{i in S} p_i * prod_{j not in S} (1 - p_j) over ground set 1..len(p)."""
-    result = ONE
-    for i in item_range(len(p)):
-        result *= p[i - 1] if i in S else ONE - p[i - 1]
-    return result
+def subset_sums(values: Sequence) -> list:
+    """sums[S] = sum of values[i-1] over the items i of S, for every mask S
+    over len(values) items; built by doubling, one addition per entry."""
+    sums = [ZERO]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def subset_probs(p: Sequence[Fraction]) -> list[Fraction]:
+    """probs[S] = prod_{i in S} p_i * prod_{j not in S} (1 - p_j), for every
+    mask S over len(p) items: the probability that the realized type is S."""
+    probs = [ONE]
+    for pi in p:
+        qi = ONE - pi
+        probs = [v * qi for v in probs] + [v * pi for v in probs]
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +211,14 @@ class LP2Params:
 # Operations
 # ---------------------------------------------------------------------------
 
-def type_prob(inst: OMDInstance, S: Subset) -> Fraction:
-    """Probability that the realized type is exactly S."""
-    S = check_subset(S, inst.n)
-    return subset_prob(inst.p, S)
-
-
-def type_vector(inst: OMDInstance, S: Subset) -> tuple[Fraction, ...]:
-    """Valuation vector of type S: component i is a_i + d_i if i in S else a_i."""
-    S = check_subset(S, inst.n)
-    return tuple(
-        inst.a[i - 1] + inst.d[i - 1] if i in S else inst.a[i - 1]
-        for i in item_range(inst.n)
-    )
+def type_vectors(inst: OMDInstance) -> list[tuple[Fraction, ...]]:
+    """Valuation vector of every type S, by mask: component i is a_i + d_i
+    if i is in S else a_i."""
+    vecs = [()]
+    for ai, di in zip(inst.a, inst.d):
+        hi = ai + di
+        vecs = [v + (ai,) for v in vecs] + [v + (hi,) for v in vecs]
+    return vecs
 
 
 def to_lp2_params(inst: OMDInstance, kappa: Fraction) -> LP2Params:
@@ -302,9 +303,16 @@ def instance_to_json(inst: OMDInstance) -> str:
     return json.dumps(instance_to_json_dict(inst), indent=2) + "\n"
 
 
-def instance_from_json(text: str) -> OMDInstance:
+def decode_json(text: str, what: str):
+    """json.loads for outside input: malformed or too deeply nested text
+    becomes an `InputError` naming the document."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"instance document: invalid JSON: {exc}") from None
-    return instance_from_json_dict(doc)
+        raise InputError(f"{what}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{what}: invalid JSON: nested too deeply") from None
+
+
+def instance_from_json(text: str) -> OMDInstance:
+    return instance_from_json_dict(decode_json(text, "instance document"))

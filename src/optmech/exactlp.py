@@ -32,14 +32,14 @@ from .core import (
     Subset,
     ZERO,
     ONE,
-    all_subsets,
     format_rational,
     item_range,
     subset_label,
-    subset_prob,
-    type_vector,
+    subset_probs,
+    type_vectors,
 )
 from .errors import InputError, PreconditionError, VerificationError
+from .lattice import node_balances
 
 try:  # optional fast exact-rational backend for the tableau only
     from gmpy2 import mpq as _mpq
@@ -532,7 +532,7 @@ def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None
 # ---------------------------------------------------------------------------
 
 def u_var(S: Subset) -> str:
-    """Name of the utility variable of type S in the built programs."""
+    """Name of the utility variable of type (mask) S in the built programs."""
     return f"u({subset_label(S)})"
 
 
@@ -543,7 +543,7 @@ def q_var(i: int, S: Subset) -> str:
 
 def edge_var(S: Subset, i: int) -> str:
     """Name of the flow variable on the lattice edge S+{i} -> S."""
-    return f"f({subset_label(S | {i})}>{subset_label(S)})"
+    return f"f({subset_label(S | 1 << (i - 1))}>{subset_label(S)})"
 
 
 def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
@@ -558,9 +558,9 @@ def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
             f"n={n} exceeds the full-program enumeration guard {LP1_GUARD} "
             "(pass force=True to override)"
         )
-    subsets = all_subsets(n)
-    vec = {S: type_vector(inst, S) for S in subsets}
-    prob_of = {S: subset_prob(inst.p, S) for S in subsets}
+    subsets = range(1 << n)
+    vec = type_vectors(inst)
+    prob_of = subset_probs(inst.p)
 
     variables = [u_var(S) for S in subsets]
     for S in subsets:
@@ -610,20 +610,16 @@ def build_lp2(params: LP2Params, force: bool = False) -> LPProblem:
             f"n={n} exceeds the enumeration guard {LP23_GUARD} "
             "(pass force=True to override)"
         )
-    subsets = all_subsets(n)
-    objective = {}
-    for S in subsets:
-        pS = subset_prob(params.p, S)
-        weight = sum((params.x[i - 1] for i in S), ZERO) - params.B
-        objective[u_var(S)] = pS * weight
+    subsets = range(1 << n)
+    objective = {u_var(S): balance for S, balance in enumerate(node_balances(params))}
     constraints = []
     for S in subsets:
         for i in item_range(n):
-            if i in S:
+            if S >> (i - 1) & 1:
                 continue
             constraints.append(
                 Constraint(
-                    {u_var(S | {i}): ONE, u_var(S): -ONE},
+                    {u_var(S | 1 << (i - 1)): ONE, u_var(S): -ONE},
                     "<=",
                     params.d[i - 1],
                     name=f"bic2({subset_label(S)}|{i})",
@@ -649,25 +645,25 @@ def build_lp3(params: LP2Params, force: bool = False) -> LPProblem:
             f"n={n} exceeds the enumeration guard {LP23_GUARD} "
             "(pass force=True to override)"
         )
-    subsets = all_subsets(n)
+    subsets = range(1 << n)
     variables = []
     objective = {}
     for S in subsets:
         for i in item_range(n):
-            if i in S:
+            if S >> (i - 1) & 1:
                 continue
             name = edge_var(S, i)
             variables.append(name)
             objective[name] = params.d[i - 1]
     constraints = []
-    for S in subsets:
+    for S, rhs in enumerate(node_balances(params)):
         coeffs = {}
         for i in item_range(n):
-            if i not in S:
+            if not S >> (i - 1) & 1:
                 coeffs[edge_var(S, i)] = -ONE
-        for i in S:
-            coeffs[edge_var(S - {i}, i)] = ONE
-        rhs = subset_prob(params.p, S) * (sum((params.x[i - 1] for i in S), ZERO) - params.B)
+        for i in item_range(n):
+            if S >> (i - 1) & 1:
+                coeffs[edge_var(S ^ 1 << (i - 1), i)] = ONE
         constraints.append(Constraint(coeffs, ">=", rhs, name=f"balance({subset_label(S)})"))
     return LPProblem(
         variables=tuple(variables),

@@ -20,32 +20,33 @@ from .core import (
     LP2Params,
     Subset,
     ZERO,
-    all_subsets,
-    check_subset,
     format_rational,
     item_range,
     subset_label,
-    subset_mask,
-    subset_prob,
+    subset_probs,
+    subset_sums,
 )
 from .errors import PreconditionError
 
 
-def node_cost(d: Sequence[Fraction], S: Subset, m: int) -> Fraction:
-    """Cost of lattice node S over ground set {1..m}: sum of d_i for i not in S."""
-    S = check_subset(S, m)
-    return sum((d[i - 1] for i in item_range(m) if i not in S), ZERO)
+def node_costs(d: Sequence[Fraction]) -> list[Fraction]:
+    """Cost of every lattice node S over ground set {1..len(d)}, by mask: the
+    sum of d_i over the items missing from S, i.e. the sum over the
+    complement mask, which reverses the mask order."""
+    return subset_sums(d)[::-1]
 
 
-def node_balance(params: LP2Params, S: Subset) -> Fraction:
-    """Net supply of node S: p(S) * (sum_{i in S} x_i - B).
+def node_balances(params: LP2Params) -> list[Fraction]:
+    """Net supply of every node S, by mask: p(S) * (sum_{i in S} x_i - B).
 
     Positive values are sources; a negative value's magnitude is the node's
     sink capacity.
     """
-    S = check_subset(S, params.n)
-    weight = sum((params.x[i - 1] for i in S), ZERO) - params.B
-    return subset_prob(params.p, S) * weight
+    B = params.B
+    return [
+        prob * (weight - B)
+        for prob, weight in zip(subset_probs(params.p), subset_sums(params.x))
+    ]
 
 
 def check_single_positive(params: LP2Params) -> bool:
@@ -62,8 +63,8 @@ def check_single_positive(params: LP2Params) -> bool:
 class FlowSolution:
     """The canonical greedy flow.
 
-    ``flows`` maps covering edges (src, dst) to the amount carried;
-    ``absorbed`` maps each sink node to the amount it received, and
+    Nodes are masks. ``flows`` maps covering edges (src, dst) to the amount
+    carried; ``absorbed`` maps each sink node to the amount it received, and
     ``fill_order`` lists those nodes in the order they were filled.
     ``partially_filled`` is the last filled node when it ended strictly
     below capacity; if instead it landed exactly on capacity,
@@ -90,7 +91,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     path costs the same, so the total cost is path-independent.
     """
     n = params.n
-    full = frozenset(item_range(n))
+    full = (1 << n) - 1
     total = sum(params.x, ZERO)
     if not check_single_positive(params):
         if total < params.B:
@@ -99,7 +100,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
                 f"sum(x) = {format_rational(total)} < B = {format_rational(params.B)}"
             )
         lightest = min(item_range(n), key=lambda i: (params.x[i - 1], i))
-        witness = full - {lightest}
+        witness = full ^ 1 << (lightest - 1)
         raise PreconditionError(
             f"multiple positive nodes: proper subset {subset_label(witness)} "
             f"sums to {format_rational(total - params.x[lightest - 1])} >= B = "
@@ -112,12 +113,10 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
             f"> B = {format_rational(params.B)}"
         )
 
-    supply = subset_prob(params.p, full) * (total - params.B)
-    costs = {S: node_cost(params.d, S, n) for S in all_subsets(n)}
-    sinks = sorted(
-        (S for S in all_subsets(n) if S != full),
-        key=lambda S: (costs[S], subset_mask(S)),
-    )
+    costs = node_costs(params.d)
+    balances = node_balances(params)
+    supply = balances[full]
+    sinks = sorted(range(full), key=lambda S: (costs[S], S))
 
     flows: dict[tuple[Subset, Subset], Fraction] = {}
     absorbed: dict[Subset, Fraction] = {}
@@ -129,7 +128,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     for S in sinks:
         if remaining == 0:
             break
-        capacity = -node_balance(params, S)
+        capacity = -balances[S]
         take = capacity if capacity <= remaining else remaining
         if take == 0:
             continue
@@ -137,11 +136,12 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         fill_order.append(S)
         total_cost += take * costs[S]
         node = full
-        for i in sorted(full - S):
-            child = node - {i}
-            edge = (node, child)
-            flows[edge] = flows.get(edge, ZERO) + take
-            node = child
+        for i in range(n):
+            if not S >> i & 1:
+                child = node ^ 1 << i
+                edge = (node, child)
+                flows[edge] = flows.get(edge, ZERO) + take
+                node = child
         remaining -= take
         if remaining == 0:
             if take < capacity:
@@ -167,18 +167,15 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
 def dump_lattice(params: LP2Params, flow: FlowSolution) -> str:
     """Audit dump: one line per node in (cost, lex) order with its subset,
     cost, balance and absorbed flow, all exact."""
-    n = params.n
-    lines = [f"n={n} supply={format_rational(flow.supply)} "
+    costs = node_costs(params.d)
+    balances = node_balances(params)
+    lines = [f"n={params.n} supply={format_rational(flow.supply)} "
              f"total_cost={format_rational(flow.total_cost)}"]
-    nodes = sorted(
-        all_subsets(n),
-        key=lambda S: (node_cost(params.d, S, n), subset_mask(S)),
-    )
-    for S in nodes:
+    for S in sorted(range(len(costs)), key=lambda S: (costs[S], S)):
         lines.append(
             f"node={subset_label(S)} "
-            f"cost={format_rational(node_cost(params.d, S, n))} "
-            f"balance={format_rational(node_balance(params, S))} "
+            f"cost={format_rational(costs[S])} "
+            f"balance={format_rational(balances[S])} "
             f"absorbed={format_rational(flow.absorbed.get(S, ZERO))}"
         )
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Sequence
 
 from .core import (
     LP2Params,
@@ -28,37 +28,37 @@ from .core import (
     Subset,
     ZERO,
     ONE,
-    all_subsets,
+    check_mask,
     check_subset,
     format_rational,
     from_lp2_params,
-    item_range,
     parse_rational,
     subset_label,
+    subset_probs,
     subset_to_list,
-    type_prob,
-    type_vector,
+    type_vectors,
 )
 from .errors import InputError, PreconditionError
-from .lattice import FlowSolution, node_cost
+from .lattice import FlowSolution, node_costs
 
-VERIFY_GUARD = 14  # pairwise truthfulness enumeration is 4^n
+VERIFY_GUARD = 10  # the pairwise truthfulness replay is 4^n rows: under a minute at n=10
 
 
 @dataclass(frozen=True)
 class Mechanism:
     """A direct mechanism over all 2^n types.
 
-    ``u`` maps each type to its truthful expected utility, ``q`` to its
-    vector of per-item allocation probabilities, ``tau`` to its expected
-    price. ``unique`` records whether the construction certified the
-    mechanism as the unique optimum (strictly partial saturation).
+    ``u``, ``q`` and ``tau`` are lists indexed by type mask: each type's
+    truthful expected utility, its vector of per-item allocation
+    probabilities, and its expected price. ``unique`` records whether the
+    construction certified the mechanism as the unique optimum (strictly
+    partial saturation).
     """
 
     n: int
-    u: dict[Subset, Fraction]
-    q: dict[Subset, tuple[Fraction, ...]]
-    tau: dict[Subset, Fraction]
+    u: list[Fraction]
+    q: list[tuple[Fraction, ...]]
+    tau: list[Fraction]
     unique: bool
 
 
@@ -71,12 +71,12 @@ def closed_form_mechanism(params: LP2Params, flow: FlowSolution) -> Mechanism:
         raise PreconditionError("flow and parameters disagree on the item count")
     inst, _ = from_lp2_params(params)
     n = params.n
-    subsets = all_subsets(n)
+    costs = node_costs(params.d)
 
     if flow.supply == 0:
         # Degenerate zero-supply case: every utility weight vanishes, any
         # feasible u is optimal; return the all-zero choice, not unique.
-        u = {S: ZERO for S in subsets}
+        u = [ZERO] * len(costs)
         unique = False
     else:
         if flow.partially_filled is not None:
@@ -85,25 +85,19 @@ def closed_form_mechanism(params: LP2Params, flow: FlowSolution) -> Mechanism:
         else:
             star = flow.fill_order[-1]
             unique = False
-        cstar = node_cost(params.d, star, n)
-        u = {}
-        for S in subsets:
-            gap = cstar - node_cost(params.d, S, n)
-            u[S] = gap if gap > 0 else ZERO
+        cstar = costs[star]
+        u = [cstar - c if c < cstar else ZERO for c in costs]
 
-    q = {}
-    tau = {}
-    for S in subsets:
-        marginals = []
-        for i in item_range(n):
-            if i in S:
-                marginals.append(ONE)
-            else:
-                marginals.append((u[S | {i}] - u[S]) / params.d[i - 1])
-        qS = tuple(marginals)
-        q[S] = qS
-        vec = type_vector(inst, S)
-        tau[S] = sum((vi * qi for vi, qi in zip(vec, qS)), ZERO) - u[S]
+    q = []
+    tau = []
+    for S, vec in enumerate(type_vectors(inst)):
+        uS = u[S]
+        qS = tuple(
+            ONE if S >> i & 1 else (u[S | 1 << i] - uS) / params.d[i]
+            for i in range(n)
+        )
+        q.append(qS)
+        tau.append(sum((vi * qi for vi, qi in zip(vec, qS)), ZERO) - uS)
     return Mechanism(n=n, u=u, q=q, tau=tau, unique=unique)
 
 
@@ -137,11 +131,13 @@ def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
         raise PreconditionError(f"n={n} exceeds the verification guard {VERIFY_GUARD}")
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    subsets = all_subsets(n)
-    vec = {S: type_vector(inst, S) for S in subsets}
+    vec = type_vectors(inst)
+    # the items where two types differ, by the mask of their difference: the
+    # other components of v(S) - v(T) are 0 and add nothing to the gain
+    diff_items = [[i for i in range(n) if D >> i & 1] for D in range(1 << n)]
     violations = []
     bic = ir = prob = 0
-    for S in subsets:
+    for S, vS in enumerate(vec):
         uS = mech.u[S]
         ir += 1
         if uS < 0:
@@ -152,13 +148,12 @@ def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
                 violations.append((f"prob({subset_label(S)},{i},>=0)", qi))
             if qi > 1:
                 violations.append((f"prob({subset_label(S)},{i},<=1)", ONE - qi))
-        for T in subsets:
+        for T, vT in enumerate(vec):
             if S == T:
                 continue
             bic += 1
-            gain = sum(
-                ((vec[S][i] - vec[T][i]) * mech.q[T][i] for i in range(n)), ZERO
-            )
+            qT = mech.q[T]
+            gain = sum(((vS[i] - vT[i]) * qT[i] for i in diff_items[S ^ T]), ZERO)
             slack = uS - mech.u[T] - gain
             if slack < 0:
                 violations.append(
@@ -173,29 +168,29 @@ def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     )
 
 
-def is_monotone_supermodular(u: Mapping[Subset, Fraction], n: int) -> bool:
-    """True iff u is nondecreasing along lattice edges and satisfies
-    u(S+{i}+{j}) - u(S+{j}) >= u(S+{i}) - u(S) for all S, i != j outside S."""
-    subsets = all_subsets(n)
-    for S in subsets:
-        for i in item_range(n):
-            if i in S:
+def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
+    """True iff u (indexed by type mask) is nondecreasing along lattice edges
+    and satisfies u(S+{i}+{j}) - u(S+{j}) >= u(S+{i}) - u(S) for all S and
+    items i != j outside S."""
+    for S in range(1 << n):
+        for i in range(n):
+            Si = S | 1 << i
+            if Si == S:
                 continue
-            Si = S | {i}
             if u[Si] < u[S]:
                 return False
-            for j in item_range(n):
-                if j == i or j in S:
+            for j in range(n):
+                Sj = S | 1 << j
+                if j == i or Sj == S:
                     continue
-                Sj = S | {j}
-                if u[Si | {j}] - u[Sj] < u[Si] - u[S]:
+                if u[Si | Sj] - u[Sj] < u[Si] - u[S]:
                     return False
     return True
 
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
     """sum_S p(S) * tau(S)."""
-    return sum((type_prob(inst, S) * mech.tau[S] for S in all_subsets(inst.n)), ZERO)
+    return sum((pS * tS for pS, tS in zip(subset_probs(inst.p), mech.tau)), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +221,14 @@ def bernoulli(rng: random.Random, prob: Fraction) -> bool:
 def sample_allocation(
     mech: Mechanism, S: Subset, rng: random.Random
 ) -> tuple[Subset, Fraction]:
-    """Draw one allocation for reported type S: item i is included
+    """Draw one allocation (a mask) for reported type S: item i is included
     independently with probability q_i(S); the price is the deterministic
     tau(S)."""
-    S = check_subset(S, mech.n)
-    qS = mech.q[S]
-    allocated = frozenset(
-        i for i in item_range(mech.n) if bernoulli(rng, qS[i - 1])
-    )
+    S = check_mask(S, mech.n)
+    allocated = 0
+    for i, qi in enumerate(mech.q[S]):
+        if bernoulli(rng, qi):
+            allocated |= 1 << i
     return allocated, mech.tau[S]
 
 
@@ -243,13 +238,13 @@ def sample_allocation(
 
 def mechanism_to_json_dict(mech: Mechanism) -> dict:
     menu = []
-    for S in all_subsets(mech.n):
+    for S, (uS, qS, tS) in enumerate(zip(mech.u, mech.q, mech.tau)):
         menu.append(
             {
                 "type": subset_to_list(S),
-                "u": format_rational(mech.u[S]),
-                "q": [format_rational(v) for v in mech.q[S]],
-                "price": format_rational(mech.tau[S]),
+                "u": format_rational(uS),
+                "q": [format_rational(v) for v in qS],
+                "price": format_rational(tS),
             }
         )
     return {"n": mech.n, "menu": menu}
@@ -271,16 +266,16 @@ def mechanism_from_json_dict(doc) -> Mechanism:
     # compare bit lengths first so an absurd n never builds 1 << n
     if len(menu).bit_length() != n + 1 or len(menu) != 1 << n:
         raise InputError(f"menu: expected 2^{n} entries, got {len(menu)}")
-    u: dict[Subset, Fraction] = {}
-    q: dict[Subset, tuple[Fraction, ...]] = {}
-    tau: dict[Subset, Fraction] = {}
+    u: list = [None] * len(menu)
+    q: list = [None] * len(menu)
+    tau: list = [None] * len(menu)
     for idx, entry in enumerate(menu):
         if not isinstance(entry, dict):
             raise InputError(f"menu[{idx}]: expected an object")
         if "type" not in entry:
             raise InputError(f"menu[{idx}].type: missing field")
         S = check_subset(entry["type"], n, field=f"menu[{idx}].type")
-        if S in u:
+        if u[S] is not None:
             raise InputError(f"menu[{idx}].type: duplicate type {subset_to_list(S)}")
         u[S] = parse_rational(entry.get("u"), field=f"menu[{idx}].u")
         raw_q = entry.get("q")

@@ -33,16 +33,15 @@ from .core import (
     Subset,
     ZERO,
     ONE,
+    check_mask,
     check_subset,
     format_rational,
     from_lp2_params,
-    item_range,
     subset_label,
-    subset_mask,
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .exactlp import LP23_GUARD
-from .lattice import canonical_solution, node_cost
+from .lattice import canonical_solution, node_costs
 from .mechanism import Mechanism, closed_form_mechanism
 
 LEXRANK_GUARD = 22    # rank oracle enumerates binom(n, |S|) subsets
@@ -52,14 +51,9 @@ SUBSETSUM_GUARD = 10  # staged inversion runs n rank evaluations on up to 2n ite
 # ---------------------------------------------------------------------------
 # Rank semantics
 # ---------------------------------------------------------------------------
-
-def lex_leq(S1: Subset, S2: Subset) -> bool:
-    """Total preorder on subsets: S1 <= S2 iff the largest element of the
-    symmetric difference lies in S2 (always true when S1 == S2)."""
-    diff = S1 ^ S2
-    if not diff:
-        return True
-    return max(diff) in S2
+#
+# Same-sum ties are broken lexicographically: S1 precedes S2 when the largest
+# item of their symmetric difference lies in S2, which on masks is S1 < S2.
 
 
 def _check_collection(C: Sequence[int], field: str = "C") -> tuple[int, ...]:
@@ -73,8 +67,9 @@ def _check_collection(C: Sequence[int], field: str = "C") -> tuple[int, ...]:
 
 
 def lexrank_oracle(C: Sequence[int], S: Subset) -> int:
-    """Rank of S among same-cardinality subsets of {1..len(C)}, ordered by
-    subset sum with lexicographic tie-breaking; counts S itself, so >= 1.
+    """Rank of the mask S among same-cardinality subsets of {1..len(C)},
+    ordered by subset sum with lexicographic tie-breaking; counts S itself,
+    so >= 1.
 
     Brute-force enumeration; guarded at |C| <= 22.
     """
@@ -82,23 +77,16 @@ def lexrank_oracle(C: Sequence[int], S: Subset) -> int:
     n = len(C)
     if n > LEXRANK_GUARD:
         raise PreconditionError(f"|C|={n} exceeds the enumeration guard {LEXRANK_GUARD}")
-    S = check_subset(S, n, field="S")
-    size = len(S)
-    target_sum = sum(C[i - 1] for i in S)
-    target_mask = subset_mask(S)
+    S = check_mask(S, n, field="S")
+    target_sum = sum(c for i, c in enumerate(C) if S >> i & 1)
     rank = 0
-    for other in _size_subsets(n, size):
-        total = sum(C[i - 1] for i in other)
+    for combo in combinations(range(n), S.bit_count()):
+        total = sum(C[i] for i in combo)
         if total < target_sum:
             rank += 1
-        elif total == target_sum and subset_mask(other) <= target_mask:
+        elif total == target_sum and sum(1 << i for i in combo) <= S:
             rank += 1
     return rank
-
-
-def _size_subsets(n: int, size: int):
-    for combo in combinations(item_range(n), size):
-        yield frozenset(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +109,7 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
     C = [4 * n * w for w in W]
     C.append(4 * n * T + 2 * n)
     C.extend([1] * (ell - 1))
-    special = frozenset(range(n + 1, n + ell + 1))
+    special = ((1 << ell) - 1) << n  # items n+1..n+ell
     return tuple(C), special
 
 
@@ -129,12 +117,7 @@ def count_subsets_of_size(W: Sequence[int], T: int, size: int) -> int:
     """Number of size-``size`` subsets of {1..n} with weight sum <= T
     (direct enumeration)."""
     W = _check_collection(W, field="W")
-    n = len(W)
-    return sum(
-        1
-        for S in _size_subsets(n, size)
-        if sum(W[i - 1] for i in S) <= T
-    )
+    return sum(1 for combo in combinations(W, size) if sum(combo) <= T)
 
 
 def count_subsetsum(W: Sequence[int], T: int) -> int:
@@ -303,19 +286,17 @@ def _reduction_d(C: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(d)
 
 
-def _validate_rank_query(C, S, k, error=PreconditionError):
-    """The rank query (C, S, k) as the reduction needs it; out-of-range |S|
-    and k raise ``error``, so the JSON parser can report them as input errors."""
-    C = _check_collection(C)
-    n = len(C)
-    S = check_subset(S, n, field="S")
-    if len(S) in (0, n):
-        raise error(f"S: |S| must lie in 1..{n - 1} for the reduction, got {len(S)}")
+def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
+    """|S| and k of a rank query over n items as the reduction needs them;
+    out-of-range values raise ``error``, so the JSON parser can report them
+    as input errors."""
+    s = S.bit_count()
+    if s in (0, n):
+        raise error(f"S: |S| must lie in 1..{n - 1} for the reduction, got {s}")
     if not isinstance(k, int) or isinstance(k, bool):
         raise InputError(f"k: expected an integer, got {k!r}")
-    if not 1 <= k <= comb(n, len(S)):
-        raise error(f"k: must lie in 1..C({n},{len(S)})={comb(n, len(S))}, got {k}")
-    return C, S, k
+    if not 1 <= k <= comb(n, s):
+        raise error(f"k: must lie in 1..C({n},{s})={comb(n, s)}, got {k}")
 
 
 @lru_cache(maxsize=256)
@@ -340,9 +321,10 @@ def _build_reduction(
         p=(p_tilde,) * (n + 1),
     )
     instance, _ = from_lp2_params(params)
+    costs = node_costs(params.d)
     level = sorted(
-        _size_subsets(n, n - s),
-        key=lambda T: (node_cost(params.d, T, n + 1), subset_mask(T)),
+        (T for T in range(1 << n) if T.bit_count() == n - s),
+        key=lambda T: (costs[T], T),
     )
     target = level[k - 1]
     flow = canonical_solution(params)
@@ -362,13 +344,15 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     """Construct the instance whose unique optimal mechanism answers the
     rank query (C, S, k) through the probe type's distinguished item, and
     solve it in closed form."""
-    C, S, k = _validate_rank_query(C, S, k)
+    C = _check_collection(C)
     n = len(C)
-    p_tilde, params, instance, target, mech = _build_reduction(C, len(S), k)
+    S = check_mask(S, n, field="S")
+    _validate_rank_query(n, S, k)
+    p_tilde, params, instance, target, mech = _build_reduction(C, S.bit_count(), k)
     return ReductionOutput(
         instance=instance,
         params=params,
-        probe_type=frozenset(item_range(n)) - S,
+        probe_type=((1 << n) - 1) ^ S,
         distinguished_item=n + 1,
         p_tilde=p_tilde,
         target_T_star=target,
@@ -398,7 +382,10 @@ def rank_query_from_json_dict(doc) -> tuple[tuple[int, ...], Subset, int]:
     S = doc["S"]
     if not isinstance(S, list):
         raise InputError("S: expected a list of item indices")
-    return _validate_rank_query(C, S, doc["k"], error=InputError)
+    C = _check_collection(C)
+    S = check_subset(S, len(C), field="S")
+    _validate_rank_query(len(C), S, doc["k"], error=InputError)
+    return C, S, doc["k"]
 
 
 def counting_query_from_json_dict(doc) -> tuple[tuple[int, ...], int]:

@@ -18,6 +18,7 @@ from optmech import (
     build_lp2,
     build_lp3,
     canonical_solution,
+    check_subset,
     closed_form_mechanism,
     decide_lexrank,
     eval_f,
@@ -27,7 +28,7 @@ from optmech import (
     is_monotone_supermodular,
     lexrank_oracle,
     menu_is_bic_ir,
-    node_cost,
+    node_costs,
     optimal_budgeted_mechanism,
     q_var,
     sample_allocation,
@@ -38,15 +39,15 @@ from optmech import (
     unique_optimum,
     verify_bic_ir,
 )
-from optmech.core import OMDInstance, all_subsets, item_range
+from optmech.core import OMDInstance, item_range
 from optmech.reduction import _reduction_d, count_subsets_of_size, lexrank_to_omd
 from tests.sweeps import duality_sweep
 
 ZERO, ONE = F(0), F(1)
 
 
-def fs(*items):
-    return frozenset(items)
+def mask(*items):
+    return check_subset(items, max(items, default=0))
 
 
 def make_instance(a, d, p):
@@ -82,9 +83,9 @@ def test_criterion_1_worked_examples():
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
     params = to_lp2_params(lottery, ONE)
     mech = closed_form_mechanism(params, canonical_solution(params))
-    assert mech.tau[fs(1, 2)] == 4
-    assert mech.q[fs(1)] == (ONE, F(1, 2))
-    assert mech.tau[fs(1)] == F(5, 2)
+    assert mech.tau[mask(1, 2)] == 4
+    assert mech.q[mask(1)] == (ONE, F(1, 2))
+    assert mech.tau[mask(1)] == F(5, 2)
     revenue = expected_revenue(lottery, mech)
     assert revenue == F(21, 8)
     assert solve_lp(build_lp1(lottery)).value == revenue
@@ -115,7 +116,7 @@ def test_criterion_2_duality_suite():
         mech = closed_form_mechanism(params, flow)
         for (src, dst), amount in flow.flows.items():
             if amount > 0:
-                i = next(iter(src - dst))
+                i = (src ^ dst).bit_length()
                 assert mech.u[src] - mech.u[dst] == params.d[i - 1]
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -142,8 +143,8 @@ def test_criterion_3_closed_form_suite():
         mech = closed_form_mechanism(params, flow)
         assert mech.unique
         assert is_monotone_supermodular(mech.u, n)
-        star_cost = node_cost(params.d, flow.partially_filled, n)
-        assert mech.u[frozenset(item_range(n))] == star_cost
+        star_cost = node_costs(params.d)[flow.partially_filled]
+        assert mech.u[(1 << n) - 1] == star_cost
 
         inst, _ = from_lp2_params(params)
         report = verify_bic_ir(inst, mech)
@@ -157,7 +158,7 @@ def test_criterion_3_closed_form_suite():
         lp2_sol = solve_lp(lp2_prob)
         if unique_optimum(lp2_prob, lp2_sol):
             probed += 1
-            for S in all_subsets(n):
+            for S in range(1 << n):
                 assert lp1.assignment[u_var(S)] == mech.u[S]
                 for i in item_range(n):
                     assert lp1.assignment[q_var(i, S)] == mech.q[S][i - 1]
@@ -178,20 +179,20 @@ def test_criterion_3_closed_form_suite():
 def _check_cost_structure(C):
     n = len(C) + 1
     d = _reduction_d(tuple(C))
-    costs = {S: node_cost(d, S, n) for S in all_subsets(n)}
-    values = sorted(costs.values())
+    costs = node_costs(d)
+    values = sorted(costs)
     assert all(v.denominator == 1 for v in values)
     assert len(set(values)) == len(values), "node costs must be distinct"
-    sinks = {S: c for S, c in costs.items() if len(S) < n}
-    assert min(sinks, key=sinks.get) == frozenset(item_range(n - 1))
-    for T in all_subsets(n - 1):
+    sinks = {S: c for S, c in enumerate(costs) if S.bit_count() < n}
+    assert min(sinks, key=sinks.get) == (1 << (n - 1)) - 1
+    for T in range(1 << (n - 1)):
         hi = costs[T]
-        lo = costs[T | {n}]
+        lo = costs[T | 1 << (n - 1)]
         assert lo == hi - 1
         assert not any(lo < c < hi for c in values)
-    for T1 in all_subsets(n - 1):
-        for T2 in all_subsets(n - 1):
-            if len(T1) > len(T2):
+    for T1 in range(1 << (n - 1)):
+        for T2 in range(1 << (n - 1)):
+            if T1.bit_count() > T2.bit_count():
                 assert costs[T1] < costs[T2]
 
 
@@ -210,15 +211,15 @@ def test_criterion_4_reduction_suite():
             _check_cost_structure(C)
             for size in range(1, n):
                 for S_tuple in combinations(item_range(n), size):
-                    S = frozenset(S_tuple)
+                    S = mask(*S_tuple)
                     rank = lexrank_oracle(C, S)
                     for k in range(1, comb(n, size) + 1):
                         decision = decide_lexrank(C, S, k)
                         assert decision == (rank <= k)
                         out = lexrank_to_omd(C, S, k)
                         star, mech = out.target_T_star, out.mechanism
-                        assert len(star) == n - size
-                        probe = mech.q[frozenset(item_range(n)) - S][n]
+                        assert star.bit_count() == n - size
+                        probe = mech.q[(1 << n) - 1 ^ S][n]
                         assert probe in (ZERO, ONE)
                         checked += 1
     elapsed = time.perf_counter() - t0
@@ -294,7 +295,7 @@ def test_criterion_7_sampling():
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
     params = to_lp2_params(lottery, ONE)
     mech = closed_form_mechanism(params, canonical_solution(params))
-    reported = fs(1)  # the type with valuation (2, 1)
+    reported = mask(1)  # the type with valuation (2, 1)
     assert mech.q[reported] == (ONE, F(1, 2))
 
     draws = 10_000
@@ -305,8 +306,8 @@ def test_criterion_7_sampling():
         for _ in range(draws):
             allocated, price = sample_allocation(mech, reported, rng)
             assert price == F(5, 2)
-            assert 1 in allocated
-            trace.append(2 in allocated)
+            assert allocated & mask(1)
+            trace.append(bool(allocated & mask(2)))
         runs.append(trace)
     assert runs[0] == runs[1]  # fixed seed -> bit-reproducible
 

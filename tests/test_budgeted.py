@@ -7,6 +7,8 @@ import pytest
 from optmech import (
     BudgetedInstance,
     InputError,
+    check_subset,
+    subset_to_list,
     best_affordable_bundle,
     budgeted_oracle_lp,
     menu_is_bic_ir,
@@ -15,8 +17,8 @@ from optmech import (
 from optmech.budgeted import budgeted_from_json_dict
 
 
-def fs(*items):
-    return frozenset(items)
+def mask(*items):
+    return check_subset(items, max(items, default=0))
 
 
 def brute_force_best(x, budget):
@@ -33,9 +35,9 @@ def brute_force_best(x, budget):
 # ---------------------------------------------------------------------------
 
 def test_best_affordable_examples():
-    assert best_affordable_bundle((1, 2), 2) == (2, fs(2))
-    assert best_affordable_bundle((3, 5, 7), 11) == (10, fs(1, 3))
-    assert best_affordable_bundle((1, 2), 10) == (3, fs(1, 2))
+    assert best_affordable_bundle((1, 2), 2) == (2, mask(2))
+    assert best_affordable_bundle((3, 5, 7), 11) == (10, mask(1, 3))
+    assert best_affordable_bundle((1, 2), 10) == (3, mask(1, 2))
 
 
 def test_best_affordable_matches_enumeration():
@@ -46,14 +48,14 @@ def test_best_affordable_matches_enumeration():
         budget = rng.randint(1, sum(x) + 3)
         value, witness = best_affordable_bundle(x, budget)
         assert value == brute_force_best(x, budget)
-        assert sum(x[i - 1] for i in witness) == value
+        assert sum(x[i - 1] for i in subset_to_list(witness)) == value
 
 
 def test_best_affordable_witness_is_lex_least():
     # both {1,2} and {3} reach 3; the lex-least witness avoids the top item
     value, witness = best_affordable_bundle((1, 2, 3), 3)
     assert value == 3
-    assert witness == fs(1, 2)
+    assert witness == mask(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +65,13 @@ def test_best_affordable_witness_is_lex_least():
 def test_menu_examples():
     inst = BudgetedInstance(x=(1, 2), budget=2, eps=F(1, 5))
     menu = optimal_budgeted_mechanism(inst)
-    assert menu.full_bundle == fs(1, 2) and menu.full_price == 3
-    assert menu.budget_bundle == fs(2) and menu.budget_price == 2
+    assert menu.full_bundle == mask(1, 2) and menu.full_price == 3
+    assert menu.budget_bundle == mask(2) and menu.budget_price == 2
     assert menu.revenue == F(14, 5)
 
     inst = BudgetedInstance(x=(1, 2), budget=3, eps=F(1, 5))
     menu = optimal_budgeted_mechanism(inst)
-    assert menu.budget_bundle == fs(1, 2) and menu.budget_price == 3
+    assert menu.budget_bundle == mask(1, 2) and menu.budget_price == 3
     assert menu.revenue == 3
 
     inst = BudgetedInstance(x=(2, 2), budget=3, eps=F(1, 6))

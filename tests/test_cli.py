@@ -1,4 +1,5 @@
 import json
+import time
 
 from optmech.cli import main
 from optmech.core import instance_from_json
@@ -84,6 +85,24 @@ def test_solve_bad_json_exit_1(tmp_path, capsys):
 
 def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/instance.json"]) == 1
+
+
+def test_solve_past_verification_guard_exit_2(tmp_path, capsys):
+    # n = 11 is one past the guard; the refusal comes before any lattice work
+    doc = {"n": 11, "a": ["1"] * 11, "d": ["1"] * 11, "p": ["1/2"] * 11}
+    instance = write(tmp_path, "inst.json", json.dumps(doc))
+    for argv in (["solve", instance], ["sample", instance, "--type", "1"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "verification guard 10" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = write(tmp_path, "deep.json", "[" * 200000)
+    for argv in (["solve", deep], ["reduce", "lexrank", deep], ["budgeted", deep]):
+        assert main(argv) == 1, argv
+        assert "input error:" in capsys.readouterr().err
 
 
 def test_solve_custom_kappa_same_menu(tmp_path, capsys):

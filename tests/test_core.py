@@ -11,11 +11,13 @@ from optmech import (
     from_lp2_params,
     instance_from_json,
     instance_to_json,
+    check_subset,
+    subset_probs,
+    subset_to_list,
     to_lp2_params,
-    type_prob,
-    type_vector,
+    type_vectors,
 )
-from optmech.core import all_subsets, format_rational, parse_rational, subset_mask
+from optmech.core import format_rational, parse_rational
 
 
 def _frac(v):
@@ -60,31 +62,30 @@ def test_format_rational_round_trips():
 
 def test_subset_mask_orders_lexicographically():
     # mask order puts the set whose largest differing element is absent first
-    assert subset_mask(frozenset({1})) < subset_mask(frozenset({2}))
-    assert subset_mask(frozenset({1, 3})) < subset_mask(frozenset({2, 3}))
+    assert check_subset({1}, 3) < check_subset({2}, 3)
+    assert check_subset({1, 3}, 3) < check_subset({2, 3}, 3)
 
 
 def test_subset_mask_indexes_all_subsets():
-    # bit i-1 stands for item i, in subset_mask and all_subsets alike
+    # bit i-1 stands for item i: every mask below 2^n is one subset of 1..n
     for n in range(1, 6):
-        subsets = all_subsets(n)
-        for S in subsets:
-            assert subsets[subset_mask(S)] == S
+        for S in range(1 << n):
+            assert check_subset(subset_to_list(S), n) == S
 
 
 # ---------------------------------------------------------------------------
-# type_prob
+# type probabilities (subset_probs)
 # ---------------------------------------------------------------------------
 
 def test_type_prob_uniform():
-    assert type_prob(UNIFORM, frozenset({1})) == F(1, 4)
-    assert type_prob(UNIFORM, frozenset()) == F(1, 4)
+    assert subset_probs(UNIFORM.p)[check_subset({1}, 2)] == F(1, 4)
+    assert subset_probs(UNIFORM.p)[check_subset((), 2)] == F(1, 4)
 
 
 def test_type_prob_skewed_and_totals():
     inst = make_instance([1, 1], [1, 1], [(3, 4), (1, 2)])
-    assert type_prob(inst, frozenset({1})) == F(3, 8)
-    assert sum(type_prob(inst, S) for S in all_subsets(inst.n)) == 1
+    assert subset_probs(inst.p)[check_subset({1}, 2)] == F(3, 8)
+    assert sum(subset_probs(inst.p)) == 1
 
 
 def test_type_prob_sums_to_one_randomized():
@@ -96,24 +97,24 @@ def test_type_prob_sums_to_one_randomized():
             [F(rng.randint(1, 9)) for _ in range(n)],
             [F(rng.randint(1, 9), 10) for _ in range(n)],
         )
-        assert sum(type_prob(inst, S) for S in all_subsets(n)) == 1
+        assert sum(subset_probs(inst.p)) == 1
 
 
 def test_type_prob_index_out_of_range():
     with pytest.raises(InputError):
-        type_prob(UNIFORM, frozenset({3}))
+        check_subset({3}, UNIFORM.n)
 
 
 # ---------------------------------------------------------------------------
-# type_vector
+# type_vectors
 # ---------------------------------------------------------------------------
 
 def test_type_vector_examples():
-    assert type_vector(UNIFORM, frozenset({2})) == (F(1), F(2))
+    assert type_vectors(UNIFORM)[check_subset({2}, 2)] == (F(1), F(2))
     # the lottery instance: high type has values (2, 3)
-    assert type_vector(LOTTERY, frozenset({1, 2})) == (F(2), F(3))
+    assert type_vectors(LOTTERY)[check_subset({1, 2}, 2)] == (F(2), F(3))
     inst = make_instance([(1, 2), (3, 2)], [1, 2], [(1, 2), (1, 2)])
-    assert type_vector(inst, frozenset()) == (F(1, 2), F(3, 2))
+    assert type_vectors(inst)[check_subset((), 2)] == (F(1, 2), F(3, 2))
 
 
 def test_type_vector_monotone():
@@ -125,11 +126,11 @@ def test_type_vector_monotone():
             [F(rng.randint(1, 5)) for _ in range(n)],
             [F(1, 2)] * n,
         )
-        subsets = all_subsets(n)
-        for S in subsets:
-            for T in subsets:
-                if S <= T:
-                    vs, vt = type_vector(inst, S), type_vector(inst, T)
+        vecs = type_vectors(inst)
+        for S in range(1 << n):
+            for T in range(1 << n):
+                if S & T == S:
+                    vs, vt = vecs[S], vecs[T]
                     assert all(a <= b for a, b in zip(vs, vt))
 
 
@@ -243,4 +244,4 @@ def test_type_prob_sums_to_one_n12():
         [F(rng.randint(1, 9)) for _ in range(n)],
         [F(rng.randint(1, 9), 10) for _ in range(n)],
     )
-    assert sum(type_prob(inst, S) for S in all_subsets(n)) == 1
+    assert sum(subset_probs(inst.p)) == 1

@@ -323,7 +323,7 @@ def test_unique_optimum_relaxed_program():
     sol = solve_lp(prob)
     assert unique_optimum(prob, sol) is True
     # sanity: the unique optimum is the closed-form utility
-    assert sol.assignment[u_var(frozenset({1, 2}))] == 1
+    assert sol.assignment[u_var(0b11)] == 1  # type {1,2}
 
 
 def test_unique_optimum_requires_optimal():
@@ -381,7 +381,7 @@ def test_lexrank_oracle_guard():
     from optmech import lexrank_oracle
 
     with pytest.raises(PreconditionError):
-        lexrank_oracle(tuple(range(1, 24)), frozenset({1}))
+        lexrank_oracle(tuple(range(1, 24)), 0b1)  # S = {1}
 
 
 def test_fraction_backend_fallback(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,19 +10,20 @@ from optmech import (
     InputError,
     LP2Params,
     Mechanism,
+    PreconditionError,
     build_lp1,
     canonical_solution,
+    check_subset,
     closed_form_mechanism,
     expected_revenue,
     is_monotone_supermodular,
     mechanism_from_json_dict,
     mechanism_to_json_dict,
-    node_cost,
+    node_costs,
     sample_allocation,
     solve_lp,
     verify_bic_ir,
 )
-from optmech.core import all_subsets
 from optmech.mechanism import bernoulli
 from tests.test_core import make_instance
 from tests.test_lattice import PARAMS_A, PARAMS_B, PARAMS_TIE, _random_single_positive
@@ -28,8 +31,8 @@ from tests.test_lattice import PARAMS_A, PARAMS_B, PARAMS_TIE, _random_single_po
 ZERO, ONE = F(0), F(1)
 
 
-def fs(*items):
-    return frozenset(items)
+def mask(*items):
+    return check_subset(items, max(items, default=0))
 
 
 def mech_for(params):
@@ -44,32 +47,32 @@ def test_closed_form_halves_instance():
     # params (x, B) = ((2,3), 9/2) correspond to a = (1/2, 3/2), d = (1, 2)
     mech = mech_for(PARAMS_A)
     assert mech.unique
-    assert mech.u[fs(1, 2)] == 1
-    assert mech.u[fs(1)] == 0 and mech.u[fs(2)] == 0 and mech.u[fs()] == 0
-    assert mech.q[fs(1, 2)] == (ONE, ONE)
-    assert mech.q[fs(1)] == (ONE, F(1, 2))
-    assert mech.q[fs(2)] == (ONE, ONE)
-    assert mech.q[fs()] == (ZERO, ZERO)
-    assert mech.tau[fs(1, 2)] == 4
-    assert mech.tau[fs(1)] == F(9, 4)
-    assert mech.tau[fs(2)] == 4
-    assert mech.tau[fs()] == 0
+    assert mech.u[mask(1, 2)] == 1
+    assert mech.u[mask(1)] == 0 and mech.u[mask(2)] == 0 and mech.u[mask()] == 0
+    assert mech.q[mask(1, 2)] == (ONE, ONE)
+    assert mech.q[mask(1)] == (ONE, F(1, 2))
+    assert mech.q[mask(2)] == (ONE, ONE)
+    assert mech.q[mask()] == (ZERO, ZERO)
+    assert mech.tau[mask(1, 2)] == 4
+    assert mech.tau[mask(1)] == F(9, 4)
+    assert mech.tau[mask(2)] == 4
+    assert mech.tau[mask()] == 0
 
 
 def test_closed_form_lottery_instance():
     mech = mech_for(PARAMS_B)
-    assert mech.tau[fs(1, 2)] == 4
+    assert mech.tau[mask(1, 2)] == 4
     # the high-low type buys the (1, 1/2) lottery at 5/2
-    assert mech.q[fs(1)] == (ONE, F(1, 2))
-    assert mech.tau[fs(1)] == F(5, 2)
+    assert mech.q[mask(1)] == (ONE, F(1, 2))
+    assert mech.tau[mask(1)] == F(5, 2)
 
 
 def test_full_type_utility_equals_star_cost():
     for params in (PARAMS_A, PARAMS_B):
         flow = canonical_solution(params)
         mech = closed_form_mechanism(params, flow)
-        star_cost = node_cost(params.d, flow.partially_filled, params.n)
-        assert mech.u[fs(1, 2)] == star_cost == 1
+        star_cost = node_costs(params.d)[flow.partially_filled]
+        assert mech.u[mask(1, 2)] == star_cost == 1
 
 
 def test_closed_form_boundary_flagged_non_unique():
@@ -85,8 +88,8 @@ def test_closed_form_zero_supply():
     params = LP2Params(2, (F(2), F(2)), F(4), (F(1), F(2)), (F(1, 2), F(1, 2)))
     mech = mech_for(params)
     assert not mech.unique
-    assert all(v == 0 for v in mech.u.values())
-    assert mech.q[fs(1)] == (ONE, ZERO)
+    assert all(v == 0 for v in mech.u)
+    assert mech.q[mask(1)] == (ONE, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +108,9 @@ def test_verify_flags_broken_mechanism():
     inst = make_instance([(1, 2), (3, 2)], [1, 2], [(1, 2), (1, 2)])
     broken = Mechanism(
         n=2,
-        u={fs(): ZERO, fs(1): F(2), fs(2): ZERO, fs(1, 2): ONE},
-        q={S: (ONE, ONE) for S in all_subsets(2)},
-        tau={S: ZERO for S in all_subsets(2)},
+        u=[ZERO, F(2), ZERO, ONE],  # by mask: {}, {1}, {2}, {1,2}
+        q=[(ONE, ONE) for S in range(1 << 2)],
+        tau=[ZERO for S in range(1 << 2)],
         unique=False,
     )
     report = verify_bic_ir(inst, broken)
@@ -117,19 +120,38 @@ def test_verify_flags_broken_mechanism():
     assert all(slack < 0 for _, slack in report.violations)
 
 
+def test_verify_reports_exact_violation_labels():
+    # the lottery mechanism with u({1,2}) corrupted from 1 to -1
+    inst = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
+    mech = mech_for(PARAMS_B)
+    u = list(mech.u)
+    u[mask(1, 2)] = F(-1)
+    report = verify_bic_ir(inst, replace(mech, u=u))
+    assert report.violations == (
+        ("ir({1,2})", F(-1)),
+        ("bic({1,2}|{})", F(-1)),
+        ("bic({1,2}|{1})", F(-2)),
+        ("bic({1,2}|{2})", F(-2)),
+    )
+
+
+def test_verify_refuses_past_guard_at_once():
+    # n = 11 is one past the guard: 4^11 rows would run for minutes
+    inst = make_instance([1] * 11, [1] * 11, [(1, 2)] * 11)
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="verification guard 10"):
+        verify_bic_ir(inst, mech_for(PARAMS_B))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_bundle_menu_mechanism():
     # selling the bundle at 3: buyers are every type except the low-low one
     inst = make_instance([1, 1], [1, 1], [(1, 2), (1, 2)])
     bundle = Mechanism(
         n=2,
-        u={fs(): ZERO, fs(1): ZERO, fs(2): ZERO, fs(1, 2): ONE},
-        q={
-            fs(): (ZERO, ZERO),
-            fs(1): (ONE, ONE),
-            fs(2): (ONE, ONE),
-            fs(1, 2): (ONE, ONE),
-        },
-        tau={fs(): ZERO, fs(1): F(3), fs(2): F(3), fs(1, 2): F(3)},
+        u=[ZERO, ZERO, ZERO, ONE],  # by mask: {}, {1}, {2}, {1,2}
+        q=[(ZERO, ZERO), (ONE, ONE), (ONE, ONE), (ONE, ONE)],
+        tau=[ZERO, F(3), F(3), F(3)],
         unique=False,
     )
     report = verify_bic_ir(inst, bundle)
@@ -147,25 +169,25 @@ def test_supermodular_cost_gap_family():
         n = rng.randint(2, 5)
         d = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
         c = F(rng.randint(0, 12), rng.randint(1, 4))
-        u = {}
-        for S in all_subsets(n):
-            gap = c - node_cost(d, S, n)
-            u[S] = gap if gap > 0 else ZERO
+        u = []
+        for cost in node_costs(d):
+            gap = c - cost
+            u.append(gap if gap > 0 else ZERO)
         assert is_monotone_supermodular(u, n)
 
 
 def test_cardinality_is_modular():
-    u = {S: F(len(S)) for S in all_subsets(3)}
+    u = [F(S.bit_count()) for S in range(1 << 3)]
     assert is_monotone_supermodular(u, 3)
 
 
 def test_strictly_submodular_rejected():
-    u = {fs(): ZERO, fs(1): ONE, fs(2): ONE, fs(1, 2): ONE}
+    u = [ZERO, ONE, ONE, ONE]  # by mask: {}, {1}, {2}, {1,2}
     assert not is_monotone_supermodular(u, 2)
 
 
 def test_non_monotone_rejected():
-    u = {fs(): ONE, fs(1): ZERO, fs(2): ONE, fs(1, 2): ONE}
+    u = [ONE, ZERO, ONE, ONE]  # by mask: {}, {1}, {2}, {1,2}
     assert not is_monotone_supermodular(u, 2)
 
 
@@ -186,9 +208,9 @@ def test_expected_revenue_examples():
 
     zero = Mechanism(
         n=2,
-        u={S: ZERO for S in all_subsets(2)},
-        q={S: (ZERO, ZERO) for S in all_subsets(2)},
-        tau={S: ZERO for S in all_subsets(2)},
+        u=[ZERO for S in range(1 << 2)],
+        q=[(ZERO, ZERO) for S in range(1 << 2)],
+        tau=[ZERO for S in range(1 << 2)],
         unique=False,
     )
     assert expected_revenue(lottery, zero) == 0
@@ -206,7 +228,7 @@ def test_complementary_slackness_randomized():
         mech = closed_form_mechanism(params, flow)
         for (src, dst), amount in flow.flows.items():
             if amount > 0:
-                i = next(iter(src - dst))
+                i = (src ^ dst).bit_length()
                 assert mech.u[src] - mech.u[dst] == params.d[i - 1]
 
 
@@ -216,11 +238,11 @@ def test_q_monotone_randomized():
         n = rng.randint(2, 4)
         params = _random_single_positive(rng, n)
         mech = mech_for(params)
-        for S in all_subsets(n):
+        for S in range(1 << n):
             for j in range(1, n + 1):
-                if j in S:
+                if S >> (j - 1) & 1:
                     continue
-                bigger = S | {j}
+                bigger = S | 1 << (j - 1)
                 for i in range(n):
                     assert mech.q[bigger][i] >= mech.q[S][i]
 
@@ -239,11 +261,11 @@ def test_sample_deterministic_marginals():
     mech = mech_for(PARAMS_B)
     rng = random.Random(1)
     for _ in range(20):
-        allocated, price = sample_allocation(mech, fs(1, 2), rng)
-        assert allocated == fs(1, 2)
+        allocated, price = sample_allocation(mech, mask(1, 2), rng)
+        assert allocated == mask(1, 2)
         assert price == 4
-        allocated, price = sample_allocation(mech, fs(), rng)
-        assert allocated == fs()
+        allocated, price = sample_allocation(mech, mask(), rng)
+        assert allocated == mask()
         assert price == 0
 
 
@@ -256,10 +278,10 @@ def test_sample_lottery_frequency_and_reproducibility():
         hits = 0
         trace = []
         for _ in range(draws):
-            allocated, price = sample_allocation(mech, fs(1), rng)
-            assert 1 in allocated  # q_1 = 1
+            allocated, price = sample_allocation(mech, mask(1), rng)
+            assert allocated & mask(1)  # q_1 = 1
             assert price == F(5, 2)
-            got = 2 in allocated
+            got = bool(allocated & mask(2))
             hits += got
             trace.append(got)
         runs.append((hits, trace))

@@ -8,44 +8,48 @@ import pytest
 from optmech import (
     PreconditionError,
     canonical_solution,
+    check_subset,
     count_subsetsum,
     decide_lexrank,
     eval_f,
     find_parameter,
-    lex_leq,
     lexrank_oracle,
     lexrank_to_omd,
-    node_cost,
+    node_costs,
+    subset_to_list,
     subsetsum_gadget,
 )
-from optmech.core import all_subsets, item_range
+from optmech.core import item_range
 from optmech.reduction import count_subsets_of_size
 
 ONE = F(1)
 
 
-def fs(*items):
-    return frozenset(items)
+def mask(*items):
+    return check_subset(items, max(items, default=0))
 
 
 # ---------------------------------------------------------------------------
-# lexicographic order
+# lexicographic order: S1 precedes S2 iff the largest item of their symmetric
+# difference lies in S2, which on masks is S1 <= S2
 # ---------------------------------------------------------------------------
 
 def test_lex_leq_examples():
-    assert lex_leq(fs(1), fs(2))
-    assert not lex_leq(fs(2), fs(1))
-    assert lex_leq(fs(1, 3), fs(2, 3))
+    assert mask(1) <= mask(2)
+    assert not mask(2) <= mask(1)
+    assert mask(1, 3) <= mask(2, 3)
 
 
 def test_lex_leq_reflexive_total():
-    subsets = all_subsets(4)
+    subsets = range(1 << 4)
     for S in subsets:
-        assert lex_leq(S, S)
+        assert S <= S
         for T in subsets:
-            assert lex_leq(S, T) or lex_leq(T, S)
+            assert S <= T or T <= S
             if S != T:
-                assert lex_leq(S, T) != lex_leq(T, S)
+                assert (S <= T) != (T <= S)
+                # the mask order is the symmetric-difference rule above
+                assert (S <= T) == bool(T >> ((S ^ T).bit_length() - 1) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +57,16 @@ def test_lex_leq_reflexive_total():
 # ---------------------------------------------------------------------------
 
 def test_lexrank_oracle_examples():
-    assert lexrank_oracle((1, 2, 3), fs(1, 2)) == 1
-    assert lexrank_oracle((1, 2, 3), fs(2, 3)) == 3
-    assert lexrank_oracle((8, 16, 20), fs(3)) == 3
+    assert lexrank_oracle((1, 2, 3), mask(1, 2)) == 1
+    assert lexrank_oracle((1, 2, 3), mask(2, 3)) == 3
+    assert lexrank_oracle((8, 16, 20), mask(3)) == 3
 
 
 def test_lexrank_oracle_is_a_total_ranking():
     C = (3, 1, 4, 1)
     for size in (1, 2, 3):
         ranks = sorted(
-            lexrank_oracle(C, frozenset(S)) for S in combinations(item_range(4), size)
+            lexrank_oracle(C, mask(*S)) for S in combinations(item_range(4), size)
         )
         assert ranks == list(range(1, comb(4, size) + 1))
 
@@ -74,13 +78,13 @@ def test_lexrank_oracle_is_a_total_ranking():
 def test_gadget_examples():
     C1, S1 = subsetsum_gadget((1, 2), 2, 1)
     assert C1 == (8, 16, 20)
-    assert S1 == fs(3)
-    assert sum(C1[i - 1] for i in S1) == 20
+    assert S1 == mask(3)
+    assert sum(C1[i - 1] for i in subset_to_list(S1)) == 20
 
     C2, S2 = subsetsum_gadget((1, 2), 2, 2)
     assert C2 == (8, 16, 20, 1)
-    assert S2 == fs(3, 4)
-    assert sum(C2[i - 1] for i in S2) == 21
+    assert S2 == mask(3, 4)
+    assert sum(C2[i - 1] for i in subset_to_list(S2)) == 21
     assert lexrank_oracle(C2, S2) == 3
 
 
@@ -88,7 +92,7 @@ def test_gadget_special_sum_identity():
     for W, T, ell in product(((1, 3), (2, 2, 5)), (0, 3, 7), (1, 2)):
         n = len(W)
         C, S = subsetsum_gadget(W, T, ell)
-        assert sum(C[i - 1] for i in S) == 4 * n * T + 2 * n + ell - 1
+        assert sum(C[i - 1] for i in subset_to_list(S)) == 4 * n * T + 2 * n + ell - 1
 
 
 def test_gadget_ordering_properties():
@@ -98,7 +102,7 @@ def test_gadget_ordering_properties():
     n = len(W)
     for ell in range(1, n + 1):
         C, S_ell = subsetsum_gadget(W, T, ell)
-        special = sum(C[i - 1] for i in S_ell)
+        special = sum(C[i - 1] for i in subset_to_list(S_ell))
         fillers = list(range(n + 2, n + ell + 1))
         for r in range(1, n + 1):
             for S in combinations(item_range(n), r):
@@ -206,26 +210,26 @@ def test_find_parameter_rejects():
 # ---------------------------------------------------------------------------
 
 def test_lexrank_to_omd_example():
-    out = lexrank_to_omd((1, 2), fs(1), 1)
+    out = lexrank_to_omd((1, 2), mask(1), 1)
     assert out.params.d == (F(34), F(44), F(1))
     assert out.params.x == (F(2), F(2), F(2))
     assert out.params.B == F(5)
-    assert out.probe_type == fs(2)
+    assert out.probe_type == mask(2)
     assert out.distinguished_item == 3
-    assert out.target_T_star == fs(2)
+    assert out.target_T_star == mask(2)
     # cost comparison drives the decision: cost(S^c) = 35 <= cost(T*) = 35
-    assert node_cost(out.params.d, out.probe_type, 3) == 35
-    assert node_cost(out.params.d, out.target_T_star, 3) == 35
+    assert node_costs(out.params.d)[out.probe_type] == 35
+    assert node_costs(out.params.d)[out.target_T_star] == 35
 
 
 def test_lexrank_to_omd_rejects_degenerate_probe():
     with pytest.raises(PreconditionError):
-        lexrank_to_omd((1, 2), fs(), 1)
+        lexrank_to_omd((1, 2), mask(), 1)
     with pytest.raises(PreconditionError):
-        lexrank_to_omd((1, 2), fs(1, 2), 1)
+        lexrank_to_omd((1, 2), mask(1, 2), 1)
     for k in (0, 3):  # C(2,1) = 2
         with pytest.raises(PreconditionError):
-            lexrank_to_omd((1, 2), fs(1), k)
+            lexrank_to_omd((1, 2), mask(1), k)
 
 
 def test_reduction_refuses_lattice_past_guard():
@@ -234,16 +238,16 @@ def test_reduction_refuses_lattice_past_guard():
     C = tuple(range(1, 15))
     t0 = time.perf_counter()
     with pytest.raises(PreconditionError, match="guard 14"):
-        lexrank_to_omd(C, fs(1), 1)
+        lexrank_to_omd(C, mask(1), 1)
     with pytest.raises(PreconditionError, match="guard 14"):
-        decide_lexrank(C, fs(1), 1)
+        decide_lexrank(C, mask(1), 1)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_decide_examples():
-    assert decide_lexrank((1, 2), fs(1), 1) is True
-    assert decide_lexrank((1, 2), fs(2), 1) is False
-    assert decide_lexrank((1, 2, 3), fs(2, 3), 3) is True
+    assert decide_lexrank((1, 2), mask(1), 1) is True
+    assert decide_lexrank((1, 2), mask(2), 1) is False
+    assert decide_lexrank((1, 2, 3), mask(2, 3), 3) is True
 
 
 def test_decide_matches_oracle_small_sweep():
@@ -251,59 +255,59 @@ def test_decide_matches_oracle_small_sweep():
         n = len(C)
         for size in (1, 2):
             for S in combinations(item_range(n), size):
-                S = frozenset(S)
+                S = mask(*S)
                 for k in range(1, comb(n, size) + 1):
                     expected = lexrank_oracle(C, S) <= k
                     assert decide_lexrank(C, S, k) == expected
 
 
 def test_constructed_lattice_structure():
-    out = lexrank_to_omd((2, 5, 3), fs(2), 2)
+    out = lexrank_to_omd((2, 5, 3), mask(2), 2)
     params = out.params
     n = params.n  # == 4: three collection items plus the distinguished one
     ground = n - 1
-    costs = {S: node_cost(params.d, S, n) for S in all_subsets(n)}
-    values = list(costs.values())
+    costs = node_costs(params.d)
+    values = list(costs)
     # every node cost is a distinct integer
     assert all(v.denominator == 1 for v in values)
     assert len(set(values)) == len(values)
     # the cheapest sink is the full collection without the distinguished item
-    sinks = {S: c for S, c in costs.items() if len(S) < n}
-    assert min(sinks, key=sinks.get) == frozenset(item_range(ground))
+    sinks = {S: c for S, c in enumerate(costs) if S.bit_count() < n}
+    assert min(sinks, key=sinks.get) == (1 << ground) - 1
     # nothing lies strictly between cost(T + {n}) and cost(T)
-    for T in all_subsets(ground):
-        hi, lo = costs[T], costs[T | {n}]
+    for T in range(1 << ground):
+        hi, lo = costs[T], costs[T | 1 << (n - 1)]
         assert lo < hi
         assert not any(lo < c < hi for c in values)
     # more items always means cheaper, among proper subsets of the collection
-    for T1 in all_subsets(ground):
-        for T2 in all_subsets(ground):
-            if len(T1) > len(T2) and len(T1) < ground + 1:
+    for T1 in range(1 << ground):
+        for T2 in range(1 << ground):
+            if T1.bit_count() > T2.bit_count() and T1.bit_count() < ground + 1:
                 assert costs[T1] < costs[T2]
 
 
 def test_partially_filled_node_is_target():
-    out = lexrank_to_omd((2, 5, 3), fs(2), 2)
+    out = lexrank_to_omd((2, 5, 3), mask(2), 2)
     flow = canonical_solution(out.params)
     assert flow.partially_filled == out.target_T_star
-    assert len(flow.partially_filled) == 3 - len(fs(2))
-    assert lexrank_oracle((2, 5, 3), frozenset(item_range(3)) - out.target_T_star) == 2
+    assert flow.partially_filled.bit_count() == 3 - mask(2).bit_count()
+    assert lexrank_oracle((2, 5, 3), (1 << 3) - 1 ^ out.target_T_star) == 2
 
 
 def test_decide_matches_oracle_n5_spot_checks():
     rng_cases = [
-        ((2, 7, 3, 5, 4), fs(2, 4), 3),
-        ((1, 1, 2, 3, 5), fs(1), 4),
-        ((6, 2, 2, 6, 1), fs(3, 4, 5), 7),
-        ((4, 4, 4, 4, 4), fs(2, 3), 6),
-        ((9, 1, 8, 2, 7), fs(5), 1),
-        ((3, 3, 1, 2, 2), fs(1, 2, 3, 4), 5),
+        ((2, 7, 3, 5, 4), mask(2, 4), 3),
+        ((1, 1, 2, 3, 5), mask(1), 4),
+        ((6, 2, 2, 6, 1), mask(3, 4, 5), 7),
+        ((4, 4, 4, 4, 4), mask(2, 3), 6),
+        ((9, 1, 8, 2, 7), mask(5), 1),
+        ((3, 3, 1, 2, 2), mask(1, 2, 3, 4), 5),
     ]
     for C, S, k in rng_cases:
         n = len(C)
         out = lexrank_to_omd(C, S, k)
         flow = canonical_solution(out.params)
         assert flow.partially_filled == out.target_T_star
-        assert len(out.target_T_star) == n - len(S)
-        assert lexrank_oracle(C, frozenset(item_range(n)) - out.target_T_star) == k
+        assert out.target_T_star.bit_count() == n - S.bit_count()
+        assert lexrank_oracle(C, (1 << n) - 1 ^ out.target_T_star) == k
         assert decide_lexrank(C, S, k) == (lexrank_oracle(C, S) <= k)
