@@ -18,6 +18,7 @@ from .core import (
     Subset,
     ZERO,
     ONE,
+    check_positive_ints,
     format_rational,
     parse_rational,
     subset_label,
@@ -36,11 +37,7 @@ class BudgetedInstance:
     eps: Fraction
 
     def __post_init__(self):
-        if not self.x:
-            raise InputError("x: must be nonempty")
-        for i, v in enumerate(self.x, start=1):
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                raise InputError(f"x: entry {i} must be a positive integer, got {v!r}")
+        object.__setattr__(self, "x", check_positive_ints(self.x, "x"))
         if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget <= 0:
             raise InputError(f"budget: expected a positive integer, got {self.budget!r}")
         ceiling = Fraction(1, 1 + sum(self.x))

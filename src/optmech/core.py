@@ -74,6 +74,29 @@ def format_rational(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Integer inputs (the reduction's collections, the budgeted values)
+# ---------------------------------------------------------------------------
+
+def check_positive_ints(values: Iterable, field: str) -> tuple[int, ...]:
+    """A nonempty tuple of positive integers, or an `InputError` naming
+    ``field`` and the first offending entry (1-based)."""
+    out = tuple(values)
+    if not out:
+        raise InputError(f"{field}: must be nonempty")
+    for i, v in enumerate(out, start=1):
+        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+            raise InputError(f"{field}: entry {i} must be a positive integer, got {v!r}")
+    return out
+
+
+def check_nonnegative_int(value, field: str) -> int:
+    """``value`` if it is a nonnegative integer, else an `InputError`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InputError(f"{field}: expected a nonnegative integer, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Subsets of the ground set {1..n}
 # ---------------------------------------------------------------------------
 

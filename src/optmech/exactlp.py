@@ -6,9 +6,8 @@ deterministic: identical problems yield identical optimal assignments. Every
 optimal answer is re-checked post hoc against the original constraints, so a
 reported optimum is exact by construction.
 
-Internally the tableau uses ``gmpy2.mpq`` when available (same exact rational
-semantics, roughly an order of magnitude faster) and falls back to
-``fractions.Fraction``. The public interface is `Fraction` throughout.
+The tableau holds `fractions.Fraction` entries, the same type as the public
+interface, so no value is converted on the way in or out.
 
 The three builders produce, for a given instance / parameter vector:
 
@@ -41,14 +40,11 @@ from .core import (
 from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
 
-try:  # optional fast exact-rational backend for the tableau only
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = None
-
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
-# (relaxed program and its dual). Overridable per call with force=True.
-LP1_GUARD = 8
+# (relaxed program and its dual). Overridable per call with force=True. The
+# full program's guard admits only sizes whose solve ends within a minute:
+# one LP1 solve takes 3-11 s at n=5 and about 750 s at n=6 (2-vCPU machine).
+LP1_GUARD = 5
 LP23_GUARD = 14
 
 OPTIMAL = "optimal"
@@ -56,20 +52,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _RELS = ("<=", "=", ">=")
-
-
-def _lift(value: Fraction):
-    """Fraction -> internal tableau scalar."""
-    if _mpq is not None:
-        return _mpq(value.numerator, value.denominator)
-    return value
-
-
-def _drop(value) -> Fraction:
-    """Internal tableau scalar -> Fraction."""
-    if _mpq is not None:
-        return Fraction(int(value.numerator), int(value.denominator))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +142,10 @@ class _SimplexOutcome:
         self.duals = duals
 
 
-def _simplex_max(ncols, rows, objective, zero, one):
+def _simplex_max(ncols, rows, objective):
     """Maximize objective . x subject to the given rows, x >= 0.
 
-    ``rows``: list of (dense coeffs, rel, rhs) in internal scalars.
+    ``rows``: list of (dense coeffs, rel, rhs).
     ``objective``: dense list of length ncols.
     Returns a _SimplexOutcome whose ``duals`` align with the input rows.
     """
@@ -200,22 +182,22 @@ def _simplex_max(ncols, rows, objective, zero, one):
     assoc = []      # per input row: its slack or artificial column
     alive = []      # per input row: tableau row index, or None once dropped
     for coeffs, rel, rhs, _ in canon:
-        row = list(coeffs) + [zero] * (nslack + nart) + [rhs]
+        row = list(coeffs) + [ZERO] * (nslack + nart) + [rhs]
         if rel == "<=":
-            row[si] = one
+            row[si] = ONE
             basis.append(si)
             assoc.append(si)
             si += 1
         elif rel == ">=+":
-            row[si] = -one
+            row[si] = -ONE
             si += 1
-            row[ai] = one
+            row[ai] = ONE
             art_cols.add(ai)
             basis.append(ai)
             assoc.append(ai)
             ai += 1
         else:  # "="
-            row[ai] = one
+            row[ai] = ONE
             art_cols.add(ai)
             basis.append(ai)
             assoc.append(ai)
@@ -272,7 +254,7 @@ def _simplex_max(ncols, rows, objective, zero, one):
             pivot(leave, enter, cost)
 
     if art_cols:
-        cost = [zero] * width
+        cost = [ZERO] * width
         for i in range(len(T)):
             if basis[i] in art_cols:
                 row = T[i]
@@ -280,7 +262,7 @@ def _simplex_max(ncols, rows, objective, zero, one):
                     if row[j]:
                         cost[j] = cost[j] + row[j]
         for c in art_cols:
-            cost[c] = zero
+            cost[c] = ZERO
         if run(cost, [True] * total) == UNBOUNDED:
             raise VerificationError("phase-1 objective cannot be unbounded")
         if cost[-1] != 0:
@@ -306,7 +288,7 @@ def _simplex_max(ncols, rows, objective, zero, one):
             for k, idx in enumerate(alive):
                 alive[k] = None if idx in dropped else idx
 
-    cost = [zero] * width
+    cost = [ZERO] * width
     for j in range(ncols):
         if objective[j]:
             cost[j] = objective[j]
@@ -330,7 +312,7 @@ def _simplex_max(ncols, rows, objective, zero, one):
     duals = []
     for k, (_, _, _, flipped) in enumerate(canon):
         if alive[k] is None:
-            duals.append(zero)
+            duals.append(ZERO)
             continue
         mu = -cost[assoc[k]]
         duals.append(-mu if flipped else mu)
@@ -344,7 +326,7 @@ _DUAL_DETOUR_MIN_COLS = 24
 _DUAL_DETOUR_RATIO = 2
 
 
-def _try_dual_detour(ncols, rows, objective, zero, one):
+def _try_dual_detour(ncols, rows, objective):
     if ncols < _DUAL_DETOUR_MIN_COLS or len(rows) < _DUAL_DETOUR_RATIO * ncols:
         return None
     sink_rows = []
@@ -361,7 +343,7 @@ def _try_dual_detour(ncols, rows, objective, zero, one):
         for j in range(ncols)
     ]
     dual_objective = [-b for _, b in sink_rows]
-    outcome = _simplex_max(m, transpose_rows, dual_objective, zero, one)
+    outcome = _simplex_max(m, transpose_rows, dual_objective)
     if outcome.status == INFEASIBLE:
         return _SimplexOutcome(UNBOUNDED)
     if outcome.status != OPTIMAL:
@@ -375,14 +357,14 @@ def _try_dual_detour(ncols, rows, objective, zero, one):
     if any(x < 0 for x in assignment):
         return None
     for coeffs, b in sink_rows:
-        lhs = zero
+        lhs = ZERO
         for j in range(ncols):
             x = assignment[j]
             if x and coeffs[j]:
                 lhs = lhs + coeffs[j] * x
         if lhs > b:
             return None
-    attained = zero
+    attained = ZERO
     for j in range(ncols):
         if assignment[j] and objective[j]:
             attained = attained + objective[j] * assignment[j]
@@ -395,9 +377,6 @@ def _try_dual_detour(ncols, rows, objective, zero, one):
 def solve_lp(prob: LPProblem) -> LPSolution:
     """Solve exactly. Infeasibility and unboundedness are reported via the
     solution status, never raised."""
-    zero = _lift(ZERO)
-    one = _lift(ONE)
-
     # --- translate variables to nonnegative internal columns
     kinds = []  # per declared var: ("shift", col, L) | ("split", cpos, cneg)
     ncols = 0
@@ -412,67 +391,43 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     kind_of = dict(zip(prob.variables, kinds))
 
     def dense(coeffs: Mapping[str, Fraction], rhs: Fraction):
-        row = [zero] * ncols
+        """One row over the internal columns; the constant that the lower
+        bound shifts contribute is moved into the returned right-hand side."""
+        row = [ZERO] * ncols
         shift = ZERO
         for v, c in coeffs.items():
             if not c:
                 continue
             kind = kind_of[v]
-            cl = _lift(c)
-            if kind[0] == "shift":
-                row[kind[1]] = row[kind[1]] + cl
-                if kind[2]:
-                    shift += c * kind[2]
-            else:
-                row[kind[1]] = row[kind[1]] + cl
-                row[kind[2]] = row[kind[2]] - cl
-        return row, _lift(rhs - shift)
+            row[kind[1]] = row[kind[1]] + c
+            if kind[0] == "split":
+                row[kind[2]] = row[kind[2]] - c
+            elif kind[2]:
+                shift += c * kind[2]
+        return row, rhs - shift
 
     rows = []
     for con in prob.constraints:
         row, rhs = dense(con.coeffs, con.rhs)
         rows.append((row, con.rel, rhs))
-
-    # upper bounds become rows on the shifted columns
+    # upper bounds become "<=" rows; one below its lower bound has a negative
+    # right-hand side, which phase 1 reports as infeasible
     for v in prob.variables:
         up = prob.upper.get(v)
-        if up is None:
-            continue
-        kind = kind_of[v]
-        if kind[0] == "shift":
-            residual = up - kind[2]
-            if residual < 0:
-                return LPSolution(status=INFEASIBLE, value=None, assignment={})
-            row = [zero] * ncols
-            row[kind[1]] = one
-            rows.append((row, "<=", _lift(residual)))
-        else:
-            row = [zero] * ncols
-            row[kind[1]] = one
-            row[kind[2]] = -one
-            rows.append((row, "<=", _lift(up)))
+        if up is not None:
+            row, rhs = dense({v: ONE}, up)
+            rows.append((row, "<=", rhs))
 
-    # --- internal objective (always maximized) plus its constant shift
+    # --- internal objective, always maximized; the returned right-hand side
+    # is minus the constant the lower bounds add to the objective
     negate = prob.sense == "min"
-    obj_shift = ZERO
-    objective = [zero] * ncols
-    for v, c in prob.objective.items():
-        if not c:
-            continue
-        c_eff = -c if negate else c
-        kind = kind_of[v]
-        cl = _lift(c_eff)
-        if kind[0] == "shift":
-            objective[kind[1]] = objective[kind[1]] + cl
-            if kind[2]:
-                obj_shift += c_eff * kind[2]
-        else:
-            objective[kind[1]] = objective[kind[1]] + cl
-            objective[kind[2]] = objective[kind[2]] - cl
+    objective, obj_rhs = dense(prob.objective, ZERO)
+    if negate:
+        objective = [-c for c in objective]
 
-    outcome = _try_dual_detour(ncols, rows, objective, zero, one)
+    outcome = _try_dual_detour(ncols, rows, objective)
     if outcome is None:
-        outcome = _simplex_max(ncols, rows, objective, zero, one)
+        outcome = _simplex_max(ncols, rows, objective)
     if outcome.status == INFEASIBLE:
         return LPSolution(status=INFEASIBLE, value=None, assignment={})
     if outcome.status == UNBOUNDED:
@@ -484,16 +439,12 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     for v in prob.variables:
         kind = kind_of[v]
         if kind[0] == "shift":
-            assignment[v] = kind[2] + _drop(colvals.get(kind[1], zero))
+            assignment[v] = kind[2] + colvals.get(kind[1], ZERO)
         else:
-            assignment[v] = _drop(colvals.get(kind[1], zero)) - _drop(
-                colvals.get(kind[2], zero)
-            )
+            assignment[v] = colvals.get(kind[1], ZERO) - colvals.get(kind[2], ZERO)
     value = sum((c * assignment[v] for v, c in prob.objective.items()), ZERO)
 
-    internal_value = _drop(outcome.value) + obj_shift
-    if negate:
-        internal_value = -internal_value
+    internal_value = (-outcome.value if negate else outcome.value) - obj_rhs
     if internal_value != value:
         raise VerificationError(
             f"simplex value {format_rational(internal_value)} does not match "
@@ -546,6 +497,13 @@ def edge_var(S: Subset, i: int) -> str:
     return f"f({subset_label(S | 1 << (i - 1))}>{subset_label(S)})"
 
 
+def _check_guard(n: int, guard: int, force: bool, what: str) -> None:
+    if n > guard and not force:
+        raise PreconditionError(
+            f"n={n} exceeds the {what} {guard} (pass force=True to override)"
+        )
+
+
 def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
     """The full revenue program: maximize expected price over BIC + IR + PROB.
 
@@ -553,11 +511,7 @@ def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
     truthfulness row per ordered pair of distinct types.
     """
     n = inst.n
-    if n > LP1_GUARD and not force:
-        raise PreconditionError(
-            f"n={n} exceeds the full-program enumeration guard {LP1_GUARD} "
-            "(pass force=True to override)"
-        )
+    _check_guard(n, LP1_GUARD, force, "full-program enumeration guard")
     subsets = range(1 << n)
     vec = type_vectors(inst)
     prob_of = subset_probs(inst.p)
@@ -605,11 +559,7 @@ def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
 def build_lp2(params: LP2Params, force: bool = False) -> LPProblem:
     """The relaxed program: utilities only, adjacent-type rows, u >= 0 bounds."""
     n = params.n
-    if n > LP23_GUARD and not force:
-        raise PreconditionError(
-            f"n={n} exceeds the enumeration guard {LP23_GUARD} "
-            "(pass force=True to override)"
-        )
+    _check_guard(n, LP23_GUARD, force, "enumeration guard")
     subsets = range(1 << n)
     objective = {u_var(S): balance for S, balance in enumerate(node_balances(params))}
     constraints = []
@@ -640,11 +590,7 @@ def build_lp3(params: LP2Params, force: bool = False) -> LPProblem:
     row per node with right-hand side p(S) * (sum_{i in S} x_i - B).
     """
     n = params.n
-    if n > LP23_GUARD and not force:
-        raise PreconditionError(
-            f"n={n} exceeds the enumeration guard {LP23_GUARD} "
-            "(pass force=True to override)"
-        )
+    _check_guard(n, LP23_GUARD, force, "enumeration guard")
     subsets = range(1 << n)
     variables = []
     objective = {}

@@ -274,6 +274,8 @@ def mechanism_from_json_dict(doc) -> Mechanism:
             raise InputError(f"menu[{idx}]: expected an object")
         if "type" not in entry:
             raise InputError(f"menu[{idx}].type: missing field")
+        if not isinstance(entry["type"], list):
+            raise InputError(f"menu[{idx}].type: expected a list of item indices")
         S = check_subset(entry["type"], n, field=f"menu[{idx}].type")
         if u[S] is not None:
             raise InputError(f"menu[{idx}].type: duplicate type {subset_to_list(S)}")

@@ -34,6 +34,8 @@ from .core import (
     ZERO,
     ONE,
     check_mask,
+    check_nonnegative_int,
+    check_positive_ints,
     check_subset,
     format_rational,
     from_lp2_params,
@@ -56,16 +58,6 @@ SUBSETSUM_GUARD = 10  # staged inversion runs n rank evaluations on up to 2n ite
 # item of their symmetric difference lies in S2, which on masks is S1 < S2.
 
 
-def _check_collection(C: Sequence[int], field: str = "C") -> tuple[int, ...]:
-    out = tuple(C)
-    if not out:
-        raise InputError(f"{field}: must be nonempty")
-    for i, c in enumerate(out, start=1):
-        if not isinstance(c, int) or isinstance(c, bool) or c <= 0:
-            raise InputError(f"{field}: entry {i} must be a positive integer, got {c!r}")
-    return out
-
-
 def lexrank_oracle(C: Sequence[int], S: Subset) -> int:
     """Rank of the mask S among same-cardinality subsets of {1..len(C)},
     ordered by subset sum with lexicographic tie-breaking; counts S itself,
@@ -73,7 +65,7 @@ def lexrank_oracle(C: Sequence[int], S: Subset) -> int:
 
     Brute-force enumeration; guarded at |C| <= 22.
     """
-    C = _check_collection(C)
+    C = check_positive_ints(C, "C")
     n = len(C)
     if n > LEXRANK_GUARD:
         raise PreconditionError(f"|C|={n} exceeds the enumeration guard {LEXRANK_GUARD}")
@@ -100,10 +92,9 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
     element n+1, and ell-1 trailing ones; the special set is the pivot plus
     all trailing ones, so its sum is 4n*T + 2n + ell - 1.
     """
-    W = _check_collection(W, field="W")
+    W = check_positive_ints(W, "W")
     n = len(W)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise InputError(f"T: expected a nonnegative integer, got {T!r}")
+    check_nonnegative_int(T, "T")
     if not 1 <= ell <= n:
         raise PreconditionError(f"ell must lie in 1..{n}, got {ell}")
     C = [4 * n * w for w in W]
@@ -116,7 +107,7 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
 def count_subsets_of_size(W: Sequence[int], T: int, size: int) -> int:
     """Number of size-``size`` subsets of {1..n} with weight sum <= T
     (direct enumeration)."""
-    W = _check_collection(W, field="W")
+    W = check_positive_ints(W, "W")
     return sum(1 for combo in combinations(W, size) if sum(combo) <= T)
 
 
@@ -127,10 +118,9 @@ def count_subsetsum(W: Sequence[int], T: int) -> int:
     that recovers each per-cardinality count from one rank query -- which
     must agree exactly.
     """
-    W = _check_collection(W, field="W")
+    W = check_positive_ints(W, "W")
     n = len(W)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise InputError(f"T: expected a nonnegative integer, got {T!r}")
+    check_nonnegative_int(T, "T")
     if n > SUBSETSUM_GUARD:
         raise PreconditionError(
             f"|W|={n} exceeds the staged-inversion guard {SUBSETSUM_GUARD}"
@@ -344,7 +334,7 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     """Construct the instance whose unique optimal mechanism answers the
     rank query (C, S, k) through the probe type's distinguished item, and
     solve it in closed form."""
-    C = _check_collection(C)
+    C = check_positive_ints(C, "C")
     n = len(C)
     S = check_mask(S, n, field="S")
     _validate_rank_query(n, S, k)
@@ -382,7 +372,7 @@ def rank_query_from_json_dict(doc) -> tuple[tuple[int, ...], Subset, int]:
     S = doc["S"]
     if not isinstance(S, list):
         raise InputError("S: expected a list of item indices")
-    C = _check_collection(C)
+    C = check_positive_ints(C, "C")
     S = check_subset(S, len(C), field="S")
     _validate_rank_query(len(C), S, doc["k"], error=InputError)
     return C, S, doc["k"]
@@ -398,8 +388,5 @@ def counting_query_from_json_dict(doc) -> tuple[tuple[int, ...], int]:
     W = doc["W"]
     if not isinstance(W, list):
         raise InputError("W: expected a list of positive integers")
-    W = _check_collection(W, field="W")
-    T = doc["T"]
-    if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise InputError(f"T: expected a nonnegative integer, got {T!r}")
-    return W, T
+    W = check_positive_ints(W, "W")
+    return W, check_nonnegative_int(doc["T"], "T")

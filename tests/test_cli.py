@@ -98,6 +98,19 @@ def test_solve_past_verification_guard_exit_2(tmp_path, capsys):
         assert "verification guard 10" in capsys.readouterr().err
 
 
+def test_oracle_past_full_program_guard_exit_2(tmp_path, capsys):
+    # one LP1 solve would take minutes at n = 6; with --oracle the refusal
+    # also comes before the closed form's 4^n replay (about 40 s at n = 10)
+    for n in (6, 10):
+        doc = {"n": n, "a": ["1"] * n, "d": ["1"] * n, "p": ["1/2"] * n}
+        instance = write(tmp_path, "inst.json", json.dumps(doc))
+        for flag in ("--oracle-only", "--oracle"):
+            t0 = time.perf_counter()
+            assert main(["solve", instance, flag]) == 2
+            assert time.perf_counter() - t0 < 1.0
+            assert "full-program enumeration guard 5" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     deep = write(tmp_path, "deep.json", "[" * 200000)
     for argv in (["solve", deep], ["reduce", "lexrank", deep], ["budgeted", deep]):
@@ -209,6 +222,16 @@ def test_sample_empty_type(tmp_path, capsys):
 def test_sample_bad_type_usage(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", LOTTERY)
     assert main(["sample", instance, "--type", "5", "--count", "10"]) == 1
+
+
+def test_sample_past_count_guard_exit_2(tmp_path, capsys):
+    # 2 * 10^9 item draws would run for hours; 2 * 2000001 is one past the guard
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    for count in ("1000000000", "2000001"):
+        t0 = time.perf_counter()
+        assert main(["sample", instance, "--type", "1", "--count", count]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "sampling guard 4000000" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

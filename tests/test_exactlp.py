@@ -176,6 +176,37 @@ def test_solve_respects_nondefault_bounds():
     sol = solve_lp(prob)
     assert sol.value == -3
 
+    # an upper bound below a nonzero lower bound: phase 1 finds no point
+    prob = LPProblem(("x",), {"x": ONE}, "max", (), lower={"x": F(2)}, upper={"x": F(1)})
+    assert solve_lp(prob).status == "infeasible"
+
+    # a free variable capped above, under both senses
+    for sense, value in (("max", F(7, 2)), ("min", F(-1))):
+        prob = LPProblem(
+            ("x",),
+            {"x": ONE},
+            sense,
+            (Constraint({"x": ONE}, ">=", F(-1)),),
+            lower={"x": None},
+            upper={"x": F(7, 2)},
+        )
+        sol = solve_lp(prob)
+        assert (sol.status, sol.value, sol.assignment) == ("optimal", value, {"x": value})
+
+    # nonzero lower bounds under max: the objective's constant shift counts
+    prob = LPProblem(
+        ("x", "y"),
+        {"x": F(2), "y": F(-3)},
+        "max",
+        (Constraint({"x": ONE, "y": ONE}, "<=", F(10)),),
+        lower={"x": F(3), "y": F(-2)},
+        upper={"y": F(5)},
+    )
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.assignment == {"x": F(12), "y": F(-2)}
+    assert sol.value == 30
+
 
 def test_solve_randomized_against_vertex_enumeration():
     rng = random.Random(42)
@@ -245,9 +276,12 @@ def test_lp1_uniform_optimum():
 
 
 def test_lp1_guard():
-    inst = make_instance([1] * 9, [1] * 9, [(1, 2)] * 9)
-    with pytest.raises(PreconditionError):
-        build_lp1(inst)
+    for n in (9, 6):
+        inst = make_instance([1] * n, [1] * n, [(1, 2)] * n)
+        with pytest.raises(PreconditionError, match="full-program enumeration guard 5"):
+            build_lp1(inst)
+    # force=True still builds past the guard: 4^6 - 2^6 truthfulness rows
+    assert _count(build_lp1(inst, force=True), "bic") == 4**6 - 2**6
 
 
 PARAMS_A = LP2Params(2, (F(2), F(3)), F(9, 2), (F(1), F(2)), (F(1, 2), F(1, 2)))
@@ -384,13 +418,10 @@ def test_lexrank_oracle_guard():
         lexrank_oracle(tuple(range(1, 24)), 0b1)  # S = {1}
 
 
-def test_fraction_backend_fallback(monkeypatch):
-    # force the pure-Fraction tableau path and re-check an exact optimum
-    import optmech.exactlp as xlp
-
-    monkeypatch.setattr(xlp, "_mpq", None)
+def test_fraction_backend_fallback():
+    # the tableau runs on Fraction: an exact optimum comes back as Fractions
     inst = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    sol = xlp.solve_lp(xlp.build_lp1(inst))
+    sol = solve_lp(build_lp1(inst))
     assert sol.status == "optimal"
     assert sol.value == F(21, 8)
     assert all(isinstance(v, F) for v in sol.assignment.values())

@@ -322,3 +322,12 @@ def test_mechanism_json_rejects_bad_n():
     empty = {"n": 0, "menu": [{"type": [], "u": "0", "q": [], "price": "0"}]}
     with pytest.raises(InputError, match="n: must be >= 1"):
         mechanism_from_json_dict(empty)
+
+
+def test_mechanism_json_rejects_non_list_type():
+    # a scalar type must not escape as a bare TypeError from the index check
+    doc = mechanism_to_json_dict(mech_for(PARAMS_B))
+    for bad in (5, None, "12", {"1": 1}):
+        menu = [dict(doc["menu"][0], type=bad)] + doc["menu"][1:]
+        with pytest.raises(InputError, match=r"menu\[0\]\.type: expected a list"):
+            mechanism_from_json_dict({**doc, "menu": menu})
