@@ -28,6 +28,10 @@ from .errors import InputError, PreconditionError
 from .exactlp import Constraint, LPProblem, OPTIMAL, solve_lp
 
 ORACLE_GUARD = 10  # the oracle LP carries 2^n distribution variables per type
+# Steps n * min(2^n, budget + 1, sum(x) + 1) bound the best-bundle DP's work.
+# At about 200 ns per step when every sum is reachable, and 2^18 dict entries
+# (~50 MiB) for 18 power-of-two items, the bound keeps a run near 1 s.
+BUNDLE_DP_GUARD = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,13 @@ def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset
     smallest binary mask is kept, so the returned bundle is the
     lexicographically least among the maximizers.
     """
+    n = len(x)
+    steps = n * min(1 << n, budget + 1, sum(x) + 1)
+    if steps > BUNDLE_DP_GUARD:
+        raise PreconditionError(
+            f"best-bundle DP over {n} items would take {steps} steps, past the "
+            f"guard {BUNDLE_DP_GUARD}"
+        )
     best_mask = {0: 0}
     for i, w in enumerate(x, start=1):
         bit = 1 << (i - 1)

@@ -21,6 +21,7 @@ between the two representations exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,8 +67,26 @@ def parse_rational(value, field: str = "value") -> Fraction:
     raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
+# The interpreter's cap on decimal digits in an int <-> str conversion (0 for
+# none); Pythons before the cap existed have no getter and no cap.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def format_rational(value: Fraction) -> str:
-    """Serialize exactly: "9/2" or, for integers, just "4"."""
+    """Serialize exactly: "9/2" or, for integers, just "4".
+
+    A numerator or denominator with more decimal digits than the
+    interpreter's conversion limit raises `PreconditionError` naming it.
+    """
+    limit = _max_str_digits()
+    if limit:
+        for part in (value.numerator, value.denominator):
+            # below 2^(3 * limit) < 10^limit, so only huge parts pay for the power
+            if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+                raise PreconditionError(
+                    f"a rational with more than {limit} decimal digits exceeds "
+                    "the integer string conversion limit"
+                )
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -327,11 +346,12 @@ def instance_to_json(inst: OMDInstance) -> str:
 
 
 def decode_json(text: str, what: str):
-    """json.loads for outside input: malformed or too deeply nested text
-    becomes an `InputError` naming the document."""
+    """json.loads for outside input: malformed or too deeply nested text, or
+    an integer literal past the interpreter's digit limit, becomes an
+    `InputError` naming the document."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is one
         raise InputError(f"{what}: invalid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{what}: invalid JSON: nested too deeply") from None

@@ -13,9 +13,10 @@ Three layers, each exact:
   * decision extraction: the probe type's allocation probability for the
     distinguished item is exactly 0 or 1 and answers the rank query.
 
-All searches and evaluations are exact rational arithmetic; the bisection
-returns a dyadic rational and re-verifies its target window with `eval_f`
-before returning, so no step depends on an unverified numeric bound.
+All searches and evaluations are exact rational arithmetic. The bisection
+returns its first dyadic midpoint whose exact `eval_f` value lies strictly
+inside the target window, and the builder then checks that the partially
+filled node is the targeted one, so no step depends on a numeric bound.
 """
 
 from __future__ import annotations
@@ -191,35 +192,33 @@ def _dyadic_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _find_parameter(n: int, s: int, k: int) -> Fraction:
-    target = Fraction(k) - Fraction(1, 4 * n + 4)
+    """The first dyadic bisection midpoint of [1/2, 1 - 1/(2n+2)] whose
+    exact eval_f value lies strictly inside the window (k - 1/(2n+2), k).
+
+    The loop ends. Each step cuts the bracket to at most 3/4 of its width
+    and keeps f(lo) below the window's top and f(hi) above its bottom, as
+    the endpoint checks start them. f is continuous on the bracket (though
+    not monotone), so brackets closing on one point without a hit would put
+    f there both at or below the window and at or above it, or break one of
+    those two bounds.
+    """
     window_lo = Fraction(k) - Fraction(1, 2 * n + 2)
     window_hi = Fraction(k)
     lo = Fraction(1, 2)
     hi = ONE - Fraction(1, 2 * n + 2)
-    f_lo = eval_f(n, s, lo)
-    if f_lo == target:
-        return lo
-    if f_lo > target:
-        raise VerificationError("left endpoint already exceeds the bisection target")
-    # Right endpoint is used for bracketing only and is never returned.
-    if eval_f(n, s, hi) < target:
-        raise VerificationError("right endpoint does not bracket the target")
-    # Bisect until the bracket is provably tight, then insist on an exact
-    # window verification; the derivative bound only decides when to start
-    # trusting the window, never the answer itself.
-    M = (2 * n + 2) ** (2 * n + 1) * (2 * n + 1) * 2 ** (4 * n + 2)
-    stop_width = Fraction(1, (4 * n + 4) * M)
+    if eval_f(n, s, lo) >= window_hi:
+        raise VerificationError("left endpoint already reaches the top of the window")
+    if eval_f(n, s, hi) <= window_lo:
+        raise VerificationError("right endpoint does not reach the window")
     while True:
         mid = _dyadic_between(lo, hi)
         fm = eval_f(n, s, mid)
-        if fm == target:
-            return mid
-        if hi - lo <= stop_width and window_lo < fm < window_hi:
-            return mid
-        if fm < target:
+        if fm <= window_lo:
             lo = mid
-        else:
+        elif fm >= window_hi:
             hi = mid
+        else:
+            return mid
 
 
 def find_parameter(n: int, s: int, k: int) -> Fraction:

@@ -1,5 +1,9 @@
 import json
+import random
+import sys
 import time
+
+import pytest
 
 from optmech.cli import main
 from optmech.core import instance_from_json
@@ -9,6 +13,9 @@ LOTTERY = '{"n": 2, "a": ["1", "1"], "d": ["1", "2"], "p": ["1/2", "1/2"]}'
 HALVES = '{"n": 2, "a": ["1/2", "3/2"], "d": ["1", "2"], "p": ["1/2", "1/2"]}'
 ZERO_LOW = '{"n": 2, "a": ["0", "0"], "d": ["1", "1"], "p": ["1/2", "1/2"]}'
 MULTI_POSITIVE = '{"n": 2, "a": ["10", "1/10"], "d": ["1", "1"], "p": ["1/2", "1/2"]}'
+
+# the interpreter's cap on decimal digits per int <-> str conversion (0: none)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def write(tmp_path, name, text):
@@ -116,6 +123,37 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     for argv in (["solve", deep], ["reduce", "lexrank", deep], ["budgeted", deep]):
         assert main(argv) == 1, argv
         assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no integer string digit limit")
+def test_json_integer_past_digit_limit_is_an_input_error(tmp_path, capsys):
+    big = "9" * (DIGIT_LIMIT + 701)  # 5001 digits at the default limit of 4300
+    budget = write(tmp_path, "b.json", f'{{"x": [1, {big}], "budget": 2, "eps": "1/5"}}')
+    rank = write(tmp_path, "r.json", f'{{"C": [1, {big}], "S": [1], "k": 1}}')
+    for argv in (["budgeted", budget], ["reduce", "lexrank", rank]):
+        t0 = time.perf_counter()
+        assert main(argv) == 1, argv
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_solve_huge_rationals_exit_2(tmp_path, capsys):
+    # 1000-digit numerators and denominators parse, but the multiple-positive
+    # refusal would print a sum whose denominator has more digits than the
+    # interpreter converts; that ends in the same exit 2, naming the limit
+    rng = random.Random(3)
+    huge = lambda: f"{rng.randrange(10**999, 10**1000)}/{rng.randrange(10**999, 10**1000)}"
+    doc = {"n": 6, "a": [huge() for _ in range(6)], "d": [huge() for _ in range(6)],
+           "p": ["1/2"] * 6}
+    instance = write(tmp_path, "inst.json", json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["solve", instance]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated:") and "Traceback" not in err
+    if DIGIT_LIMIT:
+        assert f"more than {DIGIT_LIMIT} decimal digits" in err
 
 
 def test_solve_custom_kappa_same_menu(tmp_path, capsys):
@@ -247,6 +285,19 @@ def test_budgeted_with_oracle(tmp_path, capsys):
     assert "budgeted entry: {2} at 2" in out
     assert "expected revenue: 14/5" in out
     assert "matches the oracle optimum 14/5" in out
+
+
+def test_budgeted_past_bundle_dp_guard_exit_2(tmp_path, capsys):
+    # 40 power-of-two items reach 2^40 distinct sums: the DP would run for
+    # hours, and it runs before the oracle's own guard of 10 items
+    x = [1 << i for i in range(40)]
+    doc = {"x": x, "budget": 1 << 39, "eps": f"1/{1 << 41}"}
+    query = write(tmp_path, "b.json", json.dumps(doc))
+    for argv in (["budgeted", query], ["budgeted", query, "--oracle"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1.0
+        assert "guard 5000000" in capsys.readouterr().err
 
 
 def test_budgeted_bad_eps_exit_1(tmp_path, capsys):

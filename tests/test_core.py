@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,21 @@ def test_parse_rational_rejects(bad):
 def test_format_rational_round_trips():
     for value in (F(9, 2), F(-3), F(0), F(7, 1), F(-5, 3)):
         assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no integer string digit limit",
+)
+def test_format_rational_refuses_past_digit_limit():
+    # decided by magnitude: the largest part with `limit` digits still prints
+    limit = sys.get_int_max_str_digits()
+    top = 10**limit
+    assert format_rational(F(top - 1)) == str(top - 1)
+    assert format_rational(F(1 - top, 2)) == f"{1 - top}/2"
+    for value in (F(top), F(-top), F(1, top), F(top + 1, 7)):
+        with pytest.raises(PreconditionError, match=f"more than {limit} decimal digits"):
+            format_rational(value)
 
 
 def test_subset_mask_orders_lexicographically():

@@ -1,6 +1,7 @@
-"""Property tests of the mask representation: the lattice lists filled by one
-pass agree with the direct sum or product over each mask's items, and the
-boundary conversions and the mechanism document round-trip exactly."""
+"""Property tests of the mask representation and the exact maps: the lattice
+lists filled by one pass agree with the direct sum or product over each
+mask's items; the boundary conversions, the parameter map and the instance
+and mechanism documents round-trip exactly."""
 
 import json
 from fractions import Fraction as F
@@ -14,12 +15,16 @@ from optmech import (
     Mechanism,
     OMDInstance,
     check_subset,
+    from_lp2_params,
+    instance_from_json,
+    instance_to_json,
     mechanism_from_json_dict,
     mechanism_to_json_dict,
     node_balances,
     node_costs,
     subset_probs,
     subset_to_list,
+    to_lp2_params,
     type_vectors,
 )
 
@@ -38,10 +43,10 @@ def items(S, n):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, low=nonnegative):
     n = draw(sizes)
     vec = lambda elements: tuple(draw(st.lists(elements, min_size=n, max_size=n)))
-    return OMDInstance(n=n, a=vec(nonnegative), d=vec(positive), p=vec(probability))
+    return OMDInstance(n=n, a=vec(low), d=vec(positive), p=vec(probability))
 
 
 @st.composite
@@ -85,6 +90,18 @@ def test_index_list_round_trip(case):
     S = check_subset(indices, n)
     assert 0 <= S < 1 << n
     assert subset_to_list(S) == sorted(set(indices))
+
+
+@exact
+@given(instances(low=positive), positive)
+def test_parameter_map_round_trip(inst, kappa):
+    assert from_lp2_params(to_lp2_params(inst, kappa)) == (inst, kappa)
+
+
+@exact
+@given(instances())
+def test_instance_json_round_trip(inst):
+    assert instance_from_json(instance_to_json(inst)) == inst
 
 
 @st.composite

@@ -19,6 +19,7 @@ from optmech import (
     subset_to_list,
     subsetsum_gadget,
 )
+from optmech import reduction
 from optmech.core import item_range
 from optmech.reduction import count_subsets_of_size
 
@@ -196,6 +197,27 @@ def test_find_parameter_returns_dyadic():
         assert den & (den - 1) == 0  # power of two
         assert F(1, 2) <= p < 1 - F(1, 2 * n + 2)
         assert F(k) - F(1, 2 * n + 2) < eval_f(n, s, p) < F(k)
+
+
+def test_find_parameter_stops_at_first_point_in_window(monkeypatch):
+    # the bisection evaluates both endpoints, then midpoints, and returns the
+    # first midpoint whose value lies inside the window
+    seen = []
+
+    def recording_eval_f(n, s, p):
+        seen.append(p)
+        return eval_f(n, s, p)
+
+    monkeypatch.setattr(reduction, "eval_f", recording_eval_f)
+    for (n, s, k) in ((2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 3), (4, 2, 5)):
+        reduction._find_parameter.cache_clear()
+        seen.clear()
+        p = find_parameter(n, s, k)
+        assert seen[:2] == [F(1, 2), 1 - F(1, 2 * n + 2)]
+        assert p == seen[-1]
+        for mid in seen[2:-1]:
+            assert not F(k) - F(1, 2 * n + 2) < eval_f(n, s, mid) < F(k)
+    reduction._find_parameter.cache_clear()
 
 
 def test_find_parameter_rejects():
