@@ -54,6 +54,7 @@ from .lattice import (
 from .mechanism import (
     BicIrReport,
     Mechanism,
+    certify_bic_ir,
     closed_form_mechanism,
     expected_revenue,
     is_monotone_supermodular,

@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .budgeted import (
     budgeted_from_json_dict,
@@ -36,9 +37,10 @@ from .core import (
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .exactlp import OPTIMAL, build_lp1, solve_lp
-from .lattice import canonical_solution, dump_lattice
+from .lattice import LATTICE_GUARD, canonical_solution, dump_lattice
 from .mechanism import (
     VERIFY_GUARD,
+    certify_bic_ir,
     closed_form_mechanism,
     expected_revenue,
     mechanism_to_json_dict,
@@ -55,7 +57,8 @@ from .reduction import (
 
 # `sample` draws count * n exact Bernoulli items at about 2.2 us each (4e6
 # draws took 8.8 s on a 2-vCPU machine), so a request at the bound finishes
-# within a minute even at n = VERIFY_GUARD, whose BIC/IR replay takes ~43 s.
+# within a minute even at n = LATTICE_GUARD, whose certified closed form
+# takes about 5 s.
 SAMPLE_GUARD = 4_000_000
 
 EXIT_OK = 0
@@ -117,18 +120,25 @@ def _q_tuple(values) -> str:
 
 
 def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
-    """kappa -> parameters -> greedy flow -> closed-form mechanism, replayed
-    against every BIC/IR constraint; the replay summary goes on the report.
-    An instance past the replay's guard is refused before any of that work."""
-    if inst.n > VERIFY_GUARD:
-        raise PreconditionError(
-            f"n={inst.n} exceeds the verification guard {VERIFY_GUARD}"
-        )
+    """kappa -> parameters -> greedy flow -> closed-form mechanism, certified
+    against every BIC/IR constraint; the row summary goes on the report.
+    Should the certificate fail, the full replay names every violated row,
+    or past the replay's guard the certificate names the first one. An
+    instance past the lattice guard is refused before any of that work."""
+    if inst.n > LATTICE_GUARD:
+        raise PreconditionError(f"n={inst.n} exceeds the lattice guard {LATTICE_GUARD}")
     kappa = parse_rational(kappa_text, field="--kappa") if kappa_text else ONE
     params = to_lp2_params(inst, kappa)
     flow = canonical_solution(params)
     mech = closed_form_mechanism(params, flow)
-    check = verify_bic_ir(inst, mech)
+    check = certify_bic_ir(inst, mech)
+    if not check.ok:
+        if inst.n > VERIFY_GUARD:
+            name, slack = check.violations[0]
+            raise VerificationError(
+                f"constructed mechanism violates {name} with slack {format_rational(slack)}"
+            )
+        check = verify_bic_ir(inst, mech)
     if not check.ok:
         raise VerificationError(
             f"constructed mechanism violates {len(check.violations)} constraints"
@@ -415,7 +425,10 @@ def cmd_budgeted(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing leaves no state on it."""
     parser = _Parser(prog="optmech", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

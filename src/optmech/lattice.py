@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop
 from typing import Sequence
 
 from .core import (
@@ -27,6 +28,11 @@ from .core import (
     subset_sums,
 )
 from .errors import PreconditionError
+
+# Every pipeline that walks all 2^n lattice nodes (the closed form and its
+# certificate, the reduction) is capped here: `solve` takes about 4.5 s end
+# to end at n = 14 on a 2-vCPU machine, and each item adds a factor of 2 to 3.
+LATTICE_GUARD = 14
 
 
 def node_costs(d: Sequence[Fraction]) -> list[Fraction]:
@@ -116,7 +122,9 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     costs = node_costs(params.d)
     balances = node_balances(params)
     supply = balances[full]
-    sinks = sorted(range(full), key=lambda S: (costs[S], S))
+    # sinks pop in (cost, mask) order, and only as many as the supply fills
+    sinks = [(costs[S], S) for S in range(full)]
+    heapify(sinks)
 
     flows: dict[tuple[Subset, Subset], Fraction] = {}
     absorbed: dict[Subset, Fraction] = {}
@@ -125,9 +133,8 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     boundary = False
     total_cost = ZERO
     remaining = supply
-    for S in sinks:
-        if remaining == 0:
-            break
+    while remaining != 0 and sinks:
+        _, S = heappop(sinks)
         capacity = -balances[S]
         take = capacity if capacity <= remaining else remaining
         if take == 0:
@@ -148,7 +155,6 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
                 partially_filled = S
             else:
                 boundary = True
-            break
     if remaining != 0:
         raise PreconditionError("sink capacity exhausted before the supply was absorbed")
 

@@ -43,8 +43,7 @@ from .core import (
     subset_label,
 )
 from .errors import InputError, PreconditionError, VerificationError
-from .exactlp import LP23_GUARD
-from .lattice import canonical_solution, node_costs
+from .lattice import LATTICE_GUARD, canonical_solution, node_costs
 from .mechanism import Mechanism, closed_form_mechanism
 
 LEXRANK_GUARD = 22    # rank oracle enumerates binom(n, |S|) subsets
@@ -296,10 +295,10 @@ def _build_reduction(
     a validated query. They depend on (C, |S|, k) only, so sweeping all probe
     sets S of one size reuses a single pipeline run."""
     n = len(C)
-    if n + 1 > LP23_GUARD:
+    if n + 1 > LATTICE_GUARD:
         raise PreconditionError(
-            f"|C|={n} gives a lattice on {n + 1} items, past the enumeration "
-            f"guard {LP23_GUARD}"
+            f"|C|={n} gives a lattice on {n + 1} items, past the lattice "
+            f"guard {LATTICE_GUARD}"
         )
     p_tilde = find_parameter(n, s, k)
     params = LP2Params(

@@ -13,9 +13,11 @@ from optmech import (
     PreconditionError,
     build_lp1,
     canonical_solution,
+    certify_bic_ir,
     check_subset,
     closed_form_mechanism,
     expected_revenue,
+    from_lp2_params,
     is_monotone_supermodular,
     mechanism_from_json_dict,
     mechanism_to_json_dict,
@@ -157,6 +159,109 @@ def test_verify_bundle_menu_mechanism():
     report = verify_bic_ir(inst, bundle)
     assert report.ok
     assert expected_revenue(inst, bundle) == F(9, 4)
+
+
+# ---------------------------------------------------------------------------
+# certificate
+# ---------------------------------------------------------------------------
+
+def shaped_mechanism(inst, u):
+    """The mechanism of closed-form shape on utilities u: q_i(S) = 1 for i in
+    S, (u(S+{i}) - u(S)) / d_i otherwise. Neither check reads the prices."""
+    n = inst.n
+    q = [
+        tuple(ONE if S >> i & 1 else (u[S | 1 << i] - u[S]) / inst.d[i] for i in range(n))
+        for S in range(1 << n)
+    ]
+    return Mechanism(n=n, u=list(u), q=q, tau=[ZERO] * (1 << n), unique=False)
+
+
+def zero_mechanism(n):
+    """Truthful and rational, but not of closed-form shape: q_i(S) = 0 for i
+    in S."""
+    size = 1 << n
+    return Mechanism(n=n, u=[ZERO] * size, q=[(ZERO,) * n] * size, tau=[ZERO] * size,
+                     unique=False)
+
+
+def unshaped_mechanism(n):
+    """u(S) = 2|S| with every q_i = 1: it passes every inequality the
+    certificate checks, but not the shape equality, and type {} gains by
+    reporting any other type."""
+    size = 1 << n
+    return Mechanism(n=n, u=[F(2 * S.bit_count()) for S in range(size)],
+                     q=[(ONE,) * n] * size, tau=[ZERO] * size, unique=False)
+
+
+def assert_certificate_agrees(inst, mech):
+    """The certificate accepts exactly when the replay does, counts the same
+    rows, and any row it fails on is a replay violation with the same slack."""
+    cert, replay = certify_bic_ir(inst, mech), verify_bic_ir(inst, mech)
+    assert cert.ok == replay.ok
+    assert (cert.bic_checked, cert.ir_checked, cert.prob_checked) == (
+        replay.bic_checked, replay.ir_checked, replay.prob_checked)
+    assert len(cert.violations) <= 1
+    assert set(cert.violations) <= set(replay.violations)
+    return cert
+
+
+UNIT_D = make_instance([1, 1], [1, 1], [(1, 2), (1, 2)])
+
+
+def test_certify_closed_forms():
+    rng = random.Random(33)
+    cases = [(PARAMS_A, [(1, 2), (3, 2)], [1, 2]), (PARAMS_B, [1, 1], [1, 2])]
+    for params, a, d in cases:
+        assert assert_certificate_agrees(make_instance(a, d, [(1, 2), (1, 2)]),
+                                         mech_for(params)).ok
+    for _ in range(20):
+        params = _random_single_positive(rng, rng.randint(1, 5))
+        inst, _ = from_lp2_params(params)
+        assert assert_certificate_agrees(inst, mech_for(params)).ok
+
+
+def test_certify_rejects_q_above_one():
+    # u(S) = 2|S| is modular, but its shaped q_i = 2 for i outside S: type {}
+    # gains d_1 q_1({1}) - u({1}) = -1 by reporting {1}
+    mech = shaped_mechanism(UNIT_D, [F(2 * S.bit_count()) for S in range(4)])
+    cert = assert_certificate_agrees(UNIT_D, mech)
+    assert cert.violations == (("prob({},1,<=1)", F(-1)),)
+
+
+def test_certify_rejects_unshaped_mechanisms():
+    cert = certify_bic_ir(UNIT_D, unshaped_mechanism(2))
+    assert cert.violations == (("shape({},1)", ONE),)
+    assert not verify_bic_ir(UNIT_D, unshaped_mechanism(2)).ok
+    cert = certify_bic_ir(UNIT_D, zero_mechanism(2))
+    assert cert.violations == (("shape({1},1)", ONE),)
+    assert verify_bic_ir(UNIT_D, zero_mechanism(2)).ok
+
+
+def test_certify_rejects_submodular_utility():
+    # u = 1 on every nonempty type: the supermodularity row at ({}, 1, 2) is
+    # the truthfulness row bic({1,2}|{}) with the same slack
+    mech = shaped_mechanism(UNIT_D, [ZERO, ONE, ONE, ONE])
+    cert = assert_certificate_agrees(UNIT_D, mech)
+    assert cert.violations == (("bic({1,2}|{})", F(-1)),)
+
+
+def test_certify_rejects_negative_utility():
+    mech = shaped_mechanism(UNIT_D, [F(-1), ZERO, ZERO, ONE])
+    cert = assert_certificate_agrees(UNIT_D, mech)
+    assert cert.violations == (("ir({})", F(-1)),)
+
+
+def test_certify_passes_bundle_menu():
+    # the bundle menu happens to have closed-form shape, and its utility is
+    # supermodular: the certificate covers it without the replay
+    bundle = Mechanism(
+        n=2,
+        u=[ZERO, ZERO, ZERO, ONE],
+        q=[(ZERO, ZERO), (ONE, ONE), (ONE, ONE), (ONE, ONE)],
+        tau=[ZERO, F(3), F(3), F(3)],
+        unique=False,
+    )
+    assert assert_certificate_agrees(UNIT_D, bundle).ok
 
 
 # ---------------------------------------------------------------------------
