@@ -13,11 +13,11 @@ returned, likewise flagged.
 constraint of the full program in O(2^n n^2) exact checks, for a mechanism
 of this closed-form shape: given the shape, those 4^n rows follow from
 u >= 0, 0 <= q <= 1 and supermodularity of u, and each of those checks is
-itself one of the rows. `verify_bic_ir` replays all rows with exact slacks;
-it is the fallback that names every violated row, and the cross-check. Ties
-are acceptable: a weakly satisfied constraint is satisfied (deterministic
-tie-breaking in favor of the higher-priced entry replaces any rebate
-scheme).
+itself one of the rows, so a failed check names one violated row.
+`verify_bic_ir` replays all rows with exact slacks and names every violated
+one; it is the reference the certificate is tested against. Ties are
+acceptable: a weakly satisfied constraint is satisfied (deterministic
+tie-breaking in favor of the higher-priced entry replaces any rebate scheme).
 """
 
 from __future__ import annotations
