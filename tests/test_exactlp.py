@@ -246,6 +246,65 @@ def test_solve_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# pinned vertices: Bland's rule makes the optimal vertex part of the contract
+# ---------------------------------------------------------------------------
+
+def _with_zeros(prob, nonzero):
+    expected = dict.fromkeys(prob.variables, ZERO)
+    expected.update((v, F(x)) for v, x in nonzero.items())
+    return expected
+
+
+def test_pinned_vertex_lp1_dual_detour():
+    # single-positive n=3 instance: LP1 is tall enough for the dual detour,
+    # which reads the primal off the transpose's duals
+    inst = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
+    prob = build_lp1(inst)
+    sol = solve_lp(prob)
+    assert sol.value == F(4133, 1200)
+    assert sol.assignment == _with_zeros(prob, {
+        "u({1,2,3})": "1",
+        "q1({1})": "1", "q2({2})": "1", "q3({3})": "1",
+        "q1({1,2})": "1", "q2({1,2})": "1", "q3({1,2})": "4/5",
+        "q1({1,3})": "1", "q2({1,3})": "1", "q3({1,3})": "1",
+        "q1({2,3})": "2/3", "q2({2,3})": "1", "q3({2,3})": "1",
+        "q1({1,2,3})": "1", "q2({1,2,3})": "1", "q3({1,2,3})": "1",
+    })
+
+
+def test_pinned_vertex_budgeted_oracle(monkeypatch):
+    # "=" rows need phase 1, and the free prices split into two columns
+    from optmech import budgeted
+
+    solved = []
+
+    def recording_solve(prob):
+        solved.append((prob, solve_lp(prob)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(budgeted, "solve_lp", recording_solve)
+    inst = budgeted.BudgetedInstance((1, 2, 4), 5, F(1, 9))
+    assert budgeted.budgeted_oracle_lp(inst) == F(61, 9)
+    [(prob, sol)] = solved
+    assert sol.assignment == _with_zeros(prob, {
+        "za({1,2,3})": "1", "zb({1,3})": "1", "price_a": "7", "price_b": "5",
+    })
+
+
+def test_pinned_vertex_lp3():
+    # "min" sense, ">=" balance rows with right-hand sides of both signs
+    params = LP2Params(
+        3, (F(2), F(3), F(5, 2)), F(6), (F(1), F(2), F(3, 2)), (F(1, 2), F(1, 3), F(3, 4))
+    )
+    prob = build_lp3(params)
+    sol = solve_lp(prob)
+    assert sol.value == F(7, 24)
+    assert sol.assignment == _with_zeros(prob, {
+        "f({1,2,3}>{1,2})": "1/24", "f({1,2,3}>{1,3})": "1/12", "f({1,2,3}>{2,3})": "1/16",
+    })
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 

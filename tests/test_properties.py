@@ -2,8 +2,9 @@
 lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly. The greedy flow fills sinks in
-sorted (cost, mask) order, and the O(2^n n^2) BIC/IR certificate accepts a
-shaped mechanism exactly when the 4^n replay does."""
+sorted (cost, mask) order, the O(2^n n^2) BIC/IR certificate accepts a
+shaped mechanism exactly when the 4^n replay does, and the exact simplex
+agrees with vertex enumeration on tiny bounded programs."""
 
 import json
 from fractions import Fraction as F
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optmech import (
+    Constraint,
     LP2Params,
+    LPProblem,
     Mechanism,
     OMDInstance,
     canonical_solution,
@@ -29,8 +32,10 @@ from optmech import (
     subset_probs,
     subset_to_list,
     to_lp2_params,
+    solve_lp,
     type_vectors,
 )
+from tests.test_exactlp import vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
 
 # exact arithmetic on a shared machine: no per-example deadline
@@ -192,3 +197,54 @@ def closed_form_mechanisms(params):
                  max_of_affine_mechanisms()))
 def test_certificate_accepts_exactly_what_the_replay_accepts(case):
     assert_certificate_agrees(*case)
+
+
+BOX = F(5)
+
+
+@st.composite
+def tiny_programs(draw):
+    """2-3 variables bounded to the box |x_j| <= 5 and 3-5 rows of any relation.
+    Each row has its own denominator and a right-hand side of either sign, so
+    rows are scaled differently and the canonical form negates some of them."""
+    nvars = draw(st.integers(2, 3))
+    rows = []
+    for _ in range(draw(st.integers(3, 5))):
+        den = draw(st.integers(1, 12))
+        coeffs = [F(draw(st.integers(-6, 6)), den) for _ in range(nvars)]
+        rows.append((coeffs, draw(st.sampled_from(("<=", ">=", "="))),
+                     F(draw(st.integers(-8, 8)), den)))
+    objective = [draw(rational) for _ in range(nvars)]
+    return nvars, rows, objective, draw(st.sampled_from(("max", "min")))
+
+
+@exact
+@given(tiny_programs())
+def test_simplex_matches_vertex_enumeration(case):
+    nvars, rows, objective, sense = case
+    names = [f"x{j}" for j in range(nvars)]
+    prob = LPProblem(
+        variables=names,
+        objective=dict(zip(names, objective)),
+        sense=sense,
+        constraints=[Constraint(dict(zip(names, c)), rel, b) for c, rel, b in rows],
+        lower=dict.fromkeys(names, -BOX),
+        upper=dict.fromkeys(names, BOX),
+    )
+    # the oracle maximizes over "<=" rows only
+    oracle_rows = []
+    for coeffs, rel, rhs in rows:
+        if rel != ">=":
+            oracle_rows.append((coeffs, rhs))
+        if rel != "<=":
+            oracle_rows.append(([-c for c in coeffs], -rhs))
+    for j in range(nvars):
+        unit = [F(int(i == j)) for i in range(nvars)]
+        oracle_rows += [(unit, BOX), ([-c for c in unit], BOX)]
+    sign = 1 if sense == "max" else -1
+    best = vertex_enumeration_max(nvars, oracle_rows, [sign * c for c in objective])
+    sol = solve_lp(prob)
+    if best is None:
+        assert sol.status == "infeasible"
+    else:
+        assert (sol.status, sol.value) == ("optimal", sign * best)
