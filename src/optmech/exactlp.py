@@ -6,8 +6,11 @@ deterministic: identical problems yield identical optimal assignments. Every
 optimal answer is re-checked post hoc against the original constraints, so a
 reported optimum is exact by construction.
 
-The tableau holds `fractions.Fraction` entries, the same type as the public
-interface, so no value is converted on the way in or out.
+The tableau holds integers. Each input row is scaled once to integers and each
+tableau row holds a positive multiple of its rational row, so every pivot is
+the one a rational tableau would make. The interface stays
+`fractions.Fraction`, and the post-hoc checks run on the Fraction input data,
+not on the tableau.
 
 The three builders produce, for a given instance / parameter vector:
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .core import (
@@ -43,7 +47,8 @@ from .lattice import node_balances
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). Overridable per call with force=True. The
 # full program's guard admits only sizes whose solve ends within a minute:
-# one LP1 solve takes 3-11 s at n=5 and about 750 s at n=6 (2-vCPU machine).
+# one LP1 solve takes 0.5-11 s at n=5 and 11-117 s at n=6 (2-vCPU machine,
+# random instances).
 LP1_GUARD = 5
 LP23_GUARD = 14
 
@@ -130,6 +135,21 @@ class LPSolution:
 # (one row per original column), the primal assignment is read off the dual
 # multipliers, and the result is accepted only after an exact feasibility
 # and objective-value certificate against the original data.
+#
+# The tableau is fraction-free. Each input row, right-hand side included, is
+# multiplied by the lcm of its denominators before the sign canonicalization,
+# and its slack and artificial carry that same factor, so every row starts as
+# exactly `scale` times the rational canonical row: slacks, artificials and
+# duals are those of the rational tableau. Tableau row i stays a positive
+# multiple of the rational row T[i] / T[i][basis[i]]. A pivot on (r, c) with
+# pc = T[r][c] > 0 replaces each row with f = row[c] != 0 by a positive
+# multiple of pc * row - f * prow: by row - (f / pc) * prow when pc divides
+# f, which changes only prow's nonzero columns; otherwise with pc and f
+# divided by their gcd, and the result by the gcd of its entries. Rows with
+# f = 0 are not touched. A cost row has the same form, with its positive
+# denominator as one more entry. Ratio tests compare by cross-multiplication.
+# Bland's rule reads only signs and ratio order, so every pivot, vertex and
+# dual is the rational tableau's.
 
 
 class _SimplexOutcome:
@@ -142,6 +162,16 @@ class _SimplexOutcome:
         self.duals = duals
 
 
+def _scaled(values):
+    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    terms = [(j, v.numerator, v.denominator) for j, v in enumerate(values) if v]
+    scale = lcm(*[d for _, _, d in terms])
+    ints = [0] * len(values)
+    for j, n, d in terms:
+        ints[j] = n * (scale // d)
+    return ints, scale
+
+
 def _simplex_max(ncols, rows, objective):
     """Maximize objective . x subject to the given rows, x >= 0.
 
@@ -149,26 +179,22 @@ def _simplex_max(ncols, rows, objective):
     ``objective``: dense list of length ncols.
     Returns a _SimplexOutcome whose ``duals`` align with the input rows.
     """
-    # canonicalize: slack rows are "<=" with rhs >= 0, everything else gets
-    # an artificial variable; a sign flip negates the reported dual
+    # scale each row, rhs included, to ints; then canonicalize: slack rows
+    # are "<=" with rhs >= 0, everything else gets an artificial variable; a
+    # sign flip negates the reported dual
     canon = []
     for coeffs, rel, rhs in rows:
-        flipped = False
-        if rel == ">=":
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
+        ints, scale = _scaled([*coeffs, rhs])
+        flipped = rel == ">="
+        if flipped:
             rel = "<="
-            flipped = True
-        if rel == "<=" and rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            rel = ">=+"
+        if (ints[-1] > 0) if flipped else (ints[-1] < 0):
             flipped = not flipped
-        elif rel == "=" and rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            flipped = not flipped
-        canon.append((coeffs, rel, rhs, flipped))
+            if rel == "<=":
+                rel = ">=+"
+        if flipped:
+            ints = [-v for v in ints]
+        canon.append((ints, rel, scale, flipped))
 
     nslack = sum(1 for _, rel, _, _ in canon if rel in ("<=", ">=+"))
     nart = sum(1 for _, rel, _, _ in canon if rel in ("=", ">=+"))
@@ -176,28 +202,29 @@ def _simplex_max(ncols, rows, objective):
     total = width - 1
     si = ncols
     ai = ncols + nslack
+    pad = [0] * (nslack + nart)
     T = []
     basis = []
     art_cols = set()
     assoc = []      # per input row: its slack or artificial column
     alive = []      # per input row: tableau row index, or None once dropped
-    for coeffs, rel, rhs, _ in canon:
-        row = list(coeffs) + [ZERO] * (nslack + nart) + [rhs]
+    for ints, rel, scale, _ in canon:
+        row = ints[:-1] + pad + ints[-1:]
         if rel == "<=":
-            row[si] = ONE
+            row[si] = scale
             basis.append(si)
             assoc.append(si)
             si += 1
         elif rel == ">=+":
-            row[si] = -ONE
+            row[si] = -scale
             si += 1
-            row[ai] = ONE
+            row[ai] = scale
             art_cols.add(ai)
             basis.append(ai)
             assoc.append(ai)
             ai += 1
         else:  # "="
-            row[ai] = ONE
+            row[ai] = scale
             art_cols.add(ai)
             basis.append(ai)
             assoc.append(ai)
@@ -205,27 +232,48 @@ def _simplex_max(ncols, rows, objective):
         alive.append(len(T))
         T.append(row)
 
-    def pivot(r, c, cost):
-        prow = T[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = 1 / pv
-            T[r] = prow = [v * inv if v else v for v in prow]
-        nz = [j for j, v in enumerate(prow) if v]
-        for row in T:
-            if row is prow:
-                continue
-            f = row[c]
-            if f:
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
-        f = cost[c]
-        if f:
+    def eliminate(row, c, prow, nz):
+        """A positive multiple of pc * row - row[c] * prow, where pc = prow[c]
+        > 0 and ``nz`` lists the nonzero columns of prow."""
+        pc, f = prow[c], row[c]
+        g = gcd(pc, f)
+        if g == pc:
+            # pc divides f: only the nonzero columns of prow change
+            f //= pc
             for j in nz:
-                cost[j] = cost[j] - f * prow[j]
+                row[j] -= f * prow[j]
+            return row
+        pc //= g
+        f //= g
+        new = [pc * a for a in row]
+        for j in nz:
+            new[j] -= f * prow[j]
+        g = gcd(*new)
+        return [v // g for v in new] if g > 1 else new
+
+    def pivot(r, c):
+        nonlocal cost
+        prow = T[r]
+        if prow[c] < 0:
+            # only a leftover artificial driven out pivots on a negative
+            # entry; the new basic coefficient must be positive
+            T[r] = prow = [-v for v in prow]
+        nz = [j for j, v in enumerate(prow) if v]
+        for i, row in enumerate(T):
+            if row[c] and i != r:
+                T[i] = eliminate(row, c, prow, nz)
+        if cost[c]:
+            cost = eliminate(cost, c, prow, nz)
         basis[r] = c
 
-    def run(cost, enterable):
+    def price(cost):
+        """Reduced costs of ``cost`` under the current basis."""
+        for row, b in zip(T, basis):
+            if cost[b]:
+                cost = eliminate(cost, b, row, [j for j, v in enumerate(row) if v])
+        return cost
+
+    def run(enterable):
         # Bland: entering = smallest eligible positive reduced cost;
         # leaving = min ratio with ties to the smallest basic index
         while True:
@@ -237,35 +285,25 @@ def _simplex_max(ncols, rows, objective):
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
-            for i in range(len(T)):
-                coeff = T[i][enter]
+            for i, row in enumerate(T):
+                coeff = row[enter]
                 if coeff > 0:
-                    ratio = T[i][-1] / coeff
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:
+                        # the ratio row[-1] / coeff against the best so far
+                        lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    best_rhs, best_coeff, leave = row[-1], coeff, i
             if leave < 0:
                 return UNBOUNDED
-            pivot(leave, enter, cost)
+            pivot(leave, enter)
 
+    # phase 1 maximizes minus the sum of the artificials
     if art_cols:
-        cost = [ZERO] * width
-        for i in range(len(T)):
-            if basis[i] in art_cols:
-                row = T[i]
-                for j in range(width):
-                    if row[j]:
-                        cost[j] = cost[j] + row[j]
-        for c in art_cols:
-            cost[c] = ZERO
-        if run(cost, [True] * total) == UNBOUNDED:
+        cost = price([-1 if j in art_cols else 0 for j in range(width)] + [1])
+        if run([True] * total) == UNBOUNDED:
             raise VerificationError("phase-1 objective cannot be unbounded")
-        if cost[-1] != 0:
+        if cost[total] != 0:
             return _SimplexOutcome(INFEASIBLE)
         # pivot leftover artificials out; all-zero rows are redundant
         drop = []
@@ -274,7 +312,7 @@ def _simplex_max(ncols, rows, objective):
                 row = T[i]
                 for j in range(total):
                     if j not in art_cols and row[j]:
-                        pivot(i, j, cost)
+                        pivot(i, j)
                         break
                 else:
                     drop.append(i)
@@ -288,35 +326,26 @@ def _simplex_max(ncols, rows, objective):
             for k, idx in enumerate(alive):
                 alive[k] = None if idx in dropped else idx
 
-    cost = [ZERO] * width
-    for j in range(ncols):
-        if objective[j]:
-            cost[j] = objective[j]
-    for i in range(len(T)):
-        b = basis[i]
-        f = cost[b]
-        if f:
-            row = T[i]
-            for j in range(width):
-                if row[j]:
-                    cost[j] = cost[j] - f * row[j]
+    objective, scale = _scaled(objective)
+    cost = price(objective + [0] * (width - ncols) + [scale])
     enterable = [j not in art_cols for j in range(total)]
-    status = run(cost, enterable)
+    status = run(enterable)
     if status == UNBOUNDED:
         return _SimplexOutcome(UNBOUNDED)
 
+    den = cost[-1]
     colvals = {}
-    for i in range(len(T)):
-        if basis[i] < ncols:
-            colvals[basis[i]] = T[i][-1]
+    for row, b in zip(T, basis):
+        if b < ncols:
+            colvals[b] = Fraction(row[-1], row[b])
     duals = []
     for k, (_, _, _, flipped) in enumerate(canon):
         if alive[k] is None:
             duals.append(ZERO)
             continue
         mu = -cost[assoc[k]]
-        duals.append(-mu if flipped else mu)
-    return _SimplexOutcome(OPTIMAL, colvals, -cost[-1], duals)
+        duals.append(Fraction(-mu if flipped else mu, den))
+    return _SimplexOutcome(OPTIMAL, colvals, Fraction(-cost[total], den), duals)
 
 
 # A program qualifies for the dual detour when its rows are inequalities in
@@ -334,7 +363,7 @@ def _try_dual_detour(ncols, rows, objective):
         if rel == "<=" and rhs >= 0:
             sink_rows.append((coeffs, rhs))
         elif rel == ">=" and rhs <= 0:
-            sink_rows.append(([-v for v in coeffs], -rhs))
+            sink_rows.append(([-v if v else v for v in coeffs], -rhs))
         else:
             return None
     m = len(sink_rows)
@@ -356,21 +385,20 @@ def _try_dual_detour(ncols, rows, objective):
     # exact certificate: primal feasible and attains the transpose optimum
     if any(x < 0 for x in assignment):
         return None
+    colvals = {j: x for j, x in enumerate(assignment) if x}
     for coeffs, b in sink_rows:
         lhs = ZERO
-        for j in range(ncols):
-            x = assignment[j]
-            if x and coeffs[j]:
+        for j, x in colvals.items():
+            if coeffs[j]:
                 lhs = lhs + coeffs[j] * x
         if lhs > b:
             return None
     attained = ZERO
-    for j in range(ncols):
-        if assignment[j] and objective[j]:
-            attained = attained + objective[j] * assignment[j]
+    for j, x in colvals.items():
+        if objective[j]:
+            attained = attained + objective[j] * x
     if attained != value:
         return None
-    colvals = {j: assignment[j] for j in range(ncols) if assignment[j]}
     return _SimplexOutcome(OPTIMAL, colvals, value, None)
 
 

@@ -17,6 +17,7 @@ from optmech import (
     u_var,
     unique_optimum,
 )
+from optmech import exactlp
 from tests.test_core import make_instance
 
 ZERO, ONE = F(0), F(1)
@@ -255,12 +256,22 @@ def _with_zeros(prob, nonzero):
     return expected
 
 
-def test_pinned_vertex_lp1_dual_detour():
+def test_pinned_vertex_lp1_dual_detour(monkeypatch):
     # single-positive n=3 instance: LP1 is tall enough for the dual detour,
     # which reads the primal off the transpose's duals
+    answers = []
+
+    def recording_detour(*args):
+        answers.append(detour(*args))
+        return answers[-1]
+
+    detour = exactlp._try_dual_detour
+    monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
     inst = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
     prob = build_lp1(inst)
     sol = solve_lp(prob)
+    [answer] = answers
+    assert answer is not None  # the certificate accepted the detour's answer
     assert sol.value == F(4133, 1200)
     assert sol.assignment == _with_zeros(prob, {
         "u({1,2,3})": "1",

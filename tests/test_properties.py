@@ -4,7 +4,8 @@ mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly. The greedy flow fills sinks in
 sorted (cost, mask) order, the O(2^n n^2) BIC/IR certificate accepts a
 shaped mechanism exactly when the 4^n replay does, and the exact simplex
-agrees with vertex enumeration on tiny bounded programs."""
+agrees with vertex enumeration on tiny bounded programs, its dual multipliers
+certifying its optimum."""
 
 import json
 from fractions import Fraction as F
@@ -35,6 +36,7 @@ from optmech import (
     solve_lp,
     type_vectors,
 )
+from optmech.exactlp import _simplex_max
 from tests.test_exactlp import vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
 
@@ -248,3 +250,24 @@ def test_simplex_matches_vertex_enumeration(case):
         assert sol.status == "infeasible"
     else:
         assert (sol.status, sol.value) == ("optimal", sign * best)
+
+
+@exact
+@given(tiny_programs())
+def test_simplex_duals_certify_optimum(case):
+    # max c.x over the rows and x_j <= 5, x >= 0: the multipliers y of an
+    # optimum are dual feasible (y >= 0 on "<=" rows, y <= 0 on ">=" rows,
+    # y.A >= c) and y.b equals the optimal value
+    nvars, rows, objective, _ = case
+    rows = rows + [([F(int(i == j)) for i in range(nvars)], "<=", BOX) for j in range(nvars)]
+    outcome = _simplex_max(nvars, rows, objective)
+    if outcome.status == "infeasible":
+        return
+    assert outcome.status == "optimal"
+    y = outcome.duals
+    assert outcome.value == sum(c * outcome.colvals.get(j, 0) for j, c in enumerate(objective))
+    assert outcome.value == sum(yk * rhs for yk, (_, _, rhs) in zip(y, rows))
+    for yk, (_, rel, _) in zip(y, rows):
+        assert yk >= 0 if rel == "<=" else yk <= 0 if rel == ">=" else True
+    for j in range(nvars):
+        assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, rows)) >= objective[j]
