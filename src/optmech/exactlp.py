@@ -77,13 +77,21 @@ class Constraint:
             raise InputError(f"constraint {self.name!r}: invalid relation {self.rel!r}")
 
 
+def _check_rational(value, what: str) -> None:
+    # the simplex scales each row to integers by its denominators, which a
+    # float does not have
+    if not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what}: expected an int or Fraction, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """A finite LP over named variables.
 
     Bounds: a variable absent from ``lower`` has lower bound 0; an explicit
     ``None`` makes it free. A variable absent from ``upper`` (or mapped to
-    ``None``) has no upper bound.
+    ``None``) has no upper bound. Every coefficient, right-hand side and
+    bound is an int or a Fraction.
     """
 
     variables: tuple[str, ...]
@@ -101,19 +109,24 @@ class LPProblem:
         declared = set(self.variables)
         if len(declared) != len(self.variables):
             raise InputError("variables: duplicate names")
-        for v in self.objective:
+        for v, c in self.objective.items():
             if v not in declared:
                 raise InputError(f"objective references undeclared variable {v!r}")
+            _check_rational(c, f"objective coefficient of {v!r}")
         for con in self.constraints:
-            for v in con.coeffs:
+            for v, c in con.coeffs.items():
                 if v not in declared:
                     raise InputError(
                         f"constraint {con.name!r} references undeclared variable {v!r}"
                     )
+                _check_rational(c, f"constraint {con.name!r} coefficient of {v!r}")
+            _check_rational(con.rhs, f"constraint {con.name!r} right-hand side")
         for bound in (self.lower, self.upper):
-            for v in bound:
+            for v, b in bound.items():
                 if v not in declared:
                     raise InputError(f"bound references undeclared variable {v!r}")
+                if b is not None:
+                    _check_rational(b, f"bound of {v!r}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +201,7 @@ def _simplex_max(ncols, rows, objective):
         flipped = rel == ">="
         if flipped:
             rel = "<="
-        if (ints[-1] > 0) if flipped else (ints[-1] < 0):
+        if (-ints[-1] if flipped else ints[-1]) < 0:
             flipped = not flipped
             if rel == "<=":
                 rel = ">=+"
@@ -233,8 +246,8 @@ def _simplex_max(ncols, rows, objective):
         T.append(row)
 
     def eliminate(row, c, prow, nz):
-        """A positive multiple of pc * row - row[c] * prow, where pc = prow[c]
-        > 0 and ``nz`` lists the nonzero columns of prow."""
+        """A positive multiple of pc * row - row[c] * prow, where
+        pc = prow[c] > 0 and ``nz`` lists the nonzero columns of prow."""
         pc, f = prow[c], row[c]
         g = gcd(pc, f)
         if g == pc:

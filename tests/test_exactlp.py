@@ -6,6 +6,7 @@ import pytest
 
 from optmech import (
     Constraint,
+    InputError,
     LP2Params,
     LPProblem,
     PreconditionError,
@@ -17,7 +18,7 @@ from optmech import (
     u_var,
     unique_optimum,
 )
-from optmech import exactlp
+from optmech import budgeted, exactlp
 from tests.test_core import make_instance
 
 ZERO, ONE = F(0), F(1)
@@ -246,6 +247,21 @@ def test_solve_deterministic():
     assert first.value == second.value
 
 
+def test_problem_rejects_inexact_numbers():
+    base = dict(variables=("x",), objective={"x": ONE}, sense="max", constraints=())
+    for change in (
+        dict(objective={"x": 0.5}),
+        dict(constraints=(Constraint({"x": 0.5}, "<=", ONE),)),
+        dict(constraints=(Constraint({"x": ONE}, "<=", 1.5),)),
+        dict(lower={"x": -1.0}),
+        dict(upper={"x": 2.0}),
+    ):
+        with pytest.raises(InputError, match="expected an int or Fraction"):
+            LPProblem(**base | change)
+    # ints are exact
+    assert solve_lp(LPProblem(**base | dict(upper={"x": 2}))).value == 2
+
+
 # ---------------------------------------------------------------------------
 # pinned vertices: Bland's rule makes the optimal vertex part of the contract
 # ---------------------------------------------------------------------------
@@ -259,13 +275,12 @@ def _with_zeros(prob, nonzero):
 def test_pinned_vertex_lp1_dual_detour(monkeypatch):
     # single-positive n=3 instance: LP1 is tall enough for the dual detour,
     # which reads the primal off the transpose's duals
-    answers = []
+    detour, answers = exactlp._try_dual_detour, []
 
     def recording_detour(*args):
         answers.append(detour(*args))
         return answers[-1]
 
-    detour = exactlp._try_dual_detour
     monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
     inst = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
     prob = build_lp1(inst)
@@ -285,8 +300,6 @@ def test_pinned_vertex_lp1_dual_detour(monkeypatch):
 
 def test_pinned_vertex_budgeted_oracle(monkeypatch):
     # "=" rows need phase 1, and the free prices split into two columns
-    from optmech import budgeted
-
     solved = []
 
     def recording_solve(prob):
