@@ -6,9 +6,10 @@ deterministic: identical problems yield identical optimal assignments. Every
 optimal answer is re-checked post hoc against the original constraints, so a
 reported optimum is exact by construction.
 
-The tableau holds integers. Each input row is scaled once to integers and each
-tableau row holds a positive multiple of its rational row, so every pivot is
-the one a rational tableau would make. The interface stays
+The tableau holds integers. `solve_lp` builds each row once, from the
+nonzero entries of its coefficient map, and scales it by the lcm of its
+denominators; each tableau row holds a positive multiple of its rational row,
+so every pivot is the one a rational tableau would make. The interface stays
 `fractions.Fraction`, and the post-hoc checks run on the Fraction input data,
 not on the tableau.
 
@@ -45,12 +46,15 @@ from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
-# (relaxed program and its dual). Overridable per call with force=True. The
-# full program's guard admits only sizes whose solve ends within a minute:
-# one LP1 solve takes 0.5-11 s at n=5 and 11-117 s at n=6 (2-vCPU machine,
-# random instances).
+# (relaxed program and its dual). The full program's guard admits only sizes
+# whose solve ends within a minute: one LP1 solve takes 0.5-11 s at n=5 and
+# 11-117 s at n=6 (2-vCPU machine, random instances). The relaxed
+# program's guard is set by memory: on a random single-positive instance one
+# solve took 4.2 s (LP2) and 2.3 s (LP3) at n=11 with a peak RSS of 956 MiB,
+# and 21.8 s and 10.8 s at n=12 with 4.0 GiB (2 vCPUs, 8 GiB). Memory grows
+# about x4 per item, so n=13 would need about 16 GiB.
 LP1_GUARD = 5
-LP23_GUARD = 14
+LP23_GUARD = 12
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -143,18 +147,19 @@ class LPSolution:
 # `_simplex_max` solves  max c.x  over rows {<=, =, >=} with x >= 0 by the
 # two-phase dense tableau method, Bland's smallest-index rule throughout.
 # It reports, besides the optimal column values, the dual multiplier of every
-# input row, which lets `solve_lp` run a certified dual detour: a tall
-# program whose rows are all inequalities is solved through its transpose
-# (one row per original column), the primal assignment is read off the dual
-# multipliers, and the result is accepted only after an exact feasibility
-# and objective-value certificate against the original data.
+# input row, which lets `solve_lp` run a dual detour: a tall program whose
+# rows are all inequalities is solved through its transpose (one row per
+# original column) and the primal assignment is read off the dual
+# multipliers. `solve_lp` checks every answer, from the detour or not,
+# against the original data.
 #
-# The tableau is fraction-free. Each input row, right-hand side included, is
-# multiplied by the lcm of its denominators before the sign canonicalization,
-# and its slack and artificial carry that same factor, so every row starts as
-# exactly `scale` times the rational canonical row: slacks, artificials and
-# duals are those of the rational tableau. Tableau row i stays a positive
-# multiple of the rational row T[i] / T[i][basis[i]]. A pivot on (r, c) with
+# The tableau is fraction-free. Each input row arrives as ints: the rational
+# row, right-hand side included, times the lcm of its denominators, built
+# once by `solve_lp`. Before the sign canonicalization its slack and
+# artificial get that same factor, so every row starts as exactly `scale`
+# times the rational canonical row: slacks, artificials and duals are those
+# of the rational tableau. Tableau row i stays a positive multiple of the
+# rational row T[i] / T[i][basis[i]]. A pivot on (r, c) with
 # pc = T[r][c] > 0 replaces each row with f = row[c] != 0 by a positive
 # multiple of pc * row - f * prow: by row - (f / pc) * prow when pc divides
 # f, which changes only prow's nonzero columns; otherwise with pc and f
@@ -163,6 +168,18 @@ class LPSolution:
 # denominator as one more entry. Ratio tests compare by cross-multiplication.
 # Bland's rule reads only signs and ratio order, so every pivot, vertex and
 # dual is the rational tableau's.
+#
+# The detour transposes the same int rows. Row i is s_i times its rational
+# row, so column j of the rows, with the objective's int coefficient as
+# right-hand side and scale 1, is the rational transpose row times the
+# objective's scale, in variables y_i / s_i times that scale. Its slacks and
+# artificials are the rational ones times the same scale, so phase 1's
+# objective is a positive multiple of the rational one. Bland's rule cannot
+# see a rescaling of variables by positive factors: the sign of each reduced
+# cost, the order of the ratios in a column and the basis-index tie-break
+# stay the same, so every pivot and vertex is the rational transpose's.
+# Scaling every row and the objective by one factor leaves the duals, and
+# with them the recovered primal, unchanged, and scales the value by it.
 
 
 class _SimplexOutcome:
@@ -175,29 +192,19 @@ class _SimplexOutcome:
         self.duals = duals
 
 
-def _scaled(values):
-    """``values`` times the lcm of their denominators, as ints, and that lcm."""
-    terms = [(j, v.numerator, v.denominator) for j, v in enumerate(values) if v]
-    scale = lcm(*[d for _, _, d in terms])
-    ints = [0] * len(values)
-    for j, n, d in terms:
-        ints[j] = n * (scale // d)
-    return ints, scale
-
-
 def _simplex_max(ncols, rows, objective):
     """Maximize objective . x subject to the given rows, x >= 0.
 
-    ``rows``: list of (dense coeffs, rel, rhs).
-    ``objective``: dense list of length ncols.
+    ``rows``: list of (ints, rel, scale): ``ints`` holds the ncols
+    coefficients and then the right-hand side of the rational row, each
+    times the int ``scale`` > 0.
+    ``objective``: (ints, scale), the ncols coefficients times ``scale``.
     Returns a _SimplexOutcome whose ``duals`` align with the input rows.
     """
-    # scale each row, rhs included, to ints; then canonicalize: slack rows
-    # are "<=" with rhs >= 0, everything else gets an artificial variable; a
-    # sign flip negates the reported dual
+    # canonicalize: slack rows are "<=" with rhs >= 0, everything else gets
+    # an artificial variable; a sign flip negates the reported dual
     canon = []
-    for coeffs, rel, rhs in rows:
-        ints, scale = _scaled([*coeffs, rhs])
+    for ints, rel, scale in rows:
         flipped = rel == ">="
         if flipped:
             rel = "<="
@@ -339,7 +346,7 @@ def _simplex_max(ncols, rows, objective):
             for k, idx in enumerate(alive):
                 alive[k] = None if idx in dropped else idx
 
-    objective, scale = _scaled(objective)
+    objective, scale = objective
     cost = price(objective + [0] * (width - ncols) + [scale])
     enterable = [j not in art_cols for j in range(total)]
     status = run(enterable)
@@ -372,47 +379,28 @@ def _try_dual_detour(ncols, rows, objective):
     if ncols < _DUAL_DETOUR_MIN_COLS or len(rows) < _DUAL_DETOUR_RATIO * ncols:
         return None
     sink_rows = []
-    for coeffs, rel, rhs in rows:
-        if rel == "<=" and rhs >= 0:
-            sink_rows.append((coeffs, rhs))
-        elif rel == ">=" and rhs <= 0:
-            sink_rows.append(([-v if v else v for v in coeffs], -rhs))
+    for ints, rel, _ in rows:
+        if rel == "<=" and ints[-1] >= 0:
+            sink_rows.append(ints)
+        elif rel == ">=" and ints[-1] <= 0:
+            sink_rows.append([-v for v in ints])
         else:
             return None
-    m = len(sink_rows)
-    transpose_rows = [
-        ([sink_rows[i][0][j] for i in range(m)], ">=", objective[j])
-        for j in range(ncols)
-    ]
-    dual_objective = [-b for _, b in sink_rows]
-    outcome = _simplex_max(m, transpose_rows, dual_objective)
+    # column j of the int rows at scale 1; see the simplex comment block for
+    # why this takes the rational transpose's pivots
+    obj_ints, obj_scale = objective
+    *columns, rhs = zip(*sink_rows)
+    transpose_rows = [([*col, c], ">=", 1) for col, c in zip(columns, obj_ints)]
+    outcome = _simplex_max(len(rhs), transpose_rows, ([-b for b in rhs], 1))
+    # the transpose maximizes -b.y with b >= 0, so it is bounded; when it is
+    # infeasible, the primal (feasible at x = 0) is unbounded
     if outcome.status == INFEASIBLE:
         return _SimplexOutcome(UNBOUNDED)
-    if outcome.status != OPTIMAL:
-        return None
-    value = -outcome.value
     # one transpose row per original column; with rows passed in >= form to
     # an internally maximized program, the recovered primal is -1 times the
     # reported multiplier
-    assignment = [-v for v in outcome.duals]
-    # exact certificate: primal feasible and attains the transpose optimum
-    if any(x < 0 for x in assignment):
-        return None
-    colvals = {j: x for j, x in enumerate(assignment) if x}
-    for coeffs, b in sink_rows:
-        lhs = ZERO
-        for j, x in colvals.items():
-            if coeffs[j]:
-                lhs = lhs + coeffs[j] * x
-        if lhs > b:
-            return None
-    attained = ZERO
-    for j, x in colvals.items():
-        if objective[j]:
-            attained = attained + objective[j] * x
-    if attained != value:
-        return None
-    return _SimplexOutcome(OPTIMAL, colvals, value, None)
+    colvals = {j: -y for j, y in enumerate(outcome.duals) if y}
+    return _SimplexOutcome(OPTIMAL, colvals, -outcome.value / obj_scale)
 
 
 def solve_lp(prob: LPProblem) -> LPSolution:
@@ -431,40 +419,46 @@ def solve_lp(prob: LPProblem) -> LPSolution:
             ncols += 1
     kind_of = dict(zip(prob.variables, kinds))
 
-    def dense(coeffs: Mapping[str, Fraction], rhs: Fraction):
-        """One row over the internal columns; the constant that the lower
-        bound shifts contribute is moved into the returned right-hand side."""
-        row = [ZERO] * ncols
-        shift = ZERO
+    def int_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
+        """One row over the internal columns, right-hand side last, scaled by
+        the lcm of its denominators: (ints, scale). The constant that the
+        lower bound shifts contribute is moved into the right-hand side."""
+        terms = []
         for v, c in coeffs.items():
-            if not c:
-                continue
-            kind = kind_of[v]
-            row[kind[1]] = row[kind[1]] + c
-            if kind[0] == "split":
-                row[kind[2]] = row[kind[2]] - c
-            elif kind[2]:
-                shift += c * kind[2]
-        return row, rhs - shift
+            if c:
+                kind = kind_of[v]
+                terms.append((kind[1], c))
+                if kind[0] == "split":
+                    terms.append((kind[2], -c))
+                elif kind[2]:
+                    rhs -= c * kind[2]
+        terms.append((ncols, rhs))
+        scale = lcm(*[c.denominator for _, c in terms])
+        ints = [0] * (ncols + 1)
+        for j, c in terms:
+            ints[j] = c.numerator * (scale // c.denominator)
+        return ints, scale
 
     rows = []
     for con in prob.constraints:
-        row, rhs = dense(con.coeffs, con.rhs)
-        rows.append((row, con.rel, rhs))
+        ints, scale = int_row(con.coeffs, con.rhs)
+        rows.append((ints, con.rel, scale))
     # upper bounds become "<=" rows; one below its lower bound has a negative
     # right-hand side, which phase 1 reports as infeasible
     for v in prob.variables:
         up = prob.upper.get(v)
         if up is not None:
-            row, rhs = dense({v: ONE}, up)
-            rows.append((row, "<=", rhs))
+            ints, scale = int_row({v: ONE}, up)
+            rows.append((ints, "<=", scale))
 
-    # --- internal objective, always maximized; the returned right-hand side
-    # is minus the constant the lower bounds add to the objective
+    # --- internal objective, always maximized; its right-hand side is minus
+    # the constant the lower bounds add to the objective
     negate = prob.sense == "min"
-    objective, obj_rhs = dense(prob.objective, ZERO)
+    ints, obj_scale = int_row(prob.objective, ZERO)
+    obj_rhs = Fraction(ints.pop(), obj_scale)
     if negate:
-        objective = [-c for c in objective]
+        ints = [-c for c in ints]
+    objective = (ints, obj_scale)
 
     outcome = _try_dual_detour(ncols, rows, objective)
     if outcome is None:
@@ -474,7 +468,7 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     if outcome.status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED, value=None, assignment={})
 
-    # --- extract and certify
+    # --- extract and certify: every answer, from the detour or not
     colvals = outcome.colvals
     assignment = {}
     for v in prob.variables:
@@ -506,7 +500,7 @@ def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None
         if up is not None and val > up:
             raise VerificationError(f"assignment violates upper bound of {v}")
     for con in prob.constraints:
-        lhs = sum((c * assignment[v] for v, c in con.coeffs.items()), ZERO)
+        lhs = sum((c * x for v, c in con.coeffs.items() if (x := assignment[v])), ZERO)
         ok = (
             lhs <= con.rhs if con.rel == "<=" else
             lhs >= con.rhs if con.rel == ">=" else
@@ -538,21 +532,19 @@ def edge_var(S: Subset, i: int) -> str:
     return f"f({subset_label(S | 1 << (i - 1))}>{subset_label(S)})"
 
 
-def _check_guard(n: int, guard: int, force: bool, what: str) -> None:
-    if n > guard and not force:
-        raise PreconditionError(
-            f"n={n} exceeds the {what} {guard} (pass force=True to override)"
-        )
+def _check_guard(n: int, guard: int, what: str) -> None:
+    if n > guard:
+        raise PreconditionError(f"n={n} exceeds the {what} {guard}")
 
 
-def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
+def build_lp1(inst: OMDInstance) -> LPProblem:
     """The full revenue program: maximize expected price over BIC + IR + PROB.
 
     Variables u(S) for every type and q_i(S) for every type/item pair; one
     truthfulness row per ordered pair of distinct types.
     """
     n = inst.n
-    _check_guard(n, LP1_GUARD, force, "full-program enumeration guard")
+    _check_guard(n, LP1_GUARD, "full-program enumeration guard")
     subsets = range(1 << n)
     vec = type_vectors(inst)
     prob_of = subset_probs(inst.p)
@@ -597,10 +589,10 @@ def build_lp1(inst: OMDInstance, force: bool = False) -> LPProblem:
     )
 
 
-def build_lp2(params: LP2Params, force: bool = False) -> LPProblem:
+def build_lp2(params: LP2Params) -> LPProblem:
     """The relaxed program: utilities only, adjacent-type rows, u >= 0 bounds."""
     n = params.n
-    _check_guard(n, LP23_GUARD, force, "enumeration guard")
+    _check_guard(n, LP23_GUARD, "enumeration guard")
     subsets = range(1 << n)
     objective = {u_var(S): balance for S, balance in enumerate(node_balances(params))}
     constraints = []
@@ -624,14 +616,14 @@ def build_lp2(params: LP2Params, force: bool = False) -> LPProblem:
     )
 
 
-def build_lp3(params: LP2Params, force: bool = False) -> LPProblem:
+def build_lp3(params: LP2Params) -> LPProblem:
     """The dual of the relaxed program: a min-cost flow on the subset lattice.
 
     One nonnegative flow variable per covering edge S+{i} -> S, one balance
     row per node with right-hand side p(S) * (sum_{i in S} x_i - B).
     """
     n = params.n
-    _check_guard(n, LP23_GUARD, force, "enumeration guard")
+    _check_guard(n, LP23_GUARD, "enumeration guard")
     subsets = range(1 << n)
     variables = []
     objective = {}

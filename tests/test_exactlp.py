@@ -10,6 +10,7 @@ from optmech import (
     LP2Params,
     LPProblem,
     PreconditionError,
+    VerificationError,
     build_lp1,
     build_lp2,
     build_lp3,
@@ -272,9 +273,12 @@ def _with_zeros(prob, nonzero):
     return expected
 
 
+# single-positive n=3 instance whose LP1 is tall enough for the dual detour
+PINNED_LP1 = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
+
+
 def test_pinned_vertex_lp1_dual_detour(monkeypatch):
-    # single-positive n=3 instance: LP1 is tall enough for the dual detour,
-    # which reads the primal off the transpose's duals
+    # the detour reads the primal off the transpose's duals
     detour, answers = exactlp._try_dual_detour, []
 
     def recording_detour(*args):
@@ -282,11 +286,10 @@ def test_pinned_vertex_lp1_dual_detour(monkeypatch):
         return answers[-1]
 
     monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
-    inst = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
-    prob = build_lp1(inst)
+    prob = build_lp1(PINNED_LP1)
     sol = solve_lp(prob)
     [answer] = answers
-    assert answer is not None  # the certificate accepted the detour's answer
+    assert answer is not None  # the detour answered, not the primal path
     assert sol.value == F(4133, 1200)
     assert sol.assignment == _with_zeros(prob, {
         "u({1,2,3})": "1",
@@ -328,6 +331,34 @@ def test_pinned_vertex_lp3():
     })
 
 
+def _tampered(solver, shift=0, bump=0):
+    """``solver`` with column 0 of its answer raised by ``shift`` and the
+    value recomputed from the columns, then raised by ``bump``."""
+    def run(ncols, rows, objective):
+        colvals = dict(solver(ncols, rows, objective).colvals)
+        colvals[0] = colvals.get(0, ZERO) + shift
+        ints, scale = objective
+        value = sum((ints[j] * x for j, x in colvals.items()), ZERO) / scale + bump
+        return exactlp._SimplexOutcome("optimal", colvals, value)
+    return run
+
+
+@pytest.mark.parametrize("solver", ["_try_dual_detour", "_simplex_max"])
+def test_solve_lp_certifies_every_answer(monkeypatch, solver):
+    # the post-hoc checks are the only certificate of either path: a raised
+    # column 0 (u({}) in LP1, x in the small program) breaks a constraint
+    # while the value still matches, and a raised value breaks the match
+    prob = build_lp1(PINNED_LP1) if solver == "_try_dual_detour" else LPProblem(
+        ("x", "y"), {"x": ONE, "y": ONE}, "max",
+        (Constraint({"x": ONE, "y": F(2)}, "<=", F(4)), Constraint({"x": ONE}, "<=", F(2))),
+    )
+    original = getattr(exactlp, solver)
+    for tamper, message in ((dict(shift=100), "violates constraint"), (dict(bump=1), "does not match")):
+        monkeypatch.setattr(exactlp, solver, _tampered(original, **tamper))
+        with pytest.raises(VerificationError, match=message):
+            solve_lp(prob)
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -363,8 +394,6 @@ def test_lp1_guard():
         inst = make_instance([1] * n, [1] * n, [(1, 2)] * n)
         with pytest.raises(PreconditionError, match="full-program enumeration guard 5"):
             build_lp1(inst)
-    # force=True still builds past the guard: 4^6 - 2^6 truthfulness rows
-    assert _count(build_lp1(inst, force=True), "bic") == 4**6 - 2**6
 
 
 PARAMS_A = LP2Params(2, (F(2), F(3)), F(9, 2), (F(1), F(2)), (F(1, 2), F(1, 2)))
@@ -481,17 +510,12 @@ def test_lp2_lp3_strong_duality_n6():
 
 
 def test_lp2_lp3_guard():
-    params = LP2Params(
-        15,
-        (F(1),) * 15,
-        F(100),
-        (F(1),) * 15,
-        (F(1, 2),) * 15,
-    )
-    with pytest.raises(PreconditionError):
-        build_lp2(params)
-    with pytest.raises(PreconditionError):
-        build_lp3(params)
+    for n in (15, 13):
+        params = LP2Params(n, (F(1),) * n, F(100), (F(1),) * n, (F(1, 2),) * n)
+        with pytest.raises(PreconditionError, match="enumeration guard 12"):
+            build_lp2(params)
+        with pytest.raises(PreconditionError, match="enumeration guard 12"):
+            build_lp3(params)
 
 
 def test_lexrank_oracle_guard():
@@ -502,7 +526,8 @@ def test_lexrank_oracle_guard():
 
 
 def test_fraction_backend_fallback():
-    # the tableau runs on Fraction: an exact optimum comes back as Fractions
+    # the tableau runs on ints, the interface on Fraction: an exact optimum
+    # comes back as Fractions
     inst = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
     sol = solve_lp(build_lp1(inst))
     assert sol.status == "optimal"

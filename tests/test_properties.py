@@ -9,7 +9,7 @@ certifying its optimum."""
 
 import json
 from fractions import Fraction as F
-from math import prod
+from math import lcm, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +252,12 @@ def test_simplex_matches_vertex_enumeration(case):
         assert (sol.status, sol.value) == ("optimal", sign * best)
 
 
+def scaled(values):
+    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values], scale
+
+
 @exact
 @given(tiny_programs())
 def test_simplex_duals_certify_optimum(case):
@@ -260,7 +266,11 @@ def test_simplex_duals_certify_optimum(case):
     # y.A >= c) and y.b equals the optimal value
     nvars, rows, objective, _ = case
     rows = rows + [([F(int(i == j)) for i in range(nvars)], "<=", BOX) for j in range(nvars)]
-    outcome = _simplex_max(nvars, rows, objective)
+    int_rows = []
+    for coeffs, rel, rhs in rows:
+        ints, scale = scaled([*coeffs, rhs])
+        int_rows.append((ints, rel, scale))
+    outcome = _simplex_max(nvars, int_rows, scaled(objective))
     if outcome.status == "infeasible":
         return
     assert outcome.status == "optimal"
