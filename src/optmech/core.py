@@ -152,23 +152,31 @@ def subset_label(S: Subset) -> str:
     return "{" + ",".join(map(str, subset_to_list(S))) + "}"
 
 
-def subset_sums(values: Sequence) -> list:
-    """sums[S] = sum of values[i-1] over the items i of S, for every mask S
-    over len(values) items; built by doubling, one addition per entry."""
-    sums = [ZERO]
+def subset_sums(values: Sequence, zero=ZERO) -> list:
+    """sums[S] = ``zero`` plus the sum of values[i-1] over the items i of S,
+    for every mask S over len(values) items; built by doubling, one addition
+    per entry. Int values with ``zero=0`` give int sums."""
+    sums = [zero]
     for v in values:
         sums += [s + v for s in sums]
     return sums
 
 
+def subset_products(factors: Sequence[tuple]) -> list:
+    """prods[S] = prod_{i in S} f_i * prod_{j not in S} g_j over
+    factors[i-1] = (f_i, g_i), for every mask S over len(factors) >= 1
+    items; built by doubling, one multiplication per entry, so int factors
+    give int products and `Fraction` factors `Fraction`s."""
+    prods = [1]
+    for f, g in factors:
+        prods = [v * g for v in prods] + [v * f for v in prods]
+    return prods
+
+
 def subset_probs(p: Sequence[Fraction]) -> list[Fraction]:
     """probs[S] = prod_{i in S} p_i * prod_{j not in S} (1 - p_j), for every
     mask S over len(p) items: the probability that the realized type is S."""
-    probs = [ONE]
-    for pi in p:
-        qi = ONE - pi
-        probs = [v * qi for v in probs] + [v * pi for v in probs]
-    return probs
+    return subset_products([(pi, ONE - pi) for pi in p])
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,21 @@ nondecreasing cost order; ties are broken by the package-wide lexicographic
 order (smaller binary mask first). The most expensive node left strictly
 under capacity is the partially filled node that the closed-form mechanism
 is built from.
+
+The greedy itself runs on ints: node costs scaled by the lcm of the d_i's
+denominators, and balances scaled by the product of the p_i's denominators
+times the lcm of the denominators of the x_i and B. It returns exact
+`Fraction`s, divided back once at the end. `node_costs` and `node_balances`
+give the unscaled `Fraction` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop
+from math import lcm, prod
 from typing import Sequence
 
 from .core import (
@@ -25,6 +33,7 @@ from .core import (
     item_range,
     subset_label,
     subset_probs,
+    subset_products,
     subset_sums,
 )
 from .errors import PreconditionError
@@ -69,22 +78,41 @@ def check_single_positive(params: LP2Params) -> bool:
 class FlowSolution:
     """The canonical greedy flow.
 
-    Nodes are masks. ``flows`` maps covering edges (src, dst) to the amount
-    carried; ``absorbed`` maps each sink node to the amount it received, and
-    ``fill_order`` lists those nodes in the order they were filled.
-    ``partially_filled`` is the last filled node when it ended strictly
-    below capacity; if instead it landed exactly on capacity,
+    Nodes are masks. ``absorbed`` maps each sink node to the amount it
+    received, and ``fill_order`` lists those nodes in the order they were
+    filled. ``partially_filled`` is the last filled node when it ended
+    strictly below capacity; if instead it landed exactly on capacity,
     ``exactly_saturated_boundary`` is set and ``partially_filled`` is None.
+    ``flows`` maps covering edges (src, dst) to the amount carried; it is
+    derived from the fill on first access.
     """
 
     n: int
     supply: Fraction
-    flows: dict[tuple[Subset, Subset], Fraction]
     absorbed: dict[Subset, Fraction]
     fill_order: tuple[Subset, ...]
     partially_filled: Subset | None
     exactly_saturated_boundary: bool
     total_cost: Fraction
+
+    @cached_property
+    def flows(self) -> dict[tuple[Subset, Subset], Fraction]:
+        """Each sink's intake routed along the monotone path from the full
+        set that removes its missing items in increasing index order; any
+        other monotone path costs the same, so the total cost is
+        path-independent."""
+        full = (1 << self.n) - 1
+        flows: dict[tuple[Subset, Subset], Fraction] = {}
+        for S in self.fill_order:
+            take = self.absorbed[S]
+            node = full
+            for i in range(self.n):
+                if not S >> i & 1:
+                    child = node ^ 1 << i
+                    edge = (node, child)
+                    flows[edge] = flows.get(edge, ZERO) + take
+                    node = child
+        return flows
 
 
 def canonical_solution(params: LP2Params) -> FlowSolution:
@@ -92,9 +120,11 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     the full set is absorbed.
 
     Requires the single-positive-node property and feasibility
-    sum(p_i x_i) <= B. Each node's intake is routed along the monotone path
-    that removes missing items in increasing index order; any other monotone
-    path costs the same, so the total cost is path-independent.
+    sum(p_i x_i) <= B. The greedy runs on ints: costs are scaled by the lcm
+    of d's denominators, and balances p(S) * (x(S) - B) by prod(den p_i)
+    times the lcm of the denominators of x and B, with p(S) * prod(den p_i)
+    the product of num p_i over S and den p_i - num p_i off S. Supply,
+    intakes and total cost are divided back once, exactly, at the end.
     """
     n = params.n
     full = (1 << n) - 1
@@ -119,36 +149,35 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
             f"> B = {format_rational(params.B)}"
         )
 
-    costs = node_costs(params.d)
-    balances = node_balances(params)
-    supply = balances[full]
+    cost_scale = lcm(*(di.denominator for di in params.d))
+    costs = subset_sums([int(di * cost_scale) for di in params.d], zero=0)[::-1]
+    weight_scale = lcm(params.B.denominator, *(xi.denominator for xi in params.x))
+    B = int(params.B * weight_scale)
+    weights = subset_sums([int(xi * weight_scale) for xi in params.x], zero=0)
+    probs = subset_products(
+        [(pi.numerator, pi.denominator - pi.numerator) for pi in params.p]
+    )
+    balance_scale = weight_scale * prod(pi.denominator for pi in params.p)
+    supply = probs[full] * (weights[full] - B)
     # sinks pop in (cost, mask) order, and only as many as the supply fills
-    sinks = [(costs[S], S) for S in range(full)]
+    sinks = list(zip(costs, range(full)))
     heapify(sinks)
 
-    flows: dict[tuple[Subset, Subset], Fraction] = {}
-    absorbed: dict[Subset, Fraction] = {}
+    absorbed: dict[Subset, int] = {}
     fill_order: list[Subset] = []
     partially_filled: Subset | None = None
     boundary = False
-    total_cost = ZERO
+    total_cost = 0
     remaining = supply
-    while remaining != 0 and sinks:
-        _, S = heappop(sinks)
-        capacity = -balances[S]
+    while remaining and sinks:
+        cost, S = heappop(sinks)
+        # a proper subset S has x(S) < B and p(S) > 0, so capacity > 0, and
+        # remaining > 0 here: every popped sink takes a positive amount
+        capacity = probs[S] * (B - weights[S])
         take = capacity if capacity <= remaining else remaining
-        if take == 0:
-            continue
         absorbed[S] = take
         fill_order.append(S)
-        total_cost += take * costs[S]
-        node = full
-        for i in range(n):
-            if not S >> i & 1:
-                child = node ^ 1 << i
-                edge = (node, child)
-                flows[edge] = flows.get(edge, ZERO) + take
-                node = child
+        total_cost += take * cost
         remaining -= take
         if remaining == 0:
             if take < capacity:
@@ -160,13 +189,12 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
 
     return FlowSolution(
         n=n,
-        supply=supply,
-        flows=flows,
-        absorbed=absorbed,
+        supply=Fraction(supply, balance_scale),
+        absorbed={S: Fraction(take, balance_scale) for S, take in absorbed.items()},
         fill_order=tuple(fill_order),
         partially_filled=partially_filled,
         exactly_saturated_boundary=boundary,
-        total_cost=total_cost,
+        total_cost=Fraction(total_cost, balance_scale * cost_scale),
     )
 
 

@@ -11,7 +11,11 @@ Three layers, each exact:
     ranked same-size subset, and a probability parameter is isolated by exact
     bisection so that precisely that node ends up partially filled;
   * decision extraction: the probe type's allocation probability for the
-    distinguished item is exactly 0 or 1 and answers the rank query.
+    distinguished item is exactly 0 or 1 and answers the rank query. It is
+    read off the closed-form utility u(T) = max(cost(T*) - cost(T), 0) at
+    two lattice nodes, the probe and the probe plus the distinguished item;
+    the full 2^(n+1)-entry menu is built only when `ReductionOutput.mechanism`
+    is read, once per (C, |S|, k).
 
 All searches and evaluations are exact rational arithmetic. The bisection
 returns its first dyadic midpoint whose exact `eval_f` value lies strictly
@@ -21,12 +25,12 @@ filled node is the targeted one, so no step depends on a numeric bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     LP2Params,
@@ -236,8 +240,9 @@ def find_parameter(n: int, s: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """The constructed instance, its targeted node and its closed-form
-    mechanism, plus the probe that reads the rank query's answer off it."""
+    """The constructed instance, its targeted node and its lattice node
+    costs, plus the probe that reads the rank query's answer off the
+    closed-form mechanism."""
 
     instance: OMDInstance
     params: LP2Params
@@ -245,17 +250,32 @@ class ReductionOutput:
     distinguished_item: int
     p_tilde: Fraction
     target_T_star: Subset
-    mechanism: Mechanism
+    costs: list[Fraction] = field(repr=False)
+    _mechanism: Callable[[], Mechanism] = field(repr=False)
 
     def __post_init__(self):
         n = self.instance.n - 1
         if not Fraction(1, 2) <= self.p_tilde < ONE - Fraction(1, 2 * n + 2):
             raise VerificationError("p_tilde fell outside its admissible interval")
 
+    @property
+    def mechanism(self) -> Mechanism:
+        """The closed-form mechanism, built on first access and shared by
+        every probe set of the same size."""
+        return self._mechanism()
+
     def decision(self) -> bool:
         """The probe type's allocation probability for the distinguished
-        item, which must be exactly 0 (NO) or 1 (YES)."""
-        probe_q = self.mechanism.q[self.probe_type][self.distinguished_item - 1]
+        item, which must be exactly 0 (NO) or 1 (YES).
+
+        It is the closed-form mechanism's q_i(P) = (u(P + i) - u(P)) / d_i
+        for the probe P and distinguished item i, with
+        u(T) = max(cost(T*) - cost(T), 0), read at those two nodes only."""
+        costs = self.costs
+        star_cost = costs[self.target_T_star]
+        u = lambda T: max(star_cost - costs[T], ZERO)
+        P, i = self.probe_type, self.distinguished_item - 1
+        probe_q = (u(P | 1 << i) - u(P)) / self.params.d[i]
         if probe_q == ONE:
             return True
         if probe_q == ZERO:
@@ -290,10 +310,11 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
 @lru_cache(maxsize=256)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int
-) -> tuple[Fraction, LP2Params, OMDInstance, Subset, Mechanism]:
-    """p~, parameters, instance, targeted node and closed-form mechanism for
-    a validated query. They depend on (C, |S|, k) only, so sweeping all probe
-    sets S of one size reuses a single pipeline run."""
+) -> tuple[Fraction, LP2Params, OMDInstance, Subset, list[Fraction], Callable[[], Mechanism]]:
+    """p~, parameters, instance, targeted node, node costs and the builder of
+    the closed-form mechanism for a validated query, which runs once, on its
+    first call. They depend on (C, |S|, k) only, so sweeping all probe sets S
+    of one size reuses a single pipeline run."""
     n = len(C)
     if n + 1 > LATTICE_GUARD:
         raise PreconditionError(
@@ -325,18 +346,20 @@ def _build_reduction(
             f"partially filled node {subset_label(flow.partially_filled)} is not "
             f"the targeted node {subset_label(target)}"
         )
-    return p_tilde, params, instance, target, closed_form_mechanism(params, flow)
+    mechanism = cache(lambda: closed_form_mechanism(params, flow))
+    return p_tilde, params, instance, target, costs, mechanism
 
 
 def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     """Construct the instance whose unique optimal mechanism answers the
-    rank query (C, S, k) through the probe type's distinguished item, and
-    solve it in closed form."""
+    rank query (C, S, k) through the probe type's distinguished item."""
     C = check_positive_ints(C, "C")
     n = len(C)
     S = check_mask(S, n, field="S")
     _validate_rank_query(n, S, k)
-    p_tilde, params, instance, target, mech = _build_reduction(C, S.bit_count(), k)
+    p_tilde, params, instance, target, costs, mechanism = _build_reduction(
+        C, S.bit_count(), k
+    )
     return ReductionOutput(
         instance=instance,
         params=params,
@@ -344,7 +367,8 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
         distinguished_item=n + 1,
         p_tilde=p_tilde,
         target_T_star=target,
-        mechanism=mech,
+        costs=costs,
+        _mechanism=mechanism,
     )
 
 

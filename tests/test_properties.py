@@ -1,11 +1,11 @@
 """Property tests of the mask representation and the exact maps: the lattice
 lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
-and mechanism documents round-trip exactly. The greedy flow fills sinks in
-sorted (cost, mask) order, the O(2^n n^2) BIC/IR certificate accepts a
-shaped mechanism exactly when the 4^n replay does, and the exact simplex
-agrees with vertex enumeration on tiny bounded programs, its dual multipliers
-certifying its optimum."""
+and mechanism documents round-trip exactly. The integer greedy flow gives
+every field of a `Fraction` greedy over the sorted (cost, mask) order, the
+O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
+4^n replay does, and the exact simplex agrees with vertex enumeration on tiny
+bounded programs, its dual multipliers certifying its optimum."""
 
 import json
 from fractions import Fraction as F
@@ -137,7 +137,7 @@ def test_mechanism_json_round_trip(mech):
 
 
 @st.composite
-def single_positive_parameters(draw):
+def single_positive_parameters(draw, probability=probability):
     """Parameters with the full set the only positive node and
     sum(p_i x_i) < B: B lies in (max(sum(x) - min(x), sum(p_i x_i)), sum(x)],
     where B = sum(x) leaves no supply."""
@@ -150,21 +150,50 @@ def single_positive_parameters(draw):
     return LP2Params(n=n, x=x, B=floor + (total - floor) * t, d=d, p=p)
 
 
-@exact
-@given(single_positive_parameters())
-def test_greedy_fills_sinks_in_sorted_order(params):
+def reference_greedy(params):
+    """The canonical flow on `Fraction`s: saturate sinks in sorted
+    (cost, mask) order, routing each intake down the path that removes its
+    missing items in increasing index order."""
     n = params.n
     full = (1 << n) - 1
     costs, balances = node_costs(params.d), node_balances(params)
-    remaining, order = balances[full], []
+    supply = remaining = balances[full]
+    flows, absorbed, order = {}, {}, []
+    partial, boundary, total_cost = None, False, F(0)
     for S in sorted(range(full), key=lambda S: (costs[S], S)):
         if remaining == 0:
             break
-        take = min(-balances[S], remaining)
-        if take:
-            order.append(S)
-            remaining -= take
-    assert canonical_solution(params).fill_order == tuple(order)
+        capacity = -balances[S]
+        take = min(capacity, remaining)
+        absorbed[S] = take
+        order.append(S)
+        total_cost += take * costs[S]
+        node = full
+        for i in items(full ^ S, n):
+            edge = (node, node ^ 1 << i)
+            flows[edge] = flows.get(edge, F(0)) + take
+            node = edge[1]
+        remaining -= take
+        if remaining == 0:
+            partial, boundary = (S, False) if take < capacity else (None, True)
+    return supply, absorbed, tuple(order), partial, boundary, total_cost, flows
+
+
+# p_i with denominators 2..40, not only /20, so the balance scale varies
+varied_probability = st.integers(2, 40).flatmap(
+    lambda den: st.builds(F, st.integers(1, den - 1), st.just(den)))
+
+
+@exact
+@given(st.one_of(single_positive_parameters(),
+                 single_positive_parameters(probability=varied_probability)))
+def test_greedy_fills_sinks_in_sorted_order(params):
+    flow = canonical_solution(params)
+    assert (flow.supply, flow.absorbed, flow.fill_order, flow.partially_filled,
+            flow.exactly_saturated_boundary, flow.total_cost,
+            flow.flows) == reference_greedy(params)
+    values = [flow.supply, flow.total_cost, *flow.absorbed.values(), *flow.flows.values()]
+    assert all(type(v) is F for v in values)
 
 
 @st.composite

@@ -20,6 +20,7 @@ from optmech import (
     subsetsum_gadget,
 )
 from optmech import reduction
+from optmech.cli import main
 from optmech.core import item_range
 from optmech.reduction import count_subsets_of_size
 
@@ -333,3 +334,57 @@ def test_decide_matches_oracle_n5_spot_checks():
         assert out.target_T_star.bit_count() == n - S.bit_count()
         assert lexrank_oracle(C, (1 << n) - 1 ^ out.target_T_star) == k
         assert decide_lexrank(C, S, k) == (lexrank_oracle(C, S) <= k)
+
+
+# ---------------------------------------------------------------------------
+# decision from two lattice nodes; the menu on demand
+# ---------------------------------------------------------------------------
+
+def test_decision_matches_the_mechanism_probe_exhaustive():
+    # the decision reads u at two nodes; the full closed-form menu must agree
+    for n in (2, 3, 4):
+        for C in product(range(1, 5), repeat=n):
+            for size in range(1, n):
+                for S_tuple in combinations(item_range(n), size):
+                    S = mask(*S_tuple)
+                    for k in range(1, comb(n, size) + 1):
+                        out = lexrank_to_omd(C, S, k)
+                        probe = out.mechanism.q[out.probe_type][n]
+                        assert out.decision() == (probe == 1), (C, S, k)
+
+
+def test_decision_never_builds_the_menu(monkeypatch, tmp_path, capsys):
+    def refuse(params, flow):
+        raise AssertionError("closed_form_mechanism called")
+
+    monkeypatch.setattr(reduction, "closed_form_mechanism", refuse)
+    reduction._build_reduction.cache_clear()
+    C, S = (2, 7, 3, 5, 4), mask(2, 4)
+    rank = lexrank_oracle(C, S)  # 10
+    assert decide_lexrank(C, S, rank) is True
+    assert decide_lexrank(C, S, rank - 1) is False
+    query = tmp_path / "q.json"
+    query.write_text('{"C": [3, 1, 4, 1, 5], "S": [2, 5], "k": 6}')
+    assert main(["reduce", "lexrank", str(query)]) == 0
+    assert "decision: YES" in capsys.readouterr().out
+
+
+def test_menu_built_once_per_query_shape(monkeypatch):
+    calls = []
+    build = reduction.closed_form_mechanism
+
+    def counting(params, flow):
+        calls.append(params)
+        return build(params, flow)
+
+    monkeypatch.setattr(reduction, "closed_form_mechanism", counting)
+    reduction._build_reduction.cache_clear()
+    C = (2, 5, 3, 4)
+    n = len(C)
+    for size in range(1, n):
+        for k in range(1, comb(n, size) + 1):
+            calls.clear()
+            for S_tuple in combinations(item_range(n), size):
+                out = lexrank_to_omd(C, mask(*S_tuple), k)
+                assert out.mechanism is out.mechanism
+            assert len(calls) == 1, (size, k)
