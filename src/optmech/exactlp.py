@@ -548,38 +548,36 @@ def build_lp1(inst: OMDInstance) -> LPProblem:
     subsets = range(1 << n)
     vec = type_vectors(inst)
     prob_of = subset_probs(inst.p)
+    # every name and label once per mask, not once per pair of types
+    labels = [subset_label(S) for S in subsets]
+    u = [u_var(S) for S in subsets]
+    q = [[q_var(i, S) for i in item_range(n)] for S in subsets]
 
-    variables = [u_var(S) for S in subsets]
-    for S in subsets:
-        for i in item_range(n):
-            variables.append(q_var(i, S))
+    variables = u + [name for qS in q for name in qS]
 
     objective = {}
     for S in subsets:
         pS = prob_of[S]
-        objective[u_var(S)] = -pS
-        for i in item_range(n):
-            objective[q_var(i, S)] = pS * vec[S][i - 1]
+        objective[u[S]] = -pS
+        for name, vi in zip(q[S], vec[S]):
+            objective[name] = pS * vi
 
     constraints = []
     for S in subsets:
         for T in subsets:
             if S == T:
                 continue
-            coeffs = {u_var(S): ONE, u_var(T): -ONE}
-            for i in item_range(n):
-                dv = vec[S][i - 1] - vec[T][i - 1]
-                if dv:
-                    coeffs[q_var(i, T)] = -dv
+            coeffs = {u[S]: ONE, u[T]: -ONE}
+            for name, vSi, vTi in zip(q[T], vec[S], vec[T]):
+                if dv := vSi - vTi:
+                    coeffs[name] = -dv
             constraints.append(
-                Constraint(coeffs, ">=", ZERO, name=f"bic({subset_label(S)}|{subset_label(T)})")
+                Constraint(coeffs, ">=", ZERO, name=f"bic({labels[S]}|{labels[T]})")
             )
     for S in subsets:
-        constraints.append(
-            Constraint({u_var(S): ONE}, ">=", ZERO, name=f"ir({subset_label(S)})")
-        )
+        constraints.append(Constraint({u[S]: ONE}, ">=", ZERO, name=f"ir({labels[S]})"))
 
-    upper = {q_var(i, S): ONE for S in subsets for i in item_range(n)}
+    upper = {name: ONE for qS in q for name in qS}
     return LPProblem(
         variables=tuple(variables),
         objective=objective,

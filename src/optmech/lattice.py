@@ -11,14 +11,14 @@ is built from.
 
 The greedy itself runs on ints: node costs scaled by the lcm of the d_i's
 denominators, and balances scaled by the product of the p_i's denominators
-times the lcm of the denominators of the x_i and B. It returns exact
-`Fraction`s, divided back once at the end. `node_costs` and `node_balances`
-give the unscaled `Fraction` values.
+times the lcm of the denominators of the x_i and B. The flow keeps the
+scaled costs and reads the closed-form utility off them; its other values are
+exact `Fraction`s, divided back once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop
@@ -81,10 +81,10 @@ class FlowSolution:
     Nodes are masks. ``absorbed`` maps each sink node to the amount it
     received, and ``fill_order`` lists those nodes in the order they were
     filled. ``partially_filled`` is the last filled node when it ended
-    strictly below capacity; if instead it landed exactly on capacity,
-    ``exactly_saturated_boundary`` is set and ``partially_filled`` is None.
-    ``flows`` maps covering edges (src, dst) to the amount carried; it is
-    derived from the fill on first access.
+    strictly below capacity, else None. ``costs`` holds every node's cost
+    times ``cost_scale`` as an int, by mask. ``flows`` maps covering edges
+    (src, dst) to the amount carried; it is derived from the fill on first
+    access.
     """
 
     n: int
@@ -92,8 +92,22 @@ class FlowSolution:
     absorbed: dict[Subset, Fraction]
     fill_order: tuple[Subset, ...]
     partially_filled: Subset | None
-    exactly_saturated_boundary: bool
     total_cost: Fraction
+    costs: list[int] = field(repr=False)
+    cost_scale: int
+
+    @property
+    def exactly_saturated_boundary(self) -> bool:
+        """The last filled node took exactly its capacity."""
+        return bool(self.fill_order) and self.partially_filled is None
+
+    def utility(self, S: Subset) -> Fraction:
+        """The optimal u(S) = max(cost(S*) - cost(S), 0), S* the last filled
+        node; 0 for every S when nothing was filled (zero supply)."""
+        if not self.fill_order:
+            return ZERO
+        gap = self.costs[self.fill_order[-1]] - self.costs[S]
+        return Fraction(gap, self.cost_scale) if gap > 0 else ZERO
 
     @cached_property
     def flows(self) -> dict[tuple[Subset, Subset], Fraction]:
@@ -166,7 +180,6 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     absorbed: dict[Subset, int] = {}
     fill_order: list[Subset] = []
     partially_filled: Subset | None = None
-    boundary = False
     total_cost = 0
     remaining = supply
     while remaining and sinks:
@@ -179,11 +192,8 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         fill_order.append(S)
         total_cost += take * cost
         remaining -= take
-        if remaining == 0:
-            if take < capacity:
-                partially_filled = S
-            else:
-                boundary = True
+        if remaining == 0 and take < capacity:
+            partially_filled = S
     if remaining != 0:
         raise PreconditionError("sink capacity exhausted before the supply was absorbed")
 
@@ -193,22 +203,23 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         absorbed={S: Fraction(take, balance_scale) for S, take in absorbed.items()},
         fill_order=tuple(fill_order),
         partially_filled=partially_filled,
-        exactly_saturated_boundary=boundary,
         total_cost=Fraction(total_cost, balance_scale * cost_scale),
+        costs=costs,
+        cost_scale=cost_scale,
     )
 
 
 def dump_lattice(params: LP2Params, flow: FlowSolution) -> str:
     """Audit dump: one line per node in (cost, lex) order with its subset,
     cost, balance and absorbed flow, all exact."""
-    costs = node_costs(params.d)
+    costs = flow.costs
     balances = node_balances(params)
     lines = [f"n={params.n} supply={format_rational(flow.supply)} "
              f"total_cost={format_rational(flow.total_cost)}"]
     for S in sorted(range(len(costs)), key=lambda S: (costs[S], S)):
         lines.append(
             f"node={subset_label(S)} "
-            f"cost={format_rational(costs[S])} "
+            f"cost={format_rational(Fraction(costs[S], flow.cost_scale))} "
             f"balance={format_rational(balances[S])} "
             f"absorbed={format_rational(flow.absorbed.get(S, ZERO))}"
         )

@@ -1,13 +1,14 @@
 """Closed-form optimal mechanisms and their full verification.
 
 Given the canonical lattice flow with partially filled node S*, the optimal
-interim utility is u(S) = max(cost(S*) - cost(S), 0); allocation marginals
-follow as q_i(S) = 1 for i in S and (u(S+{i}) - u(S)) / d_i otherwise, and
-the expected price of each type is tau(S) = v(S).q(S) - u(S). When the greedy
-flow instead ends exactly on a node's capacity the same formulas still give
-an optimal mechanism, but it is flagged as possibly non-unique; with zero
-supply every utility weight vanishes and the all-zero-utility mechanism is
-returned, likewise flagged.
+interim utility is `FlowSolution.utility`, u(S) = max(cost(S*) - cost(S), 0);
+allocation marginals follow as q_i(S) = 1 for i in S and
+(u(S+{i}) - u(S)) / d_i otherwise, and the expected price of each type is
+tau(S) = v(S).q(S) - u(S). When the greedy flow instead ends exactly on a
+node's capacity the same formulas, with S* that node, still give an optimal
+mechanism, but it is flagged as possibly non-unique; with zero supply u is
+0 everywhere and the all-zero-utility mechanism is returned, likewise
+flagged.
 
 `certify_bic_ir` certifies every truthfulness, rationality and probability
 constraint of the full program in O(2^n n^2) exact checks, for a mechanism
@@ -44,7 +45,7 @@ from .core import (
     type_vectors,
 )
 from .errors import InputError, PreconditionError
-from .lattice import FlowSolution, node_costs
+from .lattice import FlowSolution
 
 VERIFY_GUARD = 10  # the pairwise truthfulness replay is 4^n rows: under a minute at n=10
 
@@ -76,22 +77,8 @@ def closed_form_mechanism(params: LP2Params, flow: FlowSolution) -> Mechanism:
         raise PreconditionError("flow and parameters disagree on the item count")
     inst, _ = from_lp2_params(params)
     n = params.n
-    costs = node_costs(params.d)
-
-    if flow.supply == 0:
-        # Degenerate zero-supply case: every utility weight vanishes, any
-        # feasible u is optimal; return the all-zero choice, not unique.
-        u = [ZERO] * len(costs)
-        unique = False
-    else:
-        if flow.partially_filled is not None:
-            star = flow.partially_filled
-            unique = True
-        else:
-            star = flow.fill_order[-1]
-            unique = False
-        cstar = costs[star]
-        u = [cstar - c if c < cstar else ZERO for c in costs]
+    u = [flow.utility(S) for S in range(1 << n)]
+    unique = flow.partially_filled is not None
 
     q = []
     tau = []
@@ -263,6 +250,8 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
     """sum_S p(S) * tau(S)."""
+    if mech.n != inst.n:
+        raise PreconditionError("mechanism and instance disagree on the item count")
     return sum((pS * tS for pS, tS in zip(subset_probs(inst.p), mech.tau)), ZERO)
 
 

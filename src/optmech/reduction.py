@@ -12,7 +12,7 @@ Three layers, each exact:
     bisection so that precisely that node ends up partially filled;
   * decision extraction: the probe type's allocation probability for the
     distinguished item is exactly 0 or 1 and answers the rank query. It is
-    read off the closed-form utility u(T) = max(cost(T*) - cost(T), 0) at
+    read off the greedy flow's utility u(T) = max(cost(T*) - cost(T), 0) at
     two lattice nodes, the probe and the probe plus the distinguished item;
     the full 2^(n+1)-entry menu is built only when `ReductionOutput.mechanism`
     is read, once per (C, |S|, k).
@@ -47,7 +47,7 @@ from .core import (
     subset_label,
 )
 from .errors import InputError, PreconditionError, VerificationError
-from .lattice import LATTICE_GUARD, canonical_solution, node_costs
+from .lattice import LATTICE_GUARD, FlowSolution, canonical_solution
 from .mechanism import Mechanism, closed_form_mechanism
 
 LEXRANK_GUARD = 22    # rank oracle enumerates binom(n, |S|) subsets
@@ -178,17 +178,18 @@ def eval_f(n: int, s: int, p: Fraction) -> Fraction:
 
 
 def _dyadic_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """A dyadic rational strictly inside (lo, hi), near the midpoint."""
+    """A dyadic rational strictly inside (lo, hi), near the midpoint.
+
+    With width = num/den in lowest terms, t = bl(den) - bl(num) + 3 (bl the
+    bit length) gives 2^t * num >= 2^(bl(den)+2) > 4 * den, so rounding the
+    midpoint down to a multiple of 2^-t moves it by under width/4. t >= 1
+    for widths below 4; `_find_parameter`'s brackets are under 1/2."""
     width = hi - lo
     t = width.denominator.bit_length() - width.numerator.bit_length() + 3
-    if t < 1:
-        t = 1
-    while (width.numerator << t) < 4 * width.denominator:
-        t += 1
     center2 = lo + hi  # midpoint * 2
     m = (center2.numerator << (t - 1)) // center2.denominator
     cand = Fraction(m, 1 << t)
-    if not lo < cand < hi:  # cannot happen with 2^t * width >= 4
+    if not lo < cand < hi:  # cannot happen with 2^t * width > 4
         raise VerificationError("dyadic midpoint fell outside the bracket")
     return cand
 
@@ -227,11 +228,14 @@ def _find_parameter(n: int, s: int, k: int) -> Fraction:
 def find_parameter(n: int, s: int, k: int) -> Fraction:
     """A dyadic probability p in [1/2, 1 - 1/(2n+2)) with
     eval_f(n, s, p) strictly inside (k - 1/(2n+2), k), verified exactly."""
+    for name, value in (("n", n), ("s", s), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name}: expected an integer, got {value!r}")
     if not 1 <= s <= n - 1:
         raise PreconditionError(f"s must lie in 1..{n - 1}, got {s}")
     if not 1 <= k <= comb(n, s):
         raise PreconditionError(f"k must lie in 1..C({n},{s})={comb(n, s)}, got {k}")
-    return _find_parameter(n, s, int(k))
+    return _find_parameter(n, s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +244,9 @@ def find_parameter(n: int, s: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """The constructed instance, its targeted node and its lattice node
-    costs, plus the probe that reads the rank query's answer off the
-    closed-form mechanism."""
+    """The constructed instance, its targeted node and its greedy flow, plus
+    the probe that reads the rank query's answer off the closed-form
+    mechanism."""
 
     instance: OMDInstance
     params: LP2Params
@@ -250,7 +254,7 @@ class ReductionOutput:
     distinguished_item: int
     p_tilde: Fraction
     target_T_star: Subset
-    costs: list[Fraction] = field(repr=False)
+    flow: FlowSolution = field(repr=False)
     _mechanism: Callable[[], Mechanism] = field(repr=False)
 
     def __post_init__(self):
@@ -269,11 +273,9 @@ class ReductionOutput:
         item, which must be exactly 0 (NO) or 1 (YES).
 
         It is the closed-form mechanism's q_i(P) = (u(P + i) - u(P)) / d_i
-        for the probe P and distinguished item i, with
-        u(T) = max(cost(T*) - cost(T), 0), read at those two nodes only."""
-        costs = self.costs
-        star_cost = costs[self.target_T_star]
-        u = lambda T: max(star_cost - costs[T], ZERO)
+        for the probe P and distinguished item i, with u the flow's utility,
+        read at those two nodes only."""
+        u = self.flow.utility
         P, i = self.probe_type, self.distinguished_item - 1
         probe_q = (u(P | 1 << i) - u(P)) / self.params.d[i]
         if probe_q == ONE:
@@ -310,11 +312,11 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
 @lru_cache(maxsize=256)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int
-) -> tuple[Fraction, LP2Params, OMDInstance, Subset, list[Fraction], Callable[[], Mechanism]]:
-    """p~, parameters, instance, targeted node, node costs and the builder of
-    the closed-form mechanism for a validated query, which runs once, on its
-    first call. They depend on (C, |S|, k) only, so sweeping all probe sets S
-    of one size reuses a single pipeline run."""
+) -> tuple[Fraction, LP2Params, OMDInstance, Subset, FlowSolution, Callable[[], Mechanism]]:
+    """p~, parameters, instance, targeted node, greedy flow and the builder
+    of the closed-form mechanism for a validated query, which runs once, on
+    its first call. They depend on (C, |S|, k) only, so sweeping all probe
+    sets S of one size reuses a single pipeline run."""
     n = len(C)
     if n + 1 > LATTICE_GUARD:
         raise PreconditionError(
@@ -330,13 +332,12 @@ def _build_reduction(
         p=(p_tilde,) * (n + 1),
     )
     instance, _ = from_lp2_params(params)
-    costs = node_costs(params.d)
+    flow = canonical_solution(params)
     level = sorted(
         (T for T in range(1 << n) if T.bit_count() == n - s),
-        key=lambda T: (costs[T], T),
+        key=lambda T: (flow.costs[T], T),
     )
     target = level[k - 1]
-    flow = canonical_solution(params)
     if flow.partially_filled is None:
         raise VerificationError(
             "parameter search failed to produce a strictly partially filled node"
@@ -347,7 +348,7 @@ def _build_reduction(
             f"the targeted node {subset_label(target)}"
         )
     mechanism = cache(lambda: closed_form_mechanism(params, flow))
-    return p_tilde, params, instance, target, costs, mechanism
+    return p_tilde, params, instance, target, flow, mechanism
 
 
 def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
@@ -357,7 +358,7 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     n = len(C)
     S = check_mask(S, n, field="S")
     _validate_rank_query(n, S, k)
-    p_tilde, params, instance, target, costs, mechanism = _build_reduction(
+    p_tilde, params, instance, target, flow, mechanism = _build_reduction(
         C, S.bit_count(), k
     )
     return ReductionOutput(
@@ -367,7 +368,7 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
         distinguished_item=n + 1,
         p_tilde=p_tilde,
         target_T_star=target,
-        costs=costs,
+        flow=flow,
         _mechanism=mechanism,
     )
 

@@ -301,6 +301,30 @@ def test_pinned_vertex_lp1_dual_detour(monkeypatch):
     })
 
 
+def test_dual_detour_reports_unbounded(monkeypatch):
+    # a tall program (24 columns, 48 "<=" rows with rhs >= 0) maximizing x23,
+    # which only ever loosens a row: the transpose's x23 row cannot be met,
+    # so the detour answers that the primal is unbounded
+    detour, answers = exactlp._try_dual_detour, []
+
+    def recording_detour(*args):
+        answers.append(detour(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
+    names = [f"x{j}" for j in range(24)]
+    rows = []
+    for k in range(48):
+        coeffs = {names[k % 23]: ONE, names[(k + 1) % 23]: F(k % 3 + 1)}
+        if k % 2 == 0:
+            coeffs["x23"] = -ONE
+        rows.append(Constraint(coeffs, "<=", F(k % 5)))
+    prob = LPProblem(tuple(names), {"x23": ONE}, "max", tuple(rows))
+    assert solve_lp(prob).status == "unbounded"
+    [answer] = answers
+    assert answer is not None and answer.status == "unbounded"  # the detour answered
+
+
 def test_pinned_vertex_budgeted_oracle(monkeypatch):
     # "=" rows need phase 1, and the free prices split into two columns
     solved = []

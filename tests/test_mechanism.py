@@ -321,6 +321,12 @@ def test_expected_revenue_examples():
     assert expected_revenue(lottery, zero) == 0
 
 
+def test_expected_revenue_rejects_item_count_mismatch():
+    inst = make_instance([1, 1, 1], [1, 2, 3], [(1, 2), (1, 2), (1, 2)])
+    with pytest.raises(PreconditionError, match="disagree on the item count"):
+        expected_revenue(inst, mech_for(PARAMS_B))
+
+
 # ---------------------------------------------------------------------------
 # structural properties on random parameters
 # ---------------------------------------------------------------------------

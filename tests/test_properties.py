@@ -2,16 +2,19 @@
 lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly. The integer greedy flow gives
-every field of a `Fraction` greedy over the sorted (cost, mask) order, the
-O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
-4^n replay does, and the exact simplex agrees with vertex enumeration on tiny
-bounded programs, its dual multipliers certifying its optimum."""
+every field of a `Fraction` greedy over the sorted (cost, mask) order, and
+its closed-form utility matches one computed from the `Fraction` node costs,
+exact-boundary and zero-supply flows included. The bisection's dyadic
+midpoint lies strictly inside its bracket. The O(2^n n^2) BIC/IR certificate
+accepts a shaped mechanism exactly when the 4^n replay does, and the exact
+simplex agrees with vertex enumeration on tiny bounded programs, its dual
+multipliers certifying its optimum."""
 
 import json
 from fractions import Fraction as F
 from math import lcm, prod
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optmech import (
@@ -21,6 +24,7 @@ from optmech import (
     Mechanism,
     OMDInstance,
     canonical_solution,
+    check_single_positive,
     check_subset,
     closed_form_mechanism,
     from_lp2_params,
@@ -31,12 +35,14 @@ from optmech import (
     node_balances,
     node_costs,
     subset_probs,
+    subset_sums,
     subset_to_list,
     to_lp2_params,
     solve_lp,
     type_vectors,
 )
 from optmech.exactlp import _simplex_max
+from optmech.reduction import _dyadic_between
 from tests.test_exactlp import vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
 
@@ -150,6 +156,25 @@ def single_positive_parameters(draw, probability=probability):
     return LP2Params(n=n, x=x, B=floor + (total - floor) * t, d=d, p=p)
 
 
+@st.composite
+def exact_boundary_parameters(draw):
+    """Parameters whose greedy ends exactly on the capacity of its m-th sink
+    in (cost, mask) order: B solves p(N) (x(N) - B) = the sum over those m
+    sinks S of p(S) (B - x(S)), kept when the full set is still the only
+    positive node and sum(p_i x_i) <= B."""
+    n = draw(sizes)
+    vec = lambda elements: tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+    x, d, p = vec(positive), vec(positive), vec(probability)
+    full = (1 << n) - 1
+    costs, probs, weights = node_costs(d), subset_probs(p), subset_sums(x)
+    first = sorted(range(full), key=lambda S: (costs[S], S))[:draw(st.integers(1, 3))]
+    B = (sum(probs[S] * weights[S] for S in (full, *first))
+         / sum(probs[S] for S in (full, *first)))
+    params = LP2Params(n=n, x=x, B=B, d=d, p=p)
+    assume(check_single_positive(params) and sum(pi * xi for pi, xi in zip(p, x)) <= B)
+    return params
+
+
 def reference_greedy(params):
     """The canonical flow on `Fraction`s: saturate sinks in sorted
     (cost, mask) order, routing each intake down the path that removes its
@@ -186,7 +211,8 @@ varied_probability = st.integers(2, 40).flatmap(
 
 @exact
 @given(st.one_of(single_positive_parameters(),
-                 single_positive_parameters(probability=varied_probability)))
+                 single_positive_parameters(probability=varied_probability),
+                 exact_boundary_parameters()))
 def test_greedy_fills_sinks_in_sorted_order(params):
     flow = canonical_solution(params)
     assert (flow.supply, flow.absorbed, flow.fill_order, flow.partially_filled,
@@ -194,6 +220,27 @@ def test_greedy_fills_sinks_in_sorted_order(params):
             flow.flows) == reference_greedy(params)
     values = [flow.supply, flow.total_cost, *flow.absorbed.values(), *flow.flows.values()]
     assert all(type(v) is F for v in values)
+
+
+@exact
+@given(st.one_of(single_positive_parameters().map(lambda params: (params, False)),
+                 exact_boundary_parameters().map(lambda params: (params, True))))
+def test_flow_utility_matches_fraction_costs(case):
+    # u(S) = max(cost(S*) - cost(S), 0) with S* the last filled node, and 0
+    # everywhere when nothing was filled (t = 1 draws have zero supply)
+    params, boundary = case
+    flow = canonical_solution(params)
+    if boundary:
+        assert flow.exactly_saturated_boundary
+    costs = node_costs(params.d)
+    assert [F(c, flow.cost_scale) for c in flow.costs] == costs
+    if flow.fill_order:
+        star = costs[flow.fill_order[-1]]
+        expected = [max(star - c, F(0)) for c in costs]
+    else:
+        assert flow.supply == 0
+        expected = [F(0)] * len(costs)
+    assert [flow.utility(S) for S in range(1 << params.n)] == expected
 
 
 @st.composite
@@ -228,6 +275,22 @@ def closed_form_mechanisms(params):
                  max_of_affine_mechanisms()))
 def test_certificate_accepts_exactly_what_the_replay_accepts(case):
     assert_certificate_agrees(*case)
+
+
+open_unit = st.integers(2, 10**9).flatmap(
+    lambda den: st.builds(F, st.integers(1, den - 1), st.just(den)))
+
+
+@exact
+@given(st.lists(open_unit, min_size=2, max_size=2, unique=True).map(sorted))
+def test_dyadic_between_lands_strictly_inside(bracket):
+    lo, hi = bracket
+    width = hi - lo
+    t = width.denominator.bit_length() - width.numerator.bit_length() + 3
+    cand = _dyadic_between(lo, hi)
+    assert lo < cand < hi
+    assert (cand * (1 << t)).denominator == 1  # the denominator divides 2^t
+    assert abs(cand - (lo + hi) / 2) < width / 4
 
 
 BOX = F(5)

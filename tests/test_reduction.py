@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from optmech import (
+    InputError,
     PreconditionError,
     canonical_solution,
     check_subset,
@@ -226,6 +227,16 @@ def test_find_parameter_rejects():
         find_parameter(2, 2, 1)
     with pytest.raises(PreconditionError):
         find_parameter(3, 1, 4)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((3, 1, 2.5), "k"), ((3, 1, True), "k"), ((3, 1.0, 2), "s"), ((F(3), 1, 2), "n"),
+])
+def test_find_parameter_rejects_non_integers(args, name):
+    # a float k is not truncated to the k = 2 parameter, and a float s does
+    # not escape as a TypeError
+    with pytest.raises(InputError, match=f"^{name}: expected an integer"):
+        find_parameter(*args)
 
 
 # ---------------------------------------------------------------------------
