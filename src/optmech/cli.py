@@ -126,7 +126,7 @@ def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
     kappa = parse_rational(kappa_text, field="--kappa") if kappa_text else ONE
     params = to_lp2_params(inst, kappa)
     flow = canonical_solution(params)
-    mech = closed_form_mechanism(params, flow)
+    mech = closed_form_mechanism(inst, flow)
     check = certify_bic_ir(inst, mech)
     if not check.ok:
         name, value = check.violations[0]
@@ -150,6 +150,12 @@ def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
 
 def cmd_solve(args) -> int:
     start = time.perf_counter()
+    if args.oracle_only:
+        # --oracle-only skips the closed form these flags configure or emit
+        for flag, value in (("--kappa", args.kappa), ("--json-out", args.json_out),
+                            ("--dump-lattice", args.dump_lattice)):
+            if value is not None:
+                raise _UsageError(f"argument {flag}: not allowed with argument --oracle-only")
     text, digest = _read_input(args.instance)
     inst = instance_from_json(text)
     report = RunReport(command=f"solve {args.instance}", input_digest=digest)
@@ -283,8 +289,7 @@ def cmd_examples(args) -> int:
     # Uniform {1,2} x {1,3}: the optimal menu prices the bundle at 4 and a
     # (1, 1/2) lottery at 5/2; revenue 21/8.
     inst = _example_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    params = to_lp2_params(inst, ONE)
-    mech = closed_form_mechanism(params, canonical_solution(params))
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst, ONE)))
     full = 0b11
     lottery_type = 0b01  # item 1 high, item 2 low
     menu_ok = (
@@ -424,10 +429,11 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve an instance in closed form")
     p_solve.add_argument("instance", help="instance JSON file")
     p_solve.add_argument("--kappa", help="scale parameter (default 1)")
-    p_solve.add_argument("--oracle", action="store_true",
-                         help="also solve the full program and require exact agreement")
-    p_solve.add_argument("--oracle-only", action="store_true",
-                         help="skip the structured pipeline, report the exact LP optimum")
+    oracle = p_solve.add_mutually_exclusive_group()
+    oracle.add_argument("--oracle", action="store_true",
+                        help="also solve the full program and require exact agreement")
+    oracle.add_argument("--oracle-only", action="store_true",
+                        help="skip the structured pipeline, report the exact LP optimum")
     p_solve.add_argument("--json-out", help="write the mechanism JSON here")
     p_solve.add_argument("--dump-lattice", help="write the lattice dump here")
     p_solve.set_defaults(func=cmd_solve)

@@ -12,8 +12,8 @@ is built from.
 The greedy itself runs on ints: node costs scaled by the lcm of the d_i's
 denominators, and balances scaled by the product of the p_i's denominators
 times the lcm of the denominators of the x_i and B. The flow keeps the
-scaled costs and reads the closed-form utility off them; its other values are
-exact `Fraction`s, divided back once at the end.
+scaled costs and reads the closed-form utility and allocation off them; its
+other values are exact `Fraction`s, divided back once at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Sequence
 from .core import (
     LP2Params,
     Subset,
+    ONE,
     ZERO,
     format_rational,
     item_range,
@@ -82,9 +83,9 @@ class FlowSolution:
     received, and ``fill_order`` lists those nodes in the order they were
     filled. ``partially_filled`` is the last filled node when it ended
     strictly below capacity, else None. ``costs`` holds every node's cost
-    times ``cost_scale`` as an int, by mask. ``flows`` maps covering edges
-    (src, dst) to the amount carried; it is derived from the fill on first
-    access.
+    times ``cost_scale`` as an int, by mask; `utility` and `allocation` read
+    the closed-form menu off it. ``flows`` maps covering edges (src, dst) to
+    the amount carried; it is derived from the fill on first access.
     """
 
     n: int
@@ -101,13 +102,24 @@ class FlowSolution:
         """The last filled node took exactly its capacity."""
         return bool(self.fill_order) and self.partially_filled is None
 
+    def _scaled_utility(self, S: Subset) -> int:
+        """u(S) times ``cost_scale``; c* = 0 when nothing was filled."""
+        gap = (self.costs[self.fill_order[-1]] if self.fill_order else 0) - self.costs[S]
+        return gap if gap > 0 else 0
+
     def utility(self, S: Subset) -> Fraction:
         """The optimal u(S) = max(cost(S*) - cost(S), 0), S* the last filled
         node; 0 for every S when nothing was filled (zero supply)."""
-        if not self.fill_order:
-            return ZERO
-        gap = self.costs[self.fill_order[-1]] - self.costs[S]
-        return Fraction(gap, self.cost_scale) if gap > 0 else ZERO
+        return Fraction(self._scaled_utility(S), self.cost_scale)
+
+    def allocation(self, S: Subset, i: int) -> Fraction:
+        """The optimal q_i(S), item i 0-based: 1 for i in S, else
+        (u(S+{i}) - u(S)) / d_i, d_i scaled being costs[S] - costs[S+{i}]."""
+        if S >> i & 1:
+            return ONE
+        Si = S | 1 << i
+        u = self._scaled_utility
+        return Fraction(u(Si) - u(S), self.costs[S] - self.costs[Si])
 
     @cached_property
     def flows(self) -> dict[tuple[Subset, Subset], Fraction]:

@@ -1,8 +1,8 @@
 """Closed-form optimal mechanisms and their full verification.
 
 Given the canonical lattice flow with partially filled node S*, the optimal
-interim utility is `FlowSolution.utility`, u(S) = max(cost(S*) - cost(S), 0);
-allocation marginals follow as q_i(S) = 1 for i in S and
+interim utility is `FlowSolution.utility`, u(S) = max(cost(S*) - cost(S), 0),
+the marginals are `FlowSolution.allocation`, q_i(S) = 1 for i in S and
 (u(S+{i}) - u(S)) / d_i otherwise, and the expected price of each type is
 tau(S) = v(S).q(S) - u(S). When the greedy flow instead ends exactly on a
 node's capacity the same formulas, with S* that node, still give an optimal
@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    LP2Params,
     OMDInstance,
     Subset,
     ZERO,
@@ -37,7 +36,6 @@ from .core import (
     check_mask,
     check_subset,
     format_rational,
-    from_lp2_params,
     parse_rational,
     subset_label,
     subset_probs,
@@ -68,29 +66,19 @@ class Mechanism:
     unique: bool
 
 
-def closed_form_mechanism(params: LP2Params, flow: FlowSolution) -> Mechanism:
-    """Build the closed-form mechanism from the canonical flow on ``params``.
-
-    Requires B > sum(p_i x_i) so the parameters correspond to an instance.
-    """
-    if flow.n != params.n:
-        raise PreconditionError("flow and parameters disagree on the item count")
-    inst, _ = from_lp2_params(params)
-    n = params.n
+def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
+    """The menu read off the canonical flow on ``inst``'s parameters: each
+    type's u and q from the flow, and its price v(S).q(S) - u(S)."""
+    if flow.n != inst.n:
+        raise PreconditionError("flow and instance disagree on the item count")
+    n = inst.n
     u = [flow.utility(S) for S in range(1 << n)]
-    unique = flow.partially_filled is not None
-
-    q = []
-    tau = []
-    for S, vec in enumerate(type_vectors(inst)):
-        uS = u[S]
-        qS = tuple(
-            ONE if S >> i & 1 else (u[S | 1 << i] - uS) / params.d[i]
-            for i in range(n)
-        )
-        q.append(qS)
-        tau.append(sum((vi * qi for vi, qi in zip(vec, qS)), ZERO) - uS)
-    return Mechanism(n=n, u=u, q=q, tau=tau, unique=unique)
+    q = [tuple(flow.allocation(S, i) for i in range(n)) for S in range(1 << n)]
+    tau = [
+        sum((vi * qi for vi, qi in zip(vec, qS)), ZERO) - uS
+        for vec, qS, uS in zip(type_vectors(inst), q, u)
+    ]
+    return Mechanism(n=n, u=u, q=q, tau=tau, unique=flow.partially_filled is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ Three layers, each exact:
     bisection so that precisely that node ends up partially filled;
   * decision extraction: the probe type's allocation probability for the
     distinguished item is exactly 0 or 1 and answers the rank query. It is
-    read off the greedy flow's utility u(T) = max(cost(T*) - cost(T), 0) at
-    two lattice nodes, the probe and the probe plus the distinguished item;
-    the full 2^(n+1)-entry menu is built only when `ReductionOutput.mechanism`
-    is read, once per (C, |S|, k).
+    `FlowSolution.allocation`, read off the greedy flow's integer costs at
+    the probe and the probe plus the distinguished item; the full menu is
+    built only when `ReductionOutput.mechanism` is read, once per (C, |S|, k).
 
 All searches and evaluations are exact rational arithmetic. The bisection
 returns its first dyadic midpoint whose exact `eval_f` value lies strictly
@@ -159,12 +158,20 @@ def count_subsetsum(W: Sequence[int], T: int) -> int:
 # Parameter search
 # ---------------------------------------------------------------------------
 
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name}: expected an integer, got {value!r}")
+
+
 def eval_f(n: int, s: int, p: Fraction) -> Fraction:
     """Exact value of the saturation ratio at probability p: surplus left
     over once all lattice levels above the target one are saturated, divided
-    by the combined capacity of one node pair at the target level."""
+    by the combined capacity of one node pair at the target level. p must be
+    a `Fraction`: a float would be evaluated at its binary value."""
+    _check_ints(n=n, s=s)
     if not isinstance(p, Fraction):
-        p = Fraction(p)
+        raise InputError(f"p: expected a Fraction, got {p!r}")
     if not ZERO < p < ONE:
         raise PreconditionError(f"p must lie in (0,1), got {format_rational(p)}")
     if not 1 <= s <= n - 1:
@@ -228,9 +235,7 @@ def _find_parameter(n: int, s: int, k: int) -> Fraction:
 def find_parameter(n: int, s: int, k: int) -> Fraction:
     """A dyadic probability p in [1/2, 1 - 1/(2n+2)) with
     eval_f(n, s, p) strictly inside (k - 1/(2n+2), k), verified exactly."""
-    for name, value in (("n", n), ("s", s), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"{name}: expected an integer, got {value!r}")
+    _check_ints(n=n, s=s, k=k)
     if not 1 <= s <= n - 1:
         raise PreconditionError(f"s must lie in 1..{n - 1}, got {s}")
     if not 1 <= k <= comb(n, s):
@@ -244,7 +249,7 @@ def find_parameter(n: int, s: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """The constructed instance, its targeted node and its greedy flow, plus
+    """The constructed instance, its parameters and its greedy flow, plus
     the probe that reads the rank query's answer off the closed-form
     mechanism."""
 
@@ -252,8 +257,6 @@ class ReductionOutput:
     params: LP2Params
     probe_type: Subset
     distinguished_item: int
-    p_tilde: Fraction
-    target_T_star: Subset
     flow: FlowSolution = field(repr=False)
     _mechanism: Callable[[], Mechanism] = field(repr=False)
 
@@ -263,6 +266,14 @@ class ReductionOutput:
             raise VerificationError("p_tilde fell outside its admissible interval")
 
     @property
+    def p_tilde(self) -> Fraction:  # every item's bisected probability
+        return self.params.p[0]
+
+    @property
+    def target_T_star(self) -> Subset:  # the builder checked it is the target
+        return self.flow.partially_filled
+
+    @property
     def mechanism(self) -> Mechanism:
         """The closed-form mechanism, built on first access and shared by
         every probe set of the same size."""
@@ -270,14 +281,9 @@ class ReductionOutput:
 
     def decision(self) -> bool:
         """The probe type's allocation probability for the distinguished
-        item, which must be exactly 0 (NO) or 1 (YES).
-
-        It is the closed-form mechanism's q_i(P) = (u(P + i) - u(P)) / d_i
-        for the probe P and distinguished item i, with u the flow's utility,
-        read at those two nodes only."""
-        u = self.flow.utility
-        P, i = self.probe_type, self.distinguished_item - 1
-        probe_q = (u(P | 1 << i) - u(P)) / self.params.d[i]
+        item, which must be exactly 0 (NO) or 1 (YES): the flow's
+        q_i(P) for the probe P, read without building the menu."""
+        probe_q = self.flow.allocation(self.probe_type, self.distinguished_item - 1)
         if probe_q == ONE:
             return True
         if probe_q == ZERO:
@@ -312,11 +318,11 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
 @lru_cache(maxsize=256)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int
-) -> tuple[Fraction, LP2Params, OMDInstance, Subset, FlowSolution, Callable[[], Mechanism]]:
-    """p~, parameters, instance, targeted node, greedy flow and the builder
-    of the closed-form mechanism for a validated query, which runs once, on
-    its first call. They depend on (C, |S|, k) only, so sweeping all probe
-    sets S of one size reuses a single pipeline run."""
+) -> tuple[LP2Params, OMDInstance, FlowSolution, Callable[[], Mechanism]]:
+    """Parameters, instance, greedy flow and the builder of the closed-form
+    mechanism for a validated query, which runs once, on its first call.
+    They depend on (C, |S|, k) only, so sweeping all probe sets S of one
+    size reuses a single pipeline run."""
     n = len(C)
     if n + 1 > LATTICE_GUARD:
         raise PreconditionError(
@@ -347,8 +353,8 @@ def _build_reduction(
             f"partially filled node {subset_label(flow.partially_filled)} is not "
             f"the targeted node {subset_label(target)}"
         )
-    mechanism = cache(lambda: closed_form_mechanism(params, flow))
-    return p_tilde, params, instance, target, flow, mechanism
+    mechanism = cache(lambda: closed_form_mechanism(instance, flow))
+    return params, instance, flow, mechanism
 
 
 def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
@@ -358,16 +364,12 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     n = len(C)
     S = check_mask(S, n, field="S")
     _validate_rank_query(n, S, k)
-    p_tilde, params, instance, target, flow, mechanism = _build_reduction(
-        C, S.bit_count(), k
-    )
+    params, instance, flow, mechanism = _build_reduction(C, S.bit_count(), k)
     return ReductionOutput(
         instance=instance,
         params=params,
         probe_type=((1 << n) - 1) ^ S,
         distinguished_item=n + 1,
-        p_tilde=p_tilde,
-        target_T_star=target,
         flow=flow,
         _mechanism=mechanism,
     )

@@ -81,8 +81,7 @@ def test_criterion_1_worked_examples():
     assert t2 - t1 < 1.0
 
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    params = to_lp2_params(lottery, ONE)
-    mech = closed_form_mechanism(params, canonical_solution(params))
+    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery, ONE)))
     assert mech.tau[mask(1, 2)] == 4
     assert mech.q[mask(1)] == (ONE, F(1, 2))
     assert mech.tau[mask(1)] == F(5, 2)
@@ -113,7 +112,7 @@ def test_criterion_2_duality_suite():
         assert flow.total_cost == lp3.value == lp2.value
         # complementary slackness, edge by edge: positive canonical flow
         # forces the matching adjacent-type constraint tight
-        mech = closed_form_mechanism(params, flow)
+        mech = closed_form_mechanism(from_lp2_params(params)[0], flow)
         for (src, dst), amount in flow.flows.items():
             if amount > 0:
                 i = (src ^ dst).bit_length()
@@ -140,13 +139,13 @@ def test_criterion_3_closed_form_suite():
             continue
         strict += 1
         n = params.n
-        mech = closed_form_mechanism(params, flow)
+        inst, _ = from_lp2_params(params)
+        mech = closed_form_mechanism(inst, flow)
         assert mech.unique
         assert is_monotone_supermodular(mech.u, n)
         star_cost = node_costs(params.d)[flow.partially_filled]
         assert mech.u[(1 << n) - 1] == star_cost
 
-        inst, _ = from_lp2_params(params)
         report = verify_bic_ir(inst, mech)
         assert report.ok
         assert report.bic_checked + report.ir_checked == (1 << n) * ((1 << n) - 1) + (1 << n)
@@ -293,8 +292,7 @@ def test_criterion_6_budgeted_suite():
 def test_criterion_7_sampling():
     t0 = time.perf_counter()
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    params = to_lp2_params(lottery, ONE)
-    mech = closed_form_mechanism(params, canonical_solution(params))
+    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery, ONE)))
     reported = mask(1)  # the type with valuation (2, 1)
     assert mech.q[reported] == (ONE, F(1, 2))
 

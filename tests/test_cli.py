@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import optmech
 from optmech import cli
 from optmech.cli import main
 from optmech.core import instance_from_json
@@ -139,7 +143,7 @@ def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
     submodular = shaped_mechanism(inst, [F(min(S, 1)) for S in range(1 << n)])
     for mech, row in ((zero_mechanism(n), "shape({1},1) with residual 1"),
                       (submodular, "bic({1,2}|{}) with slack -1")):
-        monkeypatch.setattr(cli, "closed_form_mechanism", lambda params, flow: mech)
+        monkeypatch.setattr(cli, "closed_form_mechanism", lambda inst, flow: mech)
         assert main(["solve", instance]) == 3
         assert f"constructed mechanism violates {row}" in capsys.readouterr().err
 
@@ -355,3 +359,49 @@ def test_no_command_usage(capsys):
 def test_unknown_flag_usage(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", LOTTERY)
     assert main(["solve", instance, "--frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("flag", [
+    ["--oracle"], ["--json-out", "m.json"], ["--dump-lattice", "l.txt"], ["--kappa", "2"],
+])
+def test_oracle_only_rejects_closed_form_flags(tmp_path, capsys, monkeypatch, flag):
+    # the closed form these flags configure or emit never runs with
+    # --oracle-only, so each pairing is refused rather than ignored
+    monkeypatch.chdir(tmp_path)
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    assert main(["solve", instance, "--oracle-only", *flag]) == 1
+    err = capsys.readouterr().err
+    assert flag[0] in err and "--oracle-only" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "inst.json"]
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["solve"], [], "instance document"),
+    (["solve"], {"n": "2", "a": [], "d": [], "p": []}, "n:"),
+    (["solve"], {"n": 1, "a": ["1"], "d": ["1"]}, "p: missing"),
+    (["solve"], {"n": 1, "a": ["1"], "d": "1", "p": ["1/2"]}, "d: expected a list"),
+    (["reduce", "lexrank"], "C", "rank query document"),
+    (["reduce", "lexrank"], {"C": [1, 2], "S": [1]}, "k: missing"),
+    (["reduce", "lexrank"], {"C": 3, "S": [1], "k": 1}, "C: expected a list"),
+    (["reduce", "lexrank"], {"C": [1, 2], "S": 1, "k": 1}, "S: expected a list"),
+    (["reduce", "subsetsum"], 7, "counting query document"),
+    (["reduce", "subsetsum"], {"W": [1, 2]}, "T: missing"),
+    (["reduce", "subsetsum"], {"W": "12", "T": 2}, "W: expected a list"),
+    (["budgeted"], None, "budgeted document"),
+    (["budgeted"], {"x": 3, "budget": 2, "eps": "1/5"}, "x: expected a list"),
+])
+def test_malformed_documents_exit_1(tmp_path, capsys, argv, doc, field):
+    path = write(tmp_path, "doc.json", json.dumps(doc))
+    assert main([*argv, path]) == 1
+    assert f"input error: {field}" in capsys.readouterr().err
+
+
+def test_python_m_optmech_runs_the_cli():
+    # a source checkout runs the CLI without installing the console script
+    src = str(Path(optmech.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "optmech", "examples"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout and done.stdout.count("PASS") == 5

@@ -462,6 +462,23 @@ def test_lp2_lp3_strong_duality_randomized():
         assert primal.value == dual.value
 
 
+def test_redundant_equality_row_dropped_with_zero_dual():
+    # 2x + 2y = 2 repeats x + y = 1: its artificial stays basic at 0 on an
+    # all-zero row after phase 1, so the row is dropped and its dual is 0
+    prob = LPProblem(
+        variables=("x", "y"),
+        objective={"x": ONE},
+        sense="max",
+        constraints=(Constraint({"x": ONE, "y": ONE}, "=", ONE),
+                     Constraint({"x": F(2), "y": F(2)}, "=", F(2))),
+    )
+    sol = solve_lp(prob)
+    assert (sol.status, sol.value, sol.assignment) == ("optimal", 1, {"x": ONE, "y": ZERO})
+    outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1))
+    assert (outcome.status, outcome.colvals, outcome.value) == ("optimal", {0: ONE}, ONE)
+    assert outcome.duals == [ONE, ZERO]
+
+
 # ---------------------------------------------------------------------------
 # uniqueness probe
 # ---------------------------------------------------------------------------
@@ -485,6 +502,21 @@ def test_unique_optimum_edge_of_optima():
         constraints=(Constraint({"x": ONE, "y": ONE}, "<=", ONE),),
     )
     sol = solve_lp(prob)
+    assert unique_optimum(prob, sol) is False
+
+
+def test_unique_optimum_unbounded_face():
+    # y does not enter the objective and nothing bounds it above, so
+    # maximizing y over the optimal face x = 1 is unbounded
+    prob = LPProblem(
+        variables=("x", "y"),
+        objective={"x": ONE},
+        sense="max",
+        constraints=(Constraint({"x": ONE}, "<=", ONE),),
+    )
+    sol = solve_lp(prob)
+    assert sol.value == 1
+    assert solve_lp(LPProblem(prob.variables, {"y": ONE}, "max", prob.constraints)).status == "unbounded"
     assert unique_optimum(prob, sol) is False
 
 

@@ -38,7 +38,7 @@ def mask(*items):
 
 
 def mech_for(params):
-    return closed_form_mechanism(params, canonical_solution(params))
+    return closed_form_mechanism(from_lp2_params(params)[0], canonical_solution(params))
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +72,13 @@ def test_closed_form_lottery_instance():
 def test_full_type_utility_equals_star_cost():
     for params in (PARAMS_A, PARAMS_B):
         flow = canonical_solution(params)
-        mech = closed_form_mechanism(params, flow)
+        mech = mech_for(params)
         star_cost = node_costs(params.d)[flow.partially_filled]
         assert mech.u[mask(1, 2)] == star_cost == 1
 
 
 def test_closed_form_boundary_flagged_non_unique():
-    flow = canonical_solution(PARAMS_TIE)
-    mech = closed_form_mechanism(PARAMS_TIE, flow)
+    mech = mech_for(PARAMS_TIE)
     assert not mech.unique
     # still optimal: value of the relaxed program equals the flow cost
     inst_rev = expected_revenue(make_instance([1, 1], [1, 1], [(1, 2), (1, 2)]), mech)
@@ -336,7 +335,7 @@ def test_complementary_slackness_randomized():
     for _ in range(20):
         params = _random_single_positive(rng, rng.randint(2, 4))
         flow = canonical_solution(params)
-        mech = closed_form_mechanism(params, flow)
+        mech = mech_for(params)
         for (src, dst), amount in flow.flows.items():
             if amount > 0:
                 i = (src ^ dst).bit_length()
@@ -433,6 +432,22 @@ def test_mechanism_json_rejects_bad_n():
     empty = {"n": 0, "menu": [{"type": [], "u": "0", "q": [], "price": "0"}]}
     with pytest.raises(InputError, match="n: must be >= 1"):
         mechanism_from_json_dict(empty)
+
+
+ENTRY = {"type": [], "u": "0", "q": ["0"], "price": "0"}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"n": "1", "menu": []}, r"n: expected an integer"),
+    ({"n": 1, "menu": {}}, r"menu: missing or not a list"),
+    ({"n": 1, "menu": [ENTRY, 5]}, r"menu\[1\]: expected an object"),
+    ({"n": 1, "menu": [{"u": "0"}, ENTRY]}, r"menu\[0\]\.type: missing field"),
+    ({"n": 1, "menu": [ENTRY, ENTRY]}, r"menu\[1\]\.type: duplicate type \[\]"),
+    ({"n": 1, "menu": [dict(ENTRY, q=[]), ENTRY]}, r"menu\[0\]\.q: expected 1 rationals"),
+])
+def test_mechanism_json_rejects_malformed_documents(doc, field):
+    with pytest.raises(InputError, match=field):
+        mechanism_from_json_dict(doc)
 
 
 def test_mechanism_json_rejects_non_list_type():

@@ -3,8 +3,8 @@ lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly. The integer greedy flow gives
 every field of a `Fraction` greedy over the sorted (cost, mask) order, and
-its closed-form utility matches one computed from the `Fraction` node costs,
-exact-boundary and zero-supply flows included. The bisection's dyadic
+its closed-form utility and allocation match ones computed from the
+`Fraction` node costs, exact-boundary and zero-supply flows included. The bisection's dyadic
 midpoint lies strictly inside its bracket. The O(2^n n^2) BIC/IR certificate
 accepts a shaped mechanism exactly when the 4^n replay does, and the exact
 simplex agrees with vertex enumeration on tiny bounded programs, its dual
@@ -222,25 +222,44 @@ def test_greedy_fills_sinks_in_sorted_order(params):
     assert all(type(v) is F for v in values)
 
 
+def reference_utility(params, flow):
+    """u(S) = max(cost(S*) - cost(S), 0) on the `Fraction` node costs, S*
+    the last filled node, and 0 everywhere when nothing was filled."""
+    costs = node_costs(params.d)
+    if not flow.fill_order:
+        assert flow.supply == 0
+        return [F(0)] * len(costs)
+    star = costs[flow.fill_order[-1]]
+    return [max(star - c, F(0)) for c in costs]
+
+
+# t = 1 draws of single_positive_parameters have zero supply
+flow_cases = st.one_of(single_positive_parameters().map(lambda params: (params, False)),
+                       exact_boundary_parameters().map(lambda params: (params, True)))
+
+
 @exact
-@given(st.one_of(single_positive_parameters().map(lambda params: (params, False)),
-                 exact_boundary_parameters().map(lambda params: (params, True))))
+@given(flow_cases)
 def test_flow_utility_matches_fraction_costs(case):
-    # u(S) = max(cost(S*) - cost(S), 0) with S* the last filled node, and 0
-    # everywhere when nothing was filled (t = 1 draws have zero supply)
     params, boundary = case
     flow = canonical_solution(params)
     if boundary:
         assert flow.exactly_saturated_boundary
-    costs = node_costs(params.d)
-    assert [F(c, flow.cost_scale) for c in flow.costs] == costs
-    if flow.fill_order:
-        star = costs[flow.fill_order[-1]]
-        expected = [max(star - c, F(0)) for c in costs]
-    else:
-        assert flow.supply == 0
-        expected = [F(0)] * len(costs)
-    assert [flow.utility(S) for S in range(1 << params.n)] == expected
+    assert [F(c, flow.cost_scale) for c in flow.costs] == node_costs(params.d)
+    assert [flow.utility(S) for S in range(1 << params.n)] == reference_utility(params, flow)
+
+
+@exact
+@given(flow_cases)
+def test_flow_allocation_matches_fraction_costs(case):
+    # q_i(S) = 1 for i in S, else (u(S+{i}) - u(S)) / d_i
+    params, _ = case
+    flow = canonical_solution(params)
+    u = reference_utility(params, flow)
+    for S in range(1 << params.n):
+        for i in range(params.n):
+            expected = F(1) if S >> i & 1 else (u[S | 1 << i] - u[S]) / params.d[i]
+            assert flow.allocation(S, i) == expected, (S, i)
 
 
 @st.composite
@@ -267,7 +286,7 @@ def max_of_affine_mechanisms(draw):
 
 def closed_form_mechanisms(params):
     inst, _ = from_lp2_params(params)
-    return inst, closed_form_mechanism(params, canonical_solution(params))
+    return inst, closed_form_mechanism(inst, canonical_solution(params))
 
 
 @settings(deadline=None, max_examples=200)

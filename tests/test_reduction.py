@@ -175,6 +175,16 @@ def test_eval_f_rejects():
         eval_f(2, 2, F(1, 2))
 
 
+def test_eval_f_rejects_inexact_and_non_integer_arguments():
+    # a float would be evaluated at its binary value, not at 3/5
+    for p in (0.6, 1, "3/5"):
+        with pytest.raises(InputError, match="p: expected a Fraction"):
+            eval_f(3, 1, p)
+    for n, s, name in ((3.0, 1, "n"), (True, 1, "n"), (3, F(1), "s"), (3, False, "s")):
+        with pytest.raises(InputError, match=f"{name}: expected an integer"):
+            eval_f(n, s, F(3, 5))
+
+
 def test_find_parameter_windows():
     p1 = find_parameter(2, 1, 1)
     assert F(1, 2) <= p1 < F(5, 6)
@@ -365,7 +375,7 @@ def test_decision_matches_the_mechanism_probe_exhaustive():
 
 
 def test_decision_never_builds_the_menu(monkeypatch, tmp_path, capsys):
-    def refuse(params, flow):
+    def refuse(inst, flow):
         raise AssertionError("closed_form_mechanism called")
 
     monkeypatch.setattr(reduction, "closed_form_mechanism", refuse)
@@ -384,9 +394,9 @@ def test_menu_built_once_per_query_shape(monkeypatch):
     calls = []
     build = reduction.closed_form_mechanism
 
-    def counting(params, flow):
-        calls.append(params)
-        return build(params, flow)
+    def counting(inst, flow):
+        calls.append(inst)
+        return build(inst, flow)
 
     monkeypatch.setattr(reduction, "closed_form_mechanism", counting)
     reduction._build_reduction.cache_clear()
