@@ -55,7 +55,7 @@ from .reduction import (
 # `sample` draws count * n exact Bernoulli items at about 2.2 us each (4e6
 # draws took 8.8 s on a 2-vCPU machine), so a request at the bound finishes
 # within a minute even at n = LATTICE_GUARD, whose certified closed form
-# takes about 5 s.
+# takes about 1 s.
 SAMPLE_GUARD = 4_000_000
 
 EXIT_OK = 0

@@ -12,8 +12,10 @@ is built from.
 The greedy itself runs on ints: node costs scaled by the lcm of the d_i's
 denominators, and balances scaled by the product of the p_i's denominators
 times the lcm of the denominators of the x_i and B. The flow keeps the
-scaled costs and reads the closed-form utility and allocation off them; its
-other values are exact `Fraction`s, divided back once at the end.
+scaled costs and the scaled intakes. It reads the closed-form utility and
+allocation off the costs, and turns intakes into `Fraction`s only when
+`absorbed` is first read; supply and total cost are divided back once at
+the end.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .core import (
 from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
-# certificate, the reduction) is capped here: `solve` takes about 4.5 s end
-# to end at n = 14 on a 2-vCPU machine, and each item adds a factor of 2 to 3.
+# certificate, the reduction) is capped here: in-process `solve` takes about
+# 0.9 s end to end at n = 14 on a 2-vCPU machine (n = 10: 0.04 s, n = 12:
+# 0.2 s), and each item adds a factor of about 2.
 LATTICE_GUARD = 14
 
 
@@ -79,47 +82,63 @@ def check_single_positive(params: LP2Params) -> bool:
 class FlowSolution:
     """The canonical greedy flow.
 
-    Nodes are masks. ``absorbed`` maps each sink node to the amount it
-    received, and ``fill_order`` lists those nodes in the order they were
-    filled. ``partially_filled`` is the last filled node when it ended
-    strictly below capacity, else None. ``costs`` holds every node's cost
-    times ``cost_scale`` as an int, by mask; `utility` and `allocation` read
-    the closed-form menu off it. ``flows`` maps covering edges (src, dst) to
-    the amount carried; it is derived from the fill on first access.
+    Nodes are masks. ``fill_order`` lists the sink nodes in the order they
+    were filled, and ``intakes`` maps each to the amount it received times
+    ``balance_scale``, as an int; ``absorbed`` holds the same amounts as
+    `Fraction`s, derived on first access. ``partially_filled`` is the last
+    filled node when it ended strictly below capacity, else None. ``costs``
+    holds every node's cost times ``cost_scale`` as an int, by mask;
+    `scaled_utility` and `scaled_d` read the closed-form menu off it, and
+    `utility` and `allocation` give its entries as `Fraction`s. ``flows``
+    maps covering edges (src, dst) to the amount carried; it is derived from
+    the fill on first access.
     """
 
     n: int
     supply: Fraction
-    absorbed: dict[Subset, Fraction]
     fill_order: tuple[Subset, ...]
     partially_filled: Subset | None
     total_cost: Fraction
     costs: list[int] = field(repr=False)
     cost_scale: int
+    intakes: dict[Subset, int] = field(repr=False)
+    balance_scale: int
 
     @property
     def exactly_saturated_boundary(self) -> bool:
         """The last filled node took exactly its capacity."""
         return bool(self.fill_order) and self.partially_filled is None
 
-    def _scaled_utility(self, S: Subset) -> int:
-        """u(S) times ``cost_scale``; c* = 0 when nothing was filled."""
+    def scaled_utility(self, S: Subset) -> int:
+        """U(S) = u(S) times ``cost_scale``: max(costs[S*] - costs[S], 0),
+        and 0 when nothing was filled (c* = 0)."""
         gap = (self.costs[self.fill_order[-1]] if self.fill_order else 0) - self.costs[S]
         return gap if gap > 0 else 0
+
+    @cached_property
+    def scaled_d(self) -> list[int]:
+        """D_i = d_i times ``cost_scale``, item i 0-based: the cost gap
+        costs[S] - costs[S+{i}] of any S without i, here S = {}."""
+        return [self.costs[0] - self.costs[1 << i] for i in range(self.n)]
 
     def utility(self, S: Subset) -> Fraction:
         """The optimal u(S) = max(cost(S*) - cost(S), 0), S* the last filled
         node; 0 for every S when nothing was filled (zero supply)."""
-        return Fraction(self._scaled_utility(S), self.cost_scale)
+        return Fraction(self.scaled_utility(S), self.cost_scale)
 
     def allocation(self, S: Subset, i: int) -> Fraction:
         """The optimal q_i(S), item i 0-based: 1 for i in S, else
-        (u(S+{i}) - u(S)) / d_i, d_i scaled being costs[S] - costs[S+{i}]."""
+        (u(S+{i}) - u(S)) / d_i = (U(S+{i}) - U(S)) / D_i."""
         if S >> i & 1:
             return ONE
-        Si = S | 1 << i
-        u = self._scaled_utility
-        return Fraction(u(Si) - u(S), self.costs[S] - self.costs[Si])
+        u = self.scaled_utility
+        return Fraction(u(S | 1 << i) - u(S), self.scaled_d[i])
+
+    @cached_property
+    def absorbed(self) -> dict[Subset, Fraction]:
+        """Each filled sink's intake as an exact `Fraction`, in fill order."""
+        scale = self.balance_scale
+        return {S: Fraction(take, scale) for S, take in self.intakes.items()}
 
     @cached_property
     def flows(self) -> dict[tuple[Subset, Subset], Fraction]:
@@ -149,8 +168,9 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     sum(p_i x_i) <= B. The greedy runs on ints: costs are scaled by the lcm
     of d's denominators, and balances p(S) * (x(S) - B) by prod(den p_i)
     times the lcm of the denominators of x and B, with p(S) * prod(den p_i)
-    the product of num p_i over S and den p_i - num p_i off S. Supply,
-    intakes and total cost are divided back once, exactly, at the end.
+    the product of num p_i over S and den p_i - num p_i off S. The flow
+    keeps the scaled intakes; supply and total cost are divided back once,
+    exactly, at the end.
     """
     n = params.n
     full = (1 << n) - 1
@@ -189,7 +209,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     sinks = list(zip(costs, range(full)))
     heapify(sinks)
 
-    absorbed: dict[Subset, int] = {}
+    intakes: dict[Subset, int] = {}
     fill_order: list[Subset] = []
     partially_filled: Subset | None = None
     total_cost = 0
@@ -200,7 +220,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         # remaining > 0 here: every popped sink takes a positive amount
         capacity = probs[S] * (B - weights[S])
         take = capacity if capacity <= remaining else remaining
-        absorbed[S] = take
+        intakes[S] = take
         fill_order.append(S)
         total_cost += take * cost
         remaining -= take
@@ -212,12 +232,13 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     return FlowSolution(
         n=n,
         supply=Fraction(supply, balance_scale),
-        absorbed={S: Fraction(take, balance_scale) for S, take in absorbed.items()},
         fill_order=tuple(fill_order),
         partially_filled=partially_filled,
         total_cost=Fraction(total_cost, balance_scale * cost_scale),
         costs=costs,
         cost_scale=cost_scale,
+        intakes=intakes,
+        balance_scale=balance_scale,
     )
 
 

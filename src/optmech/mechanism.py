@@ -10,15 +10,24 @@ mechanism, but it is flagged as possibly non-unique; with zero supply u is
 0 everywhere and the all-zero-utility mechanism is returned, likewise
 flagged.
 
+`Mechanism` keeps every u, q and price as a `Fraction`, but the arithmetic
+behind them runs on ints over common denominators: `closed_form_mechanism`
+prices every type from the flow's scaled utilities and cost gaps, and
+`expected_revenue` is one int dot product, each building a `Fraction` only
+for a value it hands back.
+
 `certify_bic_ir` certifies every truthfulness, rationality and probability
 constraint of the full program in O(2^n n^2) exact checks, for a mechanism
 of this closed-form shape: given the shape, those 4^n rows follow from
 u >= 0, 0 <= q <= 1 and supermodularity of u, and each of those checks is
-itself one of the rows, so a failed check names one violated row.
-`verify_bic_ir` replays all rows with exact slacks and names every violated
-one; it is the reference the certificate is tested against. Ties are
-acceptable: a weakly satisfied constraint is satisfied (deterministic
-tie-breaking in favor of the higher-priced entry replaces any rebate scheme).
+itself one of the rows, so a failed check names one violated row. It runs
+them as int comparisons on the mechanism's u and q scaled to common
+denominators, and builds the exact `Fraction` slack of the first failing
+row only. `verify_bic_ir` replays all rows with exact `Fraction` slacks and
+names every violated one; it is the reference the certificate is tested
+against. Ties are acceptable: a weakly satisfied constraint is satisfied
+(deterministic tie-breaking in favor of the higher-priced entry replaces
+any rebate scheme).
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -38,7 +49,8 @@ from .core import (
     format_rational,
     parse_rational,
     subset_label,
-    subset_probs,
+    subset_products,
+    subset_sums,
     subset_to_list,
     type_vectors,
 )
@@ -56,7 +68,9 @@ class Mechanism:
     truthful expected utility, its vector of per-item allocation
     probabilities, and its expected price. ``unique`` records whether the
     construction certified the mechanism as the unique optimum (strictly
-    partial saturation).
+    partial saturation). A menu that does not list 2^n entries in each of
+    ``u``, ``q`` and ``tau``, or n probabilities per type, is refused with a
+    `PreconditionError` naming the field.
     """
 
     n: int
@@ -65,19 +79,63 @@ class Mechanism:
     tau: list[Fraction]
     unique: bool
 
+    def __post_init__(self):
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise PreconditionError(f"n: expected an integer >= 1, got {n!r}")
+        for name in ("u", "q", "tau"):
+            size = len(getattr(self, name))
+            # compare bit lengths first so an absurd n never builds 1 << n
+            if size.bit_length() != n + 1 or size != 1 << n:
+                raise PreconditionError(f"{name}: expected 2^{n} entries, got {size}")
+        for S, qS in enumerate(self.q):
+            if len(qS) != n:
+                raise PreconditionError(
+                    f"q: type {subset_label(S)}: expected {n} probabilities, got {len(qS)}"
+                )
+
 
 def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
     """The menu read off the canonical flow on ``inst``'s parameters: each
-    type's u and q from the flow, and its price v(S).q(S) - u(S)."""
+    type's u and q from the flow, and its price v(S).q(S) - u(S).
+
+    It runs on the flow's ints U(S) = u(S) * cost_scale and D_i = d_i *
+    cost_scale: q_i(S) = (U(S+{i}) - U(S)) / D_i for i outside S, and each
+    price over one common denominator M is the int
+
+        tau(S) * M = sum_{i in S} (a_i + d_i) * M
+                     + sum_{i not in S} (a_i * M / D_i) * (U(S+{i}) - U(S))
+                     - (M / cost_scale) * U(S).
+
+    Each value is then built as one `Fraction`; a q of 0 or 1 is ZERO or ONE.
+    """
     if flow.n != inst.n:
         raise PreconditionError("flow and instance disagree on the item count")
-    n = inst.n
-    u = [flow.utility(S) for S in range(1 << n)]
-    q = [tuple(flow.allocation(S, i) for i in range(n)) for S in range(1 << n)]
-    tau = [
-        sum((vi * qi for vi, qi in zip(vec, qS)), ZERO) - uS
-        for vec, qS, uS in zip(type_vectors(inst), q, u)
-    ]
+    n, size, scale = inst.n, 1 << inst.n, flow.cost_scale
+    U = list(map(flow.scaled_utility, range(size)))
+    D = flow.scaled_d
+    high = [ai + di for ai, di in zip(inst.a, inst.d)]
+    low_per_d = [ai / Di for ai, Di in zip(inst.a, D)]
+    M = lcm(scale, *(v.denominator for v in high), *(v.denominator for v in low_per_d))
+    H = subset_sums([v.numerator * (M // v.denominator) for v in high], zero=0)
+    A = [v.numerator * (M // v.denominator) for v in low_per_d]
+    C = M // scale
+    items = list(zip(range(n), D, A))
+    u, q, tau = [], [], []
+    for S in range(size):
+        US = U[S]
+        t = H[S] - C * US
+        qS = []
+        for i, Di, Ai in items:
+            if S >> i & 1:
+                qS.append(ONE)
+                continue
+            g = U[S | 1 << i] - US
+            t += Ai * g
+            qS.append(ZERO if not g else ONE if g == Di else Fraction(g, Di))
+        u.append(Fraction(US, scale) if US else ZERO)
+        q.append(tuple(qS))
+        tau.append(Fraction(t, M))
     return Mechanism(n=n, u=u, q=q, tau=tau, unique=flow.partially_filled is not None)
 
 
@@ -163,10 +221,18 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     with the same slack. So on shaped mechanisms the certificate and the
     replay accept the same set.
 
+    Every check is an int comparison. The mechanism's u is scaled to one
+    common denominator Lu, giving U, and each item's q to its own common
+    denominator Lq_i, giving Q_i; the shape row for i outside S reads
+    (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu * Q_i(S), the
+    probability rows 0 <= Q_i(S) <= Lq_i, and supermodularity compares the
+    Q_i, a positive multiple of each item's marginal.
+
     The report counts the rows the replay checks. When the certificate does
     not cover them, its one violation is the first failing row: an ir, prob
-    or bic row with its exact slack, or a ``shape(S,i)`` row with the
-    residual of its equality when the mechanism is not of closed-form shape.
+    or bic row with its exact `Fraction` slack, or a ``shape(S,i)`` row with
+    the residual of its equality when the mechanism is not of closed-form
+    shape.
     """
     n = inst.n
     if mech.n != n:
@@ -183,22 +249,32 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
             violations=violations,
         )
 
+    U, Lu = _over_common_denominator(u)
+    columns = [_over_common_denominator([qS[i] for qS in q]) for i in range(n)]
+    Q = list(zip(*(column for column, _ in columns)))
+    items = [
+        (i, Lq, Lq * di.denominator, di.numerator * Lu)
+        for i, ((_, Lq), di) in enumerate(zip(columns, d))
+    ]
     for S in range(size):
-        uS, qS = u[S], q[S]
-        if uS < 0:
-            return report((f"ir({subset_label(S)})", uS))
-        for i, qi in enumerate(qS):
+        US, QS = U[S], Q[S]
+        if US < 0:
+            return report((f"ir({subset_label(S)})", u[S]))
+        for i, Lq, left, right in items:
+            Qi = QS[i]
             if S >> i & 1:
-                residual = ONE - qi
+                shaped = Qi == Lq
             else:
-                residual = u[S | 1 << i] - uS - d[i] * qi
-            if residual:
+                shaped = (U[S | 1 << i] - US) * left == right * Qi
+            if not shaped:
+                qi = q[S][i]
+                residual = ONE - qi if S >> i & 1 else u[S | 1 << i] - u[S] - d[i] * qi
                 return report((f"shape({subset_label(S)},{i + 1})", residual))
-            if qi < 0:
-                return report((f"prob({subset_label(S)},{i + 1},>=0)", qi))
-            if qi > 1:
-                return report((f"prob({subset_label(S)},{i + 1},<=1)", ONE - qi))
-    falling = _first_falling_gain(q, n)
+            if Qi < 0:
+                return report((f"prob({subset_label(S)},{i + 1},>=0)", q[S][i]))
+            if Qi > Lq:
+                return report((f"prob({subset_label(S)},{i + 1},<=1)", ONE - q[S][i]))
+    falling = _first_falling_gain(Q, n)
     if falling is not None:
         S, i, j = falling
         return report(
@@ -210,8 +286,15 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     return report()
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm L of their denominators, as ints, and L."""
+    pairs = [v.as_integer_ratio() for v in values]
+    L = lcm(*{den for _, den in pairs})
+    return [num * (L // den) for num, den in pairs], L
+
+
 def _first_falling_gain(
-    gains: Sequence[Sequence[Fraction]], n: int
+    gains: Sequence[Sequence], n: int
 ) -> tuple[Subset, int, int] | None:
     """The first (S, i, j), for items i != j outside S, where
     gains[S+{j}][i] < gains[S][i]; None when there is none. With gains[S][i]
@@ -237,10 +320,15 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
 
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
-    """sum_S p(S) * tau(S)."""
+    """sum_S p(S) * tau(S), as one int dot product: p(S) * prod(den p_i) from
+    `subset_products` on the p_i's numerators and denominators, and tau
+    over the lcm of its denominators."""
     if mech.n != inst.n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    return sum((pS * tS for pS, tS in zip(subset_probs(inst.p), mech.tau)), ZERO)
+    tau, L = _over_common_denominator(mech.tau)
+    p = inst.p
+    probs = subset_products([(pi.numerator, pi.denominator - pi.numerator) for pi in p])
+    return Fraction(sum(map(mul, probs, tau)), L * prod(pi.denominator for pi in p))
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,36 @@ def test_expected_revenue_rejects_item_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# malformed menus
+# ---------------------------------------------------------------------------
+
+ONE_ITEM = make_instance([1], [1], [(1, 2)])
+NO_PROBABILITIES = dict(n=1, u=[ZERO, ZERO], q=[(), ()], tau=[ZERO, ZERO])
+
+
+@pytest.mark.parametrize("check, fields, message", [
+    # the certificate used to accept this menu, counting 4 prob rows it never read
+    (certify_bic_ir, NO_PROBABILITIES, r"q: type \{\}: expected 1 probabilities, got 0"),
+    # the replay used to fail on it with an IndexError
+    (verify_bic_ir, NO_PROBABILITIES, r"q: type \{\}: expected 1 probabilities, got 0"),
+    # zip used to cut the revenue to the one listed type: 1/2 * 5
+    (expected_revenue, dict(n=1, u=[ZERO], q=[(ONE,)], tau=[F(5)]),
+     r"u: expected 2\^1 entries, got 1"),
+    (expected_revenue, dict(n=2, u=[ZERO] * 4, q=[(ZERO, ZERO)] * 4, tau=[ZERO] * 3),
+     r"tau: expected 2\^2 entries, got 3"),
+    (certify_bic_ir, dict(n=2, u=[ZERO] * 4, q=[(ZERO, ZERO)] * 3 + [(ZERO,)], tau=[ZERO] * 4),
+     r"q: type \{1,2\}: expected 2 probabilities, got 1"),
+    (certify_bic_ir, dict(n=0, u=[ZERO], q=[()], tau=[ZERO]),
+     r"n: expected an integer >= 1, got 0"),
+    (certify_bic_ir, dict(n=10**9, u=[], q=[], tau=[]),
+     r"u: expected 2\^1000000000 entries, got 0"),
+])
+def test_malformed_menu_refused(check, fields, message):
+    with pytest.raises(PreconditionError, match=message):
+        check(ONE_ITEM, Mechanism(unique=False, **fields))
+
+
+# ---------------------------------------------------------------------------
 # structural properties on random parameters
 # ---------------------------------------------------------------------------
 

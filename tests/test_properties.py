@@ -4,7 +4,9 @@ mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly. The integer greedy flow gives
 every field of a `Fraction` greedy over the sorted (cost, mask) order, and
 its closed-form utility and allocation match ones computed from the
-`Fraction` node costs, exact-boundary and zero-supply flows included. The bisection's dyadic
+`Fraction` node costs, exact-boundary and zero-supply flows included; the
+closed-form menu's int-built prices equal v(S).q(S) - u(S) on `Fraction`s,
+and the int revenue total equals the direct sum. The bisection's dyadic
 midpoint lies strictly inside its bracket. The O(2^n n^2) BIC/IR certificate
 accepts a shaped mechanism exactly when the 4^n replay does, and the exact
 simplex agrees with vertex enumeration on tiny bounded programs, its dual
@@ -27,6 +29,7 @@ from optmech import (
     check_single_positive,
     check_subset,
     closed_form_mechanism,
+    expected_revenue,
     from_lp2_params,
     instance_from_json,
     instance_to_json,
@@ -143,7 +146,7 @@ def test_mechanism_json_round_trip(mech):
 
 
 @st.composite
-def single_positive_parameters(draw, probability=probability):
+def single_positive_parameters(draw, probability=probability, sizes=sizes):
     """Parameters with the full set the only positive node and
     sum(p_i x_i) < B: B lies in (max(sum(x) - min(x), sum(p_i x_i)), sum(x)],
     where B = sum(x) leaves no supply."""
@@ -157,7 +160,7 @@ def single_positive_parameters(draw, probability=probability):
 
 
 @st.composite
-def exact_boundary_parameters(draw):
+def exact_boundary_parameters(draw, sizes=sizes):
     """Parameters whose greedy ends exactly on the capacity of its m-th sink
     in (cost, mask) order: B solves p(N) (x(N) - B) = the sum over those m
     sinks S of p(S) (B - x(S)), kept when the full set is still the only
@@ -294,6 +297,37 @@ def closed_form_mechanisms(params):
                  max_of_affine_mechanisms()))
 def test_certificate_accepts_exactly_what_the_replay_accepts(case):
     assert_certificate_agrees(*case)
+
+
+menu_sizes = st.integers(min_value=1, max_value=8)
+
+
+@exact
+@given(st.one_of(single_positive_parameters(sizes=menu_sizes),
+                 exact_boundary_parameters(sizes=menu_sizes)))
+def test_closed_form_menu_matches_flow_and_fraction_prices(params):
+    # the int prices equal v(S).q(S) - u(S) on `Fraction`s, and u and q are
+    # the flow's; kappa = B - sum(p_i x_i) is 0 on a boundary draw at equality
+    assume(params.kappa > 0)
+    inst, _ = from_lp2_params(params)
+    flow = canonical_solution(params)
+    mech = closed_form_mechanism(inst, flow)
+    for S, vec in enumerate(type_vectors(inst)):
+        q = tuple(flow.allocation(S, i) for i in range(inst.n))
+        assert mech.q[S] == q, S
+        assert mech.u[S] == flow.utility(S), S
+        assert mech.tau[S] == sum(vi * qi for vi, qi in zip(vec, q)) - flow.utility(S), S
+
+
+@exact
+@given(mechanisms().flatmap(lambda mech: st.tuples(
+    st.just(mech), st.lists(varied_probability, min_size=mech.n, max_size=mech.n))))
+def test_expected_revenue_matches_direct_sum(case):
+    mech, p = case
+    ones = (F(1),) * mech.n
+    inst = OMDInstance(n=mech.n, a=ones, d=ones, p=tuple(p))
+    direct = sum(pS * tS for pS, tS in zip(subset_probs(p), mech.tau))
+    assert expected_revenue(inst, mech) == direct
 
 
 open_unit = st.integers(2, 10**9).flatmap(
