@@ -7,7 +7,8 @@ item ``i``; the 2^n types of an instance are ``range(1 << n)``, and per-type
 quantities are lists indexed by mask. Integer masks order types
 lexicographically (the larger top element sorts later). 1-based index lists
 appear only at the boundary: `check_subset` turns one into a mask, and
-`subset_to_list` / `subset_label` turn a mask back for output.
+`subset_to_list` / `subset_label` turn a mask back for output; `types_by_size`
+lists every mask with its label in the order `solve` prints its menu.
 
 An instance is the triple of per-item low values ``a``, increments ``d`` and
 high-value probabilities ``p``: item ``i`` is worth ``a[i]`` with probability
@@ -24,7 +25,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
 
@@ -67,29 +69,21 @@ def parse_rational(value, field: str = "value") -> Fraction:
     raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
-# The interpreter's cap on decimal digits in an int <-> str conversion (0 for
-# none); Pythons before the cap existed have no getter and no cap.
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def format_rational(value: Fraction) -> str:
-    """Serialize exactly: "9/2" or, for integers, just "4".
+    """Serialize exactly: "9/2" or, for integers, just "4" (`Fraction`'s own
+    ``str``, so a printed `solve` menu costs one conversion per value).
 
     A numerator or denominator with more decimal digits than the
-    interpreter's conversion limit raises `PreconditionError` naming it.
+    interpreter's int/str conversion limit makes ``str`` raise `ValueError`,
+    which becomes a `PreconditionError` naming the limit.
     """
-    limit = _max_str_digits()
-    if limit:
-        for part in (value.numerator, value.denominator):
-            # below 2^(3 * limit) < 10^limit, so only huge parts pay for the power
-            if part.bit_length() > 3 * limit and abs(part) >= 10**limit:
-                raise PreconditionError(
-                    f"a rational with more than {limit} decimal digits exceeds "
-                    "the integer string conversion limit"
-                )
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)
+    except ValueError:
+        raise PreconditionError(
+            f"a rational with more than {sys.get_int_max_str_digits()} decimal "
+            "digits exceeds the integer string conversion limit"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +144,18 @@ def subset_to_list(S: Subset) -> list[int]:
 def subset_label(S: Subset) -> str:
     """Human-readable form used in dumps and constraint names: "{}", "{1,3}"."""
     return "{" + ",".join(map(str, subset_to_list(S))) + "}"
+
+
+def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
+    """Every mask over items 1..n with its `subset_label`, ordered by size and
+    then by ascending index list: "{}", "{1}", ..., "{n}", "{1,2}", ...
+    Mask and label come from the same index tuple, so nothing is sorted."""
+    bits = [1 << i for i in range(n)]
+    names = [str(i) for i in item_range(n)]
+    for k in range(n + 1):
+        for items in combinations(range(n), k):
+            yield (sum(map(bits.__getitem__, items)),
+                   "{" + ",".join(map(names.__getitem__, items)) + "}")
 
 
 def subset_sums(values: Sequence, zero=ZERO) -> list:

@@ -43,8 +43,9 @@ from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
 # certificate, the reduction) is capped here: in-process `solve` takes about
-# 0.9 s end to end at n = 14 on a 2-vCPU machine (n = 10: 0.04 s, n = 12:
-# 0.2 s), and each item adds a factor of about 2.
+# 0.6 s end to end at n = 14 on a 2-vCPU machine, printing its 16,384-line
+# menu included (n = 10: 0.03 s, n = 12: 0.13 s; scripts/solve_latency.py),
+# and each item adds a factor of about 2.
 LATTICE_GUARD = 14
 
 

@@ -12,8 +12,14 @@ import pytest
 import optmech
 from optmech import cli
 from optmech.cli import main
-from optmech.core import instance_from_json
-from optmech.mechanism import mechanism_from_json_dict, verify_bic_ir
+from optmech.core import instance_from_json, to_lp2_params
+from optmech.lattice import canonical_solution
+from optmech.mechanism import (
+    certify_bic_ir,
+    closed_form_mechanism,
+    mechanism_from_json_dict,
+    verify_bic_ir,
+)
 from tests.test_mechanism import shaped_mechanism, zero_mechanism
 
 LOTTERY = '{"n": 2, "a": ["1", "1"], "d": ["1", "2"], "p": ["1/2", "1/2"]}'
@@ -197,6 +203,54 @@ def test_solve_huge_rationals_exit_2(tmp_path, capsys):
     assert err.startswith("precondition violated:") and "Traceback" not in err
     if DIGIT_LIMIT:
         assert f"more than {DIGIT_LIMIT} decimal digits" in err
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no integer string digit limit")
+def test_solve_menu_value_past_digit_limit_exit_2(tmp_path, capsys):
+    # a_i = d_i with denominators of DIGIT_LIMIT // 2 + 40 digits: the
+    # instance parses and certifies, but a price sums both items' values, so
+    # its denominator has about twice that many digits and printing the menu
+    # is what refuses
+    rng = random.Random(5)
+    digits = DIGIT_LIMIT // 2 + 40
+    values = [f"{rng.randrange(1, 10**6)}/{rng.randrange(10**(digits - 1), 10**digits) | 1}"
+              for _ in range(2)]
+    text = json.dumps({"n": 2, "a": values, "d": values, "p": ["1/2", "1/2"]})
+    inst = instance_from_json(text)
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst, F(1))))
+    assert certify_bic_ir(inst, mech).ok
+    assert max(v.denominator for v in mech.tau) >= 10**DIGIT_LIMIT
+    instance = write(tmp_path, "inst.json", text)
+    t0 = time.perf_counter()
+    assert main(["solve", instance]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated:")
+    assert f"more than {DIGIT_LIMIT} decimal digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# The whole menu block of `solve` on single_positive(3): types by size, then
+# by index list, padded to fixed columns.
+GOLDEN_MENU_N3 = """\
+  type {}           u=0        q=(0, 0, 0)            price=0
+  type {1}          u=0        q=(1, 0, 0)            price=3/2
+  type {2}          u=0        q=(0, 1, 0)            price=3
+  type {3}          u=0        q=(0, 0, 1)            price=9/2
+  type {1,2}        u=0        q=(1, 1, 1/3)          price=5
+  type {1,3}        u=0        q=(1, 1/2, 1)          price=13/2
+  type {2,3}        u=0        q=(1, 1, 1)            price=8
+  type {1,2,3}      u=1        q=(1, 1, 1)            price=8
+"""
+
+
+def test_solve_menu_block_golden(tmp_path, capsys):
+    instance = write(tmp_path, "inst.json", single_positive(3))
+    assert main(["solve", instance]) == 0
+    out = capsys.readouterr().out
+    block = out[out.index("menu: \n") + len("menu: \n"):out.index("expected revenue:")]
+    assert block == GOLDEN_MENU_N3
 
 
 def test_solve_custom_kappa_same_menu(tmp_path, capsys):

@@ -13,10 +13,12 @@ from optmech import (
     instance_from_json,
     instance_to_json,
     check_subset,
+    subset_label,
     subset_probs,
     subset_to_list,
     to_lp2_params,
     type_vectors,
+    types_by_size,
 )
 from optmech.core import format_rational, parse_rational
 
@@ -74,6 +76,13 @@ def test_format_rational_refuses_past_digit_limit():
     for value in (F(top), F(-top), F(1, top), F(top + 1, 7)):
         with pytest.raises(PreconditionError, match=f"more than {limit} decimal digits"):
             format_rational(value)
+
+
+def test_types_by_size_matches_sorted_labels():
+    # the order `solve` prints its menu in: by size, then by index list
+    for n in range(1, 11):
+        order = sorted(range(1 << n), key=lambda S: (S.bit_count(), subset_to_list(S)))
+        assert list(types_by_size(n)) == [(S, subset_label(S)) for S in order]
 
 
 def test_subset_mask_orders_lexicographically():

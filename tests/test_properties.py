@@ -1,16 +1,17 @@
 """Property tests of the mask representation and the exact maps: the lattice
 lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
-and mechanism documents round-trip exactly. The integer greedy flow gives
-every field of a `Fraction` greedy over the sorted (cost, mask) order, and
-its closed-form utility and allocation match ones computed from the
-`Fraction` node costs, exact-boundary and zero-supply flows included; the
-closed-form menu's int-built prices equal v(S).q(S) - u(S) on `Fraction`s,
-and the int revenue total equals the direct sum. The bisection's dyadic
-midpoint lies strictly inside its bracket. The O(2^n n^2) BIC/IR certificate
-accepts a shaped mechanism exactly when the 4^n replay does, and the exact
-simplex agrees with vertex enumeration on tiny bounded programs, its dual
-multipliers certifying its optimum."""
+and mechanism documents round-trip exactly, and a rational prints as its
+lowest-terms numerator, over its denominator unless that is 1. The integer
+greedy flow gives every field of a `Fraction` greedy over the sorted (cost,
+mask) order, and its closed-form utility and allocation match ones computed
+from the `Fraction` node costs, exact-boundary and zero-supply flows
+included; the closed-form menu's int-built prices equal v(S).q(S) - u(S) on
+`Fraction`s, and the int revenue total equals the direct sum. The
+bisection's dyadic midpoint lies strictly inside its bracket. The
+O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
+4^n replay does, and the exact simplex agrees with vertex enumeration on
+tiny bounded programs, its dual multipliers certifying its optimum."""
 
 import json
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from optmech import (
     check_subset,
     closed_form_mechanism,
     expected_revenue,
+    format_rational,
     from_lp2_params,
     instance_from_json,
     instance_to_json,
@@ -117,6 +119,19 @@ def test_index_list_round_trip(case):
 @given(instances(low=positive), positive)
 def test_parameter_map_round_trip(inst, kappa):
     assert from_lp2_params(to_lp2_params(inst, kappa)) == (inst, kappa)
+
+
+# parts of up to 300 decimal digits, either sign, zero and integers included
+huge_numerators = st.integers(-(10**300), 10**300)
+huge_denominators = st.one_of(st.just(1), st.integers(1, 10**300))
+
+
+@exact
+@given(huge_numerators, huge_denominators)
+def test_format_rational_prints_lowest_terms(num, den):
+    value = F(num, den)
+    top, bottom = value.numerator, value.denominator
+    assert format_rational(value) == (str(top) if bottom == 1 else f"{top}/{bottom}")
 
 
 @exact
