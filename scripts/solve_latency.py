@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """In-process latency of `optmech solve` as a function of n.
 
-    python3 scripts/solve_latency.py [--seed 1] [--sizes 8 10 12 14] [--repeats 3]
+    python3 scripts/solve_latency.py
 
 Imports the package from the `src` directory of the checkout this script
-sits in and uses the standard library only. For each n it writes one seeded
-random single-positive instance to a temporary directory, then times
-`optmech.cli.main(["solve", ...])` three ways: plain, with `--json-out` and
-with `--dump-lattice`. Each figure is the minimum of `--repeats` runs, with
-stdout captured and the exit code required to be 0. The last line gives the
-process's peak RSS.
+sits in, and the seeded single-positive instance generator of the `solve`
+benchmark workload from its `perfbench` directory; uses the standard library
+only. For each n in SIZES it writes one instance drawn from SEED to a
+temporary directory, then times `optmech.cli.main(["solve", ...])` three
+ways: plain, with `--json-out` and with `--dump-lattice`. Each figure is the
+minimum of REPEATS runs, with stdout captured and the exit code required to
+be 0. The last line gives the process's peak RSS.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -24,37 +24,22 @@ import resource
 import sys
 import tempfile
 import time
-from fractions import Fraction as F
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import inputs  # noqa: E402
 from optmech.cli import main  # noqa: E402
 
-# B is placed this far between max(sum(x) - min(x), sum(p x)) and sum(x):
-# the single-positive-node family of the acceptance sweep.
-CUT_CHOICES = (F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1))
+SEED = 1
+SIZES = (8, 10, 12, 14)
+REPEATS = 3
 
 
-def instance_doc(rng: random.Random, n: int) -> dict:
-    """A random single-positive parameter vector (x, B, d, p), every entry a
-    rational with numerator and denominator at most 20, mapped to an
-    instance by kappa = B - sum(p x), a = p d x / kappa."""
-    x = [F(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(n)]
-    d = [F(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(n)]
-    p = [F(rng.randint(1, 19), 20) for _ in range(n)]
-    total = sum(x)
-    floor = max(total - min(x), sum(pi * xi for pi, xi in zip(p, x)))
-    B = floor + (total - floor) * rng.choice(CUT_CHOICES)
-    kappa = B - sum(pi * xi for pi, xi in zip(p, x))
-    a = [pi * di * xi / kappa for pi, di, xi in zip(p, d, x)]
-    # str(Fraction) is the package's wire format: "9/2", or "4" for integers
-    return {"n": n, "a": list(map(str, a)), "d": list(map(str, d)), "p": list(map(str, p))}
-
-
-def best_of(argv: list[str], repeats: int) -> float:
+def best_of(argv: list[str]) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         with contextlib.redirect_stdout(io.StringIO()):
             t0 = time.perf_counter()
             code = main(argv)
@@ -65,26 +50,18 @@ def best_of(argv: list[str], repeats: int) -> float:
     return best
 
 
-def run(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 10, 12, 14])
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    rng = random.Random(args.seed)
-    print(f"python {sys.version.split()[0]}, seed {args.seed}, min of {args.repeats}")
+def run() -> None:
+    rng = random.Random(SEED)
+    print(f"python {sys.version.split()[0]}, seed {SEED}, min of {REPEATS}")
     print(f"{'n':>3} {'plain s':>9} {'json-out s':>11} {'dump-lattice s':>15}")
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "inst.json")
-        for n in args.sizes:
+        for n in SIZES:
             with open(inst, "w", encoding="utf-8") as handle:
-                json.dump(instance_doc(rng, n), handle)
-            plain = best_of(["solve", inst], args.repeats)
-            json_out = best_of(["solve", inst, "--json-out", os.path.join(tmp, "m.json")],
-                               args.repeats)
-            dump = best_of(["solve", inst, "--dump-lattice", os.path.join(tmp, "l.txt")],
-                           args.repeats)
+                json.dump(inputs.instance_doc(rng, n), handle)
+            plain = best_of(["solve", inst])
+            json_out = best_of(["solve", inst, "--json-out", os.path.join(tmp, "m.json")])
+            dump = best_of(["solve", inst, "--dump-lattice", os.path.join(tmp, "l.txt")])
             print(f"{n:>3} {plain:>9.3f} {json_out:>11.3f} {dump:>15.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")

@@ -27,7 +27,6 @@ from .core import (
     subset_to_list,
     to_lp2_params,
     type_vectors,
-    types_by_size,
 )
 from .errors import InputError, OptmechError, PreconditionError, VerificationError
 from .exactlp import (

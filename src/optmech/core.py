@@ -141,9 +141,14 @@ def subset_to_list(S: Subset) -> list[int]:
     return [i + 1 for i in range(S.bit_length()) if S >> i & 1]
 
 
+def _label(names: Iterable[str]) -> str:
+    """The label of the type whose 1-based indices, ascending, are ``names``."""
+    return "{" + ",".join(names) + "}"
+
+
 def subset_label(S: Subset) -> str:
     """Human-readable form used in dumps and constraint names: "{}", "{1,3}"."""
-    return "{" + ",".join(map(str, subset_to_list(S))) + "}"
+    return _label(map(str, subset_to_list(S)))
 
 
 def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
@@ -154,8 +159,7 @@ def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
     names = [str(i) for i in item_range(n)]
     for k in range(n + 1):
         for items in combinations(range(n), k):
-            yield (sum(map(bits.__getitem__, items)),
-                   "{" + ",".join(map(names.__getitem__, items)) + "}")
+            yield sum(map(bits.__getitem__, items)), _label(map(names.__getitem__, items))
 
 
 def subset_sums(values: Sequence, zero=ZERO) -> list:

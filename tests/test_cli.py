@@ -223,7 +223,8 @@ def test_solve_menu_value_past_digit_limit_exit_2(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", text)
     t0 = time.perf_counter()
     assert main(["solve", instance]) == 2
-    assert time.perf_counter() - t0 < 1.0
+    # well under 1 s; the loose bound only catches a runaway conversion
+    assert time.perf_counter() - t0 < 10.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("precondition violated:")

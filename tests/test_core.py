@@ -18,9 +18,8 @@ from optmech import (
     subset_to_list,
     to_lp2_params,
     type_vectors,
-    types_by_size,
 )
-from optmech.core import format_rational, parse_rational
+from optmech.core import format_rational, parse_rational, types_by_size
 
 
 def _frac(v):
