@@ -19,6 +19,7 @@ from .core import (
     ZERO,
     ONE,
     check_positive_ints,
+    document_fields,
     format_rational,
     parse_rational,
     subset_label,
@@ -27,7 +28,9 @@ from .core import (
 from .errors import InputError, PreconditionError
 from .exactlp import Constraint, LPProblem, OPTIMAL, solve_lp
 
-ORACLE_GUARD = 10  # the oracle LP carries 2^n distribution variables per type
+# The oracle LP carries 2^n distribution variables per type:
+# `budgeted_oracle_lp` took 0.05 s at n = 10 (2 vCPUs, Python 3.11).
+ORACLE_GUARD = 10
 # Steps n * min(2^n, budget + 1, sum(x) + 1) bound the best-bundle DP's work.
 # At about 200 ns per step when every sum is reachable, and 2^18 dict entries
 # (~50 MiB) for 18 power-of-two items, the bound keeps a run near 1 s.
@@ -148,7 +151,7 @@ def budgeted_oracle_lp(inst: BudgetedInstance) -> Fraction:
         raise PreconditionError(f"n={n} exceeds the oracle guard {ORACLE_GUARD}")
     subsets = range(1 << n)
     v_add = subset_sums(inst.x)
-    v_budget = [min(v, Fraction(inst.budget)) for v in v_add]
+    v_budget = [min(v, inst.budget) for v in v_add]
 
     za = [f"za({subset_label(S)})" for S in subsets]
     zb = [f"zb({subset_label(S)})" for S in subsets]
@@ -194,13 +197,7 @@ def budgeted_oracle_lp(inst: BudgetedInstance) -> Fraction:
 
 def budgeted_from_json_dict(doc) -> BudgetedInstance:
     """Parse {"x": [ints], "budget": int, "eps": rational-string}."""
-    if not isinstance(doc, dict):
-        raise InputError("budgeted document: expected a JSON object")
-    for field in ("x", "budget", "eps"):
-        if field not in doc:
-            raise InputError(f"{field}: missing field")
-    raw_x = doc["x"]
-    if not isinstance(raw_x, list):
+    x, budget, eps = document_fields(doc, "budgeted document", "x", "budget", "eps")
+    if not isinstance(x, list):
         raise InputError("x: expected a list of positive integers")
-    eps = parse_rational(doc["eps"], field="eps")
-    return BudgetedInstance(x=tuple(raw_x), budget=doc["budget"], eps=eps)
+    return BudgetedInstance(x=tuple(x), budget=budget, eps=parse_rational(eps, field="eps"))

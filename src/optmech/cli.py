@@ -84,6 +84,7 @@ class RunReport:
     outputs: dict = field(default_factory=dict)
     verification: dict | None = None
     elapsed: float = 0.0
+    failure: VerificationError | None = None  # raised once the report is printed
 
     def render(self) -> str:
         lines = [f"== optmech {self.command}"]
@@ -98,18 +99,24 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _read_input(path: str) -> tuple[str, str]:
+def _read_input(command: str, path: str) -> tuple[str, RunReport]:
+    """The UTF-8 text of ``path`` and the report of ``command`` run on it,
+    started with the file's sha256."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-    except OSError as exc:
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    return text, RunReport(f"{command} {path}", hashlib.sha256(raw).hexdigest())
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _q_tuple(values) -> str:
@@ -148,26 +155,22 @@ def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    start = time.perf_counter()
+def cmd_solve(args) -> RunReport:
     if args.oracle_only:
         # --oracle-only skips the closed form these flags configure or emit
         for flag, value in (("--kappa", args.kappa), ("--json-out", args.json_out),
                             ("--dump-lattice", args.dump_lattice)):
             if value is not None:
                 raise _UsageError(f"argument {flag}: not allowed with argument --oracle-only")
-    text, digest = _read_input(args.instance)
+    text, report = _read_input("solve", args.instance)
     inst = instance_from_json(text)
-    report = RunReport(command=f"solve {args.instance}", input_digest=digest)
 
     if args.oracle_only:
         lp1 = solve_lp(build_lp1(inst))
         if lp1.status != OPTIMAL:
             raise VerificationError(f"full program is {lp1.status}")
         report.outputs["oracle optimal revenue"] = format_rational(lp1.value)
-        report.elapsed = time.perf_counter() - start
-        print(report.render())
-        return EXIT_OK
+        return report
 
     # built first so that an instance past the full-program guard is
     # refused before the closed form and its BIC/IR certificate run
@@ -205,20 +208,16 @@ def cmd_solve(args) -> int:
         )
         report.outputs["mechanism json"] = args.json_out
 
-    report.elapsed = time.perf_counter() - start
-    print(report.render())
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
 
-def cmd_reduce(args) -> int:
-    start = time.perf_counter()
-    text, digest = _read_input(args.input)
+def cmd_reduce(args) -> RunReport:
+    text, report = _read_input(f"reduce {args.kind}", args.input)
     doc = decode_json(text, "reduction input")
-    report = RunReport(command=f"reduce {args.kind} {args.input}", input_digest=digest)
 
     if args.kind == "lexrank":
         C, S, k = rank_query_from_json_dict(doc)
@@ -249,9 +248,7 @@ def cmd_reduce(args) -> int:
             f"{count} (staged rank inversion and direct enumeration agree)"
         )
 
-    report.elapsed = time.perf_counter() - start
-    print(report.render())
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +265,7 @@ def _example_instance(a, d, p):
     )
 
 
-def cmd_examples(args) -> int:
-    start = time.perf_counter()
+def cmd_examples(args) -> RunReport:
     report = RunReport(command="examples")
     rows = []
     failures = 0
@@ -316,11 +312,9 @@ def cmd_examples(args) -> int:
         got_s = format_rational(got) if isinstance(got, Fraction) else str(got)
         lines.append(f"  {name:<44} {exp_s:<12} {got_s:<12} {'PASS' if ok else 'FAIL'}")
     report.outputs["worked examples"] = "\n" + "\n".join(lines)
-    report.elapsed = time.perf_counter() - start
-    print(report.render())
     if failures:
-        raise VerificationError(f"{failures} worked-example rows failed")
-    return EXIT_OK
+        report.failure = VerificationError(f"{failures} worked-example rows failed")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +332,9 @@ def _parse_type(text: str, n: int):
     return check_subset(indices, n, field="--type")
 
 
-def cmd_sample(args) -> int:
-    start = time.perf_counter()
-    text, digest = _read_input(args.instance)
+def cmd_sample(args) -> RunReport:
+    text, report = _read_input("sample", args.instance)
     inst = instance_from_json(text)
-    report = RunReport(command=f"sample {args.instance}", input_digest=digest)
 
     reported = _parse_type(args.type, inst.n)
     if args.count < 1:
@@ -373,21 +365,16 @@ def cmd_sample(args) -> int:
             f"(empirical {format_rational(empirical)}, "
             f"marginal {format_rational(mech.q[reported][i - 1])})"
         )
-    report.elapsed = time.perf_counter() - start
-    print(report.render())
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
 # budgeted
 # ---------------------------------------------------------------------------
 
-def cmd_budgeted(args) -> int:
-    start = time.perf_counter()
-    text, digest = _read_input(args.input)
-    doc = decode_json(text, "budgeted input")
-    inst = budgeted_from_json_dict(doc)
-    report = RunReport(command=f"budgeted {args.input}", input_digest=digest)
+def cmd_budgeted(args) -> RunReport:
+    text, report = _read_input("budgeted", args.input)
+    inst = budgeted_from_json_dict(decode_json(text, "budgeted input"))
 
     menu = optimal_budgeted_mechanism(inst)
     if not menu_is_bic_ir(inst, menu):
@@ -412,9 +399,7 @@ def cmd_budgeted(args) -> int:
             f"revenue matches the oracle optimum {format_rational(oracle)}"
         )
 
-    report.elapsed = time.perf_counter() - start
-    print(report.render())
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +451,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        start = time.perf_counter()
+        report = args.func(args)
+        report.elapsed = time.perf_counter() - start
+        print(report.render())
+        if report.failure is not None:
+            raise report.failure
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -162,11 +162,12 @@ def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
             yield sum(map(bits.__getitem__, items)), _label(map(names.__getitem__, items))
 
 
-def subset_sums(values: Sequence, zero=ZERO) -> list:
-    """sums[S] = ``zero`` plus the sum of values[i-1] over the items i of S,
-    for every mask S over len(values) items; built by doubling, one addition
-    per entry. Int values with ``zero=0`` give int sums."""
-    sums = [zero]
+def subset_sums(values: Sequence) -> list:
+    """sums[S] = the sum of values[i-1] over the items i of S, for every mask
+    S over len(values) items; built by doubling from the int 0, one addition
+    per entry, so int values give int sums and `Fraction` values `Fraction`s
+    (sums[0] is the int 0 either way)."""
+    sums = [0]
     for v in values:
         sums += [s + v for s in sums]
     return sums
@@ -193,10 +194,10 @@ def subset_probs(p: Sequence[Fraction]) -> list[Fraction]:
 # Instances
 # ---------------------------------------------------------------------------
 
-def _check_vectors(obj, fields: tuple[str, ...], rationals: bool = False) -> None:
+def _check_vectors(obj, fields: tuple[str, ...]) -> None:
     """Checks shared by `OMDInstance` and `LP2Params`: n >= 1, each vector
-    field coerced to a tuple of n entries (all `Fraction` when ``rationals``),
-    every d_i > 0 and every p_i in (0,1)."""
+    field coerced to a tuple of n `Fraction` entries, every d_i > 0 and every
+    p_i in (0,1)."""
     if obj.n < 1:
         raise InputError(f"n: must be >= 1, got {obj.n}")
     for field in fields:
@@ -206,7 +207,7 @@ def _check_vectors(obj, fields: tuple[str, ...], rationals: bool = False) -> Non
             object.__setattr__(obj, field, seq)
         if len(seq) != obj.n:
             raise InputError(f"{field}: expected {obj.n} entries, got {len(seq)}")
-        if rationals and not all(isinstance(v, Fraction) for v in seq):
+        if not all(isinstance(v, Fraction) for v in seq):
             raise InputError(f"{field}: entries must be rationals")
     for i, v in enumerate(obj.d, start=1):
         if v <= 0:
@@ -231,7 +232,7 @@ class OMDInstance:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_vectors(self, ("a", "d", "p"), rationals=True)
+        _check_vectors(self, ("a", "d", "p"))
         for i, v in enumerate(self.a, start=1):
             if v < 0:
                 raise InputError(f"a: entry {i} must be >= 0, got {format_rational(v)}")
@@ -337,26 +338,31 @@ def instance_to_json_dict(inst: OMDInstance) -> dict:
     }
 
 
-def instance_from_json_dict(doc) -> OMDInstance:
-    """Parse {"n": int, "a": [...], "d": [...], "p": [...]}; errors name the field."""
+def document_fields(doc, what: str, *fields: str) -> list:
+    """The values of ``fields`` in the decoded JSON document ``doc``, in
+    order, or an `InputError` naming ``what`` if ``doc`` is not an object,
+    else naming the first missing field."""
     if not isinstance(doc, dict):
-        raise InputError("instance document: expected a JSON object")
-    if "n" not in doc:
-        raise InputError("n: missing field")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n: expected an integer, got {n!r}")
-    seqs = {}
-    for field in ("a", "d", "p"):
+        raise InputError(f"{what}: expected a JSON object")
+    for field in fields:
         if field not in doc:
             raise InputError(f"{field}: missing field")
-        raw = doc[field]
+    return [doc[field] for field in fields]
+
+
+def instance_from_json_dict(doc) -> OMDInstance:
+    """Parse {"n": int, "a": [...], "d": [...], "p": [...]}; errors name the field."""
+    n, *vectors = document_fields(doc, "instance document", "n", "a", "d", "p")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"n: expected an integer, got {n!r}")
+    seqs = []
+    for field, raw in zip("adp", vectors):
         if not isinstance(raw, list):
             raise InputError(f"{field}: expected a list of rational strings")
-        seqs[field] = tuple(
+        seqs.append(tuple(
             parse_rational(v, field=f"{field}[{i}]") for i, v in enumerate(raw, start=1)
-        )
-    return OMDInstance(n=n, a=seqs["a"], d=seqs["d"], p=seqs["p"])
+        ))
+    return OMDInstance(n, *seqs)
 
 
 def instance_to_json(inst: OMDInstance) -> str:

@@ -197,10 +197,10 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         )
 
     cost_scale = lcm(*(di.denominator for di in params.d))
-    costs = subset_sums([int(di * cost_scale) for di in params.d], zero=0)[::-1]
+    costs = subset_sums([int(di * cost_scale) for di in params.d])[::-1]
     weight_scale = lcm(params.B.denominator, *(xi.denominator for xi in params.x))
     B = int(params.B * weight_scale)
-    weights = subset_sums([int(xi * weight_scale) for xi in params.x], zero=0)
+    weights = subset_sums([int(xi * weight_scale) for xi in params.x])
     probs = subset_products(
         [(pi.numerator, pi.denominator - pi.numerator) for pi in params.p]
     )

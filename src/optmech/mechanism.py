@@ -46,6 +46,7 @@ from .core import (
     ONE,
     check_mask,
     check_subset,
+    document_fields,
     format_rational,
     parse_rational,
     subset_label,
@@ -117,7 +118,7 @@ def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
     high = [ai + di for ai, di in zip(inst.a, inst.d)]
     low_per_d = [ai / Di for ai, Di in zip(inst.a, D)]
     M = lcm(scale, *(v.denominator for v in high), *(v.denominator for v in low_per_d))
-    H = subset_sums([v.numerator * (M // v.denominator) for v in high], zero=0)
+    H = subset_sums([v.numerator * (M // v.denominator) for v in high])
     A = [v.numerator * (M // v.denominator) for v in low_per_d]
     C = M // scale
     items = list(zip(range(n), D, A))
@@ -391,8 +392,7 @@ def mechanism_to_json_dict(mech: Mechanism) -> dict:
 def mechanism_from_json_dict(doc) -> Mechanism:
     """Parse the menu document. The uniqueness flag is not part of the wire
     format, so a loaded mechanism carries unique=False."""
-    if not isinstance(doc, dict):
-        raise InputError("mechanism document: expected a JSON object")
+    document_fields(doc, "mechanism document")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"n: expected an integer, got {n!r}")

@@ -107,6 +107,28 @@ def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/instance.json"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["sample", "--type", "1"], ["reduce", "lexrank"], ["budgeted"],
+])
+def test_non_utf8_input_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([*argv, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: cannot read {path}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("flag", ["--json-out", "--dump-lattice"])
+def test_unwritable_output_path_exit_1(tmp_path, capsys, flag):
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        assert main(["solve", instance, flag, str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: cannot write {target}: ")
+
+
 def single_positive(n):
     """An n-item single-positive-node instance: with p_i = 1/2 and
     a_i / d_i = 1/(n - 1), sum(x) - min(x) < B < sum(x)."""
@@ -327,6 +349,15 @@ def test_examples_all_pass(capsys):
     assert out.count("PASS") == 5
 
 
+def test_examples_failed_rows_print_the_table_then_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expected_revenue", lambda inst, mech: F(0))
+    assert main(["examples"]) == 3
+    out, err = capsys.readouterr()
+    assert out.count("PASS") == 3 and out.count("FAIL") == 2
+    assert out.splitlines()[-1].startswith("elapsed: ")
+    assert err == "verification failed: 2 worked-example rows failed\n"
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -358,6 +389,16 @@ def test_sample_empty_type(tmp_path, capsys):
 def test_sample_bad_type_usage(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", LOTTERY)
     assert main(["sample", instance, "--type", "5", "--count", "10"]) == 1
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--type", "1", "--count", "0"], "--count: must be >= 1, got 0"),
+    (["--type", "1,x"], "--type: expected comma-separated indices, got '1,x'"),
+])
+def test_sample_bad_options_exit_1(tmp_path, capsys, options, message):
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    assert main(["sample", instance, *options]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_sample_past_count_guard_exit_2(tmp_path, capsys):
@@ -444,11 +485,23 @@ def test_oracle_only_rejects_closed_form_flags(tmp_path, capsys, monkeypatch, fl
     (["reduce", "subsetsum"], {"W": "12", "T": 2}, "W: expected a list"),
     (["budgeted"], None, "budgeted document"),
     (["budgeted"], {"x": 3, "budget": 2, "eps": "1/5"}, "x: expected a list"),
+    (["reduce", "lexrank"], {"C": [1, 2], "S": [1], "k": "1"}, "k: expected an integer"),
+    (["reduce", "subsetsum"], {"W": [], "T": 1}, "W: must be nonempty"),
 ])
 def test_malformed_documents_exit_1(tmp_path, capsys, argv, doc, field):
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert main([*argv, path]) == 1
     assert f"input error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["reduce", "subsetsum"], {"W": [1] * 11, "T": 3}, "staged-inversion guard 10"),
+    (["budgeted", "--oracle"], {"x": [1] * 11, "budget": 3, "eps": "1/20"}, "oracle guard 10"),
+])
+def test_enumeration_guards_exit_2(tmp_path, capsys, argv, doc, message):
+    path = write(tmp_path, "doc.json", json.dumps(doc))
+    assert main([*argv, path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_python_m_optmech_runs_the_cli():

@@ -19,7 +19,7 @@ from optmech import (
     to_lp2_params,
     type_vectors,
 )
-from optmech.core import format_rational, parse_rational, types_by_size
+from optmech.core import format_rational, parse_rational, subset_sums, types_by_size
 
 
 def _frac(v):
@@ -237,6 +237,22 @@ def test_instance_validation():
         make_instance([-1], [1], [(1, 2)])  # a must be nonnegative
     with pytest.raises(InputError):
         OMDInstance(n=2, a=(F(1),), d=(F(1), F(1)), p=(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("field", ["x", "d", "p"])
+def test_lp2_params_require_fraction_entries(field):
+    vectors = {"x": (F(2), F(3)), "d": (F(1), F(2)), "p": (F(1, 2), F(1, 2))}
+    vectors[field] = tuple(map(float, vectors[field]))
+    with pytest.raises(InputError, match=f"{field}: entries must be rationals"):
+        LP2Params(n=2, B=F(9, 2), **vectors)
+
+
+def test_subset_sums_keep_the_value_type():
+    ints = subset_sums([1, 2, 4])
+    assert ints == list(range(8)) and all(type(v) is int for v in ints)
+    fracs = subset_sums([F(1, 2), F(1, 3)])
+    assert fracs == [0, F(1, 2), F(1, 3), F(5, 6)]
+    assert all(type(v) is F for v in fracs[1:])
 
 
 def test_instance_json_round_trip():
