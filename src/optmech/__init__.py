@@ -13,7 +13,6 @@ from .budgeted import (
 from .core import (
     LP2Params,
     OMDInstance,
-    Rational,
     Subset,
     check_subset,
     format_rational,

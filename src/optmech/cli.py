@@ -29,7 +29,6 @@ from .core import (
     decode_json,
     format_rational,
     instance_from_json,
-    parse_rational,
     subset_label,
     to_lp2_params,
     types_by_size,
@@ -123,15 +122,14 @@ def _q_tuple(values) -> str:
     return "(" + ", ".join(map(format_rational, values)) + ")"
 
 
-def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
-    """kappa -> parameters -> greedy flow -> closed-form mechanism, certified
-    against every BIC/IR constraint; the row summary goes on the report, or
-    the certificate's first failing row on the raised error. An instance
-    past the lattice guard is refused before any of that work."""
+def _closed_form(inst: OMDInstance, report: RunReport):
+    """Parameters at kappa = 1 -> greedy flow -> closed-form mechanism,
+    certified against every BIC/IR constraint; the row summary goes on the
+    report, or the certificate's first failing row on the raised error. An
+    instance past the lattice guard is refused before any of that work."""
     if inst.n > LATTICE_GUARD:
         raise PreconditionError(f"n={inst.n} exceeds the lattice guard {LATTICE_GUARD}")
-    kappa = parse_rational(kappa_text, field="--kappa") if kappa_text else ONE
-    params = to_lp2_params(inst, kappa)
+    params = to_lp2_params(inst, ONE)
     flow = canonical_solution(params)
     mech = closed_form_mechanism(inst, flow)
     check = certify_bic_ir(inst, mech)
@@ -157,8 +155,8 @@ def _closed_form(inst: OMDInstance, kappa_text, report: RunReport):
 
 def cmd_solve(args) -> RunReport:
     if args.oracle_only:
-        # --oracle-only skips the closed form these flags configure or emit
-        for flag, value in (("--kappa", args.kappa), ("--json-out", args.json_out),
+        # --oracle-only skips the closed form these flags write out
+        for flag, value in (("--json-out", args.json_out),
                             ("--dump-lattice", args.dump_lattice)):
             if value is not None:
                 raise _UsageError(f"argument {flag}: not allowed with argument --oracle-only")
@@ -175,7 +173,7 @@ def cmd_solve(args) -> RunReport:
     # built first so that an instance past the full-program guard is
     # refused before the closed form and its BIC/IR certificate run
     lp1_problem = build_lp1(inst) if args.oracle else None
-    params, flow, mech = _closed_form(inst, args.kappa, report)
+    params, flow, mech = _closed_form(inst, report)
     revenue = expected_revenue(inst, mech)
 
     menu_lines = [
@@ -344,7 +342,7 @@ def cmd_sample(args) -> RunReport:
             f"--count {args.count} at n={inst.n} draws {args.count * inst.n} items, "
             f"past the sampling guard {SAMPLE_GUARD}"
         )
-    _, _, mech = _closed_form(inst, args.kappa, report)
+    _, _, mech = _closed_form(inst, report)
 
     rng = random.Random(args.seed)
     hits = [0] * inst.n
@@ -412,7 +410,6 @@ def build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="solve an instance in closed form")
     p_solve.add_argument("instance", help="instance JSON file")
-    p_solve.add_argument("--kappa", help="scale parameter (default 1)")
     oracle = p_solve.add_mutually_exclusive_group()
     oracle.add_argument("--oracle", action="store_true",
                         help="also solve the full program and require exact agreement")
@@ -436,7 +433,6 @@ def build_parser() -> _Parser:
                           help="reported type: comma-separated indices, '-' for the empty set")
     p_sample.add_argument("--count", type=int, default=1000)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--kappa", help="scale parameter (default 1)")
     p_sample.set_defaults(func=cmd_sample)
 
     p_budgeted = sub.add_parser("budgeted", help="solve a budget-uncertain instance")

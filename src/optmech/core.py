@@ -26,14 +26,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-
-# The package-wide rational type. `fractions.Fraction` already guarantees the
-# required representation invariants: lowest terms, positive denominator,
-# exact +, -, *, / and comparisons on arbitrary-precision integers.
-Rational = Fraction
 
 # A type / lattice node: int mask, bit i-1 set iff item i is in the set.
 Subset = int
@@ -84,6 +80,15 @@ def format_rational(value: Fraction) -> str:
             f"a rational with more than {sys.get_int_max_str_digits()} decimal "
             "digits exceeds the integer string conversion limit"
         ) from None
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm L of their denominators, as ints, and L. The
+    greedy, the closed-form menu, its certificate and revenue, and the
+    simplex rows all turn rationals into ints here."""
+    pairs = [v.as_integer_ratio() for v in values]
+    L = lcm(*{den for _, den in pairs})
+    return [num * (L // den) for num, den in pairs], L
 
 
 # ---------------------------------------------------------------------------

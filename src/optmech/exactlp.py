@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping
 
 from .core import (
@@ -38,6 +38,7 @@ from .core import (
     ONE,
     format_rational,
     item_range,
+    over_common_denominator,
     subset_label,
     subset_probs,
     type_vectors,
@@ -423,20 +424,20 @@ def solve_lp(prob: LPProblem) -> LPSolution:
         """One row over the internal columns, right-hand side last, scaled by
         the lcm of its denominators: (ints, scale). The constant that the
         lower bound shifts contribute is moved into the right-hand side."""
-        terms = []
+        row = {}  # internal column -> coefficient
         for v, c in coeffs.items():
             if c:
                 kind = kind_of[v]
-                terms.append((kind[1], c))
+                row[kind[1]] = c
                 if kind[0] == "split":
-                    terms.append((kind[2], -c))
+                    row[kind[2]] = -c
                 elif kind[2]:
                     rhs -= c * kind[2]
-        terms.append((ncols, rhs))
-        scale = lcm(*[c.denominator for _, c in terms])
+        row[ncols] = rhs
+        scaled, scale = over_common_denominator(row.values())
         ints = [0] * (ncols + 1)
-        for j, c in terms:
-            ints[j] = c.numerator * (scale // c.denominator)
+        for j, v in zip(row, scaled):
+            ints[j] = v
         return ints, scale
 
     rows = []

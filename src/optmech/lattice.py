@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .core import (
@@ -34,6 +34,7 @@ from .core import (
     ZERO,
     format_rational,
     item_range,
+    over_common_denominator,
     subset_label,
     subset_probs,
     subset_products,
@@ -196,11 +197,10 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
             f"> B = {format_rational(params.B)}"
         )
 
-    cost_scale = lcm(*(di.denominator for di in params.d))
-    costs = subset_sums([int(di * cost_scale) for di in params.d])[::-1]
-    weight_scale = lcm(params.B.denominator, *(xi.denominator for xi in params.x))
-    B = int(params.B * weight_scale)
-    weights = subset_sums([int(xi * weight_scale) for xi in params.x])
+    D, cost_scale = over_common_denominator(params.d)
+    costs = subset_sums(D)[::-1]
+    (B, *X), weight_scale = over_common_denominator([params.B, *params.x])
+    weights = subset_sums(X)
     probs = subset_products(
         [(pi.numerator, pi.denominator - pi.numerator) for pi in params.p]
     )

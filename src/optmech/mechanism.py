@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -48,6 +48,7 @@ from .core import (
     check_subset,
     document_fields,
     format_rational,
+    over_common_denominator,
     parse_rational,
     subset_label,
     subset_products,
@@ -117,11 +118,9 @@ def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
     D = flow.scaled_d
     high = [ai + di for ai, di in zip(inst.a, inst.d)]
     low_per_d = [ai / Di for ai, Di in zip(inst.a, D)]
-    M = lcm(scale, *(v.denominator for v in high), *(v.denominator for v in low_per_d))
-    H = subset_sums([v.numerator * (M // v.denominator) for v in high])
-    A = [v.numerator * (M // v.denominator) for v in low_per_d]
-    C = M // scale
-    items = list(zip(range(n), D, A))
+    (C, *scaled), M = over_common_denominator([Fraction(1, scale), *high, *low_per_d])
+    H = subset_sums(scaled[:n])
+    items = list(zip(range(n), D, scaled[n:]))
     u, q, tau = [], [], []
     for S in range(size):
         US = U[S]
@@ -250,8 +249,8 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
             violations=violations,
         )
 
-    U, Lu = _over_common_denominator(u)
-    columns = [_over_common_denominator([qS[i] for qS in q]) for i in range(n)]
+    U, Lu = over_common_denominator(u)
+    columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
     Q = list(zip(*(column for column, _ in columns)))
     items = [
         (i, Lq, Lq * di.denominator, di.numerator * Lu)
@@ -287,13 +286,6 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     return report()
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm L of their denominators, as ints, and L."""
-    pairs = [v.as_integer_ratio() for v in values]
-    L = lcm(*{den for _, den in pairs})
-    return [num * (L // den) for num, den in pairs], L
-
-
 def _first_falling_gain(
     gains: Sequence[Sequence], n: int
 ) -> tuple[Subset, int, int] | None:
@@ -326,7 +318,7 @@ def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
     over the lcm of its denominators."""
     if mech.n != inst.n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    tau, L = _over_common_denominator(mech.tau)
+    tau, L = over_common_denominator(mech.tau)
     p = inst.p
     probs = subset_products([(pi.numerator, pi.denominator - pi.numerator) for pi in p])
     return Fraction(sum(map(mul, probs, tau)), L * prod(pi.denominator for pi in p))
@@ -392,13 +384,11 @@ def mechanism_to_json_dict(mech: Mechanism) -> dict:
 def mechanism_from_json_dict(doc) -> Mechanism:
     """Parse the menu document. The uniqueness flag is not part of the wire
     format, so a loaded mechanism carries unique=False."""
-    document_fields(doc, "mechanism document")
-    n = doc.get("n")
+    n, menu = document_fields(doc, "mechanism document", "n", "menu")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"n: expected an integer, got {n!r}")
     if n < 1:
         raise InputError(f"n: must be >= 1, got {n}")
-    menu = doc.get("menu")
     if not isinstance(menu, list):
         raise InputError("menu: missing or not a list")
     # compare bit lengths first so an absurd n never builds 1 << n
@@ -410,19 +400,20 @@ def mechanism_from_json_dict(doc) -> Mechanism:
     for idx, entry in enumerate(menu):
         if not isinstance(entry, dict):
             raise InputError(f"menu[{idx}]: expected an object")
-        if "type" not in entry:
-            raise InputError(f"menu[{idx}].type: missing field")
+        for key in ("type", "u", "q", "price"):
+            if key not in entry:
+                raise InputError(f"menu[{idx}].{key}: missing field")
         if not isinstance(entry["type"], list):
             raise InputError(f"menu[{idx}].type: expected a list of item indices")
         S = check_subset(entry["type"], n, field=f"menu[{idx}].type")
         if u[S] is not None:
             raise InputError(f"menu[{idx}].type: duplicate type {subset_to_list(S)}")
-        u[S] = parse_rational(entry.get("u"), field=f"menu[{idx}].u")
-        raw_q = entry.get("q")
+        u[S] = parse_rational(entry["u"], field=f"menu[{idx}].u")
+        raw_q = entry["q"]
         if not isinstance(raw_q, list) or len(raw_q) != n:
             raise InputError(f"menu[{idx}].q: expected {n} rationals")
         q[S] = tuple(
             parse_rational(v, field=f"menu[{idx}].q[{k}]") for k, v in enumerate(raw_q)
         )
-        tau[S] = parse_rational(entry.get("price"), field=f"menu[{idx}].price")
+        tau[S] = parse_rational(entry["price"], field=f"menu[{idx}].price")
     return Mechanism(n=n, u=u, q=q, tau=tau, unique=False)

@@ -276,14 +276,6 @@ def test_solve_menu_block_golden(tmp_path, capsys):
     assert block == GOLDEN_MENU_N3
 
 
-def test_solve_custom_kappa_same_menu(tmp_path, capsys):
-    instance = write(tmp_path, "inst.json", LOTTERY)
-    code = main(["solve", instance, "--kappa", "7/3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "expected revenue: 21/8" in out
-
-
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -457,11 +449,20 @@ def test_unknown_flag_usage(tmp_path, capsys):
     assert main(["solve", instance, "--frobnicate"]) == 1
 
 
+def test_kappa_is_an_unknown_option(tmp_path, capsys):
+    # the menu does not depend on the parameter map's scale, so the CLI
+    # always maps at kappa = 1 and takes no option for it
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    for command in (["solve", instance], ["sample", instance, "--type", "1"]):
+        assert main([*command, "--kappa", "2"]) == 1
+        assert "unrecognized arguments: --kappa 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [
-    ["--oracle"], ["--json-out", "m.json"], ["--dump-lattice", "l.txt"], ["--kappa", "2"],
+    ["--oracle"], ["--json-out", "m.json"], ["--dump-lattice", "l.txt"],
 ])
 def test_oracle_only_rejects_closed_form_flags(tmp_path, capsys, monkeypatch, flag):
-    # the closed form these flags configure or emit never runs with
+    # the closed form these flags emit or check never runs with
     # --oracle-only, so each pairing is refused rather than ignored
     monkeypatch.chdir(tmp_path)
     instance = write(tmp_path, "inst.json", LOTTERY)

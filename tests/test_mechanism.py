@@ -474,6 +474,10 @@ ENTRY = {"type": [], "u": "0", "q": ["0"], "price": "0"}
     ({"n": 1, "menu": [{"u": "0"}, ENTRY]}, r"menu\[0\]\.type: missing field"),
     ({"n": 1, "menu": [ENTRY, ENTRY]}, r"menu\[1\]\.type: duplicate type \[\]"),
     ({"n": 1, "menu": [dict(ENTRY, q=[]), ENTRY]}, r"menu\[0\]\.q: expected 1 rationals"),
+    ({}, r"n: missing field"),
+    ({"n": 2}, r"menu: missing field"),
+    *(({"n": 1, "menu": [ENTRY, {k: v for k, v in ENTRY.items() if k != key}]},
+       rf"menu\[1\]\.{key}: missing field") for key in ("u", "q", "price")),
 ])
 def test_mechanism_json_rejects_malformed_documents(doc, field):
     with pytest.raises(InputError, match=field):

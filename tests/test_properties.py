@@ -7,7 +7,9 @@ greedy flow gives every field of a `Fraction` greedy over the sorted (cost,
 mask) order, and its closed-form utility and allocation match ones computed
 from the `Fraction` node costs, exact-boundary and zero-supply flows
 included; the closed-form menu's int-built prices equal v(S).q(S) - u(S) on
-`Fraction`s, and the int revenue total equals the direct sum. The
+`Fraction`s, and the int revenue total equals the direct sum. The parameter
+map's scale kappa leaves the fill order, the partially filled node and the
+menu unchanged and scales the flow's amounts by kappa. The
 bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
@@ -332,6 +334,27 @@ def test_closed_form_menu_matches_flow_and_fraction_prices(params):
         assert mech.q[S] == q, S
         assert mech.u[S] == flow.utility(S), S
         assert mech.tau[S] == sum(vi * qi for vi, qi in zip(vec, q)) - flow.utility(S), S
+
+
+# tiny, huge and non-integer scales, e.g. 1/1000 and (10^6+1)/3
+kappas = st.builds(F, st.integers(1, 10**6 + 1), st.integers(1, 1000))
+
+
+@exact
+@given(st.one_of(single_positive_parameters(), exact_boundary_parameters()), kappas)
+def test_menu_and_fill_do_not_depend_on_kappa(params, kappa):
+    # kappa multiplies x and B, so every balance and capacity, by one factor:
+    # the fill order, S* and the menu stay, and the flow's amounts scale
+    assume(params.kappa > 0)
+    inst, _ = from_lp2_params(params)
+    base = canonical_solution(to_lp2_params(inst, F(1)))
+    flow = canonical_solution(to_lp2_params(inst, kappa))
+    assert (flow.fill_order, flow.partially_filled) == (base.fill_order, base.partially_filled)
+    assert (flow.supply, flow.total_cost) == (kappa * base.supply, kappa * base.total_cost)
+    assert flow.absorbed == {S: kappa * v for S, v in base.absorbed.items()}
+    mech, base_mech = closed_form_mechanism(inst, flow), closed_form_mechanism(inst, base)
+    assert (mech.u, mech.q, mech.tau, mech.unique) == (
+        base_mech.u, base_mech.q, base_mech.tau, base_mech.unique)
 
 
 @exact
