@@ -8,9 +8,11 @@ sits in, and the seeded single-positive instance generator of the `solve`
 benchmark workload from its `perfbench` directory; uses the standard library
 only. For each n in SIZES it writes one instance drawn from SEED to a
 temporary directory, then times `optmech.cli.main(["solve", ...])` three
-ways: plain, with `--json-out` and with `--dump-lattice`. Each figure is the
-minimum of REPEATS runs, with stdout captured and the exit code required to
-be 0. The last line gives the process's peak RSS.
+ways: plain, with `--json-out` and with `--dump-lattice`. A second table
+times `solve --oracle`, which also solves the full revenue program exactly,
+for each n in ORACLE_SIZES. Each figure is the minimum of REPEATS runs, with
+stdout captured and the exit code required to be 0. The last line gives the
+process's peak RSS.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from optmech.cli import main  # noqa: E402
 
 SEED = 1
 SIZES = (8, 10, 12, 14)
+ORACLE_SIZES = (3, 4, 5, 6)
 REPEATS = 3
 
 
@@ -63,6 +66,11 @@ def run() -> None:
             json_out = best_of(["solve", inst, "--json-out", os.path.join(tmp, "m.json")])
             dump = best_of(["solve", inst, "--dump-lattice", os.path.join(tmp, "l.txt")])
             print(f"{n:>3} {plain:>9.3f} {json_out:>11.3f} {dump:>15.3f}")
+        print(f"{'n':>3} {'oracle s':>9}")
+        for n in ORACLE_SIZES:
+            with open(inst, "w", encoding="utf-8") as handle:
+                json.dump(inputs.instance_doc(rng, n), handle)
+            print(f"{n:>3} {best_of(['solve', inst, '--oracle']):>9.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")
 

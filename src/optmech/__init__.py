@@ -39,6 +39,7 @@ from .exactlp import (
     edge_var,
     q_var,
     solve_lp,
+    solve_lp1,
     u_var,
     unique_optimum,
 )

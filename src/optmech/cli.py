@@ -34,7 +34,7 @@ from .core import (
     types_by_size,
 )
 from .errors import InputError, PreconditionError, VerificationError
-from .exactlp import OPTIMAL, build_lp1, solve_lp
+from .exactlp import solve_lp1
 from .lattice import LATTICE_GUARD, canonical_solution, dump_lattice
 from .mechanism import (
     certify_bic_ir,
@@ -164,15 +164,12 @@ def cmd_solve(args) -> RunReport:
     inst = instance_from_json(text)
 
     if args.oracle_only:
-        lp1 = solve_lp(build_lp1(inst))
-        if lp1.status != OPTIMAL:
-            raise VerificationError(f"full program is {lp1.status}")
-        report.outputs["oracle optimal revenue"] = format_rational(lp1.value)
+        report.outputs["oracle optimal revenue"] = format_rational(solve_lp1(inst).value)
         return report
 
-    # built first so that an instance past the full-program guard is
+    # solved first so that an instance past the full-program guard is
     # refused before the closed form and its BIC/IR certificate run
-    lp1_problem = build_lp1(inst) if args.oracle else None
+    lp1 = solve_lp1(inst) if args.oracle else None
     params, flow, mech = _closed_form(inst, report)
     revenue = expected_revenue(inst, mech)
 
@@ -186,12 +183,10 @@ def cmd_solve(args) -> RunReport:
     report.outputs["unique"] = "yes" if mech.unique else "possibly non-unique"
 
     if args.oracle:
-        lp1 = solve_lp(lp1_problem)
-        if lp1.status != OPTIMAL or lp1.value != revenue:
-            got = format_rational(lp1.value) if lp1.value is not None else lp1.status
+        if lp1.value != revenue:
             raise VerificationError(
                 f"oracle mismatch: closed form {format_rational(revenue)}, "
-                f"full program {got}"
+                f"full program {format_rational(lp1.value)}"
             )
         report.outputs["oracle"] = (
             f"revenue matches the full program optimum {format_rational(lp1.value)}"
@@ -271,12 +266,12 @@ def cmd_examples(args) -> RunReport:
     # Two items, each worth 1 or 2 uniformly: selling the bundle at 3 is
     # optimal and beats separate sales.
     inst = _example_instance([1, 1], [1, 1], [(1, 2), (1, 2)])
-    got = solve_lp(build_lp1(inst)).value
+    got = solve_lp1(inst).value
     rows.append(("uniform {1,2}x{1,2} bundle revenue", Fraction(9, 4), got))
 
     # Two items worth 0 or 1: separate sales achieve 1, which is optimal.
     inst = _example_instance([0, 0], [1, 1], [(1, 2), (1, 2)])
-    got = solve_lp(build_lp1(inst)).value
+    got = solve_lp1(inst).value
     rows.append(("zero-low {0,1}x{0,1} optimal revenue", Fraction(1), got))
 
     # Uniform {1,2} x {1,3}: the optimal menu prices the bundle at 4 and a
@@ -298,7 +293,7 @@ def cmd_examples(args) -> RunReport:
         )
     )
     revenue = expected_revenue(inst, mech)
-    oracle = solve_lp(build_lp1(inst)).value
+    oracle = solve_lp1(inst).value
     rows.append(("lottery instance revenue", Fraction(21, 8), revenue))
     rows.append(("lottery revenue equals oracle optimum", oracle, revenue))
 

@@ -3,8 +3,9 @@
 The solver is a dense two-phase tableau simplex over exact rationals with the
 smallest-index (Bland) anti-cycling pivot rule, so it terminates and is fully
 deterministic: identical problems yield identical optimal assignments. Every
-optimal answer is re-checked post hoc against the original constraints, so a
-reported optimum is exact by construction.
+optimal answer is re-checked post hoc: the assignment against the original
+constraints, and the simplex's row multipliers as a dual certificate, so a
+reported optimum is certified optimal, not trusted to the pivots.
 
 The tableau holds integers. `solve_lp` builds each row once, from the
 nonzero entries of its coefficient map, and scales it by the lcm of its
@@ -16,7 +17,8 @@ not on the tableau.
 The three builders produce, for a given instance / parameter vector:
 
   * ``build_lp1`` -- the full revenue program: utilities u(S) and allocation
-    marginals q_i(S) with truthfulness rows for every ordered pair of types;
+    marginals q_i(S) with truthfulness rows for every ordered pair of types
+    (``solve_lp1`` solves it by constraint generation);
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -25,9 +27,10 @@ The three builders produce, for a given instance / parameter vector:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping
 
 from .core import (
@@ -48,14 +51,14 @@ from .lattice import node_balances
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). The full program's guard admits only sizes
-# whose solve ends within a minute: one LP1 solve takes 0.5-11 s at n=5 and
-# 11-117 s at n=6 (2-vCPU machine, random instances). The relaxed
-# program's guard is set by memory: on a random single-positive instance one
-# solve took 4.2 s (LP2) and 2.3 s (LP3) at n=11 with a peak RSS of 956 MiB,
-# and 21.8 s and 10.8 s at n=12 with 4.0 GiB (2 vCPUs, 8 GiB). Memory grows
-# about x4 per item, so n=13 would need about 16 GiB.
-LP1_GUARD = 5
-LP23_GUARD = 12
+# whose `solve_lp1` ends within a minute: at n=6 it took 0.25-0.34 s on 12
+# random single-positive instances and 0.45-4.8 s on 12 general ones (a_i in
+# 0..10; three needed a second round), and one general n=7 case 130 s. The
+# relaxed program's guard is set by memory: on a random single-positive
+# instance one solve took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS
+# of 1.3 GiB; LP2 at n=12 did not finish in 4 GiB of address space (2 vCPUs).
+LP1_GUARD = 6
+LP23_GUARD = 11
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -148,11 +151,8 @@ class LPSolution:
 # `_simplex_max` solves  max c.x  over rows {<=, =, >=} with x >= 0 by the
 # two-phase dense tableau method, Bland's smallest-index rule throughout.
 # It reports, besides the optimal column values, the dual multiplier of every
-# input row, which lets `solve_lp` run a dual detour: a tall program whose
-# rows are all inequalities is solved through its transpose (one row per
-# original column) and the primal assignment is read off the dual
-# multipliers. `solve_lp` checks every answer, from the detour or not,
-# against the original data.
+# input row. `solve_lp` checks the column values against the original data
+# and the multipliers as a dual certificate of optimality.
 #
 # The tableau is fraction-free. Each input row arrives as ints: the rational
 # row, right-hand side included, times the lcm of its denominators, built
@@ -170,27 +170,26 @@ class LPSolution:
 # Bland's rule reads only signs and ratio order, so every pivot, vertex and
 # dual is the rational tableau's.
 #
-# The detour transposes the same int rows. Row i is s_i times its rational
-# row, so column j of the rows, with the objective's int coefficient as
-# right-hand side and scale 1, is the rational transpose row times the
-# objective's scale, in variables y_i / s_i times that scale. Its slacks and
-# artificials are the rational ones times the same scale, so phase 1's
-# objective is a positive multiple of the rational one. Bland's rule cannot
-# see a rescaling of variables by positive factors: the sign of each reduced
-# cost, the order of the ratios in a column and the basis-index tie-break
-# stay the same, so every pivot and vertex is the rational transpose's.
-# Scaling every row and the objective by one factor leaves the duals, and
-# with them the recovered primal, unchanged, and scales the value by it.
+# The cost row is always the objective minus a combination of the input rows,
+# so the reduced cost of a row's slack or artificial column is minus that
+# row's weight y_k (plus it, for a row the canonicalization negated), also
+# for a redundant row that phase 1 dropped; it is reported as an int over
+# the cost row's denominator. At an optimum y is dual-feasible: y_k >= 0 on
+# "<=" rows, y_k <= 0 on ">=" rows, sum_k y_k a_kj >= c_j on every column,
+# and y.b equals the value. `_check_duals` replays exactly that on the input
+# rows, so a returned optimum is optimal by weak duality, not by trust in
+# the pivots.
 
 
 class _SimplexOutcome:
-    __slots__ = ("status", "colvals", "value", "duals")
+    __slots__ = ("status", "colvals", "value", "duals", "den")
 
-    def __init__(self, status, colvals=None, value=None, duals=None):
+    def __init__(self, status, colvals=None, value=None, duals=None, den=1):
         self.status = status
         self.colvals = colvals
         self.value = value
-        self.duals = duals
+        self.duals = duals  # ints over the common denominator den > 0
+        self.den = den
 
 
 def _simplex_max(ncols, rows, objective):
@@ -228,7 +227,6 @@ def _simplex_max(ncols, rows, objective):
     basis = []
     art_cols = set()
     assoc = []      # per input row: its slack or artificial column
-    alive = []      # per input row: tableau row index, or None once dropped
     for ints, rel, scale, _ in canon:
         row = ints[:-1] + pad + ints[-1:]
         if rel == "<=":
@@ -250,7 +248,6 @@ def _simplex_max(ncols, rows, objective):
             basis.append(ai)
             assoc.append(ai)
             ai += 1
-        alive.append(len(T))
         T.append(row)
 
     def eliminate(row, c, prow, nz):
@@ -337,15 +334,9 @@ def _simplex_max(ncols, rows, objective):
                         break
                 else:
                     drop.append(i)
-        if drop:
-            dropped = set(drop)
-            for i in reversed(drop):
-                del T[i]
-                del basis[i]
-            # only the liveness of a row matters downstream: a dropped row is
-            # redundant and carries a zero dual
-            for k, idx in enumerate(alive):
-                alive[k] = None if idx in dropped else idx
+        for i in reversed(drop):
+            del T[i]
+            del basis[i]
 
     objective, scale = objective
     cost = price(objective + [0] * (width - ncols) + [scale])
@@ -359,49 +350,8 @@ def _simplex_max(ncols, rows, objective):
     for row, b in zip(T, basis):
         if b < ncols:
             colvals[b] = Fraction(row[-1], row[b])
-    duals = []
-    for k, (_, _, _, flipped) in enumerate(canon):
-        if alive[k] is None:
-            duals.append(ZERO)
-            continue
-        mu = -cost[assoc[k]]
-        duals.append(Fraction(-mu if flipped else mu, den))
-    return _SimplexOutcome(OPTIMAL, colvals, Fraction(-cost[total], den), duals)
-
-
-# A program qualifies for the dual detour when its rows are inequalities in
-# sink form (so x = 0 is feasible and the transpose is bounded) and it is
-# tall enough for the transpose to be worth it.
-_DUAL_DETOUR_MIN_COLS = 24
-_DUAL_DETOUR_RATIO = 2
-
-
-def _try_dual_detour(ncols, rows, objective):
-    if ncols < _DUAL_DETOUR_MIN_COLS or len(rows) < _DUAL_DETOUR_RATIO * ncols:
-        return None
-    sink_rows = []
-    for ints, rel, _ in rows:
-        if rel == "<=" and ints[-1] >= 0:
-            sink_rows.append(ints)
-        elif rel == ">=" and ints[-1] <= 0:
-            sink_rows.append([-v for v in ints])
-        else:
-            return None
-    # column j of the int rows at scale 1; see the simplex comment block for
-    # why this takes the rational transpose's pivots
-    obj_ints, obj_scale = objective
-    *columns, rhs = zip(*sink_rows)
-    transpose_rows = [([*col, c], ">=", 1) for col, c in zip(columns, obj_ints)]
-    outcome = _simplex_max(len(rhs), transpose_rows, ([-b for b in rhs], 1))
-    # the transpose maximizes -b.y with b >= 0, so it is bounded; when it is
-    # infeasible, the primal (feasible at x = 0) is unbounded
-    if outcome.status == INFEASIBLE:
-        return _SimplexOutcome(UNBOUNDED)
-    # one transpose row per original column; with rows passed in >= form to
-    # an internally maximized program, the recovered primal is -1 times the
-    # reported multiplier
-    colvals = {j: -y for j, y in enumerate(outcome.duals) if y}
-    return _SimplexOutcome(OPTIMAL, colvals, -outcome.value / obj_scale)
+    duals = [cost[col] if flipped else -cost[col] for col, (*_, flipped) in zip(assoc, canon)]
+    return _SimplexOutcome(OPTIMAL, colvals, Fraction(-cost[total], den), duals, den)
 
 
 def solve_lp(prob: LPProblem) -> LPSolution:
@@ -461,15 +411,13 @@ def solve_lp(prob: LPProblem) -> LPSolution:
         ints = [-c for c in ints]
     objective = (ints, obj_scale)
 
-    outcome = _try_dual_detour(ncols, rows, objective)
-    if outcome is None:
-        outcome = _simplex_max(ncols, rows, objective)
+    outcome = _simplex_max(ncols, rows, objective)
     if outcome.status == INFEASIBLE:
         return LPSolution(status=INFEASIBLE, value=None, assignment={})
     if outcome.status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED, value=None, assignment={})
 
-    # --- extract and certify: every answer, from the detour or not
+    # --- extract and certify: the assignment, then the multipliers
     colvals = outcome.colvals
     assignment = {}
     for v in prob.variables:
@@ -487,6 +435,7 @@ def solve_lp(prob: LPProblem) -> LPSolution:
             f"assignment value {format_rational(value)}"
         )
     _check_feasible(prob, assignment)
+    _check_duals(rows, objective, outcome)
     return LPSolution(status=OPTIMAL, value=value, assignment=assignment)
 
 
@@ -500,18 +449,45 @@ def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None
             raise VerificationError(f"assignment violates lower bound of {v}")
         if up is not None and val > up:
             raise VerificationError(f"assignment violates upper bound of {v}")
-    for con in prob.constraints:
-        lhs = sum((c * x for v, c in con.coeffs.items() if (x := assignment[v])), ZERO)
-        ok = (
-            lhs <= con.rhs if con.rel == "<=" else
-            lhs >= con.rhs if con.rel == ">=" else
-            lhs == con.rhs
+    for con, lhs in _violated_rows(prob.constraints, assignment):
+        raise VerificationError(
+            f"assignment violates constraint {con.name or con}: "
+            f"{format_rational(lhs)} {con.rel} {format_rational(con.rhs)}"
         )
-        if not ok:
-            raise VerificationError(
-                f"assignment violates constraint {con.name or con}: "
-                f"{format_rational(lhs)} {con.rel} {format_rational(con.rhs)}"
-            )
+
+
+def _violated_rows(constraints, assignment: Mapping[str, Fraction]):
+    """Each constraint that ``assignment`` breaks, with its left-hand side."""
+    for con in constraints:
+        lhs = sum((c * x for v, c in con.coeffs.items() if (x := assignment[v])), ZERO)
+        rel, rhs = con.rel, con.rhs
+        if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
+            yield con, lhs
+
+
+def _check_duals(rows, objective, outcome: _SimplexOutcome) -> None:
+    """The dual certificate of an optimal `_simplex_max` outcome on ``rows``
+    and ``objective`` (see the simplex comment block), on the int rows: the
+    multiplier of rational row k is duals[k] / den and int row k is s_k
+    times it, so with L the lcm of the s_k in use, W_k = duals[k] * L / s_k
+    weighs the int rows over one common denominator D = den * L."""
+    duals = outcome.duals
+    for k, (y, (_, rel, _)) in enumerate(zip(duals, rows)):
+        if y < 0 if rel == "<=" else y > 0 if rel == ">=" else False:
+            y = Fraction(y, outcome.den)
+            raise VerificationError(f"dual certificate: row {k} ({rel}) has multiplier {y}")
+    used = [(y, rows[k]) for k, y in enumerate(duals) if y]
+    L = lcm(*(scale for _, (_, _, scale) in used))
+    W = [y * (L // scale) for y, (_, _, scale) in used]
+    D = outcome.den * L
+    obj_ints, obj_scale = objective
+    columns = list(zip(*(ints for _, (ints, _, _) in used))) or [()] * (len(obj_ints) + 1)
+    for j, (c, column) in enumerate(zip(obj_ints, columns)):
+        if sum(map(mul, W, column)) * obj_scale < c * D:
+            raise VerificationError(f"dual certificate: column {j} is not covered")
+    bound = Fraction(sum(map(mul, W, columns[-1])), D)
+    if bound != outcome.value:
+        raise VerificationError(f"dual certificate: bound {bound} != value {outcome.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +562,30 @@ def build_lp1(inst: OMDInstance) -> LPProblem:
         constraints=tuple(constraints),
         upper=upper,
     )
+
+
+def solve_lp1(inst: OMDInstance) -> LPSolution:
+    """The full revenue program's optimum, by constraint generation: solve
+    `build_lp1(inst)` restricted to its adjacent truthfulness rows (types one
+    item apart, both directions), its IR rows and q <= 1; replay every row
+    of the full program on the answer, add the violated rows, solve again.
+    The restricted program is a relaxation, feasible at u = q = 0 and
+    bounded by u >= 0, q <= 1. Its certified duals, extended by zeros, are
+    dual-feasible for the full program, so an answer that passes the replay
+    is the full optimum."""
+    full = build_lp1(inst)
+    # build_lp1 lists the truthfulness row of every ordered pair of distinct
+    # types, S-major, and then the IR rows
+    types = range(1 << inst.n)
+    pairs = [S ^ T for S in types for T in types if S != T]
+    rows = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
+    rows += full.constraints[len(pairs):]
+    while True:
+        sol = solve_lp(replace(full, constraints=rows))
+        violated = [con for con, _ in _violated_rows(full.constraints, sol.assignment)]
+        if not violated:
+            return sol
+        rows += violated
 
 
 def build_lp2(params: LP2Params) -> LPProblem:

@@ -390,7 +390,7 @@ def mechanism_from_json_dict(doc) -> Mechanism:
     if n < 1:
         raise InputError(f"n: must be >= 1, got {n}")
     if not isinstance(menu, list):
-        raise InputError("menu: missing or not a list")
+        raise InputError("menu: expected a list")
     # compare bit lengths first so an absurd n never builds 1 << n
     if len(menu).bit_length() != n + 1 or len(menu) != 1 << n:
         raise InputError(f"menu: expected 2^{n} entries, got {len(menu)}")

@@ -33,6 +33,7 @@ from optmech import (
     q_var,
     sample_allocation,
     solve_lp,
+    solve_lp1,
     subsetsum_gadget,
     to_lp2_params,
     u_var,
@@ -150,7 +151,7 @@ def test_criterion_3_closed_form_suite():
         assert report.ok
         assert report.bic_checked + report.ir_checked == (1 << n) * ((1 << n) - 1) + (1 << n)
 
-        lp1 = solve_lp(build_lp1(inst))
+        lp1 = solve_lp1(inst)
         assert lp1.value == expected_revenue(inst, mech)
 
         lp2_prob = build_lp2(params)

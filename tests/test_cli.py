@@ -177,16 +177,24 @@ def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_past_full_program_guard_exit_2(tmp_path, capsys):
-    # one LP1 solve would take minutes at n = 6; with --oracle the refusal
+    # one LP1 solve can take minutes at n = 7; with --oracle the refusal
     # also comes before the closed form and its certificate
-    for n in (6, 10):
+    for n in (7, 10):
         doc = {"n": n, "a": ["1"] * n, "d": ["1"] * n, "p": ["1/2"] * n}
         instance = write(tmp_path, "inst.json", json.dumps(doc))
         for flag in ("--oracle-only", "--oracle"):
             t0 = time.perf_counter()
             assert main(["solve", instance, flag]) == 2
             assert time.perf_counter() - t0 < 1.0
-            assert "full-program enumeration guard 5" in capsys.readouterr().err
+            assert "full-program enumeration guard 6" in capsys.readouterr().err
+
+
+def test_oracle_at_full_program_guard(tmp_path, capsys):
+    instance = write(tmp_path, "inst.json", single_positive(6))
+    assert main(["solve", instance, "--oracle"]) == 0
+    out = capsys.readouterr().out
+    revenue = out.split("expected revenue: ")[1].split()[0]
+    assert f"oracle: revenue matches the full program optimum {revenue}" in out
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

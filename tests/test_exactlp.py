@@ -16,6 +16,7 @@ from optmech import (
     build_lp3,
     dump_problem,
     solve_lp,
+    solve_lp1,
     u_var,
     unique_optimum,
 )
@@ -273,23 +274,13 @@ def _with_zeros(prob, nonzero):
     return expected
 
 
-# single-positive n=3 instance whose LP1 is tall enough for the dual detour
+# a single-positive n=3 instance
 PINNED_LP1 = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2, 5), (3, 4)])
 
 
-def test_pinned_vertex_lp1_dual_detour(monkeypatch):
-    # the detour reads the primal off the transpose's duals
-    detour, answers = exactlp._try_dual_detour, []
-
-    def recording_detour(*args):
-        answers.append(detour(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
+def test_pinned_vertex_lp1():
     prob = build_lp1(PINNED_LP1)
-    sol = solve_lp(prob)
-    [answer] = answers
-    assert answer is not None  # the detour answered, not the primal path
+    sol = solve_lp1(PINNED_LP1)
     assert sol.value == F(4133, 1200)
     assert sol.assignment == _with_zeros(prob, {
         "u({1,2,3})": "1",
@@ -301,17 +292,9 @@ def test_pinned_vertex_lp1_dual_detour(monkeypatch):
     })
 
 
-def test_dual_detour_reports_unbounded(monkeypatch):
+def test_tall_program_reports_unbounded():
     # a tall program (24 columns, 48 "<=" rows with rhs >= 0) maximizing x23,
-    # which only ever loosens a row: the transpose's x23 row cannot be met,
-    # so the detour answers that the primal is unbounded
-    detour, answers = exactlp._try_dual_detour, []
-
-    def recording_detour(*args):
-        answers.append(detour(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(exactlp, "_try_dual_detour", recording_detour)
+    # which only ever loosens a row, so nothing bounds it
     names = [f"x{j}" for j in range(24)]
     rows = []
     for k in range(48):
@@ -321,8 +304,23 @@ def test_dual_detour_reports_unbounded(monkeypatch):
         rows.append(Constraint(coeffs, "<=", F(k % 5)))
     prob = LPProblem(tuple(names), {"x23": ONE}, "max", tuple(rows))
     assert solve_lp(prob).status == "unbounded"
-    [answer] = answers
-    assert answer is not None and answer.status == "unbounded"  # the detour answered
+
+
+# its restricted program's first answer breaks a non-adjacent row
+TWO_ROUND_LP1 = make_instance([8, 2, 3], [4, 10, 3], [(1, 2), (9, 10), (17, 20)])
+
+
+def test_solve_lp1_adds_violated_rows(monkeypatch):
+    rounds = []
+
+    def recording_solve(prob):
+        rounds.append(solve_lp(prob))
+        return rounds[-1]
+
+    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    sol = solve_lp1(TWO_ROUND_LP1)
+    assert [r.value for r in rounds] == [F(47809, 2000), F(239, 10)]
+    assert sol.value == F(239, 10) == solve_lp(build_lp1(TWO_ROUND_LP1)).value
 
 
 def test_pinned_vertex_budgeted_oracle(monkeypatch):
@@ -355,32 +353,68 @@ def test_pinned_vertex_lp3():
     })
 
 
-def _tampered(solver, shift=0, bump=0):
-    """``solver`` with column 0 of its answer raised by ``shift`` and the
-    value recomputed from the columns, then raised by ``bump``."""
+def _tampered(shift=0, bump=0, dual=None):
+    """`_simplex_max` with column 0 of its answer raised by ``shift`` and the
+    value recomputed from the columns, then raised by ``bump``, and its
+    multipliers passed through ``dual``."""
+    solver = exactlp._simplex_max
+
     def run(ncols, rows, objective):
-        colvals = dict(solver(ncols, rows, objective).colvals)
+        outcome = solver(ncols, rows, objective)
+        colvals = dict(outcome.colvals)
         colvals[0] = colvals.get(0, ZERO) + shift
         ints, scale = objective
         value = sum((ints[j] * x for j, x in colvals.items()), ZERO) / scale + bump
-        return exactlp._SimplexOutcome("optimal", colvals, value)
+        duals = dual(list(outcome.duals)) if dual else outcome.duals
+        return exactlp._SimplexOutcome("optimal", colvals, value, duals, outcome.den)
     return run
 
 
-@pytest.mark.parametrize("solver", ["_try_dual_detour", "_simplex_max"])
-def test_solve_lp_certifies_every_answer(monkeypatch, solver):
-    # the post-hoc checks are the only certificate of either path: a raised
-    # column 0 (u({}) in LP1, x in the small program) breaks a constraint
-    # while the value still matches, and a raised value breaks the match
-    prob = build_lp1(PINNED_LP1) if solver == "_try_dual_detour" else LPProblem(
+def _flip_first(duals):
+    k = next(k for k, y in enumerate(duals) if y)
+    duals[k] = -duals[k]
+    return duals
+
+
+def _raise_last(duals):
+    duals[-1] += 1
+    return duals
+
+
+CERTIFIED = {
+    "lp1": lambda: build_lp1(PINNED_LP1),
+    "small": lambda: LPProblem(
         ("x", "y"), {"x": ONE, "y": ONE}, "max",
         (Constraint({"x": ONE, "y": F(2)}, "<=", F(4)), Constraint({"x": ONE}, "<=", F(2))),
-    )
-    original = getattr(exactlp, solver)
+    ),
+}
+
+
+@pytest.mark.parametrize("program", sorted(CERTIFIED))
+def test_solve_lp_certifies_every_answer(monkeypatch, program):
+    # a raised column 0 (u({}) in LP1, x in the small program) breaks a
+    # constraint while the value still matches, and a raised value breaks
+    # the match
+    prob = CERTIFIED[program]()
     for tamper, message in ((dict(shift=100), "violates constraint"), (dict(bump=1), "does not match")):
-        monkeypatch.setattr(exactlp, solver, _tampered(original, **tamper))
-        with pytest.raises(VerificationError, match=message):
-            solve_lp(prob)
+        with monkeypatch.context() as mp:
+            mp.setattr(exactlp, "_simplex_max", _tampered(**tamper))
+            with pytest.raises(VerificationError, match=message):
+                solve_lp(prob)
+
+
+@pytest.mark.parametrize("program", sorted(CERTIFIED))
+@pytest.mark.parametrize("dual", [_flip_first, _raise_last])
+def test_solve_lp_certifies_the_duals(monkeypatch, program, dual):
+    # the answer is right and the multipliers are not: the first nonzero one
+    # with the wrong sign for its inequality, or the last row's (an upper
+    # bound in LP1, x <= 2 in the small program) off by one unit of their
+    # common denominator, which moves the bound y.b off the value
+    prob = CERTIFIED[program]()
+    assert solve_lp(prob).status == "optimal"
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=dual))
+    with pytest.raises(VerificationError, match="dual certificate"):
+        solve_lp(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +448,11 @@ def test_lp1_uniform_optimum():
 
 
 def test_lp1_guard():
-    for n in (9, 6):
+    for n in (9, 7):
         inst = make_instance([1] * n, [1] * n, [(1, 2)] * n)
-        with pytest.raises(PreconditionError, match="full-program enumeration guard 5"):
-            build_lp1(inst)
+        for build in (build_lp1, solve_lp1):
+            with pytest.raises(PreconditionError, match="full-program enumeration guard 6"):
+                build(inst)
 
 
 PARAMS_A = LP2Params(2, (F(2), F(3)), F(9, 2), (F(1), F(2)), (F(1, 2), F(1, 2)))
@@ -476,7 +511,7 @@ def test_redundant_equality_row_dropped_with_zero_dual():
     assert (sol.status, sol.value, sol.assignment) == ("optimal", 1, {"x": ONE, "y": ZERO})
     outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1))
     assert (outcome.status, outcome.colvals, outcome.value) == ("optimal", {0: ONE}, ONE)
-    assert outcome.duals == [ONE, ZERO]
+    assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +601,11 @@ def test_lp2_lp3_strong_duality_n6():
 
 
 def test_lp2_lp3_guard():
-    for n in (15, 13):
+    for n in (15, 12):
         params = LP2Params(n, (F(1),) * n, F(100), (F(1),) * n, (F(1, 2),) * n)
-        with pytest.raises(PreconditionError, match="enumeration guard 12"):
+        with pytest.raises(PreconditionError, match="enumeration guard 11"):
             build_lp2(params)
-        with pytest.raises(PreconditionError, match="enumeration guard 12"):
+        with pytest.raises(PreconditionError, match="enumeration guard 11"):
             build_lp3(params)
 
 

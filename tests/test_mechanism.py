@@ -469,7 +469,7 @@ ENTRY = {"type": [], "u": "0", "q": ["0"], "price": "0"}
 
 @pytest.mark.parametrize("doc, field", [
     ({"n": "1", "menu": []}, r"n: expected an integer"),
-    ({"n": 1, "menu": {}}, r"menu: missing or not a list"),
+    ({"n": 1, "menu": {}}, r"menu: expected a list"),
     ({"n": 1, "menu": [ENTRY, 5]}, r"menu\[1\]: expected an object"),
     ({"n": 1, "menu": [{"u": "0"}, ENTRY]}, r"menu\[0\]\.type: missing field"),
     ({"n": 1, "menu": [ENTRY, ENTRY]}, r"menu\[1\]\.type: duplicate type \[\]"),

@@ -13,7 +13,9 @@ menu unchanged and scales the flow's amounts by kappa. The
 bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
-tiny bounded programs, its dual multipliers certifying its optimum."""
+tiny bounded programs, its dual multipliers certifying its optimum. The full
+revenue program solved by constraint generation has the optimum of the
+whole program."""
 
 import json
 from fractions import Fraction as F
@@ -28,6 +30,7 @@ from optmech import (
     LPProblem,
     Mechanism,
     OMDInstance,
+    build_lp1,
     canonical_solution,
     check_single_positive,
     check_subset,
@@ -46,6 +49,7 @@ from optmech import (
     subset_to_list,
     to_lp2_params,
     solve_lp,
+    solve_lp1,
     type_vectors,
 )
 from optmech.exactlp import _simplex_max
@@ -68,7 +72,7 @@ def items(S, n):
 
 
 @st.composite
-def instances(draw, low=nonnegative):
+def instances(draw, low=nonnegative, sizes=sizes):
     n = draw(sizes)
     vec = lambda elements: tuple(draw(st.lists(elements, min_size=n, max_size=n)))
     return OMDInstance(n=n, a=vec(low), d=vec(positive), p=vec(probability))
@@ -316,6 +320,17 @@ def test_certificate_accepts_exactly_what_the_replay_accepts(case):
     assert_certificate_agrees(*case)
 
 
+lp1_sizes = st.integers(min_value=1, max_value=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(single_positive_parameters(sizes=lp1_sizes).map(lambda p: from_lp2_params(p)[0]),
+                 instances(sizes=lp1_sizes)))
+def test_constraint_generation_matches_full_lp1(inst):
+    # a_i = 0 is allowed on the general draws
+    assert solve_lp1(inst).value == solve_lp(build_lp1(inst)).value
+
+
 menu_sizes = st.integers(min_value=1, max_value=8)
 
 
@@ -457,7 +472,7 @@ def test_simplex_duals_certify_optimum(case):
     if outcome.status == "infeasible":
         return
     assert outcome.status == "optimal"
-    y = outcome.duals
+    y = [F(v, outcome.den) for v in outcome.duals]
     assert outcome.value == sum(c * outcome.colvals.get(j, 0) for j, c in enumerate(objective))
     assert outcome.value == sum(yk * rhs for yk, (_, _, rhs) in zip(y, rows))
     for yk, (_, rel, _) in zip(y, rows):
