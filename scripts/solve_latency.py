@@ -10,9 +10,11 @@ only. For each n in SIZES it writes one instance drawn from SEED to a
 temporary directory, then times `optmech.cli.main(["solve", ...])` three
 ways: plain, with `--json-out` and with `--dump-lattice`. A second table
 times `solve --oracle`, which also solves the full revenue program exactly,
-for each n in ORACLE_SIZES. Each figure is the minimum of REPEATS runs, with
-stdout captured and the exit code required to be 0. The last line gives the
-process's peak RSS.
+for each n in ORACLE_SIZES, and `solve --oracle-only` on one general
+instance (a_i from 0 to 10, so not single-positive, which `--oracle`
+refuses) for each n in GENERAL_SIZES. Each figure is the minimum of REPEATS
+runs, with stdout captured and the exit code required to be 0. The last
+line gives the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from optmech.cli import main  # noqa: E402
 SEED = 1
 SIZES = (8, 10, 12, 14)
 ORACLE_SIZES = (3, 4, 5, 6)
+GENERAL_SIZES = (3, 4, 5)
 REPEATS = 3
 
 
@@ -53,6 +56,22 @@ def best_of(argv: list[str]) -> float:
     return best
 
 
+def general_doc(rng: random.Random, n: int) -> dict:
+    """A seeded instance with integer a_i in 0..10 and d_i in 1..10."""
+    return {
+        "n": n,
+        "a": [str(rng.randint(0, 10)) for _ in range(n)],
+        "d": [str(rng.randint(1, 10)) for _ in range(n)],
+        "p": [f"{rng.randint(1, 19)}/20" for _ in range(n)],
+    }
+
+
+def timed(path: str, doc: dict, argv: list[str]) -> float:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return best_of(argv)
+
+
 def run() -> None:
     rng = random.Random(SEED)
     print(f"python {sys.version.split()[0]}, seed {SEED}, min of {REPEATS}")
@@ -66,11 +85,17 @@ def run() -> None:
             json_out = best_of(["solve", inst, "--json-out", os.path.join(tmp, "m.json")])
             dump = best_of(["solve", inst, "--dump-lattice", os.path.join(tmp, "l.txt")])
             print(f"{n:>3} {plain:>9.3f} {json_out:>11.3f} {dump:>15.3f}")
-        print(f"{'n':>3} {'oracle s':>9}")
+        # general instances draw from a stream of their own, so the
+        # single-positive draws do not depend on GENERAL_SIZES
+        general = random.Random(SEED)
+        print(f"{'n':>3} {'oracle s':>9} {'general oracle-only s':>22}")
         for n in ORACLE_SIZES:
-            with open(inst, "w", encoding="utf-8") as handle:
-                json.dump(inputs.instance_doc(rng, n), handle)
-            print(f"{n:>3} {best_of(['solve', inst, '--oracle']):>9.3f}")
+            oracle = timed(inst, inputs.instance_doc(rng, n), ["solve", inst, "--oracle"])
+            line = f"{n:>3} {oracle:>9.3f}"
+            if n in GENERAL_SIZES:
+                only = timed(inst, general_doc(general, n), ["solve", inst, "--oracle-only"])
+                line += f" {only:>22.3f}"
+            print(line)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")
 

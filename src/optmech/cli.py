@@ -34,7 +34,7 @@ from .core import (
     types_by_size,
 )
 from .errors import InputError, PreconditionError, VerificationError
-from .exactlp import solve_lp1
+from .exactlp import check_lp1_guard, solve_lp1
 from .lattice import LATTICE_GUARD, canonical_solution, dump_lattice
 from .mechanism import (
     certify_bic_ir,
@@ -167,9 +167,10 @@ def cmd_solve(args) -> RunReport:
         report.outputs["oracle optimal revenue"] = format_rational(solve_lp1(inst).value)
         return report
 
-    # solved first so that an instance past the full-program guard is
-    # refused before the closed form and its BIC/IR certificate run
-    lp1 = solve_lp1(inst) if args.oracle else None
+    if args.oracle:
+        # past the guard, refused before the closed form and its BIC/IR
+        # certificate run
+        check_lp1_guard(inst.n)
     params, flow, mech = _closed_form(inst, report)
     revenue = expected_revenue(inst, mech)
 
@@ -183,6 +184,7 @@ def cmd_solve(args) -> RunReport:
     report.outputs["unique"] = "yes" if mech.unique else "possibly non-unique"
 
     if args.oracle:
+        lp1 = solve_lp1(inst)
         if lp1.value != revenue:
             raise VerificationError(
                 f"oracle mismatch: closed form {format_rational(revenue)}, "

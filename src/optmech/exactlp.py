@@ -17,8 +17,11 @@ not on the tableau.
 The three builders produce, for a given instance / parameter vector:
 
   * ``build_lp1`` -- the full revenue program: utilities u(S) and allocation
-    marginals q_i(S) with truthfulness rows for every ordered pair of types
-    (``solve_lp1`` solves it by constraint generation);
+    marginals q_i(S) with truthfulness rows for every ordered pair of types.
+    ``solve_lp1`` finds its optimum without building it: it solves the
+    program on the adjacent-type truthfulness rows and the IR rows, replays
+    all 4^n truthfulness rows on each answer with int arithmetic, and adds
+    only the rows that fail;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -27,7 +30,7 @@ The three builders produce, for a given instance / parameter vector:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -44,6 +47,7 @@ from .core import (
     over_common_denominator,
     subset_label,
     subset_probs,
+    subset_sums,
     type_vectors,
 )
 from .errors import InputError, PreconditionError, VerificationError
@@ -51,9 +55,11 @@ from .lattice import node_balances
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). The full program's guard admits only sizes
-# whose `solve_lp1` ends within a minute: at n=6 it took 0.25-0.34 s on 12
-# random single-positive instances and 0.45-4.8 s on 12 general ones (a_i in
-# 0..10; three needed a second round), and one general n=7 case 130 s. The
+# whose `solve_lp1` ends within a minute: at n=6 it took 0.12-0.24 s on 12
+# random single-positive instances and 0.37-4.7 s on 12 general ones (a_i in
+# 0..10, d_i in 1..10; three needed a second round). At n=7 one general
+# instance took 3.2 s in one round; another broke 512 rows after a 3.8 s
+# first round, and its second round (1,536 rows) ran for over 9 minutes. The
 # relaxed program's guard is set by memory: on a random single-positive
 # instance one solve took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS
 # of 1.3 GiB; LP2 at n=12 did not finish in 4 GiB of address space (2 vCPUs).
@@ -449,20 +455,14 @@ def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None
             raise VerificationError(f"assignment violates lower bound of {v}")
         if up is not None and val > up:
             raise VerificationError(f"assignment violates upper bound of {v}")
-    for con, lhs in _violated_rows(prob.constraints, assignment):
-        raise VerificationError(
-            f"assignment violates constraint {con.name or con}: "
-            f"{format_rational(lhs)} {con.rel} {format_rational(con.rhs)}"
-        )
-
-
-def _violated_rows(constraints, assignment: Mapping[str, Fraction]):
-    """Each constraint that ``assignment`` breaks, with its left-hand side."""
-    for con in constraints:
+    for con in prob.constraints:
         lhs = sum((c * x for v, c in con.coeffs.items() if (x := assignment[v])), ZERO)
         rel, rhs = con.rel, con.rhs
         if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
-            yield con, lhs
+            raise VerificationError(
+                f"assignment violates constraint {con.name or con}: "
+                f"{format_rational(lhs)} {rel} {format_rational(rhs)}"
+            )
 
 
 def _check_duals(rows, objective, outcome: _SimplexOutcome) -> None:
@@ -514,78 +514,116 @@ def _check_guard(n: int, guard: int, what: str) -> None:
         raise PreconditionError(f"n={n} exceeds the {what} {guard}")
 
 
+def check_lp1_guard(n: int) -> None:
+    """Refuse an item count past the full program's enumeration guard."""
+    _check_guard(n, LP1_GUARD, "full-program enumeration guard")
+
+
+class _LP1Frame:
+    """What every row set of the full revenue program shares: its variables,
+    objective, q <= 1 bounds and IR rows, a maker for the truthfulness row of
+    one ordered pair of types, and the int replay of all those rows."""
+
+    def __init__(self, inst: OMDInstance):
+        n = inst.n
+        check_lp1_guard(n)
+        self.n = n
+        self.d = inst.d
+        types = range(1 << n)
+        vec = type_vectors(inst)
+        prob_of = subset_probs(inst.p)
+        # every name and label once per mask, not once per pair of types
+        self.labels = [subset_label(S) for S in types]
+        self.u = u = [u_var(S) for S in types]
+        self.q = q = [[q_var(i, S) for i in item_range(n)] for S in types]
+        # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for
+        # i in S, d_i for i in T
+        self.q_coeff = [[d if T >> i & 1 else -d for i, d in enumerate(inst.d)] for T in types]
+        self.variables = tuple(u + [name for qS in q for name in qS])
+        self.objective = {}
+        for S in types:
+            pS = prob_of[S]
+            self.objective[u[S]] = -pS
+            for name, vi in zip(q[S], vec[S]):
+                self.objective[name] = pS * vi
+        self.upper = {name: ONE for qS in q for name in qS}
+        self.ir = [Constraint({u[S]: ONE}, ">=", ZERO, name=f"ir({self.labels[S]})") for S in types]
+
+    def bic(self, S: Subset, T: Subset) -> Constraint:
+        """Type S gains nothing by reporting T: u(S) - u(T) - sum_i
+        (v_S,i - v_T,i) q_i(T) >= 0."""
+        coeffs = {self.u[S]: ONE, self.u[T]: -ONE}
+        D = S ^ T
+        for i, (name, c) in enumerate(zip(self.q[T], self.q_coeff[T])):
+            if D >> i & 1:
+                coeffs[name] = c
+        return Constraint(coeffs, ">=", ZERO, name=f"bic({self.labels[S]}|{self.labels[T]})")
+
+    def problem(self, constraints: list[Constraint]) -> LPProblem:
+        return LPProblem(self.variables, self.objective, "max", constraints, upper=self.upper)
+
+    def violated(self, assignment: Mapping[str, Fraction]) -> list[tuple[Subset, Subset]]:
+        """The ordered pairs (S, T) whose truthfulness row ``assignment``
+        breaks, S-major as `build_lp1` lists them. Row (S, T) reads
+        u(S) - u(T) >= sum_{i in S ^ T} W_i(T), with W_i(T) = d_i q_i(T)
+        for i outside T and -d_i q_i(T) for i in T; it is checked on ints,
+        u and every d_i q_i(T) over one common denominator, with the sums
+        over S ^ T of each T's W(T) built once by doubling."""
+        n, size = self.n, 1 << self.n
+        values = [assignment[v] for v in self.u]
+        values += [d * assignment[name] for qT in self.q for d, name in zip(self.d, qT)]
+        ints, _ = over_common_denominator(values)
+        U = ints[:size]
+        sums = []
+        for T in range(size):
+            W = ints[size + T * n:size + T * n + n]
+            sums.append(subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)]))
+        # S == T reads 0 < 0
+        return [(S, T) for S, US in enumerate(U) for T, UT in enumerate(U)
+                if US - UT < sums[T][S ^ T]]
+
+
 def build_lp1(inst: OMDInstance) -> LPProblem:
     """The full revenue program: maximize expected price over BIC + IR + PROB.
 
     Variables u(S) for every type and q_i(S) for every type/item pair; one
-    truthfulness row per ordered pair of distinct types.
+    truthfulness row per ordered pair of distinct types, S-major, then the
+    IR rows.
     """
-    n = inst.n
-    _check_guard(n, LP1_GUARD, "full-program enumeration guard")
-    subsets = range(1 << n)
-    vec = type_vectors(inst)
-    prob_of = subset_probs(inst.p)
-    # every name and label once per mask, not once per pair of types
-    labels = [subset_label(S) for S in subsets]
-    u = [u_var(S) for S in subsets]
-    q = [[q_var(i, S) for i in item_range(n)] for S in subsets]
-
-    variables = u + [name for qS in q for name in qS]
-
-    objective = {}
-    for S in subsets:
-        pS = prob_of[S]
-        objective[u[S]] = -pS
-        for name, vi in zip(q[S], vec[S]):
-            objective[name] = pS * vi
-
-    constraints = []
-    for S in subsets:
-        for T in subsets:
-            if S == T:
-                continue
-            coeffs = {u[S]: ONE, u[T]: -ONE}
-            for name, vSi, vTi in zip(q[T], vec[S], vec[T]):
-                if dv := vSi - vTi:
-                    coeffs[name] = -dv
-            constraints.append(
-                Constraint(coeffs, ">=", ZERO, name=f"bic({labels[S]}|{labels[T]})")
-            )
-    for S in subsets:
-        constraints.append(Constraint({u[S]: ONE}, ">=", ZERO, name=f"ir({labels[S]})"))
-
-    upper = {name: ONE for qS in q for name in qS}
-    return LPProblem(
-        variables=tuple(variables),
-        objective=objective,
-        sense="max",
-        constraints=tuple(constraints),
-        upper=upper,
-    )
+    frame = _LP1Frame(inst)
+    types = range(1 << inst.n)
+    rows = [frame.bic(S, T) for S in types for T in types if S != T]
+    return frame.problem(rows + frame.ir)
 
 
 def solve_lp1(inst: OMDInstance) -> LPSolution:
-    """The full revenue program's optimum, by constraint generation: solve
-    `build_lp1(inst)` restricted to its adjacent truthfulness rows (types one
-    item apart, both directions), its IR rows and q <= 1; replay every row
-    of the full program on the answer, add the violated rows, solve again.
-    The restricted program is a relaxation, feasible at u = q = 0 and
-    bounded by u >= 0, q <= 1. Its certified duals, extended by zeros, are
-    dual-feasible for the full program, so an answer that passes the replay
-    is the full optimum."""
-    full = build_lp1(inst)
-    # build_lp1 lists the truthfulness row of every ordered pair of distinct
-    # types, S-major, and then the IR rows
-    types = range(1 << inst.n)
-    pairs = [S ^ T for S in types for T in types if S != T]
-    rows = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
-    rows += full.constraints[len(pairs):]
+    """The full revenue program's optimum, by constraint generation. The
+    first program holds only the adjacent truthfulness rows (types one item
+    apart, both directions, in `build_lp1`'s order), the IR rows and
+    q <= 1: a relaxation of the full program, feasible at u = q = 0 and
+    bounded by u >= 0, q <= 1. Every one of the full program's 4^n
+    truthfulness rows is replayed on ints on each answer; the violated rows
+    are appended and the program solved again. The certified duals of the
+    last program, extended by zeros, are dual-feasible for the full program,
+    so an answer that passes the replay is the full optimum. The full
+    program itself is never built. A replay that reports a row the solved
+    program holds raises `VerificationError`, so at most 4^n rows are ever
+    added."""
+    frame = _LP1Frame(inst)
+    n = inst.n
+    adjacent = [(S, T) for S in range(1 << n) for T in sorted(S ^ 1 << i for i in range(n))]
+    rows = [frame.bic(S, T) for S, T in adjacent] + frame.ir
+    held = set(adjacent)
     while True:
-        sol = solve_lp(replace(full, constraints=rows))
-        violated = [con for con, _ in _violated_rows(full.constraints, sol.assignment)]
+        sol = solve_lp(frame.problem(rows))
+        violated = frame.violated(sol.assignment)
         if not violated:
             return sol
-        rows += violated
+        # a row the certified answer satisfies would come back every round
+        if not held.isdisjoint(violated):
+            raise VerificationError("the replay breaks a truthfulness row the program holds")
+        held.update(violated)
+        rows += [frame.bic(S, T) for S, T in violated]
 
 
 def build_lp2(params: LP2Params) -> LPProblem:

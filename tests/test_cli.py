@@ -189,6 +189,19 @@ def test_oracle_past_full_program_guard_exit_2(tmp_path, capsys):
             assert "full-program enumeration guard 6" in capsys.readouterr().err
 
 
+def test_oracle_refuses_general_instance_before_lp1(tmp_path, capsys, monkeypatch):
+    doc = {"n": 5, "a": ["10", "1", "3", "7", "5"], "d": ["1", "2", "3", "4", "5"],
+           "p": ["1/2"] * 5}
+    instance = write(tmp_path, "inst.json", json.dumps(doc))
+    assert main(["solve", instance]) == 2
+    refusal = capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(cli, "solve_lp1", calls.append)
+    assert main(["solve", instance, "--oracle"]) == 2
+    assert capsys.readouterr().err == refusal
+    assert calls == []
+
+
 def test_oracle_at_full_program_guard(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", single_positive(6))
     assert main(["solve", instance, "--oracle"]) == 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -321,6 +322,36 @@ def test_solve_lp1_adds_violated_rows(monkeypatch):
     sol = solve_lp1(TWO_ROUND_LP1)
     assert [r.value for r in rounds] == [F(47809, 2000), F(239, 10)]
     assert sol.value == F(239, 10) == solve_lp(build_lp1(TWO_ROUND_LP1)).value
+
+
+def test_solve_lp1_refuses_a_replay_that_breaks_a_held_row(monkeypatch):
+    # without the check the same row would be added every round
+    monkeypatch.setattr(exactlp._LP1Frame, "violated", lambda frame, assignment: [(0, 1)])
+    with pytest.raises(VerificationError, match="truthfulness row the program holds"):
+        solve_lp1(TWO_ROUND_LP1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_lp1_first_program_is_filtered_lp1(monkeypatch, n):
+    # the row order fixes the pivots, and with them the pinned LP1 vertex
+    rng = random.Random(n)
+    inst = make_instance([rng.randint(0, 10) for _ in range(n)],
+                         [rng.randint(1, 10) for _ in range(n)],
+                         [(rng.randint(1, 19), 20) for _ in range(n)])
+    programs = []
+
+    def recording_solve(prob):
+        programs.append(prob)
+        return solve_lp(prob)
+
+    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    solve_lp1(inst)
+    full = build_lp1(inst)
+    types = range(1 << n)
+    pairs = [S ^ T for S in types for T in types if S != T]
+    rows = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
+    rows += full.constraints[len(pairs):]
+    assert dump_problem(programs[0]) == dump_problem(replace(full, constraints=rows))
 
 
 def test_pinned_vertex_budgeted_oracle(monkeypatch):

@@ -52,7 +52,7 @@ from optmech import (
     solve_lp1,
     type_vectors,
 )
-from optmech.exactlp import _simplex_max
+from optmech.exactlp import _LP1Frame, _simplex_max
 from optmech.reduction import _dyadic_between
 from tests.test_exactlp import vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
@@ -329,6 +329,29 @@ lp1_sizes = st.integers(min_value=1, max_value=4)
 def test_constraint_generation_matches_full_lp1(inst):
     # a_i = 0 is allowed on the general draws
     assert solve_lp1(inst).value == solve_lp(build_lp1(inst)).value
+
+
+def fraction_replay(inst, assignment):
+    """The (S, T) of each truthfulness row of `build_lp1` that
+    ``assignment`` breaks, in the program's order, by `Fraction` sums."""
+    types = range(1 << inst.n)
+    pairs = [(S, T) for S in types for T in types if S != T]
+    return [pair for pair, con in zip(pairs, build_lp1(inst).constraints)
+            if sum(c * assignment[v] for v, c in con.coeffs.items()) < con.rhs]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(single_positive_parameters(sizes=lp1_sizes).map(lambda p: from_lp2_params(p)[0]),
+                 instances(sizes=lp1_sizes)),
+       st.lists(st.tuples(st.integers(0, 10**6), rational), min_size=1, max_size=4))
+def test_int_replay_matches_fraction_replay(inst, moves):
+    # on solve_lp1's answer, then after each of a few moves of one variable
+    frame = _LP1Frame(inst)
+    assignment = dict(solve_lp1(inst).assignment)
+    assert frame.violated(assignment) == fraction_replay(inst, assignment) == []
+    for k, delta in moves:
+        assignment[frame.variables[k % len(frame.variables)]] += delta / 4
+        assert frame.violated(assignment) == fraction_replay(inst, assignment)
 
 
 menu_sizes = st.integers(min_value=1, max_value=8)
