@@ -11,17 +11,19 @@ The tableau holds integers. `solve_lp` builds each row once, from the
 nonzero entries of its coefficient map, and scales it by the lcm of its
 denominators; each tableau row holds a positive multiple of its rational row,
 so every pivot is the one a rational tableau would make. The interface stays
-`fractions.Fraction`, and the post-hoc checks run on the Fraction input data,
-not on the tableau.
+`fractions.Fraction`. The post-hoc checks do not read the tableau: the
+assignment is checked against the `Fraction` constraints, and the duals
+against the integer input rows.
 
 The three builders produce, for a given instance / parameter vector:
 
   * ``build_lp1`` -- the full revenue program: utilities u(S) and allocation
     marginals q_i(S) with truthfulness rows for every ordered pair of types.
+    IR is the variables' default lower bound u >= 0, not a row.
     ``solve_lp1`` finds its optimum without building it: it solves the
-    program on the adjacent-type truthfulness rows and the IR rows, replays
-    all 4^n truthfulness rows on each answer with int arithmetic, and adds
-    only the rows that fail;
+    program on the adjacent-type truthfulness rows, replays all 4^n
+    truthfulness rows on each answer with `mechanism.bic_violations`, and
+    adds only the rows that fail;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -47,11 +49,11 @@ from .core import (
     over_common_denominator,
     subset_label,
     subset_probs,
-    subset_sums,
     type_vectors,
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
+from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). The full program's guard admits only sizes
@@ -520,14 +522,14 @@ def check_lp1_guard(n: int) -> None:
 
 
 class _LP1Frame:
-    """What every row set of the full revenue program shares: its variables,
-    objective, q <= 1 bounds and IR rows, a maker for the truthfulness row of
-    one ordered pair of types, and the int replay of all those rows."""
+    """What every row set of the full revenue program shares: its variables
+    (u >= 0 is their default lower bound, so IR needs no rows), objective and
+    q <= 1 bounds, a maker for the truthfulness row of one ordered pair of
+    types, and the replay of all those rows on an assignment."""
 
     def __init__(self, inst: OMDInstance):
         n = inst.n
         check_lp1_guard(n)
-        self.n = n
         self.d = inst.d
         types = range(1 << n)
         vec = type_vectors(inst)
@@ -547,7 +549,6 @@ class _LP1Frame:
             for name, vi in zip(q[S], vec[S]):
                 self.objective[name] = pS * vi
         self.upper = {name: ONE for qS in q for name in qS}
-        self.ir = [Constraint({u[S]: ONE}, ">=", ZERO, name=f"ir({self.labels[S]})") for S in types]
 
     def bic(self, S: Subset, T: Subset) -> Constraint:
         """Type S gains nothing by reporting T: u(S) - u(T) - sum_i
@@ -564,45 +565,31 @@ class _LP1Frame:
 
     def violated(self, assignment: Mapping[str, Fraction]) -> list[tuple[Subset, Subset]]:
         """The ordered pairs (S, T) whose truthfulness row ``assignment``
-        breaks, S-major as `build_lp1` lists them. Row (S, T) reads
-        u(S) - u(T) >= sum_{i in S ^ T} W_i(T), with W_i(T) = d_i q_i(T)
-        for i outside T and -d_i q_i(T) for i in T; it is checked on ints,
-        u and every d_i q_i(T) over one common denominator, with the sums
-        over S ^ T of each T's W(T) built once by doubling."""
-        n, size = self.n, 1 << self.n
-        values = [assignment[v] for v in self.u]
-        values += [d * assignment[name] for qT in self.q for d, name in zip(self.d, qT)]
-        ints, _ = over_common_denominator(values)
-        U = ints[:size]
-        sums = []
-        for T in range(size):
-            W = ints[size + T * n:size + T * n + n]
-            sums.append(subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)]))
-        # S == T reads 0 < 0
-        return [(S, T) for S, US in enumerate(U) for T, UT in enumerate(U)
-                if US - UT < sums[T][S ^ T]]
+        breaks, S-major as `build_lp1` lists them, by `bic_violations`."""
+        u = [assignment[v] for v in self.u]
+        q = [[assignment[v] for v in qT] for qT in self.q]
+        return [(S, T) for S, T, _ in bic_violations(self.d, u, q)]
 
 
 def build_lp1(inst: OMDInstance) -> LPProblem:
     """The full revenue program: maximize expected price over BIC + IR + PROB.
 
-    Variables u(S) for every type and q_i(S) for every type/item pair; one
-    truthfulness row per ordered pair of distinct types, S-major, then the
-    IR rows.
+    Variables u(S) >= 0 (IR) for every type and 0 <= q_i(S) <= 1 for every
+    type/item pair; one truthfulness row per ordered pair of distinct types,
+    S-major.
     """
     frame = _LP1Frame(inst)
     types = range(1 << inst.n)
-    rows = [frame.bic(S, T) for S in types for T in types if S != T]
-    return frame.problem(rows + frame.ir)
+    return frame.problem([frame.bic(S, T) for S in types for T in types if S != T])
 
 
 def solve_lp1(inst: OMDInstance) -> LPSolution:
     """The full revenue program's optimum, by constraint generation. The
     first program holds only the adjacent truthfulness rows (types one item
-    apart, both directions, in `build_lp1`'s order), the IR rows and
-    q <= 1: a relaxation of the full program, feasible at u = q = 0 and
-    bounded by u >= 0, q <= 1. Every one of the full program's 4^n
-    truthfulness rows is replayed on ints on each answer; the violated rows
+    apart, both directions, in `build_lp1`'s order) and the bounds u >= 0,
+    0 <= q <= 1: a relaxation of the full program, feasible at u = q = 0 and
+    bounded. Every one of the full program's 4^n truthfulness rows is
+    replayed on each answer by `bic_violations`; the violated rows
     are appended and the program solved again. The certified duals of the
     last program, extended by zeros, are dual-feasible for the full program,
     so an answer that passes the replay is the full optimum. The full
@@ -612,7 +599,7 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
     frame = _LP1Frame(inst)
     n = inst.n
     adjacent = [(S, T) for S in range(1 << n) for T in sorted(S ^ 1 << i for i in range(n))]
-    rows = [frame.bic(S, T) for S, T in adjacent] + frame.ir
+    rows = [frame.bic(S, T) for S, T in adjacent]
     held = set(adjacent)
     while True:
         sol = solve_lp(frame.problem(rows))

@@ -44,9 +44,9 @@ from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
 # certificate, the reduction) is capped here: in-process `solve` takes about
-# 0.6 s end to end at n = 14 on a 2-vCPU machine, printing its 16,384-line
-# menu included (n = 10: 0.03 s, n = 12: 0.13 s; scripts/solve_latency.py),
-# and each item adds a factor of about 2.
+# 0.3 s end to end at n = 14 on a 2-vCPU machine, printing its 16,384-line
+# menu included (n = 10: 0.013-0.023 s, n = 12: 0.06-0.1 s;
+# scripts/solve_latency.py, four runs), and each item adds a factor of 2-4.
 LATTICE_GUARD = 14
 
 

@@ -23,11 +23,13 @@ u >= 0, 0 <= q <= 1 and supermodularity of u, and each of those checks is
 itself one of the rows, so a failed check names one violated row. It runs
 them as int comparisons on the mechanism's u and q scaled to common
 denominators, and builds the exact `Fraction` slack of the first failing
-row only. `verify_bic_ir` replays all rows with exact `Fraction` slacks and
-names every violated one; it is the reference the certificate is tested
-against. Ties are acceptable: a weakly satisfied constraint is satisfied
-(deterministic tie-breaking in favor of the higher-priced entry replaces
-any rebate scheme).
+row only. `verify_bic_ir` replays all rows and names every violated one
+with its exact `Fraction` slack; it is the reference the certificate is
+tested against. Its 4^n truthfulness rows come from `bic_violations`, the
+int replay that `exactlp.solve_lp1` runs on each of its answers. Ties are
+acceptable: a weakly satisfied constraint is satisfied (deterministic
+tie-breaking in favor of the higher-priced entry replaces any rebate
+scheme).
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ from .core import (
     subset_products,
     subset_sums,
     subset_to_list,
-    type_vectors,
 )
 from .errors import InputError, PreconditionError
 from .lattice import FlowSolution
 
-VERIFY_GUARD = 10  # the pairwise truthfulness replay is 4^n rows: under a minute at n=10
+# `bic_violations` holds 4^n ints, so memory (x4 per item) binds before time:
+# `verify_bic_ir` on a closed-form menu took 0.23-0.25 s at a peak RSS of
+# 55 MiB at n=10, 0.9-1.1 s at 172 MiB at n=11 (2 vCPUs, Python 3.11.7).
+VERIFY_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -161,49 +165,57 @@ class BicIrReport:
         return not self.violations
 
 
+def bic_violations(
+    d: Sequence[Fraction], u: Sequence[Fraction], q: Sequence[Sequence[Fraction]]
+) -> list[tuple[Subset, Subset, Fraction]]:
+    """Every ordered pair of types (S, T) whose truthfulness row
+    u(S) - u(T) >= sum_{i in S ^ T} W_i(T) breaks, S-major, with its exact
+    slack (left side minus right), where W_i(T) = d_i q_i(T) for i outside
+    T and -d_i q_i(T) for i in T. On ints: u and every d_i q_i(T) go over
+    one common denominator L, and each T's sums over all masks of its W(T)
+    are built once by doubling, so 4^n ints are held at once."""
+    n, size = len(d), len(u)
+    ints, L = over_common_denominator([*u, *(di * qi for qT in q for di, qi in zip(d, qT))])
+    U = ints[:size]
+    sums = []
+    for T in range(size):
+        W = ints[size + T * n:size + T * n + n]
+        sums.append(subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)]))
+    # S == T reads 0 < 0
+    return [(S, T, Fraction(US - UT - sums[T][S ^ T], L))
+            for S, US in enumerate(U) for T, UT in enumerate(U) if US - UT < sums[T][S ^ T]]
+
+
+def _report(n: int, *violations: tuple[str, Fraction]) -> BicIrReport:
+    """A report counting every row of the full program over n items."""
+    size = 1 << n
+    return BicIrReport(n, size * size - size, size, 2 * n * size, violations)
+
+
 def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     """Check u(S) >= u(T) + (v(S) - v(T)) . q(T) for every ordered pair,
-    u(S) >= 0 and 0 <= q_i(S) <= 1 for every type, with exact slacks."""
+    u(S) >= 0 and 0 <= q_i(S) <= 1 for every type, with exact slacks. The
+    truthfulness rows come from `bic_violations`; per type S the report
+    lists its ir row, then its prob rows, then its bic(S|T) rows."""
     n = inst.n
     if n > VERIFY_GUARD:
         raise PreconditionError(f"n={n} exceeds the verification guard {VERIFY_GUARD}")
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    vec = type_vectors(inst)
-    # the items where two types differ, by the mask of their difference: the
-    # other components of v(S) - v(T) are 0 and add nothing to the gain
-    diff_items = [[i for i in range(n) if D >> i & 1] for D in range(1 << n)]
+    bic = [[] for _ in mech.u]
+    for S, T, slack in bic_violations(inst.d, mech.u, mech.q):
+        bic[S].append((f"bic({subset_label(S)}|{subset_label(T)})", slack))
     violations = []
-    bic = ir = prob = 0
-    for S, vS in enumerate(vec):
-        uS = mech.u[S]
-        ir += 1
+    for S, (uS, qS) in enumerate(zip(mech.u, mech.q)):
         if uS < 0:
             violations.append((f"ir({subset_label(S)})", uS))
-        for i, qi in enumerate(mech.q[S], start=1):
-            prob += 2
+        for i, qi in enumerate(qS, start=1):
             if qi < 0:
                 violations.append((f"prob({subset_label(S)},{i},>=0)", qi))
             if qi > 1:
                 violations.append((f"prob({subset_label(S)},{i},<=1)", ONE - qi))
-        for T, vT in enumerate(vec):
-            if S == T:
-                continue
-            bic += 1
-            qT = mech.q[T]
-            gain = sum(((vS[i] - vT[i]) * qT[i] for i in diff_items[S ^ T]), ZERO)
-            slack = uS - mech.u[T] - gain
-            if slack < 0:
-                violations.append(
-                    (f"bic({subset_label(S)}|{subset_label(T)})", slack)
-                )
-    return BicIrReport(
-        n=n,
-        bic_checked=bic,
-        ir_checked=ir,
-        prob_checked=prob,
-        violations=tuple(violations),
-    )
+        violations += bic[S]
+    return _report(n, *violations)
 
 
 def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
@@ -239,16 +251,6 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
         raise PreconditionError("mechanism and instance disagree on the item count")
     size = 1 << n
     u, q, d = mech.u, mech.q, inst.d
-
-    def report(*violations):
-        return BicIrReport(
-            n=n,
-            bic_checked=size * size - size,
-            ir_checked=size,
-            prob_checked=2 * n * size,
-            violations=violations,
-        )
-
     U, Lu = over_common_denominator(u)
     columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
     Q = list(zip(*(column for column, _ in columns)))
@@ -259,7 +261,7 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     for S in range(size):
         US, QS = U[S], Q[S]
         if US < 0:
-            return report((f"ir({subset_label(S)})", u[S]))
+            return _report(n, (f"ir({subset_label(S)})", u[S]))
         for i, Lq, left, right in items:
             Qi = QS[i]
             if S >> i & 1:
@@ -269,21 +271,19 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
             if not shaped:
                 qi = q[S][i]
                 residual = ONE - qi if S >> i & 1 else u[S | 1 << i] - u[S] - d[i] * qi
-                return report((f"shape({subset_label(S)},{i + 1})", residual))
+                return _report(n, (f"shape({subset_label(S)},{i + 1})", residual))
             if Qi < 0:
-                return report((f"prob({subset_label(S)},{i + 1},>=0)", q[S][i]))
+                return _report(n, (f"prob({subset_label(S)},{i + 1},>=0)", q[S][i]))
             if Qi > Lq:
-                return report((f"prob({subset_label(S)},{i + 1},<=1)", ONE - q[S][i]))
+                return _report(n, (f"prob({subset_label(S)},{i + 1},<=1)", ONE - q[S][i]))
     falling = _first_falling_gain(Q, n)
     if falling is not None:
         S, i, j = falling
-        return report(
-            (
-                f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
-                d[i] * (q[S | 1 << j][i] - q[S][i]),
-            )
-        )
-    return report()
+        return _report(n, (
+            f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
+            d[i] * (q[S | 1 << j][i] - q[S][i]),
+        ))
+    return _report(n)
 
 
 def _first_falling_gain(

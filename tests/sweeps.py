@@ -15,7 +15,8 @@ from optmech import LP2Params
 
 SWEEP_SEED = 20260808
 # (n, how many): sizes are weighted toward small n because the closed-form
-# suite solves the full 4^n-row program for every strictly partial case
+# suite solves the full revenue program (by constraint generation, replaying
+# all 4^n truthfulness rows) for every strictly partial case
 SWEEP_PLAN = ((2, 60), (3, 80), (4, 50), (5, 10))
 CUT_CHOICES = (F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1))
 

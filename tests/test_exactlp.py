@@ -462,13 +462,16 @@ def test_build_lp1_counts():
     assert sum(1 for v in prob.variables if v.startswith("u")) == 2
     assert sum(1 for v in prob.variables if v.startswith("q")) == 2
     assert _count(prob, "bic") == 2
-    assert _count(prob, "ir") == 2
+    assert _count(prob, "ir") == 0
+    # IR is the default lower bound u >= 0, not a row
+    assert all(prob.lower.get(v, ZERO) == 0 for v in prob.variables if v.startswith("u"))
 
     prob = build_lp1(make_instance([1, 1], [1, 1], [(1, 2), (1, 2)]))
     assert sum(1 for v in prob.variables if v.startswith("u")) == 4
     assert sum(1 for v in prob.variables if v.startswith("q")) == 8
     assert _count(prob, "bic") == 12
-    assert _count(prob, "ir") == 4
+    assert _count(prob, "ir") == 0
+    assert all(prob.lower.get(v, ZERO) == 0 for v in prob.variables if v.startswith("u"))
 
 
 def test_lp1_uniform_optimum():

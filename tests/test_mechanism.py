@@ -137,7 +137,7 @@ def test_verify_reports_exact_violation_labels():
 
 
 def test_verify_refuses_past_guard_at_once():
-    # n = 11 is one past the guard: 4^11 rows would run for minutes
+    # n = 11 is one past the guard, and the replay would hold 4^11 ints
     inst = make_instance([1] * 11, [1] * 11, [(1, 2)] * 11)
     t0 = time.perf_counter()
     with pytest.raises(PreconditionError, match="verification guard 10"):

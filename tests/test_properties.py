@@ -51,6 +51,7 @@ from optmech import (
     solve_lp,
     solve_lp1,
     type_vectors,
+    verify_bic_ir,
 )
 from optmech.exactlp import _LP1Frame, _simplex_max
 from optmech.reduction import _dyadic_between
@@ -332,12 +333,14 @@ def test_constraint_generation_matches_full_lp1(inst):
 
 
 def fraction_replay(inst, assignment):
-    """The (S, T) of each truthfulness row of `build_lp1` that
-    ``assignment`` breaks, in the program's order, by `Fraction` sums."""
+    """Each truthfulness row of `build_lp1` that ``assignment`` breaks, in
+    the program's order, as ((S, T), its name, its slack), by `Fraction`
+    sums."""
     types = range(1 << inst.n)
     pairs = [(S, T) for S in types for T in types if S != T]
-    return [pair for pair, con in zip(pairs, build_lp1(inst).constraints)
-            if sum(c * assignment[v] for v, c in con.coeffs.items()) < con.rhs]
+    rows = ((pair, con.name, sum(c * assignment[v] for v, c in con.coeffs.items()) - con.rhs)
+            for pair, con in zip(pairs, build_lp1(inst).constraints))
+    return [row for row in rows if row[2] < 0]
 
 
 @settings(deadline=None, max_examples=40)
@@ -345,13 +348,25 @@ def fraction_replay(inst, assignment):
                  instances(sizes=lp1_sizes)),
        st.lists(st.tuples(st.integers(0, 10**6), rational), min_size=1, max_size=4))
 def test_int_replay_matches_fraction_replay(inst, moves):
-    # on solve_lp1's answer, then after each of a few moves of one variable
+    # on solve_lp1's answer, then after each of a few moves of one variable;
+    # verify_bic_ir reads each assignment as the mechanism (u, q, tau = 0)
     frame = _LP1Frame(inst)
     assignment = dict(solve_lp1(inst).assignment)
-    assert frame.violated(assignment) == fraction_replay(inst, assignment) == []
+
+    def assert_replays_agree():
+        rows = fraction_replay(inst, assignment)
+        assert frame.violated(assignment) == [pair for pair, _, _ in rows]
+        mech = Mechanism(n=inst.n, u=[assignment[v] for v in frame.u],
+                         q=[tuple(assignment[v] for v in qS) for qS in frame.q],
+                         tau=[F(0)] * len(frame.u), unique=False)
+        bic = [row for row in verify_bic_ir(inst, mech).violations if row[0].startswith("bic")]
+        assert bic == [(name, slack) for _, name, slack in rows]
+        return rows
+
+    assert assert_replays_agree() == []
     for k, delta in moves:
         assignment[frame.variables[k % len(frame.variables)]] += delta / 4
-        assert frame.violated(assignment) == fraction_replay(inst, assignment)
+        assert_replays_agree()
 
 
 menu_sizes = st.integers(min_value=1, max_value=8)
