@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process latency of `optmech solve` as a function of n.
+"""In-process CLI latency of `solve`, `reduce lexrank` and `budgeted --oracle`
+as a function of n.
 
     python3 scripts/solve_latency.py
 
@@ -12,9 +13,15 @@ ways: plain, with `--json-out` and with `--dump-lattice`. A second table
 times `solve --oracle`, which also solves the full revenue program exactly,
 for each n in ORACLE_SIZES, and `solve --oracle-only` on one general
 instance (a_i from 0 to 10, so not single-positive, which `--oracle`
-refuses) for each n in GENERAL_SIZES. Each figure is the minimum of REPEATS
-runs, with stdout captured and the exit code required to be 0. The last
-line gives the process's peak RSS.
+refuses) for each n in GENERAL_SIZES. A third table times `reduce lexrank`
+on one query drawn like the `reduction` workload's (entries 1..6, a random
+probe set and k) for each |C| in RANK_SIZES, and a fourth `budgeted --oracle`
+on one instance drawn like the `budgeted` workload's (values 1..6, a random
+budget and eps) for each n in BUDGETED_SIZES.
+Each figure is the minimum of REPEATS runs, with stdout captured and the
+exit code required to be 0; the reduction's parameter and pipeline caches
+are cleared before every run, so each figure is a cold query. The last line
+gives the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -28,24 +35,31 @@ import resource
 import sys
 import tempfile
 import time
+from fractions import Fraction
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402
+from optmech import reduction  # noqa: E402
 from optmech.cli import main  # noqa: E402
 
 SEED = 1
 SIZES = (8, 10, 12, 14)
 ORACLE_SIZES = (3, 4, 5, 6)
 GENERAL_SIZES = (3, 4, 5)
+RANK_SIZES = (4, 7, 10, 13)
+BUDGETED_SIZES = (2, 4, 6, 8, 10)
 REPEATS = 3
 
 
 def best_of(argv: list[str]) -> float:
     best = float("inf")
     for _ in range(REPEATS):
+        reduction._find_parameter.cache_clear()
+        reduction._build_reduction.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             t0 = time.perf_counter()
             code = main(argv)
@@ -64,6 +78,21 @@ def general_doc(rng: random.Random, n: int) -> dict:
         "d": [str(rng.randint(1, 10)) for _ in range(n)],
         "p": [f"{rng.randint(1, 19)}/20" for _ in range(n)],
     }
+
+
+def rank_query_doc(rng: random.Random, n: int) -> dict:
+    """A seeded rank query over n entries in 1..6."""
+    C = [rng.randint(1, 6) for _ in range(n)]
+    s = rng.randint(1, n - 1)
+    k = rng.randint(1, comb(n, s))
+    return {"C": C, "S": sorted(rng.sample(range(1, n + 1), s)), "k": k}
+
+
+def budgeted_doc(rng: random.Random, n: int) -> dict:
+    """A seeded budgeted instance: n values in 1..6 and a budget up to their sum."""
+    x = [rng.randint(1, 6) for _ in range(n)]
+    eps = Fraction(1, rng.choice((2, 10)) + sum(x))
+    return {"x": x, "budget": rng.randint(1, sum(x)), "eps": str(eps)}
 
 
 def timed(path: str, doc: dict, argv: list[str]) -> float:
@@ -96,6 +125,17 @@ def run() -> None:
                 only = timed(inst, general_doc(general, n), ["solve", inst, "--oracle-only"])
                 line += f" {only:>22.3f}"
             print(line)
+        # each table draws from a stream of its own, as above
+        ranks = random.Random(SEED)
+        print(f"{'|C|':>3} {'reduce lexrank s':>17}")
+        for n in RANK_SIZES:
+            rank = timed(inst, rank_query_doc(ranks, n), ["reduce", "lexrank", inst])
+            print(f"{n:>3} {rank:>17.3f}")
+        budgets = random.Random(SEED)
+        print(f"{'n':>3} {'budgeted oracle s':>18}")
+        for n in BUDGETED_SIZES:
+            oracle = timed(inst, budgeted_doc(budgets, n), ["budgeted", inst, "--oracle"])
+            print(f"{n:>3} {oracle:>18.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")
 

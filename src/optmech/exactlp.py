@@ -3,9 +3,9 @@
 The solver is a dense two-phase tableau simplex over exact rationals with the
 smallest-index (Bland) anti-cycling pivot rule, so it terminates and is fully
 deterministic: identical problems yield identical optimal assignments. Every
-optimal answer is re-checked post hoc: the assignment against the original
-constraints, and the simplex's row multipliers as a dual certificate, so a
-reported optimum is certified optimal, not trusted to the pivots.
+optimal answer is proved post hoc, not trusted to the pivots: the assignment
+meets the original constraints, the simplex's row multipliers are
+dual-feasible, and their bound y.b equals the assignment's value c.x.
 
 The tableau holds integers. `solve_lp` builds each row once, from the
 nonzero entries of its coefficient map, and scales it by the lcm of its
@@ -184,18 +184,17 @@ class LPSolution:
 # for a redundant row that phase 1 dropped; it is reported as an int over
 # the cost row's denominator. At an optimum y is dual-feasible: y_k >= 0 on
 # "<=" rows, y_k <= 0 on ">=" rows, sum_k y_k a_kj >= c_j on every column,
-# and y.b equals the value. `_check_duals` replays exactly that on the input
-# rows, so a returned optimum is optimal by weak duality, not by trust in
-# the pivots.
+# so y.b bounds c.x on every feasible x. `solve_lp` proves an optimum from
+# three facts, each checked once: its assignment is feasible
+# (`_check_feasible`), y is dual-feasible and y.b equals c.x (`_check_duals`).
 
 
 class _SimplexOutcome:
-    __slots__ = ("status", "colvals", "value", "duals", "den")
+    __slots__ = ("status", "colvals", "duals", "den")
 
-    def __init__(self, status, colvals=None, value=None, duals=None, den=1):
+    def __init__(self, status, colvals=None, duals=None, den=1):
         self.status = status
         self.colvals = colvals
-        self.value = value
         self.duals = duals  # ints over the common denominator den > 0
         self.den = den
 
@@ -359,7 +358,7 @@ def _simplex_max(ncols, rows, objective):
         if b < ncols:
             colvals[b] = Fraction(row[-1], row[b])
     duals = [cost[col] if flipped else -cost[col] for col, (*_, flipped) in zip(assoc, canon)]
-    return _SimplexOutcome(OPTIMAL, colvals, Fraction(-cost[total], den), duals, den)
+    return _SimplexOutcome(OPTIMAL, colvals, duals, den)
 
 
 def solve_lp(prob: LPProblem) -> LPSolution:
@@ -420,10 +419,8 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     objective = (ints, obj_scale)
 
     outcome = _simplex_max(ncols, rows, objective)
-    if outcome.status == INFEASIBLE:
-        return LPSolution(status=INFEASIBLE, value=None, assignment={})
-    if outcome.status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED, value=None, assignment={})
+    if outcome.status != OPTIMAL:
+        return LPSolution(status=outcome.status, value=None, assignment={})
 
     # --- extract and certify: the assignment, then the multipliers
     colvals = outcome.colvals
@@ -436,14 +433,8 @@ def solve_lp(prob: LPProblem) -> LPSolution:
             assignment[v] = colvals.get(kind[1], ZERO) - colvals.get(kind[2], ZERO)
     value = sum((c * assignment[v] for v, c in prob.objective.items()), ZERO)
 
-    internal_value = (-outcome.value if negate else outcome.value) - obj_rhs
-    if internal_value != value:
-        raise VerificationError(
-            f"simplex value {format_rational(internal_value)} does not match "
-            f"assignment value {format_rational(value)}"
-        )
     _check_feasible(prob, assignment)
-    _check_duals(rows, objective, outcome)
+    _check_duals(rows, objective, outcome, -(value + obj_rhs) if negate else value + obj_rhs)
     return LPSolution(status=OPTIMAL, value=value, assignment=assignment)
 
 
@@ -467,12 +458,12 @@ def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None
             )
 
 
-def _check_duals(rows, objective, outcome: _SimplexOutcome) -> None:
-    """The dual certificate of an optimal `_simplex_max` outcome on ``rows``
-    and ``objective`` (see the simplex comment block), on the int rows: the
-    multiplier of rational row k is duals[k] / den and int row k is s_k
-    times it, so with L the lcm of the s_k in use, W_k = duals[k] * L / s_k
-    weighs the int rows over one common denominator D = den * L."""
+def _check_duals(rows, objective, outcome: _SimplexOutcome, value: Fraction) -> None:
+    """The multipliers are dual-feasible and y.b equals ``value``, the internal
+    objective at a feasible point (see the simplex comment block), on the
+    int rows: the multiplier of rational row k is duals[k] / den and int row
+    k is s_k times it, so with L the lcm of the s_k in use, W_k = duals[k] *
+    L / s_k weighs the int rows over one common denominator D = den * L."""
     duals = outcome.duals
     for k, (y, (_, rel, _)) in enumerate(zip(duals, rows)):
         if y < 0 if rel == "<=" else y > 0 if rel == ">=" else False:
@@ -488,8 +479,8 @@ def _check_duals(rows, objective, outcome: _SimplexOutcome) -> None:
         if sum(map(mul, W, column)) * obj_scale < c * D:
             raise VerificationError(f"dual certificate: column {j} is not covered")
     bound = Fraction(sum(map(mul, W, columns[-1])), D)
-    if bound != outcome.value:
-        raise VerificationError(f"dual certificate: bound {bound} != value {outcome.value}")
+    if bound != value:
+        raise VerificationError(f"dual certificate: bound {bound} != value {value}")
 
 
 # ---------------------------------------------------------------------------

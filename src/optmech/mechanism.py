@@ -60,10 +60,10 @@ from .core import (
 from .errors import InputError, PreconditionError
 from .lattice import FlowSolution
 
-# `bic_violations` holds 4^n ints, so memory (x4 per item) binds before time:
-# `verify_bic_ir` on a closed-form menu took 0.23-0.25 s at a peak RSS of
-# 55 MiB at n=10, 0.9-1.1 s at 172 MiB at n=11 (2 vCPUs, Python 3.11.7).
-VERIFY_GUARD = 10
+# Time (x4 per item) sets the guard: `verify_bic_ir` on a closed-form menu
+# took 0.44 s at n=11, 2.0 s at n=12 and 7.2 s at n=13, peak RSS 20, 26 and
+# 36 MiB, as `bic_violations` holds 2^n sums at once (2 vCPUs, Python 3.11.7).
+VERIFY_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -172,18 +172,19 @@ def bic_violations(
     u(S) - u(T) >= sum_{i in S ^ T} W_i(T) breaks, S-major, with its exact
     slack (left side minus right), where W_i(T) = d_i q_i(T) for i outside
     T and -d_i q_i(T) for i in T. On ints: u and every d_i q_i(T) go over
-    one common denominator L, and each T's sums over all masks of its W(T)
-    are built once by doubling, so 4^n ints are held at once."""
+    one common denominator L; one T at a time, the sums of W(T) over all
+    masks are built by doubling and T's violated rows kept for one sort."""
     n, size = len(d), len(u)
     ints, L = over_common_denominator([*u, *(di * qi for qT in q for di, qi in zip(d, qT))])
     U = ints[:size]
-    sums = []
-    for T in range(size):
+    violated = []
+    for T, UT in enumerate(U):
         W = ints[size + T * n:size + T * n + n]
-        sums.append(subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)]))
-    # S == T reads 0 < 0
-    return [(S, T, Fraction(US - UT - sums[T][S ^ T], L))
-            for S, US in enumerate(U) for T, UT in enumerate(U) if US - UT < sums[T][S ^ T]]
+        sums = subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)])
+        # S == T reads 0 < 0
+        violated += [(S, T, US - UT - sums[S ^ T])
+                     for S, US in enumerate(U) if US - UT < sums[S ^ T]]
+    return [(S, T, Fraction(gap, L)) for S, T, gap in sorted(violated)]
 
 
 def _report(n: int, *violations: tuple[str, Fraction]) -> BicIrReport:

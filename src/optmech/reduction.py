@@ -317,6 +317,10 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
         raise error(f"k: must lie in 1..C({n},{s})={comb(n, s)}, got {k}")
 
 
+# The cache serves sweeps over the probe sets of one (C, |S|, k): the
+# exhaustive reduction acceptance check took 13.3 s with it, 59.1 s without
+# (2 vCPUs). It never hits on perfbench's `reduction` pool: at seed 17 its
+# 1,600 ops hold 1,597 distinct keys, run in order through the 256 slots.
 @lru_cache(maxsize=256)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int

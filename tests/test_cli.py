@@ -176,6 +176,15 @@ def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
         assert f"constructed mechanism violates {row}" in capsys.readouterr().err
 
 
+def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
+    instance = write(tmp_path, "inst.json", HALVES)
+    monkeypatch.setattr(cli, "solve_lp1", lambda inst: optmech.LPSolution("optimal", F(3), {}))
+    assert main(["solve", instance, "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verification failed: oracle mismatch: closed form 41/16, full program 3\n"
+
+
 def test_oracle_past_full_program_guard_exit_2(tmp_path, capsys):
     # one LP1 solve can take minutes at n = 7; with --oracle the refusal
     # also comes before the closed form and its certificate
@@ -320,6 +329,16 @@ def test_reduce_lexrank_no(tmp_path, capsys):
     assert "decision: NO" in out
 
 
+def test_reduce_lexrank_oracle_disagreement_exit_3(tmp_path, capsys, monkeypatch):
+    # the pipeline says YES (rank 1 <= k = 1); an oracle rank of 2 says NO
+    query = write(tmp_path, "q.json", '{"C": [1, 2], "S": [1], "k": 1}')
+    monkeypatch.setattr(cli, "lexrank_oracle", lambda C, S: 2)
+    assert main(["reduce", "lexrank", query]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verification failed: pipeline decision True disagrees with oracle rank 2\n"
+
+
 def test_reduce_lexrank_empty_probe_usage_error(tmp_path, capsys):
     # empty S, S equal to all of C, k below 1 and k above C(3,1) = 3
     for S, k in (([], 1), ([1, 2, 3], 1), ([1], 0), ([1], 4)):
@@ -437,6 +456,20 @@ def test_budgeted_with_oracle(tmp_path, capsys):
     assert "budgeted entry: {2} at 2" in out
     assert "expected revenue: 14/5" in out
     assert "matches the oracle optimum 14/5" in out
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("menu_is_bic_ir", lambda inst, menu: False, "constructed two-entry menu is not truthful"),
+    ("budgeted_oracle_lp", lambda inst: F(3),
+     "oracle mismatch: menu revenue 14/5, oracle optimum 3"),
+])
+def test_budgeted_failed_check_exit_3(tmp_path, capsys, monkeypatch, name, fake, message):
+    query = write(tmp_path, "b.json", '{"x": [1, 2], "budget": 2, "eps": "1/5"}')
+    monkeypatch.setattr(cli, name, fake)
+    assert main(["budgeted", query, "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verification failed: {message}\n"
 
 
 def test_budgeted_past_bundle_dp_guard_exit_2(tmp_path, capsys):

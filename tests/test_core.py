@@ -19,7 +19,14 @@ from optmech import (
     to_lp2_params,
     type_vectors,
 )
-from optmech.core import format_rational, parse_rational, subset_sums, types_by_size
+from optmech.core import (
+    check_mask,
+    check_nonnegative_int,
+    format_rational,
+    parse_rational,
+    subset_sums,
+    types_by_size,
+)
 
 
 def _frac(v):
@@ -55,6 +62,11 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad, field="p[1]")
+
+
+def test_parse_rational_passes_a_fraction_through():
+    value = F(3, 4)
+    assert parse_rational(value) is value
 
 
 def test_format_rational_round_trips():
@@ -245,6 +257,48 @@ def test_lp2_params_require_fraction_entries(field):
     vectors[field] = tuple(map(float, vectors[field]))
     with pytest.raises(InputError, match=f"{field}: entries must be rationals"):
         LP2Params(n=2, B=F(9, 2), **vectors)
+
+
+def test_instance_refuses_no_items():
+    with pytest.raises(InputError, match="n: must be >= 1, got 0"):
+        OMDInstance(n=0, a=(), d=(), p=())
+
+
+def test_vector_fields_become_tuples():
+    # a frozen instance is hashable only with tuple fields
+    inst = OMDInstance(n=1, a=[F(1)], d=[F(2)], p=[F(1, 2)])
+    params = LP2Params(n=1, x=[F(1)], B=F(1, 2), d=[F(2)], p=[F(1, 2)])
+    assert (inst.a, inst.d, inst.p) == ((F(1),), (F(2),), (F(1, 2),))
+    assert (params.x, params.d, params.p) == ((F(1),), (F(2),), (F(1, 2),))
+    assert hash(inst) == hash(make_instance([1], [2], [(1, 2)]))
+    assert hash(params) == hash(LP2Params(1, (F(1),), F(1, 2), (F(2),), (F(1, 2),)))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(B=F(0)), "B: must be a positive rational"),
+    (dict(B=F(-1)), "B: must be a positive rational"),
+    (dict(B=1), "B: must be a positive rational"),
+    (dict(x=(F(2), F(0))), "x: entry 2 must be > 0, got 0"),
+    (dict(x=(F(-1), F(3))), "x: entry 1 must be > 0, got -1"),
+])
+def test_lp2_params_refuse_nonpositive_budget_and_values(change, message):
+    vectors = dict(n=2, x=(F(2), F(3)), B=F(9, 2), d=(F(1), F(2)), p=(F(1, 2), F(1, 2)))
+    with pytest.raises(InputError, match=message):
+        LP2Params(**vectors | change)
+
+
+@pytest.mark.parametrize("value", [-1, True, 1.0, "1", None])
+def test_check_nonnegative_int_refuses(value):
+    with pytest.raises(InputError, match="T: expected a nonnegative integer"):
+        check_nonnegative_int(value, "T")
+    assert check_nonnegative_int(0, "T") == 0
+
+
+@pytest.mark.parametrize("value", [-1, 4, True, 1.0, None])
+def test_check_mask_refuses(value):
+    with pytest.raises(InputError, match="is not a subset mask over items 1..2"):
+        check_mask(value, 2, field="S")
+    assert check_mask(3, 2) == 3
 
 
 def test_subset_sums_keep_the_value_type():

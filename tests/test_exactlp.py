@@ -265,6 +265,26 @@ def test_problem_rejects_inexact_numbers():
     assert solve_lp(LPProblem(**base | dict(upper={"x": 2}))).value == 2
 
 
+def test_constraint_rejects_an_invalid_relation():
+    with pytest.raises(InputError, match="constraint 'c': invalid relation '<'"):
+        Constraint({"x": ONE}, "<", ONE, name="c")
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(sense="maximize"), "sense: expected 'max' or 'min', got 'maximize'"),
+    (dict(variables=("x", "x")), "variables: duplicate names"),
+    (dict(objective={"y": ONE}), "objective references undeclared variable 'y'"),
+    (dict(constraints=(Constraint({"y": ONE}, "<=", ONE, name="c"),)),
+     "constraint 'c' references undeclared variable 'y'"),
+    (dict(lower={"y": ZERO}), "bound references undeclared variable 'y'"),
+    (dict(upper={"y": ONE}), "bound references undeclared variable 'y'"),
+])
+def test_problem_rejects_malformed_models(change, message):
+    base = dict(variables=("x",), objective={"x": ONE}, sense="max", constraints=())
+    with pytest.raises(InputError, match=message):
+        LPProblem(**base | change)
+
+
 # ---------------------------------------------------------------------------
 # pinned vertices: Bland's rule makes the optimal vertex part of the contract
 # ---------------------------------------------------------------------------
@@ -384,20 +404,18 @@ def test_pinned_vertex_lp3():
     })
 
 
-def _tampered(shift=0, bump=0, dual=None):
-    """`_simplex_max` with column 0 of its answer raised by ``shift`` and the
-    value recomputed from the columns, then raised by ``bump``, and its
-    multipliers passed through ``dual``."""
+def _tampered(shift=0, zero=False, dual=None):
+    """`_simplex_max` with column 0 of its answer raised by ``shift``, or
+    every column set to 0 if ``zero``, and its multipliers passed through
+    ``dual``."""
     solver = exactlp._simplex_max
 
     def run(ncols, rows, objective):
         outcome = solver(ncols, rows, objective)
-        colvals = dict(outcome.colvals)
+        colvals = {} if zero else dict(outcome.colvals)
         colvals[0] = colvals.get(0, ZERO) + shift
-        ints, scale = objective
-        value = sum((ints[j] * x for j, x in colvals.items()), ZERO) / scale + bump
         duals = dual(list(outcome.duals)) if dual else outcome.duals
-        return exactlp._SimplexOutcome("optimal", colvals, value, duals, outcome.den)
+        return exactlp._SimplexOutcome("optimal", colvals, duals, outcome.den)
     return run
 
 
@@ -424,10 +442,10 @@ CERTIFIED = {
 @pytest.mark.parametrize("program", sorted(CERTIFIED))
 def test_solve_lp_certifies_every_answer(monkeypatch, program):
     # a raised column 0 (u({}) in LP1, x in the small program) breaks a
-    # constraint while the value still matches, and a raised value breaks
-    # the match
+    # constraint, and the all-zero answer is feasible but below the bound
+    # y.b the true optimum's multipliers give
     prob = CERTIFIED[program]()
-    for tamper, message in ((dict(shift=100), "violates constraint"), (dict(bump=1), "does not match")):
+    for tamper, message in ((dict(shift=100), "violates constraint"), (dict(zero=True), "dual certificate")):
         with monkeypatch.context() as mp:
             mp.setattr(exactlp, "_simplex_max", _tampered(**tamper))
             with pytest.raises(VerificationError, match=message):
@@ -445,6 +463,29 @@ def test_solve_lp_certifies_the_duals(monkeypatch, program, dual):
     assert solve_lp(prob).status == "optimal"
     monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=dual))
     with pytest.raises(VerificationError, match="dual certificate"):
+        solve_lp(prob)
+
+
+@pytest.mark.parametrize("shift, bound", [(-100, "lower"), (100, "upper")])
+def test_solve_lp_refuses_an_assignment_out_of_bounds(monkeypatch, shift, bound):
+    # x in [1, 3] is column 0 and checked before any row: x - 100 breaks the
+    # lower bound, x + 100 the upper bound
+    prob = LPProblem(("x", "y"), {"x": ONE, "y": ONE}, "max",
+                     (Constraint({"x": ONE, "y": ONE}, "<=", F(4)),),
+                     lower={"x": ONE}, upper={"x": F(3)})
+    assert solve_lp(prob).assignment == {"x": F(3), "y": ONE}
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(shift=shift))
+    with pytest.raises(VerificationError, match=f"violates {bound} bound of x"):
+        solve_lp(prob)
+
+
+@pytest.mark.parametrize("program", sorted(CERTIFIED))
+def test_solve_lp_refuses_uncovered_columns(monkeypatch, program):
+    # all-zero multipliers have the right signs, but y.A = 0 falls short of
+    # a positive objective coefficient
+    prob = CERTIFIED[program]()
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=lambda duals: [0] * len(duals)))
+    with pytest.raises(VerificationError, match=r"dual certificate: column \d+ is not covered"):
         solve_lp(prob)
 
 
@@ -544,7 +585,7 @@ def test_redundant_equality_row_dropped_with_zero_dual():
     sol = solve_lp(prob)
     assert (sol.status, sol.value, sol.assignment) == ("optimal", 1, {"x": ONE, "y": ZERO})
     outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1))
-    assert (outcome.status, outcome.colvals, outcome.value) == ("optimal", {0: ONE}, ONE)
+    assert (outcome.status, outcome.colvals) == ("optimal", {0: ONE})
     assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 
 

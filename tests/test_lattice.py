@@ -112,6 +112,13 @@ def test_canonical_rejects_multi_positive():
     assert "{1}" in str(err.value)
 
 
+def test_canonical_rejects_a_full_set_below_budget():
+    # no node is positive: sum(x) = 2 < B = 5
+    params = LP2Params(2, (F(1), F(1)), F(5), (F(1), F(1)), (F(1, 2), F(1, 2)))
+    with pytest.raises(PreconditionError, match=r"node \{1,2\} is not positive: sum\(x\) = 2 < B = 5"):
+        canonical_solution(params)
+
+
 def test_canonical_rejects_infeasible():
     # single positive node but expected demand above B
     params = LP2Params(2, (F(10), F(10)), F(11), (F(1), F(1)), (F(9, 10), F(9, 10)))

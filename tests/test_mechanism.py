@@ -137,10 +137,10 @@ def test_verify_reports_exact_violation_labels():
 
 
 def test_verify_refuses_past_guard_at_once():
-    # n = 11 is one past the guard, and the replay would hold 4^11 ints
-    inst = make_instance([1] * 11, [1] * 11, [(1, 2)] * 11)
+    # n = 13 is one past the guard, and the replay would make 4^13 comparisons
+    inst = make_instance([1] * 13, [1] * 13, [(1, 2)] * 13)
     t0 = time.perf_counter()
-    with pytest.raises(PreconditionError, match="verification guard 10"):
+    with pytest.raises(PreconditionError, match="verification guard 12"):
         verify_bic_ir(inst, mech_for(PARAMS_B))
     assert time.perf_counter() - t0 < 1.0
 
@@ -324,6 +324,15 @@ def test_expected_revenue_rejects_item_count_mismatch():
     inst = make_instance([1, 1, 1], [1, 2, 3], [(1, 2), (1, 2), (1, 2)])
     with pytest.raises(PreconditionError, match="disagree on the item count"):
         expected_revenue(inst, mech_for(PARAMS_B))
+
+
+def test_closed_form_and_checks_refuse_item_count_mismatch():
+    inst = make_instance([1, 1, 1], [1, 2, 3], [(1, 2), (1, 2), (1, 2)])
+    with pytest.raises(PreconditionError, match="flow and instance disagree on the item count"):
+        closed_form_mechanism(inst, canonical_solution(PARAMS_B))
+    for check in (verify_bic_ir, certify_bic_ir):
+        with pytest.raises(PreconditionError, match="mechanism and instance disagree"):
+            check(inst, mech_for(PARAMS_B))
 
 
 # ---------------------------------------------------------------------------

