@@ -20,8 +20,11 @@ on one instance drawn like the `budgeted` workload's (values 1..6, a random
 budget and eps) for each n in BUDGETED_SIZES.
 Each figure is the minimum of REPEATS runs, with stdout captured and the
 exit code required to be 0; the reduction's parameter and pipeline caches
-are cleared before every run, so each figure is a cold query. The last line
-gives the process's peak RSS.
+are cleared before every run, so each figure is a cold query. Every table
+figure is a warm in-process call: `main` builds its argument parser on its
+first call only. The one-off costs come first: that parser build (the
+minimum of REPEATS uncached builds) and the peak RSS of a fresh interpreter
+that has imported `optmech.cli`. The last line gives this process's peak RSS.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import os
 import random
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -44,7 +48,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402
 from optmech import reduction  # noqa: E402
-from optmech.cli import main  # noqa: E402
+from optmech.cli import build_parser, main  # noqa: E402
 
 SEED = 1
 SIZES = (8, 10, 12, 14)
@@ -68,6 +72,27 @@ def best_of(argv: list[str]) -> float:
             raise SystemExit(f"exit {code} from {argv}")
         best = min(best, elapsed)
     return best
+
+
+def parser_build_s() -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        build_parser.__wrapped__()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def import_peak_rss_mib() -> float:
+    """Peak RSS of a fresh interpreter once `optmech.cli` is imported."""
+    code = (
+        f"import resource, sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
+        "import optmech.cli; "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return int(done.stdout) / 1024
 
 
 def general_doc(rng: random.Random, n: int) -> dict:
@@ -104,6 +129,9 @@ def timed(path: str, doc: dict, argv: list[str]) -> float:
 def run() -> None:
     rng = random.Random(SEED)
     print(f"python {sys.version.split()[0]}, seed {SEED}, min of {REPEATS}")
+    print(f"parser build (once per process) {parser_build_s() * 1e3:.3f} ms")
+    print(f"fresh interpreter after `import optmech.cli`: peak RSS "
+          f"{import_peak_rss_mib():.1f} MiB")
     print(f"{'n':>3} {'plain s':>9} {'json-out s':>11} {'dump-lattice s':>15}")
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "inst.json")

@@ -8,13 +8,24 @@ Exit codes are a stable contract: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+# hashlib loads OpenSSL (about 3.5 MiB and 2.4 ms of import) for one small
+# digest; the interpreter's built-in sha256 gives the same value, as
+# CPython's `random` does for sha512
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .budgeted import (
     budgeted_from_json_dict,
@@ -67,9 +78,21 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse ended the call itself (``--help``) with this status."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse's default exit(2) onto exit 1
         raise _UsageError(message)
+
+    # only --help gets here (error above never does): main returns the status
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
 
 
 @dataclass
@@ -107,7 +130,7 @@ def _read_input(command: str, path: str) -> tuple[str, RunReport]:
         text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return text, RunReport(f"{command} {path}", hashlib.sha256(raw).hexdigest())
+    return text, RunReport(f"{command} {path}", sha256(raw).hexdigest())
 
 
 def _write_text(path: str, text: str) -> None:
@@ -401,7 +424,11 @@ def cmd_budgeted(args) -> RunReport:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    ``main`` call in the process. Each subcommand's ``func`` default is the
+    ``cmd_*`` function bound when it was built."""
     parser = _Parser(prog="optmech", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,9 +468,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         start = time.perf_counter()
         report = args.func(args)
         report.elapsed = time.perf_counter() - start
@@ -451,6 +477,8 @@ def main(argv=None) -> int:
         if report.failure is not None:
             raise report.failure
         return EXIT_OK
+    except _Exit as exc:
+        return exc.status
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -318,10 +318,13 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
 
 
 # The cache serves sweeps over the probe sets of one (C, |S|, k): the
-# exhaustive reduction acceptance check took 13.3 s with it, 59.1 s without
-# (2 vCPUs). It never hits on perfbench's `reduction` pool: at seed 17 its
-# 1,600 ops hold 1,597 distinct keys, run in order through the 256 slots.
-@lru_cache(maxsize=256)
+# exhaustive reduction acceptance check took 7.8-8.0 s with it, 39.1 s
+# without (2 vCPUs). That sweep runs k innermost, so its keys repeat with
+# period C(n, |S|) <= 6 and 16 slots hold them all (256 slots: 8.0-8.2 s).
+# Each entry holds a whole flow, and the cache never hits on perfbench's
+# `reduction` pool (at seed 17, 1,600 ops hold 1,597 distinct keys), where
+# it retained 0.21 MiB after the pool against 3.48 MiB at 256 slots.
+@lru_cache(maxsize=16)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int
 ) -> tuple[LP2Params, OMDInstance, FlowSolution, Callable[[], Mechanism]]:

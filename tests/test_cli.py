@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -559,12 +561,86 @@ def test_enumeration_guards_exit_2(tmp_path, capsys, argv, doc, message):
     assert message in capsys.readouterr().err
 
 
-def test_python_m_optmech_runs_the_cli():
-    # a source checkout runs the CLI without installing the console script
+def fresh_python(*args):
+    """`python args` in a fresh interpreter that imports this checkout's
+    package, in the current directory."""
     src = str(Path(optmech.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "optmech", "examples"],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_m_optmech_runs_the_cli():
+    # a source checkout runs the CLI without installing the console script
+    done = fresh_python("-m", "optmech", "examples")
     assert done.returncode == 0, done.stderr
     assert "FAIL" not in done.stdout and done.stdout.count("PASS") == 5
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def without_elapsed(out):
+    return [line for line in out.splitlines() if not line.startswith("elapsed: ")]
+
+
+def test_calls_sharing_the_parser_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; each call after a usage
+    # error, a refusal or a success prints and exits as `python -m optmech`
+    # does in a fresh interpreter
+    monkeypatch.chdir(tmp_path)
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    budget = write(tmp_path, "b.json", '{"x": [1, 2], "budget": 2, "eps": "1/5"}')
+    query = write(tmp_path, "q.json", '{"C": [1, 2], "S": [1], "k": 1}')
+    calls = [
+        (["solve", instance, "--oracle", "--oracle-only"], 1),
+        (["solve", instance, "--oracle-only", "--json-out", "m.json"], 1),
+        (["solve", instance, "--kappa", "2"], 1),
+        (["solve", instance, "--oracle"], 0),
+        (["budgeted", budget], 0),
+        (["budgeted", budget, "--oracle"], 0),
+        (["reduce", "lexrank", query], 0),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, expected in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        done = fresh_python("-m", "optmech", *argv)
+        assert code == expected, err
+        assert (code, without_elapsed(out), err) == (
+            done.returncode, without_elapsed(done.stdout), done.stderr)
+    assert sorted(os.listdir(tmp_path)) == ["b.json", "inst.json", "q.json"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_returns_0(argv, capsys, monkeypatch):
+    # in-process callers get the exit code, not SystemExit; the help text
+    # is the one `python -m optmech` prints at the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: optmech", *argv[:-1]]))
+    assert err == ""
+    done = fresh_python("-m", "optmech", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, err)
+
+
+def test_input_digest_is_the_sha256_of_the_raw_bytes(tmp_path, capsys):
+    raw = ('{"note": "\u00e9t\u00e9 \u2014 \u2211", ' + LOTTERY[1:]).encode("utf-8")
+    assert not raw.isascii()
+    path = tmp_path / "inst.json"
+    path.write_bytes(raw)
+    assert main(["solve", str(path)]) == 0
+    assert f"input sha256: {hashlib.sha256(raw).hexdigest()}\n" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in sha256 module",
+)
+def test_importing_the_cli_leaves_openssl_unloaded():
+    done = fresh_python("-c", "import sys, optmech.cli; print('_hashlib' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
