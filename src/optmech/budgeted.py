@@ -18,6 +18,7 @@ from .core import (
     Subset,
     ZERO,
     ONE,
+    check_guard,
     check_positive_ints,
     document_fields,
     format_rational,
@@ -147,8 +148,7 @@ def budgeted_oracle_lp(inst: BudgetedInstance) -> Fraction:
     bundle, so bundles are enumerated explicitly (guarded at n <= 10).
     """
     n = inst.n
-    if n > ORACLE_GUARD:
-        raise PreconditionError(f"n={n} exceeds the oracle guard {ORACLE_GUARD}")
+    check_guard(n, ORACLE_GUARD, "oracle guard")
     subsets = range(1 << n)
     v_add = subset_sums(inst.x)
     v_budget = [min(v, inst.budget) for v in v_add]

@@ -36,6 +36,7 @@ from .budgeted import (
 from .core import (
     ONE,
     OMDInstance,
+    check_guard,
     check_subset,
     decode_json,
     format_rational,
@@ -150,8 +151,7 @@ def _closed_form(inst: OMDInstance, report: RunReport):
     certified against every BIC/IR constraint; the row summary goes on the
     report, or the certificate's first failing row on the raised error. An
     instance past the lattice guard is refused before any of that work."""
-    if inst.n > LATTICE_GUARD:
-        raise PreconditionError(f"n={inst.n} exceeds the lattice guard {LATTICE_GUARD}")
+    check_guard(inst.n, LATTICE_GUARD, "lattice guard")
     params = to_lp2_params(inst, ONE)
     flow = canonical_solution(params)
     mech = closed_form_mechanism(inst, flow)

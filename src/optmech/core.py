@@ -114,6 +114,13 @@ def check_nonnegative_int(value, field: str) -> int:
     return value
 
 
+def check_guard(size: int, guard: int, what: str, name: str = "n") -> None:
+    """Refuse a count past its guard with the `PreconditionError`
+    "{name}={size} exceeds the {what} {guard}"."""
+    if size > guard:
+        raise PreconditionError(f"{name}={size} exceeds the {what} {guard}")
+
+
 # ---------------------------------------------------------------------------
 # Subsets of the ground set {1..n}
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .core import (
     Subset,
     ZERO,
     ONE,
+    check_guard,
     format_rational,
     item_range,
     over_common_denominator,
@@ -56,10 +57,11 @@ from .lattice import node_balances
 from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
-# (relaxed program and its dual). The full program's guard admits only sizes
-# whose `solve_lp1` ends within a minute: at n=6 it took 0.12-0.24 s on 12
-# random single-positive instances and 0.37-4.7 s on 12 general ones (a_i in
-# 0..10, d_i in 1..10; three needed a second round). At n=7 one general
+# (relaxed program and its dual). At n=6, the full program's guard,
+# `solve_lp1` took 0.12-0.24 s on 12 random single-positive instances and
+# 0.37-4.7 s on 12 general ones (a_i in 0..10, d_i in 1..10; three needed a
+# second round), but 430 s, at 40 MiB, on a=(4,10,6,5,9,7), d=(3,1,6,8,10,9),
+# p=(7/10,17/20,1/4,9/10,1/4,17/20). At n=7 one general
 # instance took 3.2 s in one round; another broke 512 rows after a 3.8 s
 # first round, and its second round (1,536 rows) ran for over 9 minutes. The
 # relaxed program's guard is set by memory: on a random single-positive
@@ -502,14 +504,9 @@ def edge_var(S: Subset, i: int) -> str:
     return f"f({subset_label(S | 1 << (i - 1))}>{subset_label(S)})"
 
 
-def _check_guard(n: int, guard: int, what: str) -> None:
-    if n > guard:
-        raise PreconditionError(f"n={n} exceeds the {what} {guard}")
-
-
 def check_lp1_guard(n: int) -> None:
     """Refuse an item count past the full program's enumeration guard."""
-    _check_guard(n, LP1_GUARD, "full-program enumeration guard")
+    check_guard(n, LP1_GUARD, "full-program enumeration guard")
 
 
 class _LP1Frame:
@@ -607,7 +604,7 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
 def build_lp2(params: LP2Params) -> LPProblem:
     """The relaxed program: utilities only, adjacent-type rows, u >= 0 bounds."""
     n = params.n
-    _check_guard(n, LP23_GUARD, "enumeration guard")
+    check_guard(n, LP23_GUARD, "enumeration guard")
     subsets = range(1 << n)
     objective = {u_var(S): balance for S, balance in enumerate(node_balances(params))}
     constraints = []
@@ -638,7 +635,7 @@ def build_lp3(params: LP2Params) -> LPProblem:
     row per node with right-hand side p(S) * (sum_{i in S} x_i - B).
     """
     n = params.n
-    _check_guard(n, LP23_GUARD, "enumeration guard")
+    check_guard(n, LP23_GUARD, "enumeration guard")
     subsets = range(1 << n)
     variables = []
     objective = {}

@@ -167,17 +167,19 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     the full set is absorbed.
 
     Requires the single-positive-node property and feasibility
-    sum(p_i x_i) <= B. The greedy runs on ints: costs are scaled by the lcm
-    of d's denominators, and balances p(S) * (x(S) - B) by prod(den p_i)
-    times the lcm of the denominators of x and B, with p(S) * prod(den p_i)
-    the product of num p_i over S and den p_i - num p_i off S. The flow
-    keeps the scaled intakes; supply and total cost are divided back once,
+    sum(p_i x_i) <= B, which the fill checks: all balances sum to
+    sum(p_i x_i) - B, so supply is left once every sink is full exactly when
+    it fails. The greedy runs on ints: costs are scaled by the lcm of d's
+    denominators, and balances p(S) * (x(S) - B) by prod(den p_i) times the
+    lcm of the denominators of x and B, with p(S) * prod(den p_i) the
+    product of num p_i over S and den p_i - num p_i off S. The flow keeps
+    the scaled intakes; supply and total cost are divided back once,
     exactly, at the end.
     """
     n = params.n
     full = (1 << n) - 1
-    total = sum(params.x, ZERO)
     if not check_single_positive(params):
+        total = sum(params.x, ZERO)
         if total < params.B:
             raise PreconditionError(
                 f"node {subset_label(full)} is not positive: "
@@ -190,13 +192,6 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
             f"sums to {format_rational(total - params.x[lightest - 1])} >= B = "
             f"{format_rational(params.B)}"
         )
-    expected = sum((pi * xi for pi, xi in zip(params.p, params.x)), ZERO)
-    if expected > params.B:
-        raise PreconditionError(
-            f"infeasible parameters: sum(p_i x_i) = {format_rational(expected)} "
-            f"> B = {format_rational(params.B)}"
-        )
-
     D, cost_scale = over_common_denominator(params.d)
     costs = subset_sums(D)[::-1]
     (B, *X), weight_scale = over_common_denominator([params.B, *params.x])
@@ -227,8 +222,12 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
         remaining -= take
         if remaining == 0 and take < capacity:
             partially_filled = S
-    if remaining != 0:
-        raise PreconditionError("sink capacity exhausted before the supply was absorbed")
+    if remaining:
+        expected = sum((pi * xi for pi, xi in zip(params.p, params.x)), ZERO)
+        raise PreconditionError(
+            f"infeasible parameters: sum(p_i x_i) = {format_rational(expected)} "
+            f"> B = {format_rational(params.B)}"
+        )
 
     return FlowSolution(
         n=n,

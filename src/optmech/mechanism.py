@@ -46,6 +46,7 @@ from .core import (
     Subset,
     ZERO,
     ONE,
+    check_guard,
     check_mask,
     check_subset,
     document_fields,
@@ -63,6 +64,9 @@ from .lattice import FlowSolution
 # Time (x4 per item) sets the guard: `verify_bic_ir` on a closed-form menu
 # took 0.44 s at n=11, 2.0 s at n=12 and 7.2 s at n=13, peak RSS 20, 26 and
 # 36 MiB, as `bic_violations` holds 2^n sums at once (2 vCPUs, Python 3.11.7).
+# A bad menu costs more, as the report keeps every violated row: random menus
+# (half their 4^n rows break) took 0.20/1.23/5.72 s at a peak RSS of
+# 26/63/212 MiB for n=8/9/10, x4 per item, so n=12 would need some 3 GiB.
 VERIFY_GUARD = 12
 
 
@@ -199,8 +203,7 @@ def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     truthfulness rows come from `bic_violations`; per type S the report
     lists its ir row, then its prob rows, then its bic(S|T) rows."""
     n = inst.n
-    if n > VERIFY_GUARD:
-        raise PreconditionError(f"n={n} exceeds the verification guard {VERIFY_GUARD}")
+    check_guard(n, VERIFY_GUARD, "verification guard")
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
     bic = [[] for _ in mech.u]

@@ -13,8 +13,9 @@ Three layers, each exact:
   * decision extraction: the probe type's allocation probability for the
     distinguished item is exactly 0 or 1 and answers the rank query. It is
     `FlowSolution.allocation`, read off the greedy flow's integer costs at
-    the probe and the probe plus the distinguished item; the full menu is
-    built only when `ReductionOutput.mechanism` is read, once per (C, |S|, k).
+    the probe and the probe plus the distinguished item. The instance that
+    the parameters (x, B, d, p) encode, and its full menu, are built only
+    when `ReductionOutput.mechanism` is read, once per (C, |S|, k).
 
 All searches and evaluations are exact rational arithmetic. The bisection
 returns its first dyadic midpoint whose exact `eval_f` value lies strictly
@@ -33,10 +34,10 @@ from typing import Callable, Sequence
 
 from .core import (
     LP2Params,
-    OMDInstance,
     Subset,
     ZERO,
     ONE,
+    check_guard,
     check_mask,
     check_nonnegative_int,
     check_positive_ints,
@@ -76,8 +77,7 @@ def lexrank_oracle(C: Sequence[int], S: Subset) -> int:
     """
     C = check_positive_ints(C, "C")
     n = len(C)
-    if n > LEXRANK_GUARD:
-        raise PreconditionError(f"|C|={n} exceeds the enumeration guard {LEXRANK_GUARD}")
+    check_guard(n, LEXRANK_GUARD, "enumeration guard", name="|C|")
     S = check_mask(S, n, field="S")
     target_sum = sum(c for i, c in enumerate(C) if S >> i & 1)
     rank = 0
@@ -130,10 +130,7 @@ def count_subsetsum(W: Sequence[int], T: int) -> int:
     W = check_positive_ints(W, "W")
     n = len(W)
     check_nonnegative_int(T, "T")
-    if n > SUBSETSUM_GUARD:
-        raise PreconditionError(
-            f"|W|={n} exceeds the staged-inversion guard {SUBSETSUM_GUARD}"
-        )
+    check_guard(n, SUBSETSUM_GUARD, "staged-inversion guard", name="|W|")
 
     direct = sum(1 for total in subset_sums(W) if total <= T)
 
@@ -214,6 +211,9 @@ def _find_parameter(n: int, s: int, k: int) -> Fraction:
     not monotone), so brackets closing on one point without a hit would put
     f there both at or below the window and at or above it, or break one of
     those two bounds.
+
+    `_dyadic_between` keeps every midpoint strictly inside its bracket, so
+    p < 1 - 1/(2n+2) and the reduction's sum(p_i x_i) = 2(n+1)p < 2n+1 = B.
     """
     window_lo = Fraction(k) - Fraction(1, 2 * n + 2)
     window_hi = Fraction(k)
@@ -251,21 +251,15 @@ def find_parameter(n: int, s: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """The constructed instance, its parameters and its greedy flow, plus
-    the probe that reads the rank query's answer off the closed-form
-    mechanism."""
+    """The constructed parameters (x, B, d, p), their greedy flow, and the
+    probe type and distinguished item that read the rank query's answer. The
+    instance itself is ``from_lp2_params(params)[0]``."""
 
-    instance: OMDInstance
     params: LP2Params
     probe_type: Subset
     distinguished_item: int
     flow: FlowSolution = field(repr=False)
     _mechanism: Callable[[], Mechanism] = field(repr=False)
-
-    def __post_init__(self):
-        n = self.instance.n - 1
-        if not Fraction(1, 2) <= self.p_tilde < ONE - Fraction(1, 2 * n + 2):
-            raise VerificationError("p_tilde fell outside its admissible interval")
 
     @property
     def p_tilde(self) -> Fraction:  # every item's bisected probability
@@ -327,11 +321,11 @@ def _validate_rank_query(n: int, S: Subset, k, error=PreconditionError) -> None:
 @lru_cache(maxsize=16)
 def _build_reduction(
     C: tuple[int, ...], s: int, k: int
-) -> tuple[LP2Params, OMDInstance, FlowSolution, Callable[[], Mechanism]]:
-    """Parameters, instance, greedy flow and the builder of the closed-form
-    mechanism for a validated query, which runs once, on its first call.
-    They depend on (C, |S|, k) only, so sweeping all probe sets S of one
-    size reuses a single pipeline run."""
+) -> tuple[LP2Params, FlowSolution, Callable[[], Mechanism]]:
+    """Parameters, greedy flow and the closed-form mechanism's builder for a
+    validated query; the builder derives the instance and runs once, on its
+    first call. All depend on (C, |S|, k) only, so sweeping all probe sets S
+    of one size reuses a single pipeline run."""
     n = len(C)
     if n + 1 > LATTICE_GUARD:
         raise PreconditionError(
@@ -346,7 +340,6 @@ def _build_reduction(
         d=_reduction_d(C),
         p=(p_tilde,) * (n + 1),
     )
-    instance, _ = from_lp2_params(params)
     flow = canonical_solution(params)
     level = sorted(
         (T for T in range(1 << n) if T.bit_count() == n - s),
@@ -362,20 +355,20 @@ def _build_reduction(
             f"partially filled node {subset_label(flow.partially_filled)} is not "
             f"the targeted node {subset_label(target)}"
         )
-    mechanism = cache(lambda: closed_form_mechanism(instance, flow))
-    return params, instance, flow, mechanism
+    mechanism = cache(lambda: closed_form_mechanism(from_lp2_params(params)[0], flow))
+    return params, flow, mechanism
 
 
 def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
-    """Construct the instance whose unique optimal mechanism answers the
-    rank query (C, S, k) through the probe type's distinguished item."""
+    """The parameters and greedy flow of the instance whose unique optimal
+    mechanism answers the rank query (C, S, k) through the probe type's
+    distinguished item."""
     C = check_positive_ints(C, "C")
     n = len(C)
     S = check_mask(S, n, field="S")
     _validate_rank_query(n, S, k)
-    params, instance, flow, mechanism = _build_reduction(C, S.bit_count(), k)
+    params, flow, mechanism = _build_reduction(C, S.bit_count(), k)
     return ReductionOutput(
-        instance=instance,
         params=params,
         probe_type=((1 << n) - 1) ^ S,
         distinguished_item=n + 1,

@@ -123,7 +123,9 @@ def test_canonical_rejects_infeasible():
     # single positive node but expected demand above B
     params = LP2Params(2, (F(10), F(10)), F(11), (F(1), F(1)), (F(9, 10), F(9, 10)))
     assert check_single_positive(params)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match=r"^infeasible parameters: sum\(p_i x_i\) = 18 > B = 11$"
+    ):
         canonical_solution(params)
 
 

@@ -4,13 +4,14 @@ mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly, and a rational prints as its
 lowest-terms numerator, over its denominator unless that is 1. The integer
 greedy flow gives every field of a `Fraction` greedy over the sorted (cost,
-mask) order, and its closed-form utility and allocation match ones computed
-from the `Fraction` node costs, exact-boundary and zero-supply flows
-included; the closed-form menu's int-built prices equal v(S).q(S) - u(S) on
-`Fraction`s, and the int revenue total equals the direct sum. The parameter
-map's scale kappa leaves the fill order, the partially filled node and the
-menu unchanged and scales the flow's amounts by kappa. The
-bisection's dyadic midpoint lies strictly inside its bracket. The
+mask) order, and refuses exactly the parameters whose expected demand
+sum(p_i x_i) exceeds B. Its closed-form utility and allocation match ones
+computed from the `Fraction` node costs, exact-boundary and zero-supply
+flows included; the closed-form menu's int-built prices equal
+v(S).q(S) - u(S) on `Fraction`s, and the int revenue total equals the direct
+sum. The parameter map's scale kappa leaves the fill order, the partially
+filled node and the menu unchanged and scales the flow's amounts by kappa.
+The bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
 tiny bounded programs, its dual multipliers certifying its optimum. The full
@@ -21,6 +22,7 @@ import json
 from fractions import Fraction as F
 from math import lcm, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from optmech import (
     LPProblem,
     Mechanism,
     OMDInstance,
+    PreconditionError,
     build_lp1,
     canonical_solution,
     check_single_positive,
@@ -245,6 +248,46 @@ def test_greedy_fills_sinks_in_sorted_order(params):
             flow.flows) == reference_greedy(params)
     values = [flow.supply, flow.total_cost, *flow.absorbed.values(), *flow.flows.values()]
     assert all(type(v) is F for v in values)
+
+
+@st.composite
+def single_positive_any_demand(draw):
+    """Single-positive parameters with B in (sum(x) - min(x), sum(x)], on
+    either side of the expected demand sum(p_i x_i) or, when that lies in
+    the window, on it."""
+    n = draw(st.integers(1, 4))
+    vec = lambda elements: tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+    x, d, p = vec(positive), vec(positive), vec(probability)
+    total = sum(x)
+    floor = total - min(x)
+    demand = sum(pi * xi for pi, xi in zip(p, x))
+    B = st.sampled_from([floor + (total - floor) * t for t in (F(1, 4), F(1, 2), F(3, 4), F(1))])
+    if floor < demand <= total:
+        B = st.one_of(st.sampled_from([demand, (floor + demand) / 2]), B)
+    return LP2Params(n=n, x=x, B=draw(B), d=d, p=p)
+
+
+@exact
+@given(single_positive_any_demand())
+def test_greedy_refuses_exactly_the_infeasible(params):
+    assert check_single_positive(params)
+    demand = sum(pi * xi for pi, xi in zip(params.p, params.x))
+    if demand > params.B:
+        message = (f"infeasible parameters: sum(p_i x_i) = {format_rational(demand)} "
+                   f"> B = {format_rational(params.B)}")
+        with pytest.raises(PreconditionError) as err:
+            canonical_solution(params)
+        assert str(err.value) == message
+        return
+    flow = canonical_solution(params)
+    assert sum(flow.absorbed.values(), F(0)) == flow.supply
+    if demand == params.B:
+        # the supply is exactly the sinks' total capacity: every sink is full
+        balances = node_balances(params)
+        full = (1 << params.n) - 1
+        assert sorted(flow.fill_order) == list(range(full))
+        assert all(flow.absorbed[S] == -balances[S] for S in range(full))
+        assert flow.partially_filled is None
 
 
 def reference_utility(params, flow):

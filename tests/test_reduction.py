@@ -10,10 +10,12 @@ from optmech import (
     PreconditionError,
     canonical_solution,
     check_subset,
+    closed_form_mechanism,
     count_subsetsum,
     decide_lexrank,
     eval_f,
     find_parameter,
+    from_lp2_params,
     lexrank_oracle,
     lexrank_to_omd,
     node_costs,
@@ -394,6 +396,26 @@ def test_decision_never_builds_the_menu(monkeypatch, tmp_path, capsys):
     query.write_text('{"C": [3, 1, 4, 1, 5], "S": [2, 5], "k": 6}')
     assert main(["reduce", "lexrank", str(query)]) == 0
     assert "decision: YES" in capsys.readouterr().out
+
+
+def test_reduction_never_builds_the_instance(monkeypatch, tmp_path, capsys):
+    def refuse(params):
+        raise AssertionError("from_lp2_params called")
+
+    monkeypatch.setattr(reduction, "from_lp2_params", refuse)
+    reduction._build_reduction.cache_clear()
+    C, S = (2, 7, 3, 5, 4), mask(2, 4)
+    rank = lexrank_oracle(C, S)  # 10
+    out = lexrank_to_omd(C, S, rank)
+    assert out.decision() is True
+    assert decide_lexrank(C, S, rank - 1) is False
+    query = tmp_path / "q.json"
+    query.write_text('{"C": [3, 1, 4, 1, 5], "S": [2, 5], "k": 6}')
+    assert main(["reduce", "lexrank", str(query)]) == 0
+    assert "decision: YES" in capsys.readouterr().out
+    monkeypatch.undo()
+    # the lazy menu derives the instance from the parameters
+    assert out.mechanism == closed_form_mechanism(from_lp2_params(out.params)[0], out.flow)
 
 
 def test_menu_built_once_per_query_shape(monkeypatch):
