@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""One sha256 per program family over every exact LP answer the family
+produces: each `solve_lp` call's status, value, assignment and row
+multipliers.
+
+    python3 scripts/lp_parity.py [--seed 17]
+
+Two checkouts whose simplex makes the same pivots print the same digests,
+so running this script in both is the parity check for a change to the
+solver's front end or certificates. Imports the package from the `src`
+directory of the checkout this script sits in, the seeded generators of
+its `perfbench` directory and `general_doc` of `solve_latency.py` beside
+it; uses the standard library only.
+
+The multipliers are recorded by wrapping `exactlp._simplex_max`, as the
+rationals duals[k] / den, so they do not depend on how the integer rows
+are scaled. The families:
+
+  * certify    -- `solve --oracle` on the first CERTIFY_OPS inputs of the
+                  `certify` workload's pool (LP1 at n = 3);
+  * budgeted   -- `budgeted --oracle` on the first BUDGETED_OPS inputs of
+                  the `budgeted` workload's pool (n = 1..4);
+  * oracle-n6  -- `solve --oracle` on ORACLE_N6 single-positive instances
+                  at n = 6, drawn like the `certify` pool's;
+  * general    -- `solve --oracle-only` on GENERAL_PER_N general instances
+                  for each n in GENERAL_SIZES, drawn as in
+                  `solve_latency.py`;
+  * lp2-lp3    -- `solve_lp` on `build_lp2` and `build_lp3` of LP23_CASES
+                  single-positive parameter vectors, n = 2..5, drawn like
+                  the acceptance suite's duality sweep (criterion 2).
+
+Every CLI call must exit 0. Each line reads `<family> <solves> <sha256>`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+
+import inputs  # noqa: E402
+from solve_latency import general_doc  # noqa: E402
+from optmech import LP2Params, build_lp2, build_lp3, exactlp  # noqa: E402
+from optmech.cli import main  # noqa: E402
+
+CERTIFY_OPS = 100
+BUDGETED_OPS = 200
+ORACLE_N6 = 6
+GENERAL_SIZES = (3, 4, 5)
+GENERAL_PER_N = 8
+LP23_CASES = 80
+
+
+class Recorder:
+    """Wraps `solve_lp` wherever the package binds it, and `_simplex_max`,
+    and hashes every answer in call order."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.solves = 0
+        self.duals = None
+        solve_lp, simplex = exactlp.solve_lp, exactlp._simplex_max
+
+        def recording_simplex(*args):
+            outcome = simplex(*args)
+            self.duals = outcome.duals and [Fraction(y, outcome.den) for y in outcome.duals]
+            return outcome
+
+        def recording_solve(prob):
+            self.duals = None
+            sol = solve_lp(prob)
+            record = (sol.status, sol.value, list(sol.assignment.items()), self.duals)
+            self.digest.update(repr(record).encode())
+            self.solves += 1
+            return sol
+
+        exactlp._simplex_max = recording_simplex
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "optmech"]:
+            for key, value in list(vars(module).items()):
+                if value is solve_lp:
+                    setattr(module, key, recording_solve)
+
+    def take(self) -> tuple[int, str]:
+        """The solve count and digest since the last call, then reset."""
+        out = self.solves, self.digest.hexdigest()
+        self.digest, self.solves = hashlib.sha256(), 0
+        return out
+
+
+def run_cli(tmp: str, doc: dict, argv: list[str]) -> None:
+    path = os.path.join(tmp, "input.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([a.replace("{path}", path) for a in argv])
+    if code != 0:
+        raise SystemExit(f"exit {code} from {argv} on {doc}")
+
+
+def pool(workload: str, seed: int, count: int):
+    """The first ``count`` (doc, argv) of the workload's perfbench pool."""
+    make = inputs.GENERATORS[workload]
+    rng = random.Random(f"{workload}:{seed}")
+    for i in range(count):
+        doc, argv, _ = make(rng, i)
+        yield doc, argv
+
+
+def run(seed: int) -> None:
+    recorder = Recorder()
+    print(f"python {sys.version.split()[0]}, seed {seed}")
+    with tempfile.TemporaryDirectory() as tmp:
+        families = {
+            "certify": pool("certify", seed, CERTIFY_OPS),
+            "budgeted": pool("budgeted", seed, BUDGETED_OPS),
+        }
+        single = random.Random(f"oracle-n6:{seed}")
+        families["oracle-n6"] = (
+            (inputs.instance_doc(single, 6), ["solve", "{path}", "--oracle"])
+            for _ in range(ORACLE_N6)
+        )
+        general = random.Random(f"general:{seed}")
+        families["general"] = (
+            (general_doc(general, n), ["solve", "{path}", "--oracle-only"])
+            for n in GENERAL_SIZES for _ in range(GENERAL_PER_N)
+        )
+        for family, docs in families.items():
+            for doc, argv in docs:
+                run_cli(tmp, doc, argv)
+            print(family, *recorder.take())
+    rng = random.Random(f"lp2-lp3:{seed}")
+    for k in range(LP23_CASES):
+        n = 2 + k % 4
+        x, B, d, p = inputs.random_single_positive(rng, n)
+        params = LP2Params(n, x, B, d, p)
+        exactlp.solve_lp(build_lp2(params))
+        exactlp.solve_lp(build_lp3(params))
+    print("lp2-lp3", *recorder.take())
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=17)
+    run(parser.parse_args().seed)

@@ -13,11 +13,12 @@ ways: plain, with `--json-out` and with `--dump-lattice`. A second table
 times `solve --oracle`, which also solves the full revenue program exactly,
 for each n in ORACLE_SIZES, and `solve --oracle-only` on one general
 instance (a_i from 0 to 10, so not single-positive, which `--oracle`
-refuses) for each n in GENERAL_SIZES. A third table times `reduce lexrank`
-in milliseconds on one query drawn like the `reduction` workload's (entries
-1..6, a random probe set and k) for each |C| in RANK_SIZES, and a fourth
-`budgeted --oracle` on one instance drawn like the `budgeted` workload's
-(values 1..6, a random budget and eps) for each n in BUDGETED_SIZES.
+refuses) for each n in GENERAL_SIZES, both in milliseconds. A third table
+times `reduce lexrank` in milliseconds on one query drawn like the
+`reduction` workload's (entries 1..6, a random probe set and k) for each
+|C| in RANK_SIZES, and a fourth `budgeted --oracle`, in milliseconds, on one
+instance drawn like the `budgeted` workload's (values 1..6, a random budget
+and eps) for each n in BUDGETED_SIZES, which holds the workload's n = 1..4.
 Each figure is the minimum of REPEATS runs, with stdout captured and the
 exit code required to be 0. The reduction's parameter and pipeline caches
 are cleared before every run, so each figure is a cold query, except in
@@ -59,7 +60,7 @@ SIZES = (8, 10, 12, 14)
 ORACLE_SIZES = (3, 4, 5, 6)
 GENERAL_SIZES = (3, 4, 5)
 RANK_SIZES = (4, 7, 10, 13)
-BUDGETED_SIZES = (2, 4, 6, 8, 10)
+BUDGETED_SIZES = (1, 2, 3, 4, 6, 8, 10)
 REPEATS = 3
 
 
@@ -150,13 +151,13 @@ def run() -> None:
         # general instances draw from a stream of their own, so the
         # single-positive draws do not depend on GENERAL_SIZES
         general = random.Random(SEED)
-        print(f"{'n':>3} {'oracle s':>9} {'general oracle-only s':>22}")
+        print(f"{'n':>3} {'oracle ms':>10} {'general oracle-only ms':>23}")
         for n in ORACLE_SIZES:
             oracle = timed(inst, inputs.instance_doc(rng, n), ["solve", inst, "--oracle"])
-            line = f"{n:>3} {oracle:>9.3f}"
+            line = f"{n:>3} {oracle * 1e3:>10.3f}"
             if n in GENERAL_SIZES:
                 only = timed(inst, general_doc(general, n), ["solve", inst, "--oracle-only"])
-                line += f" {only:>22.3f}"
+                line += f" {only * 1e3:>23.3f}"
             print(line)
         # each table draws from a stream of its own, as above
         ranks = random.Random(SEED)
@@ -167,10 +168,10 @@ def run() -> None:
             warm = best_of(argv, keep_parameters=True)
             print(f"{n:>3} {cold * 1e3:>23.3f} {warm * 1e3:>8.3f}")
         budgets = random.Random(SEED)
-        print(f"{'n':>3} {'budgeted oracle s':>18}")
+        print(f"{'n':>3} {'budgeted oracle ms':>19}")
         for n in BUDGETED_SIZES:
             oracle = timed(inst, budgeted_doc(budgets, n), ["budgeted", inst, "--oracle"])
-            print(f"{n:>3} {oracle:>18.3f}")
+            print(f"{n:>3} {oracle * 1e3:>19.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")
 

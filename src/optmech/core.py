@@ -84,8 +84,8 @@ def format_rational(value: Fraction) -> str:
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm L of their denominators, as ints, and L. The
-    greedy, the closed-form menu, its certificate and revenue, and the
-    simplex rows all turn rationals into ints here."""
+    greedy, the closed-form menu, and its certificate and revenue all turn
+    rationals into ints here."""
     pairs = [v.as_integer_ratio() for v in values]
     L = lcm(*{den for _, den in pairs})
     return [num * (L // den) for num, den in pairs], L

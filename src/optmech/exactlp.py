@@ -7,13 +7,14 @@ optimal answer is proved post hoc, not trusted to the pivots: the assignment
 meets the original constraints, the simplex's row multipliers are
 dual-feasible, and their bound y.b equals the assignment's value c.x.
 
-The tableau holds integers. `solve_lp` builds each row once, from the
-nonzero entries of its coefficient map, and scales it by the lcm of its
-denominators; each tableau row holds a positive multiple of its rational row,
-so every pivot is the one a rational tableau would make. The interface stays
-`fractions.Fraction`. The post-hoc checks do not read the tableau: the
-assignment is checked against the `Fraction` constraints, and the duals
-against the integer input rows.
+The tableau holds integers. `solve_lp` builds each row in one pass over its
+coefficient map, reading each coefficient's numerator and denominator once,
+and scales it by the lcm of its denominators; each tableau row holds a
+positive multiple of its rational row, so every pivot is the one a rational
+tableau would make. The interface stays `fractions.Fraction`. The post-hoc
+checks do not read the tableau and run on ints: the assignment, over one
+common denominator, is checked against each `Constraint`'s own coefficients
+and each bound, and the duals against the integer input rows.
 
 The three builders produce, for a given instance / parameter vector:
 
@@ -47,7 +48,6 @@ from .core import (
     check_guard,
     format_rational,
     item_range,
-    over_common_denominator,
     subset_label,
     subset_probs,
     type_vectors,
@@ -95,11 +95,13 @@ class Constraint:
             raise InputError(f"constraint {self.name!r}: invalid relation {self.rel!r}")
 
 
-def _check_rational(value, what: str) -> None:
-    # the simplex scales each row to integers by its denominators, which a
-    # float does not have
-    if not isinstance(value, (int, Fraction)):
-        raise InputError(f"{what}: expected an int or Fraction, got {value!r}")
+# the simplex scales each row to integers by its denominators, which a float
+# does not have
+_EXACT = (int, Fraction)
+
+
+def _inexact(what: str, value) -> InputError:
+    return InputError(f"{what}: expected an int or Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +132,24 @@ class LPProblem:
         for v, c in self.objective.items():
             if v not in declared:
                 raise InputError(f"objective references undeclared variable {v!r}")
-            _check_rational(c, f"objective coefficient of {v!r}")
+            if not isinstance(c, _EXACT):
+                raise _inexact(f"objective coefficient of {v!r}", c)
         for con in self.constraints:
             for v, c in con.coeffs.items():
                 if v not in declared:
                     raise InputError(
                         f"constraint {con.name!r} references undeclared variable {v!r}"
                     )
-                _check_rational(c, f"constraint {con.name!r} coefficient of {v!r}")
-            _check_rational(con.rhs, f"constraint {con.name!r} right-hand side")
+                if not isinstance(c, _EXACT):
+                    raise _inexact(f"constraint {con.name!r} coefficient of {v!r}", c)
+            if not isinstance(con.rhs, _EXACT):
+                raise _inexact(f"constraint {con.name!r} right-hand side", con.rhs)
         for bound in (self.lower, self.upper):
             for v, b in bound.items():
                 if v not in declared:
                     raise InputError(f"bound references undeclared variable {v!r}")
-                if b is not None:
-                    _check_rational(b, f"bound of {v!r}")
+                if b is not None and not isinstance(b, _EXACT):
+                    raise _inexact(f"bound of {v!r}", b)
 
 
 @dataclass(frozen=True)
@@ -161,8 +166,9 @@ class LPSolution:
 # `_simplex_max` solves  max c.x  over rows {<=, =, >=} with x >= 0 by the
 # two-phase dense tableau method, Bland's smallest-index rule throughout.
 # It reports, besides the optimal column values, the dual multiplier of every
-# input row. `solve_lp` checks the column values against the original data
-# and the multipliers as a dual certificate of optimality.
+# input row. `solve_lp` checks the assignment those column values give,
+# scaled to ints, against the original constraints and bounds, and the
+# multipliers as a dual certificate of optimality.
 #
 # The tableau is fraction-free. Each input row arrives as ints: the rational
 # row, right-hand side included, times the lcm of its denominators, built
@@ -187,8 +193,10 @@ class LPSolution:
 # the cost row's denominator. At an optimum y is dual-feasible: y_k >= 0 on
 # "<=" rows, y_k <= 0 on ">=" rows, sum_k y_k a_kj >= c_j on every column,
 # so y.b bounds c.x on every feasible x. `solve_lp` proves an optimum from
-# three facts, each checked once: its assignment is feasible
-# (`_check_feasible`), y is dual-feasible and y.b equals c.x (`_check_duals`).
+# three facts, each checked once and on ints: its assignment is feasible
+# (`_check_feasible`, which reads each `Constraint`'s own coefficient map and
+# never the rows built here), y is dual-feasible and y.b equals c.x
+# (`_check_duals`).
 
 
 class _SimplexOutcome:
@@ -366,50 +374,64 @@ def _simplex_max(ncols, rows, objective):
 def solve_lp(prob: LPProblem) -> LPSolution:
     """Solve exactly. Infeasibility and unboundedness are reported via the
     solution status, never raised."""
-    # --- translate variables to nonnegative internal columns
-    kinds = []  # per declared var: ("shift", col, L) | ("split", cpos, cneg)
+    # --- translate variables to nonnegative internal columns: a variable is
+    # its column, plus its lower bound when that is not 0; a free one is its
+    # column minus a second one
+    col = {}    # declared var -> its column
+    neg = {}    # free var -> its second column
+    shift = {}  # var with a nonzero lower bound -> that bound
     ncols = 0
     for v in prob.variables:
-        low = prob.lower.get(v, ZERO)
-        if low is None:
-            kinds.append(("split", ncols, ncols + 1))
-            ncols += 2
-        else:
-            kinds.append(("shift", ncols, low))
-            ncols += 1
-    kind_of = dict(zip(prob.variables, kinds))
+        col[v] = ncols
+        ncols += 1
+        if v in prob.lower:
+            low = prob.lower[v]
+            if low is None:
+                neg[v] = ncols
+                ncols += 1
+            elif low:
+                shift[v] = low
 
     def int_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
-        """One row over the internal columns, right-hand side last, scaled by
-        the lcm of its denominators: (ints, scale). The constant that the
-        lower bound shifts contribute is moved into the right-hand side."""
-        row = {}  # internal column -> coefficient
+        """One row over the internal columns, right-hand side last, times the
+        lcm ``scale`` of its denominators: (ints, scale). Each coefficient is
+        read once; the constant that the lower bound shifts contribute is
+        moved into the right-hand side first."""
+        for v, low in shift.items():
+            if v in coeffs:
+                rhs -= coeffs[v] * low
+        num, scale = rhs.as_integer_ratio()
+        ints = [0] * ncols + [num]
         for v, c in coeffs.items():
-            if c:
-                kind = kind_of[v]
-                row[kind[1]] = c
-                if kind[0] == "split":
-                    row[kind[2]] = -c
-                elif kind[2]:
-                    rhs -= c * kind[2]
-        row[ncols] = rhs
-        scaled, scale = over_common_denominator(row.values())
-        ints = [0] * (ncols + 1)
-        for j, v in zip(row, scaled):
-            ints[j] = v
+            num, den = c.as_integer_ratio()
+            if scale % den:
+                # a new denominator: rescale what is written so far
+                m = den // gcd(scale, den)
+                scale *= m
+                ints = [x * m for x in ints]
+            ints[col[v]] = num * (scale // den)
+        for v, j in neg.items():
+            ints[j] = -ints[col[v]]
         return ints, scale
 
     rows = []
     for con in prob.constraints:
         ints, scale = int_row(con.coeffs, con.rhs)
         rows.append((ints, con.rel, scale))
-    # upper bounds become "<=" rows; one below its lower bound has a negative
-    # right-hand side, which phase 1 reports as infeasible
+    # upper bounds become "<=" rows, written directly; one below its lower
+    # bound has a negative right-hand side, which phase 1 reports as infeasible
     for v in prob.variables:
         up = prob.upper.get(v)
         if up is not None:
-            ints, scale = int_row({v: ONE}, up)
-            rows.append((ints, "<=", scale))
+            if v in shift:
+                up -= shift[v]
+            num, den = up.as_integer_ratio()
+            ints = [0] * (ncols + 1)
+            ints[col[v]] = den
+            if v in neg:
+                ints[neg[v]] = -den
+            ints[ncols] = num
+            rows.append((ints, "<=", den))
 
     # --- internal objective, always maximized; its right-hand side is minus
     # the constant the lower bounds add to the objective
@@ -424,39 +446,68 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     if outcome.status != OPTIMAL:
         return LPSolution(status=outcome.status, value=None, assignment={})
 
-    # --- extract and certify: the assignment, then the multipliers
+    # --- extract and certify: the assignment over one common denominator X,
+    # its value c.x on those ints, then the multipliers
     colvals = outcome.colvals
     assignment = {}
     for v in prob.variables:
-        kind = kind_of[v]
-        if kind[0] == "shift":
-            assignment[v] = kind[2] + colvals.get(kind[1], ZERO)
-        else:
-            assignment[v] = colvals.get(kind[1], ZERO) - colvals.get(kind[2], ZERO)
-    value = sum((c * assignment[v] for v, c in prob.objective.items()), ZERO)
+        x = colvals.get(col[v], ZERO)
+        if v in neg:
+            x -= colvals.get(neg[v], ZERO)
+        elif v in shift:
+            x += shift[v]
+        assignment[v] = x
+    ratios = [x.as_integer_ratio() for x in assignment.values()]
+    X = lcm(*{den for _, den in ratios})
+    scaled = {v: num * (X // den) for v, (num, den) in zip(assignment, ratios)}
+    num, den = _dot(prob.objective, scaled)
+    value = Fraction(num, den * X)
 
-    _check_feasible(prob, assignment)
+    _check_feasible(prob, scaled, X)
     _check_duals(rows, objective, outcome, -(value + obj_rhs) if negate else value + obj_rhs)
     return LPSolution(status=OPTIMAL, value=value, assignment=assignment)
 
 
-def _check_feasible(prob: LPProblem, assignment: Mapping[str, Fraction]) -> None:
-    """Post-hoc exact feasibility check of a returned assignment."""
+def _dot(coeffs: Mapping[str, Fraction], scaled: Mapping[str, int]) -> tuple[int, int]:
+    """sum(coeffs[v] * scaled[v]) as (num, den): ``den`` is the lcm of the
+    denominators of the coefficients of the nonzero ``scaled[v]``."""
+    num, den = 0, 1
+    for v, c in coeffs.items():
+        a = scaled[v]
+        if a:
+            n, d = c.as_integer_ratio()
+            if den % d:
+                m = d // gcd(den, d)
+                num *= m
+                den *= m
+            num += n * a * (den // d)
+    return num, den
+
+
+def _check_feasible(prob: LPProblem, scaled: Mapping[str, int], X: int) -> None:
+    """Post-hoc exact feasibility check of the assignment scaled[v] / X, on
+    ints: each bound and each constraint's own coefficient map, over the
+    declared variables, never the simplex's rows."""
     for v in prob.variables:
-        val = assignment[v]
-        low = prob.lower.get(v, ZERO)
+        a = scaled[v]
+        low = prob.lower.get(v, 0)
+        if low is not None:
+            num, den = low.as_integer_ratio()
+            if a * den < num * X:
+                raise VerificationError(f"assignment violates lower bound of {v}")
         up = prob.upper.get(v)
-        if low is not None and val < low:
-            raise VerificationError(f"assignment violates lower bound of {v}")
-        if up is not None and val > up:
-            raise VerificationError(f"assignment violates upper bound of {v}")
+        if up is not None:
+            num, den = up.as_integer_ratio()
+            if a * den > num * X:
+                raise VerificationError(f"assignment violates upper bound of {v}")
     for con in prob.constraints:
-        lhs = sum((c * x for v, c in con.coeffs.items() if (x := assignment[v])), ZERO)
-        rel, rhs = con.rel, con.rhs
+        num, den = _dot(con.coeffs, scaled)
+        rhs_num, rhs_den = con.rhs.as_integer_ratio()
+        lhs, rhs, rel = num * rhs_den, rhs_num * den * X, con.rel
         if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
             raise VerificationError(
                 f"assignment violates constraint {con.name or con}: "
-                f"{format_rational(lhs)} {rel} {format_rational(rhs)}"
+                f"{format_rational(Fraction(num, den * X))} {rel} {format_rational(con.rhs)}"
             )
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -252,14 +253,16 @@ def test_solve_deterministic():
 
 def test_problem_rejects_inexact_numbers():
     base = dict(variables=("x",), objective={"x": ONE}, sense="max", constraints=())
-    for change in (
-        dict(objective={"x": 0.5}),
-        dict(constraints=(Constraint({"x": 0.5}, "<=", ONE),)),
-        dict(constraints=(Constraint({"x": ONE}, "<=", 1.5),)),
-        dict(lower={"x": -1.0}),
-        dict(upper={"x": 2.0}),
+    for change, message in (
+        (dict(objective={"x": 0.5}), "objective coefficient of 'x': expected an int or Fraction, got 0.5"),
+        (dict(constraints=(Constraint({"x": 0.5}, "<=", ONE),)),
+         "constraint '' coefficient of 'x': expected an int or Fraction, got 0.5"),
+        (dict(constraints=(Constraint({"x": ONE}, "<=", 1.5),)),
+         "constraint '' right-hand side: expected an int or Fraction, got 1.5"),
+        (dict(lower={"x": -1.0}), "bound of 'x': expected an int or Fraction, got -1.0"),
+        (dict(upper={"x": 2.0}), "bound of 'x': expected an int or Fraction, got 2.0"),
     ):
-        with pytest.raises(InputError, match="expected an int or Fraction"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             LPProblem(**base | change)
     # ints are exact
     assert solve_lp(LPProblem(**base | dict(upper={"x": 2}))).value == 2
@@ -476,6 +479,58 @@ def test_solve_lp_refuses_an_assignment_out_of_bounds(monkeypatch, shift, bound)
     assert solve_lp(prob).assignment == {"x": F(3), "y": ONE}
     monkeypatch.setattr(exactlp, "_simplex_max", _tampered(shift=shift))
     with pytest.raises(VerificationError, match=f"violates {bound} bound of x"):
+        solve_lp(prob)
+
+
+def test_solve_lp_proves_a_mixed_denominator_row_exactly(monkeypatch):
+    # max y with y <= 2 leaves x/3 + y/4 <= 1 with slack 1/2, so x may rise
+    # by exactly 3/2 to another optimum; one 1/1000 more breaks the row
+    prob = LPProblem(("x", "y"), {"y": ONE}, "max",
+                     (Constraint({"x": F(1, 3), "y": F(1, 4)}, "<=", ONE, name="mixed"),
+                      Constraint({"y": ONE}, "<=", F(2), name="cap")))
+    assert solve_lp(prob).assignment == {"x": ZERO, "y": F(2)}
+    with monkeypatch.context() as mp:
+        mp.setattr(exactlp, "_simplex_max", _tampered(shift=F(3, 2)))
+        sol = solve_lp(prob)
+    assert (sol.value, sol.assignment) == (F(2), {"x": F(3, 2), "y": F(2)})
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(shift=F(3, 2) + F(1, 1000)))
+    message = "assignment violates constraint mixed: 3001/3000 <= 1"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        solve_lp(prob)
+
+
+# each program's column 0 belongs to a variable the row reads through its
+# translation: the positive part of a free p, or z shifted by its bound 3/2
+TRANSLATED = {
+    "free above": (
+        LPProblem(("p", "y"), {"p": ONE, "y": -ONE}, "max",
+                  (Constraint({"p": F(2), "y": F(1, 3)}, "<=", F(5, 2), name="r"),),
+                  lower={"p": None}),
+        {"p": F(5, 4), "y": ZERO}, F(1, 12), "r: 8/3 <= 5/2",
+    ),
+    "free below": (
+        LPProblem(("p",), {"p": -ONE}, "max",
+                  (Constraint({"p": F(3, 4)}, ">=", F(-7, 4), name="r"),),
+                  lower={"p": None}),
+        {"p": F(-7, 3)}, F(-1, 6), "r: -15/8 >= -7/4",
+    ),
+    "shifted": (
+        LPProblem(("z", "w"), {"z": ONE, "w": ONE}, "min",
+                  (Constraint({"z": ONE, "w": F(1, 5)}, ">=", F(9, 4), name="s"),),
+                  lower={"z": F(3, 2)}),
+        {"z": F(9, 4), "w": ZERO}, F(-1, 20), "s: 11/5 >= 9/4",
+    ),
+}
+
+
+@pytest.mark.parametrize("program", sorted(TRANSLATED))
+def test_solve_lp_proves_rows_of_translated_variables(monkeypatch, program):
+    prob, answer, shift, broken = TRANSLATED[program]
+    sol = solve_lp(prob)
+    assert (sol.status, sol.assignment) == ("optimal", answer)
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(shift=shift))
+    message = f"assignment violates constraint {broken}"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         solve_lp(prob)
 
 

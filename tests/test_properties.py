@@ -14,9 +14,12 @@ filled node and the menu unchanged and scales the flow's amounts by kappa.
 The bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
-tiny bounded programs, its dual multipliers certifying its optimum. The full
-revenue program solved by constraint generation has the optimum of the
-whole program."""
+tiny bounded programs, its dual multipliers certifying its optimum. Its
+integer feasibility proof accepts every optimum, whose value is the
+`Fraction` sum c.x, and refuses a nudged answer exactly when a `Fraction`
+check does, with the same message, free and shifted variables included.
+The full revenue program solved by constraint generation has the optimum of
+the whole program."""
 
 import json
 from fractions import Fraction as F
@@ -33,6 +36,7 @@ from optmech import (
     Mechanism,
     OMDInstance,
     PreconditionError,
+    VerificationError,
     build_lp1,
     canonical_solution,
     check_single_positive,
@@ -56,7 +60,7 @@ from optmech import (
     type_vectors,
     verify_bic_ir,
 )
-from optmech.exactlp import _LP1Frame, _simplex_max
+from optmech.exactlp import _LP1Frame, _check_feasible, _simplex_max
 from optmech.reduction import _dyadic_between
 from tests.test_exactlp import vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
@@ -560,3 +564,81 @@ def test_simplex_duals_certify_optimum(case):
         assert yk >= 0 if rel == "<=" else yk <= 0 if rel == ">=" else True
     for j in range(nvars):
         assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, rows)) >= objective[j]
+
+
+@st.composite
+def translated_programs(draw):
+    """2-4 variables, each nonnegative, free or shifted to a nonzero lower
+    bound, most of them bounded above, and 1-4 rows of any relation whose
+    coefficients have denominators of their own up to 12. Every row holds at
+    a drawn anchor point inside the bounds, tightly or with slack, so most
+    programs are feasible."""
+    fraction = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    slack = st.builds(F, st.integers(0, 6), st.integers(1, 12))
+    names = [f"x{j}" for j in range(draw(st.integers(2, 4)))]
+    lower, upper, anchor = {}, {}, {}
+    for v in names:
+        kind = draw(st.sampled_from(("nonnegative", "free", "shifted")))
+        if kind == "free":
+            lower[v] = None
+        elif kind == "shifted":
+            lower[v] = F(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 12)))
+        anchor[v] = (draw(fraction) if kind == "free" else lower.get(v, 0)) + draw(slack)
+        if draw(st.integers(0, 3)):
+            upper[v] = anchor[v] + draw(slack)
+    rows = []
+    for k in range(draw(st.integers(1, 4))):
+        used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        coeffs = {v: draw(fraction) for v in used}
+        rel = draw(st.sampled_from(("<=", ">=", "=")))
+        rhs = sum(c * anchor[v] for v, c in coeffs.items())
+        rhs += draw(slack) if rel == "<=" else -draw(slack) if rel == ">=" else 0
+        rows.append(Constraint(coeffs, rel, rhs, name=f"r{k}"))
+    objective = {v: draw(fraction) for v in names}
+    return LPProblem(names, objective, draw(st.sampled_from(("max", "min"))), rows,
+                     lower=lower, upper=upper)
+
+
+def fraction_refusal(prob, assignment):
+    """The message of the first bound or row ``assignment`` breaks, by
+    `Fraction` comparisons and sums, or None."""
+    for v in prob.variables:
+        x, low, up = assignment[v], prob.lower.get(v, 0), prob.upper.get(v)
+        if low is not None and x < low:
+            return f"assignment violates lower bound of {v}"
+        if up is not None and x > up:
+            return f"assignment violates upper bound of {v}"
+    for con in prob.constraints:
+        lhs, rel, rhs = sum(c * assignment[v] for v, c in con.coeffs.items()), con.rel, con.rhs
+        if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
+            return (f"assignment violates constraint {con.name}: "
+                    f"{format_rational(lhs)} {rel} {format_rational(rhs)}")
+    return None
+
+
+def int_refusal(prob, assignment):
+    """The message `solve_lp`'s integer feasibility proof refuses
+    ``assignment`` with, or None."""
+    X = lcm(*(x.denominator for x in assignment.values()))
+    try:
+        _check_feasible(prob, {v: int(x * X) for v, x in assignment.items()}, X)
+    except VerificationError as refusal:
+        return str(refusal)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(translated_programs(), st.data())
+def test_int_feasibility_proof_matches_fraction_check(prob, data):
+    # every optimum passes both checks and has the Fraction value c.x; one
+    # variable nudged by +-1/den is refused by both or by neither, with the
+    # same message
+    sol = solve_lp(prob)
+    if sol.status != "optimal":
+        return
+    assert fraction_refusal(prob, sol.assignment) is None
+    assert sol.value == sum(c * sol.assignment[v] for v, c in prob.objective.items())
+    nudged = dict(sol.assignment)
+    v = data.draw(st.sampled_from(prob.variables))
+    nudged[v] += F(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(1, 12)))
+    assert int_refusal(prob, nudged) == fraction_refusal(prob, nudged)
