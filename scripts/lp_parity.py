@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """One sha256 per program family over every exact LP answer the family
-produces: each `solve_lp` call's status, value, assignment and row
-multipliers.
+produces (each `solve_lp` call's status, value, assignment and row
+multipliers), and one per CLI family over every call's printed output.
 
     python3 scripts/lp_parity.py [--seed 17]
 
-Two checkouts whose simplex makes the same pivots print the same digests,
-so running this script in both is the parity check for a change to the
-solver's front end or certificates. Imports the package from the `src`
-directory of the checkout this script sits in, the seeded generators of
-its `perfbench` directory and `general_doc` of `solve_latency.py` beside
-it; uses the standard library only.
+Two checkouts whose simplex makes the same pivots print the same LP
+digests, and two whose commands print the same text print the same CLI
+digests, so running this script in both is the parity check for a change
+to the solver or to anything the CLI prints. Imports the package from the
+`src` directory of the checkout this script sits in, the seeded generators
+of its `perfbench` directory and `general_doc` of `solve_latency.py`
+beside it; uses the standard library only.
 
 The multipliers are recorded by wrapping `exactlp._simplex_max`, as the
 rationals duals[k] / den, so they do not depend on how the integer rows
@@ -29,7 +30,24 @@ are scaled. The families:
                   single-positive parameter vectors, n = 2..5, drawn like
                   the acceptance suite's duality sweep (criterion 2).
 
-Every CLI call must exit 0. Each line reads `<family> <solves> <sha256>`.
+Every CLI call of those families must exit 0. Each line reads
+`<family> <solves> <sha256>`.
+
+The CLI families hash, per in-process `cli.main` call, its exit code, its
+stdout without the `elapsed:` line, its stderr and every file it was told
+to write, with the temporary directory's path replaced by `{tmp}`:
+
+  * cli-certify, cli-solve, cli-reduction, cli-budgeted -- the first
+                  CLI_OPS inputs of each perfbench workload's pool;
+  * cli-examples -- `examples`;
+  * cli-sample  -- `sample` of one single-positive instance at n = 5 for
+                  each reported type in SAMPLE_TYPES;
+  * cli-files   -- `solve --json-out --dump-lattice` of the same instance,
+                  both written files included;
+  * cli-general -- `solve` on GENERAL_REFUSALS general instances drawn by
+                  `general_doc`, most of them refused with exit code 2.
+
+Each of their lines reads `<family> <calls> <sha256>`.
 """
 
 from __future__ import annotations
@@ -61,6 +79,9 @@ ORACLE_N6 = 6
 GENERAL_SIZES = (3, 4, 5)
 GENERAL_PER_N = 8
 LP23_CASES = 80
+CLI_OPS = 100
+SAMPLE_TYPES = ("-", "1", "1,3", "2,4,5")
+GENERAL_REFUSALS = 30
 
 
 class Recorder:
@@ -99,14 +120,41 @@ class Recorder:
         return out
 
 
-def run_cli(tmp: str, doc: dict, argv: list[str]) -> None:
+def call(tmp: str, doc: dict | None, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `main` on ``argv``, with `{path}`
+    standing for ``doc`` written to a file in ``tmp`` and `{tmp}` for
+    ``tmp`` itself."""
     path = os.path.join(tmp, "input.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([a.replace("{path}", path) for a in argv])
+    if doc is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.replace("{path}", path).replace("{tmp}", tmp) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(tmp: str, doc: dict, argv: list[str]) -> None:
+    code, _, _ = call(tmp, doc, argv)
     if code != 0:
         raise SystemExit(f"exit {code} from {argv} on {doc}")
+
+
+def cli_record(tmp: str, doc: dict | None, argv: list[str]) -> bytes:
+    """What one call printed and wrote, without its timing or temp paths;
+    each file it wrote is read and removed."""
+    code, out, err = call(tmp, doc, argv)
+    out = "".join(
+        line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")
+    )
+    written = []
+    for arg in argv:
+        if arg.startswith("{tmp}"):
+            path = arg.replace("{tmp}", tmp)
+            with open(path, encoding="utf-8") as handle:
+                written.append(handle.read())
+            os.remove(path)
+    return repr((code, out, err, written)).replace(tmp, "{tmp}").encode()
 
 
 def pool(workload: str, seed: int, count: int):
@@ -148,6 +196,29 @@ def run(seed: int) -> None:
         exactlp.solve_lp(build_lp2(params))
         exactlp.solve_lp(build_lp3(params))
     print("lp2-lp3", *recorder.take())
+
+    families = {f"cli-{w}": pool(w, seed, CLI_OPS) for w in inputs.GENERATORS}
+    families["cli-examples"] = [(None, ["examples"])]
+    doc = inputs.instance_doc(random.Random(f"cli:{seed}"), 5)
+    families["cli-sample"] = [
+        (doc, ["sample", "{path}", "--type", t, "--seed", str(seed)]) for t in SAMPLE_TYPES
+    ]
+    families["cli-files"] = [(doc, [
+        "solve", "{path}", "--json-out", "{tmp}/mechanism.json",
+        "--dump-lattice", "{tmp}/lattice.txt",
+    ])]
+    general = random.Random(f"cli-general:{seed}")
+    families["cli-general"] = [
+        (general_doc(general, 2 + i % 5), ["solve", "{path}"])
+        for i in range(GENERAL_REFUSALS)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, calls in families.items():
+            digest, count = hashlib.sha256(), 0
+            for doc, argv in calls:
+                digest.update(cli_record(tmp, doc, argv))
+                count += 1
+            print(family, count, digest.hexdigest())
 
 
 if __name__ == "__main__":

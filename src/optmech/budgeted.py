@@ -80,8 +80,8 @@ def best_affordable_bundle(x: tuple[int, ...], budget: int) -> tuple[int, Subset
             f"guard {BUNDLE_DP_GUARD}"
         )
     best_mask = {0: 0}
-    for i, w in enumerate(x, start=1):
-        bit = 1 << (i - 1)
+    for i, w in enumerate(x):
+        bit = 1 << i
         # snapshot so each item is used at most once; adding item i preserves
         # mask order because items are processed in increasing index order
         for s, mask in list(best_mask.items()):
@@ -153,8 +153,9 @@ def budgeted_oracle_lp(inst: BudgetedInstance) -> Fraction:
     v_add = subset_sums(inst.x)
     v_budget = [min(v, inst.budget) for v in v_add]
 
-    za = [f"za({subset_label(S)})" for S in subsets]
-    zb = [f"zb({subset_label(S)})" for S in subsets]
+    labels = [subset_label(S) for S in subsets]
+    za = [f"za({label})" for label in labels]
+    zb = [f"zb({label})" for label in labels]
     variables = za + zb + ["price_a", "price_b"]
 
     one_a = {za[S]: ONE for S in subsets}

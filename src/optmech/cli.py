@@ -376,12 +376,11 @@ def cmd_sample(args) -> RunReport:
     report.outputs["price"] = format_rational(price)
     report.outputs["samples"] = str(args.count)
     report.outputs["seed"] = str(args.seed)
-    for i in range(1, inst.n + 1):
-        empirical = Fraction(hits[i - 1], args.count)
+    for i, (hit, marginal) in enumerate(zip(hits, mech.q[reported]), start=1):
         report.outputs[f"item {i}"] = (
-            f"allocated {hits[i - 1]}/{args.count} "
-            f"(empirical {format_rational(empirical)}, "
-            f"marginal {format_rational(mech.q[reported][i - 1])})"
+            f"allocated {hit}/{args.count} "
+            f"(empirical {format_rational(Fraction(hit, args.count))}, "
+            f"marginal {format_rational(marginal)})"
         )
     return report
 

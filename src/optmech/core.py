@@ -1,14 +1,17 @@
 """Exact-arithmetic foundations: rationals, item subsets, instances, parameters.
 
 Every quantity in this package is a `fractions.Fraction`; there is no floating
-point anywhere. Items are numbered 1..n. A bidder *type* is the set of items
-she values high, represented as an int mask with bit ``i-1`` standing for
-item ``i``; the 2^n types of an instance are ``range(1 << n)``, and per-type
-quantities are lists indexed by mask. Integer masks order types
-lexicographically (the larger top element sorts later). 1-based index lists
-appear only at the boundary: `check_subset` turns one into a mask, and
-`subset_to_list` / `subset_label` turn a mask back for output; `types_by_size`
-lists every mask with its label in the order `solve` prints its menu.
+point anywhere. The paper numbers items 1..n; inside the package every item
+index is 0-based: item ``i`` is bit ``i`` of a mask and entry ``i`` of a
+per-item vector. A bidder *type* is the set of items she values high,
+represented as an int mask; the 2^n types of an instance are
+``range(1 << n)``, and per-type quantities are lists indexed by mask.
+Integer masks order types lexicographically (the larger top element sorts
+later). Item numbers are 1-based only where they are printed: in labels,
+variable and row names, and messages. `check_subset` turns a 1-based index
+list into a mask, and `subset_to_list` / `subset_label` turn a mask back for
+output; `types_by_size` lists every mask with its label in the order `solve`
+prints its menu.
 
 An instance is the triple of per-item low values ``a``, increments ``d`` and
 high-value probabilities ``p``: item ``i`` is worth ``a[i]`` with probability
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
 
-# A type / lattice node: int mask, bit i-1 set iff item i is in the set.
+# A type / lattice node: int mask, bit i set iff (0-based) item i is in the set.
 Subset = int
 
 ZERO = Fraction(0)
@@ -84,8 +87,8 @@ def format_rational(value: Fraction) -> str:
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm L of their denominators, as ints, and L. The
-    greedy, the closed-form menu, and its certificate and revenue all turn
-    rationals into ints here."""
+    greedy, the closed-form menu, its certificate and revenue, and
+    `solve_lp`'s proof of its answer all turn rationals into ints here."""
     pairs = [v.as_integer_ratio() for v in values]
     L = lcm(*{den for _, den in pairs})
     return [num * (L // den) for num, den in pairs], L
@@ -125,19 +128,14 @@ def check_guard(size: int, guard: int, what: str, name: str = "n") -> None:
 # Subsets of the ground set {1..n}
 # ---------------------------------------------------------------------------
 
-def item_range(n: int) -> range:
-    """The ground set 1..n as a range."""
-    return range(1, n + 1)
-
-
 def check_subset(S: Iterable[int], n: int, field: str = "subset") -> Subset:
     """Validate 1-based item indices against the ground set {1..n} and
     return their mask; repeated indices are allowed."""
     mask = 0
-    for i in S:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-            raise InputError(f"{field}: item index {i!r} out of range 1..{n}")
-        mask |= 1 << (i - 1)
+    for index in S:
+        if not isinstance(index, int) or isinstance(index, bool) or not 1 <= index <= n:
+            raise InputError(f"{field}: item index {index!r} out of range 1..{n}")
+        mask |= 1 << (index - 1)
     return mask
 
 
@@ -168,14 +166,14 @@ def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
     then by ascending index list: "{}", "{1}", ..., "{n}", "{1,2}", ...
     Mask and label come from the same index tuple, so nothing is sorted."""
     bits = [1 << i for i in range(n)]
-    names = [str(i) for i in item_range(n)]
+    names = [str(i + 1) for i in range(n)]
     for k in range(n + 1):
         for items in combinations(range(n), k):
             yield sum(map(bits.__getitem__, items)), _label(map(names.__getitem__, items))
 
 
 def subset_sums(values: Sequence) -> list:
-    """sums[S] = the sum of values[i-1] over the items i of S, for every mask
+    """sums[S] = the sum of values[i] over the items i of S, for every mask
     S over len(values) items; built by doubling from the int 0, one addition
     per entry, so int values give int sums and `Fraction` values `Fraction`s
     (sums[0] is the int 0 either way)."""
@@ -187,7 +185,7 @@ def subset_sums(values: Sequence) -> list:
 
 def subset_products(factors: Sequence[tuple]) -> list:
     """prods[S] = prod_{i in S} f_i * prod_{j not in S} g_j over
-    factors[i-1] = (f_i, g_i), for every mask S over len(factors) >= 1
+    factors[i] = (f_i, g_i), for every mask S over len(factors) >= 1
     items; built by doubling, one multiplication per entry, so int factors
     give int products and `Fraction` factors `Fraction`s."""
     prods = [1]
@@ -303,16 +301,13 @@ def to_lp2_params(inst: OMDInstance, kappa: Fraction) -> LP2Params:
     """
     if kappa <= 0:
         raise PreconditionError(f"kappa must be > 0, got {format_rational(kappa)}")
-    for i in item_range(inst.n):
-        if inst.a[i - 1] == 0:
+    for i, ai in enumerate(inst.a, start=1):
+        if ai == 0:
             raise PreconditionError(
                 f"a: entry {i} is 0; the structured pipeline requires a_i > 0"
             )
     B = kappa * (ONE + sum((ai / di for ai, di in zip(inst.a, inst.d)), ZERO))
-    x = tuple(
-        kappa * inst.a[i - 1] / (inst.p[i - 1] * inst.d[i - 1])
-        for i in item_range(inst.n)
-    )
+    x = tuple(kappa * ai / (pi * di) for ai, di, pi in zip(inst.a, inst.d, inst.p))
     return LP2Params(n=inst.n, x=x, B=B, d=inst.d, p=inst.p)
 
 
@@ -329,10 +324,7 @@ def from_lp2_params(params: LP2Params) -> tuple[OMDInstance, Fraction]:
             f"(B = {format_rational(params.B)}, "
             f"sum = {format_rational(params.B - kappa)})"
         )
-    a = tuple(
-        params.p[i - 1] * params.d[i - 1] * params.x[i - 1] / kappa
-        for i in item_range(params.n)
-    )
+    a = tuple(pi * di * xi / kappa for pi, di, xi in zip(params.p, params.d, params.x))
     inst = OMDInstance(n=params.n, a=a, d=params.d, p=params.p)
     return inst, kappa
 

@@ -47,7 +47,7 @@ from .core import (
     ONE,
     check_guard,
     format_rational,
-    item_range,
+    over_common_denominator,
     subset_label,
     subset_probs,
     type_vectors,
@@ -457,9 +457,8 @@ def solve_lp(prob: LPProblem) -> LPSolution:
         elif v in shift:
             x += shift[v]
         assignment[v] = x
-    ratios = [x.as_integer_ratio() for x in assignment.values()]
-    X = lcm(*{den for _, den in ratios})
-    scaled = {v: num * (X // den) for v, (num, den) in zip(assignment, ratios)}
+    ints, X = over_common_denominator(assignment.values())
+    scaled = dict(zip(assignment, ints))
     num, den = _dot(prob.objective, scaled)
     value = Fraction(num, den * X)
 
@@ -546,13 +545,15 @@ def u_var(S: Subset) -> str:
 
 
 def q_var(i: int, S: Subset) -> str:
-    """Name of the allocation variable of item i for type S."""
-    return f"q{i}({subset_label(S)})"
+    """Name of the allocation variable of the 0-based item i for type S; the
+    name numbers the item from 1: q_var(0, 0b01) is "q1({1})"."""
+    return f"q{i + 1}({subset_label(S)})"
 
 
 def edge_var(S: Subset, i: int) -> str:
-    """Name of the flow variable on the lattice edge S+{i} -> S."""
-    return f"f({subset_label(S | 1 << (i - 1))}>{subset_label(S)})"
+    """Name of the flow variable on the lattice edge S+{i} -> S, i 0-based;
+    the name numbers items from 1: edge_var(0b01, 1) is "f({1,2}>{1})"."""
+    return f"f({subset_label(S | 1 << i)}>{subset_label(S)})"
 
 
 def check_lp1_guard(n: int) -> None:
@@ -576,7 +577,7 @@ class _LP1Frame:
         # every name and label once per mask, not once per pair of types
         self.labels = [subset_label(S) for S in types]
         self.u = u = [u_var(S) for S in types]
-        self.q = q = [[q_var(i, S) for i in item_range(n)] for S in types]
+        self.q = q = [[q_var(i, S) for i in range(n)] for S in types]
         # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for
         # i in S, d_i for i in T
         self.q_coeff = [[d if T >> i & 1 else -d for i, d in enumerate(inst.d)] for T in types]
@@ -660,15 +661,15 @@ def build_lp2(params: LP2Params) -> LPProblem:
     objective = {u_var(S): balance for S, balance in enumerate(node_balances(params))}
     constraints = []
     for S in subsets:
-        for i in item_range(n):
-            if S >> (i - 1) & 1:
+        for i in range(n):
+            if S >> i & 1:
                 continue
             constraints.append(
                 Constraint(
-                    {u_var(S | 1 << (i - 1)): ONE, u_var(S): -ONE},
+                    {u_var(S | 1 << i): ONE, u_var(S): -ONE},
                     "<=",
-                    params.d[i - 1],
-                    name=f"bic2({subset_label(S)}|{i})",
+                    params.d[i],
+                    name=f"bic2({subset_label(S)}|{i + 1})",
                 )
             )
     return LPProblem(
@@ -691,21 +692,21 @@ def build_lp3(params: LP2Params) -> LPProblem:
     variables = []
     objective = {}
     for S in subsets:
-        for i in item_range(n):
-            if S >> (i - 1) & 1:
+        for i in range(n):
+            if S >> i & 1:
                 continue
             name = edge_var(S, i)
             variables.append(name)
-            objective[name] = params.d[i - 1]
+            objective[name] = params.d[i]
     constraints = []
     for S, rhs in enumerate(node_balances(params)):
         coeffs = {}
-        for i in item_range(n):
-            if not S >> (i - 1) & 1:
+        for i in range(n):
+            if not S >> i & 1:
                 coeffs[edge_var(S, i)] = -ONE
-        for i in item_range(n):
-            if S >> (i - 1) & 1:
-                coeffs[edge_var(S ^ 1 << (i - 1), i)] = ONE
+        for i in range(n):
+            if S >> i & 1:
+                coeffs[edge_var(S ^ 1 << i, i)] = ONE
         constraints.append(Constraint(coeffs, ">=", rhs, name=f"balance({subset_label(S)})"))
     return LPProblem(
         variables=tuple(variables),

@@ -33,7 +33,6 @@ from .core import (
     ONE,
     ZERO,
     format_rational,
-    item_range,
     over_common_denominator,
     subset_label,
     subset_probs,
@@ -185,11 +184,11 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
                 f"node {subset_label(full)} is not positive: "
                 f"sum(x) = {format_rational(total)} < B = {format_rational(params.B)}"
             )
-        lightest = min(item_range(n), key=lambda i: (params.x[i - 1], i))
-        witness = full ^ 1 << (lightest - 1)
+        lightest = min(range(n), key=lambda i: (params.x[i], i))
+        witness = full ^ 1 << lightest
         raise PreconditionError(
             f"multiple positive nodes: proper subset {subset_label(witness)} "
-            f"sums to {format_rational(total - params.x[lightest - 1])} >= B = "
+            f"sums to {format_rational(total - params.x[lightest])} >= B = "
             f"{format_rational(params.B)}"
         )
     D, cost_scale = over_common_denominator(params.d)

@@ -109,7 +109,7 @@ def subsetsum_gadget(W: Sequence[int], T: int, ell: int) -> tuple[tuple[int, ...
     C = [4 * n * w for w in W]
     C.append(4 * n * T + 2 * n)
     C.extend([1] * (ell - 1))
-    special = ((1 << ell) - 1) << n  # items n+1..n+ell
+    special = ((1 << ell) - 1) << n  # bits n..n+ell-1: the pivot and the trailing ones
     return tuple(C), special
 
 
@@ -279,7 +279,7 @@ class ReductionOutput:
         """The probe type's allocation probability for the distinguished
         item, which must be exactly 0 (NO) or 1 (YES): the flow's
         q_i(P) for the probe P, read without building the menu."""
-        probe_q = self.flow.allocation(self.probe_type, self.distinguished_item - 1)
+        probe_q = self.flow.allocation(self.probe_type, self.distinguished_item)
         if probe_q == ONE:
             return True
         if probe_q == ZERO:
@@ -293,7 +293,8 @@ def _reduction_d(C: tuple[int, ...]) -> tuple[Fraction, ...]:
     n = len(C)
     total = sum(C)
     scale = 1 << (n + 1)
-    d = [Fraction(scale * (c + total) + (1 << i)) for i, c in enumerate(C, start=1)]
+    # item i's tie-break is 2^(i+1), the paper's 2^i for its item i+1
+    d = [Fraction(scale * (c + total) + (1 << (i + 1))) for i, c in enumerate(C)]
     d.append(ONE)
     return tuple(d)
 
@@ -371,7 +372,7 @@ def lexrank_to_omd(C: Sequence[int], S: Subset, k: int) -> ReductionOutput:
     return ReductionOutput(
         params=params,
         probe_type=((1 << n) - 1) ^ S,
-        distinguished_item=n + 1,
+        distinguished_item=n,
         flow=flow,
         _mechanism=mechanism,
     )

@@ -18,7 +18,6 @@ from optmech import (
     build_lp2,
     build_lp3,
     canonical_solution,
-    check_subset,
     closed_form_mechanism,
     decide_lexrank,
     eval_f,
@@ -40,15 +39,12 @@ from optmech import (
     unique_optimum,
     verify_bic_ir,
 )
-from optmech.core import OMDInstance, item_range
+from optmech.core import OMDInstance
 from optmech.reduction import _reduction_d, count_subsets_of_size, lexrank_to_omd
+from tests.subsets import mask
 from tests.sweeps import duality_sweep
 
 ZERO, ONE = F(0), F(1)
-
-
-def mask(*items):
-    return check_subset(items, max(items, default=0))
 
 
 def make_instance(a, d, p):
@@ -160,8 +156,8 @@ def test_criterion_3_closed_form_suite():
             probed += 1
             for S in range(1 << n):
                 assert lp1.assignment[u_var(S)] == mech.u[S]
-                for i in item_range(n):
-                    assert lp1.assignment[q_var(i, S)] == mech.q[S][i - 1]
+                for i in range(n):
+                    assert lp1.assignment[q_var(i, S)] == mech.q[S][i]
     assert strict >= 100  # the sweep must actually exercise the closed form
     assert probed == strict  # strictly partial saturation implies uniqueness
     elapsed = time.perf_counter() - t0
@@ -210,7 +206,7 @@ def test_criterion_4_reduction_suite():
         for C in product(range(1, 7), repeat=n):
             _check_cost_structure(C)
             for size in range(1, n):
-                for S_tuple in combinations(item_range(n), size):
+                for S_tuple in combinations(range(1, n + 1), size):
                     S = mask(*S_tuple)
                     rank = lexrank_oracle(C, S)
                     for k in range(1, comb(n, size) + 1):

@@ -7,7 +7,6 @@ import pytest
 from optmech import (
     BudgetedInstance,
     InputError,
-    check_subset,
     subset_to_list,
     best_affordable_bundle,
     budgeted_oracle_lp,
@@ -15,10 +14,7 @@ from optmech import (
     optimal_budgeted_mechanism,
 )
 from optmech.budgeted import budgeted_from_json_dict
-
-
-def mask(*items):
-    return check_subset(items, max(items, default=0))
+from tests.subsets import mask
 
 
 def brute_force_best(x, budget):

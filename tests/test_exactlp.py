@@ -17,6 +17,8 @@ from optmech import (
     build_lp2,
     build_lp3,
     dump_problem,
+    edge_var,
+    q_var,
     solve_lp,
     solve_lp1,
     u_var,
@@ -716,6 +718,40 @@ def test_dump_problem_lists_every_constraint():
     for con in prob.constraints:
         assert con.name in text
     assert text.count("bic2") == 4
+
+
+def test_names_number_items_from_one():
+    # item indices are 0-based; every name prints them 1-based
+    assert q_var(0, 0b01) == "q1({1})"
+    assert edge_var(0b01, 1) == "f({1,2}>{1})"
+    assert dump_problem(build_lp2(PARAMS_A)) == """\
+sense: max
+objective: -9/8 u({}) + -5/8 u({1}) + -3/8 u({2}) + 1/8 u({1,2})
+subject to:
+  bic2({}|1): 1 u({1}) + -1 u({}) <= 1
+  bic2({}|2): 1 u({2}) + -1 u({}) <= 2
+  bic2({1}|2): 1 u({1,2}) + -1 u({1}) <= 2
+  bic2({2}|1): 1 u({1,2}) + -1 u({2}) <= 1
+bounds:
+  0 <= u({}) <= +inf
+  0 <= u({1}) <= +inf
+  0 <= u({2}) <= +inf
+  0 <= u({1,2}) <= +inf
+"""
+    assert dump_problem(build_lp3(PARAMS_A)) == """\
+sense: min
+objective: 1 f({1}>{}) + 2 f({2}>{}) + 2 f({1,2}>{1}) + 1 f({1,2}>{2})
+subject to:
+  balance({}): -1 f({1}>{}) + -1 f({2}>{}) >= -9/8
+  balance({1}): -1 f({1,2}>{1}) + 1 f({1}>{}) >= -5/8
+  balance({2}): -1 f({1,2}>{2}) + 1 f({2}>{}) >= -3/8
+  balance({1,2}): 1 f({1,2}>{2}) + 1 f({1,2}>{1}) >= 1/8
+bounds:
+  0 <= f({1}>{}) <= +inf
+  0 <= f({2}>{}) <= +inf
+  0 <= f({1,2}>{1}) <= +inf
+  0 <= f({1,2}>{2}) <= +inf
+"""
 
 
 def test_lp2_lp3_strong_duality_n6():

@@ -9,12 +9,12 @@ from optmech import (
     build_lp3,
     canonical_solution,
     check_single_positive,
-    check_subset,
     dump_lattice,
     node_balances,
     node_costs,
     solve_lp,
 )
+from tests.subsets import mask
 
 ZERO = F(0)
 
@@ -22,10 +22,6 @@ PARAMS_A = LP2Params(2, (F(2), F(3)), F(9, 2), (F(1), F(2)), (F(1, 2), F(1, 2)))
 PARAMS_B = LP2Params(2, (F(4), F(2)), F(5), (F(1), F(2)), (F(1, 2), F(1, 2)))
 # equal increments: the greedy ends exactly on the first node's capacity
 PARAMS_TIE = LP2Params(2, (F(2), F(2)), F(3), (F(1), F(1)), (F(1, 2), F(1, 2)))
-
-
-def mask(*items):
-    return check_subset(items, max(items, default=0))
 
 
 # ---------------------------------------------------------------------------

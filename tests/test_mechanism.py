@@ -14,7 +14,6 @@ from optmech import (
     build_lp1,
     canonical_solution,
     certify_bic_ir,
-    check_subset,
     closed_form_mechanism,
     expected_revenue,
     from_lp2_params,
@@ -27,14 +26,11 @@ from optmech import (
     verify_bic_ir,
 )
 from optmech.mechanism import bernoulli
+from tests.subsets import mask
 from tests.test_core import make_instance
 from tests.test_lattice import PARAMS_A, PARAMS_B, PARAMS_TIE, _random_single_positive
 
 ZERO, ONE = F(0), F(1)
-
-
-def mask(*items):
-    return check_subset(items, max(items, default=0))
 
 
 def mech_for(params):

@@ -9,7 +9,6 @@ from optmech import (
     InputError,
     PreconditionError,
     canonical_solution,
-    check_subset,
     closed_form_mechanism,
     count_subsetsum,
     decide_lexrank,
@@ -24,14 +23,10 @@ from optmech import (
 )
 from optmech import reduction
 from optmech.cli import main
-from optmech.core import item_range
 from optmech.reduction import count_subsets_of_size
+from tests.subsets import mask
 
 ONE = F(1)
-
-
-def mask(*items):
-    return check_subset(items, max(items, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +66,7 @@ def test_lexrank_oracle_is_a_total_ranking():
     C = (3, 1, 4, 1)
     for size in (1, 2, 3):
         ranks = sorted(
-            lexrank_oracle(C, mask(*S)) for S in combinations(item_range(4), size)
+            lexrank_oracle(C, mask(*S)) for S in combinations(range(1, 5), size)
         )
         assert ranks == list(range(1, comb(4, size) + 1))
 
@@ -116,7 +111,7 @@ def test_gadget_ordering_properties():
         special = sum(C[i - 1] for i in subset_to_list(S_ell))
         fillers = list(range(n + 2, n + ell + 1))
         for r in range(1, n + 1):
-            for S in combinations(item_range(n), r):
+            for S in combinations(range(1, n + 1), r):
                 s_sum = sum(C[i - 1] for i in S)
                 if sum(W[i - 1] for i in S) > T:
                     assert s_sum > special
@@ -267,7 +262,7 @@ def test_lexrank_to_omd_example():
     assert out.params.x == (F(2), F(2), F(2))
     assert out.params.B == F(5)
     assert out.probe_type == mask(2)
-    assert out.distinguished_item == 3
+    assert out.distinguished_item == 2
     assert out.target_T_star == mask(2)
     # cost comparison drives the decision: cost(S^c) = 35 <= cost(T*) = 35
     assert node_costs(out.params.d)[out.probe_type] == 35
@@ -306,7 +301,7 @@ def test_decide_matches_oracle_small_sweep():
     for C in product((1, 2, 3), repeat=3):
         n = len(C)
         for size in (1, 2):
-            for S in combinations(item_range(n), size):
+            for S in combinations(range(1, n + 1), size):
                 S = mask(*S)
                 for k in range(1, comb(n, size) + 1):
                     expected = lexrank_oracle(C, S) <= k
@@ -374,7 +369,7 @@ def test_decision_matches_the_mechanism_probe_exhaustive():
     for n in (2, 3, 4):
         for C in product(range(1, 5), repeat=n):
             for size in range(1, n):
-                for S_tuple in combinations(item_range(n), size):
+                for S_tuple in combinations(range(1, n + 1), size):
                     S = mask(*S_tuple)
                     for k in range(1, comb(n, size) + 1):
                         out = lexrank_to_omd(C, S, k)
@@ -433,7 +428,7 @@ def test_menu_built_once_per_query_shape(monkeypatch):
     for size in range(1, n):
         for k in range(1, comb(n, size) + 1):
             calls.clear()
-            for S_tuple in combinations(item_range(n), size):
+            for S_tuple in combinations(range(1, n + 1), size):
                 out = lexrank_to_omd(C, mask(*S_tuple), k)
                 assert out.mechanism is out.mechanism
             assert len(calls) == 1, (size, k)
