@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""One sha256 per program family over every exact LP answer the family
-produces (each `solve_lp` call's status, value, assignment and row
-multipliers), and one per CLI family over every call's printed output.
+"""Two sha256 per program family over every exact LP answer the family
+produces: one over each `solve_lp` call's status, value, assignment and row
+multipliers, and a value-only one over each call's status and value. One
+more per CLI family over every call's printed output.
 
     python3 scripts/lp_parity.py [--seed 17]
 
 Two checkouts whose simplex makes the same pivots print the same LP
 digests, and two whose commands print the same text print the same CLI
 digests, so running this script in both is the parity check for a change
-to the solver or to anything the CLI prints. Imports the package from the
-`src` directory of the checkout this script sits in, the seeded generators
-of its `perfbench` directory and `general_doc` of `solve_latency.py`
-beside it; uses the standard library only.
+to the solver or to anything the CLI prints. A change that moves the
+simplex to other optimal vertices changes the first LP digest of a family
+but not its value-only digest, which shows that every optimum is unchanged.
+Imports the package from the `src` directory of the checkout this script
+sits in, the seeded generators of its `perfbench` directory and
+`general_doc` of `solve_latency.py` beside it; uses the standard library
+only.
 
-The multipliers are recorded by wrapping `exactlp._simplex_max`, as the
-rationals duals[k] / den, so they do not depend on how the integer rows
-are scaled. The families:
+The multipliers are recorded by wrapping `exactlp._simplex_max`, whatever
+its arguments, as the rationals duals[k] / den, so they do not depend on
+how the integer rows are scaled. They are the multipliers of the rows the
+simplex was given: a solver that keeps upper bounds as bounds reports none
+for them. The families:
 
   * certify    -- `solve --oracle` on the first CERTIFY_OPS inputs of the
                   `certify` workload's pool (LP1 at n = 3);
@@ -28,10 +34,14 @@ are scaled. The families:
                   `solve_latency.py`;
   * lp2-lp3    -- `solve_lp` on `build_lp2` and `build_lp3` of LP23_CASES
                   single-positive parameter vectors, n = 2..5, drawn like
-                  the acceptance suite's duality sweep (criterion 2).
+                  the acceptance suite's duality sweep (criterion 2);
+  * bounded    -- `solve_lp` on BOUNDED_CASES programs from
+                  `bounded_program`: rational upper bounds on most
+                  variables, some shifted to a nonzero lower bound, some
+                  free below, rows of every relation.
 
 Every CLI call of those families must exit 0. Each line reads
-`<family> <solves> <sha256>`.
+`<family> <solves> <sha256> <value-only sha256>`.
 
 The CLI families hash, per in-process `cli.main` call, its exit code, its
 stdout without the `elapsed:` line, its stderr and every file it was told
@@ -70,7 +80,7 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 import inputs  # noqa: E402
 from solve_latency import general_doc  # noqa: E402
-from optmech import LP2Params, build_lp2, build_lp3, exactlp  # noqa: E402
+from optmech import Constraint, LP2Params, LPProblem, build_lp2, build_lp3, exactlp  # noqa: E402
 from optmech.cli import main  # noqa: E402
 
 CERTIFY_OPS = 100
@@ -79,6 +89,7 @@ ORACLE_N6 = 6
 GENERAL_SIZES = (3, 4, 5)
 GENERAL_PER_N = 8
 LP23_CASES = 80
+BOUNDED_CASES = 300
 CLI_OPS = 100
 SAMPLE_TYPES = ("-", "1", "1,3", "2,4,5")
 GENERAL_REFUSALS = 30
@@ -86,10 +97,11 @@ GENERAL_REFUSALS = 30
 
 class Recorder:
     """Wraps `solve_lp` wherever the package binds it, and `_simplex_max`,
-    and hashes every answer in call order."""
+    and hashes every answer in call order, in full and value only."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
+        self.values = hashlib.sha256()
         self.solves = 0
         self.duals = None
         solve_lp, simplex = exactlp.solve_lp, exactlp._simplex_max
@@ -104,6 +116,7 @@ class Recorder:
             sol = solve_lp(prob)
             record = (sol.status, sol.value, list(sol.assignment.items()), self.duals)
             self.digest.update(repr(record).encode())
+            self.values.update(repr(record[:2]).encode())
             self.solves += 1
             return sol
 
@@ -113,10 +126,11 @@ class Recorder:
                 if value is solve_lp:
                     setattr(module, key, recording_solve)
 
-    def take(self) -> tuple[int, str]:
-        """The solve count and digest since the last call, then reset."""
-        out = self.solves, self.digest.hexdigest()
-        self.digest, self.solves = hashlib.sha256(), 0
+    def take(self) -> tuple[int, str, str]:
+        """The solve count, digest and value-only digest since the last
+        call, then reset."""
+        out = self.solves, self.digest.hexdigest(), self.values.hexdigest()
+        self.digest, self.values, self.solves = hashlib.sha256(), hashlib.sha256(), 0
         return out
 
 
@@ -155,6 +169,41 @@ def cli_record(tmp: str, doc: dict | None, argv: list[str]) -> bytes:
                 written.append(handle.read())
             os.remove(path)
     return repr((code, out, err, written)).replace(tmp, "{tmp}").encode()
+
+
+def bounded_program(rng: random.Random) -> LPProblem:
+    """2-5 variables, each nonnegative, shifted to a nonzero lower bound or
+    free, three in four bounded above (so some are free below with an
+    upper bound), and 1-5 rows of any relation with denominators up to 7.
+    Every row holds at an anchor point inside the bounds, tightly or with
+    slack, so most programs are feasible; some are unbounded."""
+    def fraction(low, high):
+        return Fraction(rng.randint(low, high), rng.randint(1, 7))
+
+    names = [f"x{j}" for j in range(rng.randint(2, 5))]
+    lower, upper, anchor = {}, {}, {}
+    for v in names:
+        kind = rng.choice(("nonnegative", "shifted", "free"))
+        if kind == "free":
+            lower[v] = None
+            base = fraction(-9, 9)
+        elif kind == "shifted":
+            lower[v] = base = fraction(1, 9) * rng.choice((1, -1))
+        else:
+            base = 0
+        anchor[v] = base + fraction(0, 6)
+        if rng.randrange(4):
+            upper[v] = anchor[v] + fraction(0, 6)
+    rows = []
+    for k in range(rng.randint(1, 5)):
+        coeffs = {v: fraction(-6, 6) for v in rng.sample(names, rng.randint(1, len(names)))}
+        rel = rng.choice(("<=", ">=", "="))
+        rhs = sum(c * anchor[v] for v, c in coeffs.items())
+        rhs += fraction(0, 4) if rel == "<=" else -fraction(0, 4) if rel == ">=" else 0
+        rows.append(Constraint(coeffs, rel, rhs, name=f"r{k}"))
+    objective = {v: fraction(-6, 6) for v in names}
+    return LPProblem(names, objective, rng.choice(("max", "min")), rows,
+                     lower=lower, upper=upper)
 
 
 def pool(workload: str, seed: int, count: int):
@@ -196,6 +245,10 @@ def run(seed: int) -> None:
         exactlp.solve_lp(build_lp2(params))
         exactlp.solve_lp(build_lp3(params))
     print("lp2-lp3", *recorder.take())
+    rng = random.Random(f"bounded:{seed}")
+    for _ in range(BOUNDED_CASES):
+        exactlp.solve_lp(bounded_program(rng))
+    print("bounded", *recorder.take())
 
     families = {f"cli-{w}": pool(w, seed, CLI_OPS) for w in inputs.GENERATORS}
     families["cli-examples"] = [(None, ["examples"])]

@@ -142,6 +142,30 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+# `json.dumps(..., indent=2)` runs the pure-Python encoder, because an indent
+# turns the C one off. Here the C encoder does every value of a menu entry: a
+# list in one call, with the comma and the next line's indentation as its
+# item separator.
+_ENTRY_VALUE = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+
+
+def _mechanism_json(doc: dict) -> str:
+    """The text of ``json.dumps(doc, indent=2) + "\n"`` for the document of
+    `mechanism_to_json_dict`: {"n": int, "menu": [entry, ...]}, each entry
+    a dict of strings and lists of strings or ints."""
+    entries = []
+    for entry in doc["menu"]:
+        fields = []
+        for key, value in entry.items():
+            text = _ENTRY_VALUE(value)
+            if isinstance(value, list) and value:
+                text = f"[\n        {text[1:-1]}\n      ]"
+            fields.append(f"{_ENTRY_VALUE(key)}: {text}")
+        entries.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    menu = ",\n    ".join(entries)
+    return f'{{\n  "n": {_ENTRY_VALUE(doc["n"])},\n  "menu": [\n    {menu}\n  ]\n}}\n'
+
+
 def _q_tuple(values) -> str:
     return "(" + ", ".join(map(format_rational, values)) + ")"
 
@@ -221,9 +245,7 @@ def cmd_solve(args) -> RunReport:
         _write_text(args.dump_lattice, dump_lattice(params, flow))
         report.outputs["lattice dump"] = args.dump_lattice
     if args.json_out:
-        _write_text(
-            args.json_out, json.dumps(mechanism_to_json_dict(mech), indent=2) + "\n"
-        )
+        _write_text(args.json_out, _mechanism_json(mechanism_to_json_dict(mech)))
         report.outputs["mechanism json"] = args.json_out
 
     return report

@@ -1,11 +1,17 @@
 """Exact rational linear programming, plus builders for the three programs.
 
-The solver is a dense two-phase tableau simplex over exact rationals with the
-smallest-index (Bland) anti-cycling pivot rule, so it terminates and is fully
-deterministic: identical problems yield identical optimal assignments. Every
-optimal answer is proved post hoc, not trusted to the pivots: the assignment
-meets the original constraints, the simplex's row multipliers are
-dual-feasible, and their bound y.b equals the assignment's value c.x.
+The solver is a dense two-phase bounded-variable tableau simplex over exact
+rationals with the smallest-index (Bland) anti-cycling pivot rule, so it
+terminates and is fully deterministic: identical problems yield identical
+optimal assignments. A finite upper bound stays a bound, never a row: a
+column at its bound is complemented (x' = ub - x), and the ratio test weighs
+a basic variable falling to 0, a bounded basic variable rising to its bound,
+and the entering column reaching its own bound, which flips it without a
+pivot. Every optimal answer is proved post hoc, not trusted to the pivots:
+the assignment meets the original constraints and bounds, the simplex's row
+multipliers y have the right signs and, with each bound priced at
+w_j = max(0, c_j - (y.A)_j), cover every column, and y.b + w.ub equals the
+assignment's value c.x.
 
 The tableau holds integers. `solve_lp` builds each row in one pass over its
 coefficient map, reading each coefficient's numerator and denominator once,
@@ -14,7 +20,8 @@ positive multiple of its rational row, so every pivot is the one a rational
 tableau would make. The interface stays `fractions.Fraction`. The post-hoc
 checks do not read the tableau and run on ints: the assignment, over one
 common denominator, is checked against each `Constraint`'s own coefficients
-and each bound, and the duals against the integer input rows.
+and each bound, and the duals and bound prices against the integer input
+rows.
 
 The three builders produce, for a given instance / parameter vector:
 
@@ -58,12 +65,14 @@ from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). At n=6, the full program's guard,
-# `solve_lp1` took 0.12-0.24 s on 12 random single-positive instances and
-# 0.37-4.7 s on 12 general ones (a_i in 0..10, d_i in 1..10; three needed a
-# second round), but 430 s, at 40 MiB, on a=(4,10,6,5,9,7), d=(3,1,6,8,10,9),
-# p=(7/10,17/20,1/4,9/10,1/4,17/20). At n=7 one general
-# instance took 3.2 s in one round; another broke 512 rows after a 3.8 s
-# first round, and its second round (1,536 rows) ran for over 9 minutes. The
+# `solve_lp1` took 0.05-0.11 s on 12 seeded single-positive instances and
+# 0.36-32 s on 12 seeded general ones (a_i in 0..10, d_i in 1..10, p_i in
+# k/20; nine needed a second round), but 263 s, at 30 MiB, on
+# a=(4,10,6,5,9,7), d=(3,1,6,8,10,9), p=(7/10,17/20,1/4,9/10,1/4,17/20),
+# 258 s of it in a third round of 672 rows (2 vCPUs, Python 3.11). At n=7,
+# measured while the q <= 1 bounds were still rows, one general instance
+# took 3.2 s in one round; another broke 512 rows after a 3.8 s first
+# round, and its second round (1,536 rows) ran for over 9 minutes. The
 # relaxed program's guard is set by memory: on a random single-positive
 # instance one solve took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS
 # of 1.3 GiB; LP2 at n=12 did not finish in 4 GiB of address space (2 vCPUs).
@@ -163,10 +172,11 @@ class LPSolution:
 # Simplex core
 # ---------------------------------------------------------------------------
 #
-# `_simplex_max` solves  max c.x  over rows {<=, =, >=} with x >= 0 by the
-# two-phase dense tableau method, Bland's smallest-index rule throughout.
-# It reports, besides the optimal column values, the dual multiplier of every
-# input row. `solve_lp` checks the assignment those column values give,
+# `_simplex_max` solves  max c.x  over rows {<=, =, >=} with 0 <= x_j <= ub_j
+# (ub_j finite on the bounded columns, +inf elsewhere) by the two-phase dense
+# tableau method, Bland's smallest-index rule throughout. It reports, besides
+# the optimal column values, the dual multiplier of every input row. No bound
+# is ever a row. `solve_lp` checks the assignment those column values give,
 # scaled to ints, against the original constraints and bounds, and the
 # multipliers as a dual certificate of optimality.
 #
@@ -176,27 +186,63 @@ class LPSolution:
 # artificial get that same factor, so every row starts as exactly `scale`
 # times the rational canonical row: slacks, artificials and duals are those
 # of the rational tableau. Tableau row i stays a positive multiple of the
-# rational row T[i] / T[i][basis[i]]. A pivot on (r, c) with
-# pc = T[r][c] > 0 replaces each row with f = row[c] != 0 by a positive
-# multiple of pc * row - f * prow: by row - (f / pc) * prow when pc divides
-# f, which changes only prow's nonzero columns; otherwise with pc and f
-# divided by their gcd, and the result by the gcd of its entries. Rows with
-# f = 0 are not touched. A cost row has the same form, with its positive
-# denominator as one more entry. Ratio tests compare by cross-multiplication.
-# Bland's rule reads only signs and ratio order, so every pivot, vertex and
-# dual is the rational tableau's.
+# rational row T[i] / T[i][basis[i]]. A pivot on (r, c) makes T[r][c]
+# positive first, negating row r when needed (a basic variable that leaves
+# at its upper bound, or a leftover artificial driven out, has a negative
+# entry there); then with pc = T[r][c] > 0 it replaces each row with
+# f = row[c] != 0 by a positive multiple of pc * row - f * prow: by
+# row - (f / pc) * prow when pc divides f, which changes only prow's nonzero
+# columns; otherwise with pc and f divided by their gcd, and the result by
+# the gcd of its entries. Rows with f = 0 are not touched. A cost row has the
+# same form, with its positive denominator as one more entry. Ratio tests
+# compare by cross-multiplication. Bland's rule reads only signs and ratio
+# order, so every pivot, vertex and dual is the rational tableau's.
+#
+# Bounds. Every nonbasic column sits at 0 in its current orientation. A
+# bounded column that must sit at its bound ub = num / den is complemented:
+# x' = ub - x replaces x, so the column is negated in every row and in the
+# cost row, and each row's right-hand side loses a * ub. A row with a != 0
+# is scaled by den first when den > 1 (and then divided by the gcd of its
+# entries), so it stays a positive multiple of its rational row. The
+# orientation stays with the column, basic or not; x' in [0, ub] exactly
+# when x is. With column e entering at step t >= 0, the ratio test has three
+# kinds of candidate:
+#   * a basic variable falls to 0: row i with T[i][e] > 0, t = rhs / T[i][e];
+#   * a bounded basic variable b rises to its bound: row i with T[i][e] < 0,
+#     t = (ub_b * T[i][b] - rhs) / -T[i][e];
+#   * e reaches its own bound: t = ub_e, a flip, which complements e and
+#     pivots nothing.
+# The least t wins, ties to the smallest index of the variable that leaves,
+# where a flip counts e itself. A basic variable that leaves at its bound is
+# complemented after the pivot, so it sits at 0 again. Why this terminates:
+# write each bound as an explicit row x_j + s_j = ub_j, and order s_j right
+# after x_j. The bounded tableau is that explicit tableau with each bound row
+# solved out: a nonbasic column j stands for x_j, or for s_j once
+# complemented, and the other of the two is basic in the bound row. The
+# three candidates are exactly the explicit basic variables that can reach 0
+# (x_b, s_b, s_e), and every step (a flip too) is one Bland pivot on the
+# explicit program, because for two columns j < k both x_j and s_j precede
+# both x_k and s_k. Bland's rule terminates for every fixed order of the
+# variables, so this does too. A program with no bounded column takes
+# exactly the pivots of the plain method.
 #
 # The cost row is always the objective minus a combination of the input rows,
 # so the reduced cost of a row's slack or artificial column is minus that
 # row's weight y_k (plus it, for a row the canonicalization negated), also
 # for a redundant row that phase 1 dropped; it is reported as an int over
-# the cost row's denominator. At an optimum y is dual-feasible: y_k >= 0 on
-# "<=" rows, y_k <= 0 on ">=" rows, sum_k y_k a_kj >= c_j on every column,
-# so y.b bounds c.x on every feasible x. `solve_lp` proves an optimum from
-# three facts, each checked once and on ints: its assignment is feasible
-# (`_check_feasible`, which reads each `Constraint`'s own coefficient map and
-# never the rows built here), y is dual-feasible and y.b equals c.x
-# (`_check_duals`).
+# the cost row's denominator. Complementing negates a column's reduced cost
+# and leaves y alone. At an optimum y_k >= 0 on "<=" rows, y_k <= 0 on ">="
+# rows, and the reduced cost r_j = c_j - sum_k y_k a_kj is <= 0 on a column
+# at 0 and >= 0 on one at its bound. So y with bound prices
+# w_j = max(0, r_j) is feasible for the dual  min y.b + w.ub  over
+# y.A + w >= c, w >= 0 (w_j = 0 where x_j has no bound), and its value
+# bounds c.x on every feasible x: c.x <= (y.A + w).x <= y.b + w.ub.
+# `solve_lp` proves an optimum from three facts, each checked once and on
+# ints: its assignment is feasible (`_check_feasible`, which reads each
+# `Constraint`'s own coefficient map and never the rows built here), y has
+# the right signs and covers every column without a bound, and y.b + w.ub
+# equals c.x (`_check_duals`, which computes w itself and never reads the
+# tableau).
 
 
 class _SimplexOutcome:
@@ -209,13 +255,15 @@ class _SimplexOutcome:
         self.den = den
 
 
-def _simplex_max(ncols, rows, objective):
-    """Maximize objective . x subject to the given rows, x >= 0.
+def _simplex_max(ncols, rows, objective, upper):
+    """Maximize objective . x subject to the given rows and 0 <= x <= upper.
 
     ``rows``: list of (ints, rel, scale): ``ints`` holds the ncols
     coefficients and then the right-hand side of the rational row, each
     times the int ``scale`` > 0.
     ``objective``: (ints, scale), the ncols coefficients times ``scale``.
+    ``upper``: {column: (num, den)}, the finite upper bound num / den >= 0
+    of each bounded column, den > 0; the other columns have none.
     Returns a _SimplexOutcome whose ``duals`` align with the input rows.
     """
     # canonicalize: slack rows are "<=" with rhs >= 0, everything else gets
@@ -266,6 +314,11 @@ def _simplex_max(ncols, rows, objective):
             assoc.append(ai)
             ai += 1
         T.append(row)
+    ub = [None] * total
+    for j, bound in upper.items():
+        ub[j] = bound
+    bounded = bool(upper)   # False: the plain ratio test, no bound candidates
+    complemented = set()    # the columns that stand for ub - x
 
     def eliminate(row, c, prow, nz):
         """A positive multiple of pc * row - row[c] * prow, where
@@ -290,8 +343,7 @@ def _simplex_max(ncols, rows, objective):
         nonlocal cost
         prow = T[r]
         if prow[c] < 0:
-            # only a leftover artificial driven out pivots on a negative
-            # entry; the new basic coefficient must be positive
+            # the new basic coefficient must be positive
             T[r] = prow = [-v for v in prow]
         nz = [j for j, v in enumerate(prow) if v]
         for i, row in enumerate(T):
@@ -301,6 +353,29 @@ def _simplex_max(ncols, rows, objective):
             cost = eliminate(cost, c, prow, nz)
         basis[r] = c
 
+    def substitute(row, j):
+        """``row`` with ub_j - x'_j in place of x_j, where row[j] != 0."""
+        num, den = ub[j]
+        a = row[j]
+        if den > 1:
+            row = [den * v for v in row]
+        row[total] -= a * num
+        row[j] = -row[j]
+        if den > 1:
+            g = gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+        return row
+
+    def complement(j):
+        nonlocal cost
+        complemented.symmetric_difference_update((j,))
+        for i, row in enumerate(T):
+            if row[j]:
+                T[i] = substitute(row, j)
+        if cost[j]:
+            cost = substitute(cost, j)
+
     def price(cost):
         """Reduced costs of ``cost`` under the current basis."""
         for row, b in zip(T, basis):
@@ -309,8 +384,9 @@ def _simplex_max(ncols, rows, objective):
         return cost
 
     def run(enterable):
-        # Bland: entering = smallest eligible positive reduced cost;
-        # leaving = min ratio with ties to the smallest basic index
+        # Bland: entering = smallest eligible positive reduced cost; leaving
+        # = least step t, ties to the smallest index of the variable that
+        # leaves (see the comment block for the three kinds of candidate)
         while True:
             enter = -1
             for j in range(total):
@@ -319,19 +395,43 @@ def _simplex_max(ncols, rows, objective):
                     break
             if enter < 0:
                 return OPTIMAL
+            # the best row so far, whose basic variable leaves after a step
+            # t = best_num / best_den
             leave = -1
             for i, row in enumerate(T):
                 coeff = row[enter]
                 if coeff > 0:
-                    if leave >= 0:
-                        # the ratio row[-1] / coeff against the best so far
-                        lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
-                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
-                            continue
-                    best_rhs, best_coeff, leave = row[-1], coeff, i
+                    num, den = row[-1], coeff
+                elif bounded and coeff < 0 and ub[basis[i]]:
+                    b = basis[i]
+                    ub_num, ub_den = ub[b]
+                    num, den = ub_num * row[b] - ub_den * row[-1], -coeff * ub_den
+                else:
+                    continue
+                if leave >= 0:
+                    lhs, rhs = num * best_den, best_num * den
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                best_num, best_den, leave = num, den, i
+            if bounded and ub[enter]:
+                # the entering column's own bound is one more candidate
+                num, den = ub[enter]
+                flip = leave < 0
+                if not flip:
+                    lhs, rhs = num * best_den, best_num * den
+                    flip = lhs < rhs or (lhs == rhs and enter < basis[leave])
+                if flip:
+                    complement(enter)
+                    continue
             if leave < 0:
                 return UNBOUNDED
-            pivot(leave, enter)
+            if bounded and T[leave][enter] < 0:
+                # its basic variable rises to its bound, and leaves there
+                b = basis[leave]
+                pivot(leave, enter)
+                complement(b)
+            else:
+                pivot(leave, enter)
 
     # phase 1 maximizes minus the sum of the artificials
     if art_cols:
@@ -340,7 +440,8 @@ def _simplex_max(ncols, rows, objective):
             raise VerificationError("phase-1 objective cannot be unbounded")
         if cost[total] != 0:
             return _SimplexOutcome(INFEASIBLE)
-        # pivot leftover artificials out; all-zero rows are redundant
+        # pivot leftover artificials out (each sits at 0, so no value
+        # moves); all-zero rows are redundant
         drop = []
         for i in range(len(T)):
             if basis[i] in art_cols:
@@ -356,7 +457,11 @@ def _simplex_max(ncols, rows, objective):
             del basis[i]
 
     objective, scale = objective
-    cost = price(objective + [0] * (width - ncols) + [scale])
+    cost = objective + [0] * (width - ncols) + [scale]
+    for j in complemented:
+        if cost[j]:
+            cost = substitute(cost, j)
+    cost = price(cost)
     enterable = [j not in art_cols for j in range(total)]
     status = run(enterable)
     if status == UNBOUNDED:
@@ -366,7 +471,14 @@ def _simplex_max(ncols, rows, objective):
     colvals = {}
     for row, b in zip(T, basis):
         if b < ncols:
-            colvals[b] = Fraction(row[-1], row[b])
+            if b in complemented:
+                ub_num, ub_den = ub[b]
+                colvals[b] = Fraction(ub_num * row[b] - ub_den * row[-1], ub_den * row[b])
+            else:
+                colvals[b] = Fraction(row[-1], row[b])
+    for j in complemented:
+        if j not in colvals:
+            colvals[j] = Fraction(*ub[j])
     duals = [cost[col] if flipped else -cost[col] for col, (*_, flipped) in zip(assoc, canon)]
     return _SimplexOutcome(OPTIMAL, colvals, duals, den)
 
@@ -374,32 +486,48 @@ def _simplex_max(ncols, rows, objective):
 def solve_lp(prob: LPProblem) -> LPSolution:
     """Solve exactly. Infeasibility and unboundedness are reported via the
     solution status, never raised."""
-    # --- translate variables to nonnegative internal columns: a variable is
-    # its column, plus its lower bound when that is not 0; a free one is its
-    # column minus a second one
-    col = {}    # declared var -> its column
-    neg = {}    # free var -> its second column
-    shift = {}  # var with a nonzero lower bound -> that bound
+    # --- translate variables to internal columns, each in [0, its bound]: a
+    # variable is its column, plus its lower bound when that is not 0; a free
+    # one bounded above is its bound minus its column; any other free one is
+    # its column minus a second one
+    col = {}        # declared var -> its column
+    neg = {}        # free var without an upper bound -> its second column
+    shift = {}      # var with a nonzero lower bound, or free var with an
+                    # upper bound -> that bound
+    mirror = set()  # the free vars with an upper bound
+    upper = {}      # column -> its finite upper bound as (num, den)
     ncols = 0
     for v in prob.variables:
         col[v] = ncols
         ncols += 1
-        if v in prob.lower:
-            low = prob.lower[v]
-            if low is None:
+        low = prob.lower.get(v, 0)
+        up = prob.upper.get(v)
+        if low is None:
+            if up is None:
                 neg[v] = ncols
                 ncols += 1
-            elif low:
-                shift[v] = low
+            else:
+                shift[v] = up
+                mirror.add(v)
+            continue
+        if low:
+            shift[v] = low
+        if up is not None:
+            if low:
+                up -= low
+            num, den = up.as_integer_ratio()
+            if num < 0:
+                return LPSolution(status=INFEASIBLE, value=None, assignment={})
+            upper[ncols - 1] = (num, den)
 
     def int_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
         """One row over the internal columns, right-hand side last, times the
         lcm ``scale`` of its denominators: (ints, scale). Each coefficient is
-        read once; the constant that the lower bound shifts contribute is
-        moved into the right-hand side first."""
-        for v, low in shift.items():
+        read once; the constant that the shifts contribute is moved into the
+        right-hand side first."""
+        for v, const in shift.items():
             if v in coeffs:
-                rhs -= coeffs[v] * low
+                rhs -= coeffs[v] * const
         num, scale = rhs.as_integer_ratio()
         ints = [0] * ncols + [num]
         for v, c in coeffs.items():
@@ -412,29 +540,17 @@ def solve_lp(prob: LPProblem) -> LPSolution:
             ints[col[v]] = num * (scale // den)
         for v, j in neg.items():
             ints[j] = -ints[col[v]]
+        for v in mirror:
+            ints[col[v]] = -ints[col[v]]
         return ints, scale
 
     rows = []
     for con in prob.constraints:
         ints, scale = int_row(con.coeffs, con.rhs)
         rows.append((ints, con.rel, scale))
-    # upper bounds become "<=" rows, written directly; one below its lower
-    # bound has a negative right-hand side, which phase 1 reports as infeasible
-    for v in prob.variables:
-        up = prob.upper.get(v)
-        if up is not None:
-            if v in shift:
-                up -= shift[v]
-            num, den = up.as_integer_ratio()
-            ints = [0] * (ncols + 1)
-            ints[col[v]] = den
-            if v in neg:
-                ints[neg[v]] = -den
-            ints[ncols] = num
-            rows.append((ints, "<=", den))
 
     # --- internal objective, always maximized; its right-hand side is minus
-    # the constant the lower bounds add to the objective
+    # the constant the shifts add to the objective
     negate = prob.sense == "min"
     ints, obj_scale = int_row(prob.objective, ZERO)
     obj_rhs = Fraction(ints.pop(), obj_scale)
@@ -442,7 +558,7 @@ def solve_lp(prob: LPProblem) -> LPSolution:
         ints = [-c for c in ints]
     objective = (ints, obj_scale)
 
-    outcome = _simplex_max(ncols, rows, objective)
+    outcome = _simplex_max(ncols, rows, objective, upper)
     if outcome.status != OPTIMAL:
         return LPSolution(status=outcome.status, value=None, assignment={})
 
@@ -454,6 +570,8 @@ def solve_lp(prob: LPProblem) -> LPSolution:
         x = colvals.get(col[v], ZERO)
         if v in neg:
             x -= colvals.get(neg[v], ZERO)
+        elif v in mirror:
+            x = shift[v] - x
         elif v in shift:
             x += shift[v]
         assignment[v] = x
@@ -463,7 +581,8 @@ def solve_lp(prob: LPProblem) -> LPSolution:
     value = Fraction(num, den * X)
 
     _check_feasible(prob, scaled, X)
-    _check_duals(rows, objective, outcome, -(value + obj_rhs) if negate else value + obj_rhs)
+    _check_duals(rows, objective, upper, outcome,
+                 -(value + obj_rhs) if negate else value + obj_rhs)
     return LPSolution(status=OPTIMAL, value=value, assignment=assignment)
 
 
@@ -510,27 +629,44 @@ def _check_feasible(prob: LPProblem, scaled: Mapping[str, int], X: int) -> None:
             )
 
 
-def _check_duals(rows, objective, outcome: _SimplexOutcome, value: Fraction) -> None:
-    """The multipliers are dual-feasible and y.b equals ``value``, the internal
-    objective at a feasible point (see the simplex comment block), on the
-    int rows: the multiplier of rational row k is duals[k] / den and int row
-    k is s_k times it, so with L the lcm of the s_k in use, W_k = duals[k] *
-    L / s_k weighs the int rows over one common denominator D = den * L."""
+def _check_duals(rows, objective, upper, outcome: _SimplexOutcome, value: Fraction) -> None:
+    """The multipliers have the right signs, cover every column without an
+    upper bound, and with the bound prices w_j = max(0, c_j - (y.A)_j) give
+    y.b + w.ub equal to ``value``, the internal objective at a feasible point
+    (see the simplex comment block), on the int rows: the multiplier of
+    rational row k is duals[k] / den and int row k is s_k times it, so with L
+    the lcm of the s_k in use, W_k = duals[k] * L / s_k weighs the int rows
+    over one common denominator D = den * L. ``upper`` maps each bounded
+    column to its bound (num, den)."""
     duals = outcome.duals
     for k, (y, (_, rel, _)) in enumerate(zip(duals, rows)):
         if y < 0 if rel == "<=" else y > 0 if rel == ">=" else False:
             y = Fraction(y, outcome.den)
             raise VerificationError(f"dual certificate: row {k} ({rel}) has multiplier {y}")
     used = [(y, rows[k]) for k, y in enumerate(duals) if y]
-    L = lcm(*(scale for _, (_, _, scale) in used))
+    # each * argument is a list, not a generator: a tuple built from a
+    # generator grows by resizing instead of coming from the interpreter's
+    # free list of small tuples, but is freed into it, so every call would
+    # leave one more there, up to 2,000 per length (240 KB at 12 items)
+    L = lcm(*[scale for _, (_, _, scale) in used])
     W = [y * (L // scale) for y, (_, _, scale) in used]
     D = outcome.den * L
     obj_ints, obj_scale = objective
-    columns = list(zip(*(ints for _, (ints, _, _) in used))) or [()] * (len(obj_ints) + 1)
+    columns = list(zip(*[ints for _, (ints, _, _) in used])) or [()] * (len(obj_ints) + 1)
+    # w.ub as priced / (D * obj_scale * M), M the lcm of the bounds' denominators
+    priced, M = 0, 1
     for j, (c, column) in enumerate(zip(obj_ints, columns)):
-        if sum(map(mul, W, column)) * obj_scale < c * D:
-            raise VerificationError(f"dual certificate: column {j} is not covered")
-    bound = Fraction(sum(map(mul, W, columns[-1])), D)
+        excess = c * D - sum(map(mul, W, column)) * obj_scale
+        if excess > 0:
+            if j not in upper:
+                raise VerificationError(f"dual certificate: column {j} is not covered")
+            num, den = upper[j]
+            if M % den:
+                m = den // gcd(M, den)
+                priced *= m
+                M *= m
+            priced += excess * num * (M // den)
+    bound = Fraction(sum(map(mul, W, columns[-1])) * obj_scale * M + priced, D * obj_scale * M)
     if bound != value:
         raise VerificationError(f"dual certificate: bound {bound} != value {value}")
 

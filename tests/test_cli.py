@@ -17,9 +17,11 @@ from optmech.cli import main
 from optmech.core import instance_from_json, to_lp2_params
 from optmech.lattice import canonical_solution
 from optmech.mechanism import (
+    Mechanism,
     certify_bic_ir,
     closed_form_mechanism,
     mechanism_from_json_dict,
+    mechanism_to_json_dict,
     verify_bic_ir,
 )
 from tests.test_mechanism import shaped_mechanism, zero_mechanism
@@ -58,13 +60,29 @@ def test_solve_lottery_menu(tmp_path, capsys):
     assert "violations=0" in out
 
     # emitted mechanism re-verifies cleanly when fed back through the checker
-    doc = json.loads(out_json.read_text())
+    text = out_json.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
     mech = mechanism_from_json_dict(doc)
     inst = instance_from_json(LOTTERY)
     assert verify_bic_ir(inst, mech).ok
 
     dump = lattice_out.read_text()
     assert dump.count("node=") == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mechanism_json_is_the_indented_document(n):
+    rng = random.Random(n)
+
+    def value():
+        return F(rng.randint(-30, 30), rng.randint(1, 12))
+    size = 1 << n
+    mech = Mechanism(n, [value() for _ in range(size)],
+                     [tuple(value() for _ in range(n)) for _ in range(size)],
+                     [value() for _ in range(size)], unique=False)
+    doc = mechanism_to_json_dict(mech)
+    assert cli._mechanism_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_solve_with_oracle(tmp_path, capsys):

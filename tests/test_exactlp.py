@@ -184,10 +184,6 @@ def test_solve_respects_nondefault_bounds():
     sol = solve_lp(prob)
     assert sol.value == -3
 
-    # an upper bound below a nonzero lower bound: phase 1 finds no point
-    prob = LPProblem(("x",), {"x": ONE}, "max", (), lower={"x": F(2)}, upper={"x": F(1)})
-    assert solve_lp(prob).status == "infeasible"
-
     # a free variable capped above, under both senses
     for sense, value in (("max", F(7, 2)), ("min", F(-1))):
         prob = LPProblem(
@@ -411,26 +407,26 @@ def test_pinned_vertex_lp3():
 
 def _tampered(shift=0, zero=False, dual=None):
     """`_simplex_max` with column 0 of its answer raised by ``shift``, or
-    every column set to 0 if ``zero``, and its multipliers passed through
-    ``dual``."""
+    every column set to 0 if ``zero``, and its multipliers, ints over the
+    denominator den, passed through ``dual(duals, den)``."""
     solver = exactlp._simplex_max
 
-    def run(ncols, rows, objective):
-        outcome = solver(ncols, rows, objective)
+    def run(ncols, rows, objective, upper):
+        outcome = solver(ncols, rows, objective, upper)
         colvals = {} if zero else dict(outcome.colvals)
         colvals[0] = colvals.get(0, ZERO) + shift
-        duals = dual(list(outcome.duals)) if dual else outcome.duals
+        duals = dual(list(outcome.duals), outcome.den) if dual else outcome.duals
         return exactlp._SimplexOutcome("optimal", colvals, duals, outcome.den)
     return run
 
 
-def _flip_first(duals):
+def _flip_first(duals, den):
     k = next(k for k, y in enumerate(duals) if y)
     duals[k] = -duals[k]
     return duals
 
 
-def _raise_last(duals):
+def _raise_last(duals, den):
     duals[-1] += 1
     return duals
 
@@ -461,9 +457,10 @@ def test_solve_lp_certifies_every_answer(monkeypatch, program):
 @pytest.mark.parametrize("dual", [_flip_first, _raise_last])
 def test_solve_lp_certifies_the_duals(monkeypatch, program, dual):
     # the answer is right and the multipliers are not: the first nonzero one
-    # with the wrong sign for its inequality, or the last row's (an upper
-    # bound in LP1, x <= 2 in the small program) off by one unit of their
-    # common denominator, which moves the bound y.b off the value
+    # with the wrong sign for its inequality, or the last row's raised by one
+    # unit of their common denominator: in LP1 that row is a truthfulness
+    # row, ">=", whose multiplier 0 turns positive; in the small program it
+    # is x <= 2, and the raise moves the bound y.b off the value
     prob = CERTIFIED[program]()
     assert solve_lp(prob).status == "optimal"
     monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=dual))
@@ -536,12 +533,129 @@ def test_solve_lp_proves_rows_of_translated_variables(monkeypatch, program):
         solve_lp(prob)
 
 
+# multipliers with the right signs that leave a column without an upper
+# bound short of its objective coefficient: all zero fall short of x's and
+# y's 1 in the small program; in LP1, whose q columns are bounded and priced,
+# row 0, bic({}|{1}), weighed by -1 pushes u({})'s y.A = -1 below -p({})
+UNCOVERING = {
+    "lp1": lambda duals, den: [-den] + [0] * (len(duals) - 1),
+    "small": lambda duals, den: [0] * len(duals),
+}
+
+
 @pytest.mark.parametrize("program", sorted(CERTIFIED))
 def test_solve_lp_refuses_uncovered_columns(monkeypatch, program):
-    # all-zero multipliers have the right signs, but y.A = 0 falls short of
-    # a positive objective coefficient
     prob = CERTIFIED[program]()
-    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=lambda duals: [0] * len(duals)))
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=UNCOVERING[program]))
+    with pytest.raises(VerificationError, match=r"dual certificate: column \d+ is not covered"):
+        solve_lp(prob)
+
+
+# ---------------------------------------------------------------------------
+# bounded columns: upper bounds stay bounds, never rows
+# ---------------------------------------------------------------------------
+
+def _recording_simplex(monkeypatch):
+    """Each `_simplex_max` call's (ncols, rows, objective, upper), in order."""
+    calls, solver = [], exactlp._simplex_max
+
+    def run(*args):
+        calls.append(args)
+        return solver(*args)
+    monkeypatch.setattr(exactlp, "_simplex_max", run)
+    return calls
+
+
+def _explicit(prob):
+    """``prob`` with every finite upper bound written as a "<=" row."""
+    rows = [Constraint({v: ONE}, "<=", up, name=f"ub({v})")
+            for v, up in prob.upper.items() if up is not None]
+    return replace(prob, constraints=prob.constraints + tuple(rows), upper={})
+
+
+# name: the program, its answer and the bounds of its internal columns;
+# each comment gives the steps that reach the answer
+BOUNDED = {
+    # x enters first; its own bound 1 comes before the row's ratio 3, so it
+    # flips to its bound without a pivot, and then y enters the basis at 2
+    "flip": (
+        LPProblem(("x", "y"), {"x": F(2), "y": ONE}, "max",
+                  (Constraint({"x": ONE, "y": ONE}, "<=", F(3)),), upper={"x": ONE, "y": F(5)}),
+        {"x": ONE, "y": F(2)}, {0: (1, 1), 1: (5, 1)},
+    ),
+    # y enters at 0 on the row y - x <= 0 and stays basic as y = x - s;
+    # then x enters, y rises with it and reaches its bound 1/2 before x
+    # reaches 1: y leaves at its bound, on a negative pivot entry
+    "leaves at bound": (
+        LPProblem(("x", "y"), {"y": ONE}, "max",
+                  (Constraint({"y": ONE, "x": -ONE}, "<=", ZERO),), upper={"x": ONE, "y": F(1, 2)}),
+        {"x": F(1, 2), "y": F(1, 2)}, {0: (1, 1), 1: (1, 2)},
+    ),
+    # x flips to 3/7, which scales the row by 7 to keep it integral; y
+    # then enters at 8/21, below its own bound 3/7
+    "rational bound": (
+        LPProblem(("x", "y"), {"x": ONE, "y": ONE}, "max",
+                  (Constraint({"x": F(2), "y": F(3)}, "<=", F(2)),),
+                  upper={"x": F(3, 7), "y": F(3, 7)}),
+        {"x": F(3, 7), "y": F(8, 21)}, {0: (3, 7), 1: (3, 7)},
+    ),
+    # p is free below and at most 5/2: one column p' = 5/2 - p >= 0 with no
+    # bound of its own, not a split pair; z in [-1, 4] is z' in [0, 5]; p'
+    # enters and runs p down to the row
+    "free below": (
+        LPProblem(("p", "z"), {"p": ONE, "z": ONE}, "min",
+                  (Constraint({"p": ONE, "z": F(1, 2)}, ">=", F(-3)),),
+                  lower={"p": None, "z": F(-1)}, upper={"p": F(5, 2), "z": F(4)}),
+        {"p": F(-5, 2), "z": F(-1)}, {1: (5, 1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("program", sorted(BOUNDED))
+def test_bounded_columns_reach_the_explicit_optimum(monkeypatch, program):
+    prob, answer, bounds = BOUNDED[program]
+    calls = _recording_simplex(monkeypatch)
+    sol = solve_lp(prob)
+    assert (sol.status, sol.assignment) == ("optimal", answer)
+    # one column per variable, one row per constraint: no bound became a row
+    [(ncols, rows, _, upper)] = calls
+    assert (ncols, len(rows), upper) == (len(prob.variables), len(prob.constraints), bounds)
+    assert solve_lp(_explicit(prob)).value == sol.value
+
+
+def test_simplex_flips_and_leaves_at_bounds():
+    # the pinned programs in `_simplex_max`'s own terms: column values, and
+    # row multipliers over den; the bounds are priced by `_check_duals`
+    flip = exactlp._simplex_max(2, [([1, 1, 3], "<=", 1)], ([2, 1], 1), {0: (1, 1), 1: (5, 1)})
+    assert flip.colvals == {0: ONE, 1: F(2)}
+    assert [F(y, flip.den) for y in flip.duals] == [ONE]
+    at_bound = exactlp._simplex_max(2, [([-1, 1, 0], "<=", 1)], ([0, 1], 1), {0: (1, 1), 1: (1, 2)})
+    assert at_bound.colvals == {0: F(1, 2), 1: F(1, 2)}
+    assert [F(y, at_bound.den) for y in at_bound.duals] == [ZERO]
+
+
+def test_solve_lp_refuses_a_bound_below_its_lower_bound(monkeypatch):
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(exactlp, "_simplex_max", no_simplex)
+    for low, up in ((F(2), F(1)), (F(-1, 3), F(-1, 2)), (3, 2)):
+        prob = LPProblem(("x", "y"), {"x": ONE}, "max", (Constraint({"y": ONE}, "<=", ONE),),
+                         lower={"x": low}, upper={"x": up})
+        assert solve_lp(prob) == exactlp.LPSolution("infeasible", None, {})
+
+
+def test_solve_lp_prices_the_bounds(monkeypatch):
+    # LP1's q columns are bounded by 1 and their objective coefficients are
+    # positive; a certificate that does not price the bounds leaves them
+    # uncovered
+    prob = build_lp1(PINNED_LP1)
+    assert solve_lp(prob).value == F(4133, 1200)
+    check = exactlp._check_duals
+
+    def unpriced(rows, objective, upper, outcome, value):
+        check(rows, objective, {}, outcome, value)
+    monkeypatch.setattr(exactlp, "_check_duals", unpriced)
     with pytest.raises(VerificationError, match=r"dual certificate: column \d+ is not covered"):
         solve_lp(prob)
 
@@ -641,7 +755,7 @@ def test_redundant_equality_row_dropped_with_zero_dual():
     )
     sol = solve_lp(prob)
     assert (sol.status, sol.value, sol.assignment) == ("optimal", 1, {"x": ONE, "y": ZERO})
-    outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1))
+    outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1), {})
     assert (outcome.status, outcome.colvals) == ("optimal", {0: ONE})
     assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 

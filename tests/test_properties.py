@@ -18,7 +18,9 @@ tiny bounded programs, its dual multipliers certifying its optimum. Its
 integer feasibility proof accepts every optimum, whose value is the
 `Fraction` sum c.x, and refuses a nudged answer exactly when a `Fraction`
 check does, with the same message, free and shifted variables included.
-The full revenue program solved by constraint generation has the optimum of
+With upper bounds kept as bounds it reaches the status and value of the
+same program with every bound written as a row, degenerate programs with
+zero right-hand sides and tied ratios included. The full revenue program solved by constraint generation has the optimum of
 the whole program."""
 
 import json
@@ -62,7 +64,7 @@ from optmech import (
 )
 from optmech.exactlp import _LP1Frame, _check_feasible, _simplex_max
 from optmech.reduction import _dyadic_between
-from tests.test_exactlp import vertex_enumeration_max
+from tests.test_exactlp import _explicit, vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
 
 # exact arithmetic on a shared machine: no per-example deadline
@@ -553,7 +555,7 @@ def test_simplex_duals_certify_optimum(case):
     for coeffs, rel, rhs in rows:
         ints, scale = scaled([*coeffs, rhs])
         int_rows.append((ints, rel, scale))
-    outcome = _simplex_max(nvars, int_rows, scaled(objective))
+    outcome = _simplex_max(nvars, int_rows, scaled(objective), {})
     if outcome.status == "infeasible":
         return
     assert outcome.status == "optimal"
@@ -642,3 +644,31 @@ def test_int_feasibility_proof_matches_fraction_check(prob, data):
     v = data.draw(st.sampled_from(prob.variables))
     nudged[v] += F(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(1, 12)))
     assert int_refusal(prob, nudged) == fraction_refusal(prob, nudged)
+
+
+@st.composite
+def degenerate_programs(draw):
+    """2-4 nonnegative variables, most of them bounded above by one of a few
+    small values, 0 included, and 1-4 rows of any relation with coefficients
+    in -2..2 and right-hand side 0 or 1: many steps of length 0 and many
+    tied ratios, which the tie rule decides."""
+    names = [f"x{j}" for j in range(draw(st.integers(2, 4)))]
+    bound = st.sampled_from((F(0), F(1, 2), F(1), F(2)))
+    upper = {v: draw(bound) for v in names if draw(st.integers(0, 3))}
+    coefficient = st.builds(F, st.integers(-2, 2))
+    rows = [
+        Constraint({v: draw(coefficient) for v in names},
+                   draw(st.sampled_from(("<=", ">=", "="))), draw(st.sampled_from((F(0), F(1)))),
+                   name=f"r{k}")
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    objective = {v: draw(coefficient) for v in names}
+    return LPProblem(names, objective, draw(st.sampled_from(("max", "min"))), rows, upper=upper)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(translated_programs(), degenerate_programs()))
+def test_bounded_columns_match_bound_rows(prob):
+    # both answers passed `solve_lp`'s certificate, which raises otherwise
+    sol, explicit = solve_lp(prob), solve_lp(_explicit(prob))
+    assert (sol.status, sol.value) == (explicit.status, explicit.value)
