@@ -171,12 +171,12 @@ def _q_tuple(values) -> str:
 
 
 def _closed_form(inst: OMDInstance, report: RunReport):
-    """Parameters at kappa = 1 -> greedy flow -> closed-form mechanism,
-    certified against every BIC/IR constraint; the row summary goes on the
-    report, or the certificate's first failing row on the raised error. An
-    instance past the lattice guard is refused before any of that work."""
+    """Parameters -> greedy flow -> closed-form mechanism, certified against
+    every BIC/IR constraint; the row summary goes on the report, or the
+    certificate's first failing row on the raised error. An instance past
+    the lattice guard is refused before any of that work."""
     check_guard(inst.n, LATTICE_GUARD, "lattice guard")
-    params = to_lp2_params(inst, ONE)
+    params = to_lp2_params(inst)
     flow = canonical_solution(params)
     mech = closed_form_mechanism(inst, flow)
     check = certify_bic_ir(inst, mech)
@@ -324,7 +324,7 @@ def cmd_examples(args) -> RunReport:
     # Uniform {1,2} x {1,3}: the optimal menu prices the bundle at 4 and a
     # (1, 1/2) lottery at 5/2; revenue 21/8.
     inst = _example_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst, ONE)))
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst)))
     full = 0b11
     lottery_type = 0b01  # item 1 high, item 2 low
     menu_ok = (

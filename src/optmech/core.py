@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
@@ -200,14 +200,23 @@ def subset_probs(p: Sequence[Fraction]) -> list[Fraction]:
     return subset_products([(pi, ONE - pi) for pi in p])
 
 
+def scaled_subset_probs(p: Sequence[Fraction]) -> tuple[list[int], int]:
+    """`subset_probs` times scale = prod_i den(p_i), as ints, and scale:
+    probs[S] is the product of num(p_i) over S and den(p_i) - num(p_i) off S."""
+    probs = subset_products([(pi.numerator, pi.denominator - pi.numerator) for pi in p])
+    return probs, prod(pi.denominator for pi in p)
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
 
 def _check_vectors(obj, fields: tuple[str, ...]) -> None:
-    """Checks shared by `OMDInstance` and `LP2Params`: n >= 1, each vector
-    field coerced to a tuple of n `Fraction` entries, every d_i > 0 and every
-    p_i in (0,1)."""
+    """Checks shared by `OMDInstance` and `LP2Params`: n an int >= 1, each
+    vector field coerced to a tuple of n `Fraction` entries, every d_i > 0
+    and every p_i in (0,1)."""
+    if not isinstance(obj.n, int) or isinstance(obj.n, bool):
+        raise InputError(f"n: expected an integer, got {obj.n!r}")
     if obj.n < 1:
         raise InputError(f"n: must be >= 1, got {obj.n}")
     for field in fields:
@@ -252,11 +261,11 @@ class OMDInstance:
 class LP2Params:
     """Parameters (x, B, d, p) of the relaxed program / lattice flow problem.
 
-    ``kappa`` is not stored: the identities defining the parameter map force
-    ``kappa == B - sum_i p_i x_i`` whenever an instance is attached, so it is
-    exposed as a derived property. It may be <= 0 for parameter vectors that
-    do not correspond to any instance (those are still legal inputs for the
-    LP builders, e.g. to witness infeasibility).
+    ``kappa`` is not stored: the parameter map's identities force ``kappa ==
+    B - sum_i p_i x_i`` when an instance is attached, so it is derived: 1
+    after `to_lp2_params`, and other values for the reduction's parameters.
+    It may be <= 0 for parameter vectors that do not correspond to any
+    instance (still legal LP builder inputs, e.g. to witness infeasibility).
     """
 
     n: int
@@ -292,30 +301,28 @@ def type_vectors(inst: OMDInstance) -> list[tuple[Fraction, ...]]:
     return vecs
 
 
-def to_lp2_params(inst: OMDInstance, kappa: Fraction) -> LP2Params:
-    """Map an instance to relaxed-program parameters at scale kappa > 0:
+def to_lp2_params(inst: OMDInstance) -> LP2Params:
+    """Map an instance to relaxed-program parameters at kappa = 1:
 
-        B = kappa * (1 + sum_i a_i/d_i)    x_i = kappa * a_i / (p_i d_i)
+        B = 1 + sum_i a_i/d_i    x_i = a_i / (p_i d_i)
 
-    Requires every a_i > 0 (so that every x_i > 0).
+    Requires every a_i > 0 (so that every x_i > 0); no answer depends on kappa.
     """
-    if kappa <= 0:
-        raise PreconditionError(f"kappa must be > 0, got {format_rational(kappa)}")
     for i, ai in enumerate(inst.a, start=1):
         if ai == 0:
             raise PreconditionError(
                 f"a: entry {i} is 0; the structured pipeline requires a_i > 0"
             )
-    B = kappa * (ONE + sum((ai / di for ai, di in zip(inst.a, inst.d)), ZERO))
-    x = tuple(kappa * ai / (pi * di) for ai, di, pi in zip(inst.a, inst.d, inst.p))
+    B = ONE + sum((ai / di for ai, di in zip(inst.a, inst.d)), ZERO)
+    x = tuple(ai / (pi * di) for ai, di, pi in zip(inst.a, inst.d, inst.p))
     return LP2Params(n=inst.n, x=x, B=B, d=inst.d, p=inst.p)
 
 
 def from_lp2_params(params: LP2Params) -> tuple[OMDInstance, Fraction]:
     """Invert the parameter map: kappa = B - sum p_i x_i, a_i = p_i d_i x_i / kappa.
 
-    Requires B > sum p_i x_i strictly; round-tripping through `to_lp2_params`
-    with the returned kappa reproduces (x, B) exactly.
+    Requires B > sum p_i x_i strictly; `to_lp2_params` of the returned
+    instance, with x and B times kappa, reproduces (x, B) exactly.
     """
     kappa = params.kappa
     if kappa <= 0:

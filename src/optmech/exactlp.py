@@ -57,7 +57,6 @@ from .core import (
     over_common_denominator,
     subset_label,
     subset_probs,
-    type_vectors,
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
@@ -708,7 +707,6 @@ class _LP1Frame:
         check_lp1_guard(n)
         self.d = inst.d
         types = range(1 << n)
-        vec = type_vectors(inst)
         prob_of = subset_probs(inst.p)
         # every name and label once per mask, not once per pair of types
         self.labels = [subset_label(S) for S in types]
@@ -716,14 +714,16 @@ class _LP1Frame:
         self.q = q = [[q_var(i, S) for i in range(n)] for S in types]
         # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for
         # i in S, d_i for i in T
-        self.q_coeff = [[d if T >> i & 1 else -d for i, d in enumerate(inst.d)] for T in types]
+        self.row_weights = [(-di, di) for di in inst.d]
         self.variables = tuple(u + [name for qS in q for name in qS])
+        # type S values item i at a_i, or a_i + d_i when i is in S
+        values = [(ai, ai + di) for ai, di in zip(inst.a, inst.d)]
         self.objective = {}
         for S in types:
             pS = prob_of[S]
             self.objective[u[S]] = -pS
-            for name, vi in zip(q[S], vec[S]):
-                self.objective[name] = pS * vi
+            for i, name in enumerate(q[S]):
+                self.objective[name] = pS * values[i][S >> i & 1]
         self.upper = {name: ONE for qS in q for name in qS}
 
     def bic(self, S: Subset, T: Subset) -> Constraint:
@@ -731,9 +731,9 @@ class _LP1Frame:
         (v_S,i - v_T,i) q_i(T) >= 0."""
         coeffs = {self.u[S]: ONE, self.u[T]: -ONE}
         D = S ^ T
-        for i, (name, c) in enumerate(zip(self.q[T], self.q_coeff[T])):
+        for i, (name, weights) in enumerate(zip(self.q[T], self.row_weights)):
             if D >> i & 1:
-                coeffs[name] = c
+                coeffs[name] = weights[T >> i & 1]
         return Constraint(coeffs, ">=", ZERO, name=f"bic({self.labels[S]}|{self.labels[T]})")
 
     def problem(self, constraints: list[Constraint]) -> LPProblem:

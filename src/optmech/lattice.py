@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop
-from math import prod
 from typing import Sequence
 
 from .core import (
@@ -34,9 +33,9 @@ from .core import (
     ZERO,
     format_rational,
     over_common_denominator,
+    scaled_subset_probs,
     subset_label,
     subset_probs,
-    subset_products,
     subset_sums,
 )
 from .errors import PreconditionError
@@ -168,12 +167,9 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     Requires the single-positive-node property and feasibility
     sum(p_i x_i) <= B, which the fill checks: all balances sum to
     sum(p_i x_i) - B, so supply is left once every sink is full exactly when
-    it fails. The greedy runs on ints: costs are scaled by the lcm of d's
-    denominators, and balances p(S) * (x(S) - B) by prod(den p_i) times the
-    lcm of the denominators of x and B, with p(S) * prod(den p_i) the
-    product of num p_i over S and den p_i - num p_i off S. The flow keeps
-    the scaled intakes; supply and total cost are divided back once,
-    exactly, at the end.
+    it fails. The greedy runs on the ints the module docstring describes,
+    p(S) * prod(den p_i) from `scaled_subset_probs`; the flow keeps the
+    scaled intakes, and supply and total cost are divided back once, exactly.
     """
     n = params.n
     full = (1 << n) - 1
@@ -195,10 +191,8 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
     costs = subset_sums(D)[::-1]
     (B, *X), weight_scale = over_common_denominator([params.B, *params.x])
     weights = subset_sums(X)
-    probs = subset_products(
-        [(pi.numerator, pi.denominator - pi.numerator) for pi in params.p]
-    )
-    balance_scale = weight_scale * prod(pi.denominator for pi in params.p)
+    probs, prob_scale = scaled_subset_probs(params.p)
+    balance_scale = weight_scale * prob_scale
     supply = probs[full] * (weights[full] - B)
     # sinks pop in (cost, mask) order, and only as many as the supply fills
     sinks = list(zip(costs, range(full)))

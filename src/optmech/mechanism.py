@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -53,8 +52,8 @@ from .core import (
     format_rational,
     over_common_denominator,
     parse_rational,
+    scaled_subset_probs,
     subset_label,
-    subset_products,
     subset_sums,
     subset_to_list,
 )
@@ -257,7 +256,7 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     u, q, d = mech.u, mech.q, inst.d
     U, Lu = over_common_denominator(u)
     columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
-    Q = list(zip(*(column for column, _ in columns)))
+    Q = list(zip(*[column for column, _ in columns]))
     items = [
         (i, Lq, Lq * di.denominator, di.numerator * Lu)
         for i, ((_, Lq), di) in enumerate(zip(columns, d))
@@ -318,14 +317,12 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
     """sum_S p(S) * tau(S), as one int dot product: p(S) * prod(den p_i) from
-    `subset_products` on the p_i's numerators and denominators, and tau
-    over the lcm of its denominators."""
+    `scaled_subset_probs`, and tau over the lcm of its denominators."""
     if mech.n != inst.n:
         raise PreconditionError("mechanism and instance disagree on the item count")
     tau, L = over_common_denominator(mech.tau)
-    p = inst.p
-    probs = subset_products([(pi.numerator, pi.denominator - pi.numerator) for pi in p])
-    return Fraction(sum(map(mul, probs, tau)), L * prod(pi.denominator for pi in p))
+    probs, scale = scaled_subset_probs(inst.p)
+    return Fraction(sum(map(mul, probs, tau)), L * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_criterion_1_worked_examples():
     assert t2 - t1 < 1.0
 
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery, ONE)))
+    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery)))
     assert mech.tau[mask(1, 2)] == 4
     assert mech.q[mask(1)] == (ONE, F(1, 2))
     assert mech.tau[mask(1)] == F(5, 2)
@@ -289,7 +289,7 @@ def test_criterion_6_budgeted_suite():
 def test_criterion_7_sampling():
     t0 = time.perf_counter()
     lottery = make_instance([1, 1], [1, 2], [(1, 2), (1, 2)])
-    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery, ONE)))
+    mech = closed_form_mechanism(lottery, canonical_solution(to_lp2_params(lottery)))
     reported = mask(1)  # the type with valuation (2, 1)
     assert mech.q[reported] == (ONE, F(1, 2))
 

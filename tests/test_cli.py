@@ -289,7 +289,7 @@ def test_solve_menu_value_past_digit_limit_exit_2(tmp_path, capsys):
               for _ in range(2)]
     text = json.dumps({"n": 2, "a": values, "d": values, "p": ["1/2", "1/2"]})
     inst = instance_from_json(text)
-    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst, F(1))))
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst)))
     assert certify_bic_ir(inst, mech).ok
     assert max(v.denominator for v in mech.tau) >= 10**DIGIT_LIMIT
     instance = write(tmp_path, "inst.json", text)

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -174,17 +175,23 @@ def test_type_vector_monotone():
 # parameter maps
 # ---------------------------------------------------------------------------
 
+def at_scale(params, kappa):
+    """``params`` with x and B multiplied by kappa: the parameter map at
+    scale kappa when ``params`` is at kappa = 1."""
+    return replace(params, x=tuple(kappa * xi for xi in params.x), B=kappa * params.B)
+
+
 def test_to_lp2_params_examples():
-    params = to_lp2_params(LOTTERY, F(2))
+    params = at_scale(to_lp2_params(LOTTERY), F(2))
     assert params.x == (F(4), F(2))
     assert params.B == F(5)
 
-    params = to_lp2_params(UNIFORM, F(1))
+    params = to_lp2_params(UNIFORM)
     assert params.x == (F(2), F(2))
     assert params.B == F(3)
 
     inst = make_instance([(1, 2), (3, 2)], [1, 2], [(1, 2), (1, 2)])
-    params = to_lp2_params(inst, F(2))
+    params = at_scale(to_lp2_params(inst), F(2))
     assert params.x == (F(2), F(3))
     assert params.B == F(9, 2)
     # defining identities hold exactly
@@ -194,11 +201,9 @@ def test_to_lp2_params_examples():
 
 
 def test_to_lp2_params_rejects():
-    with pytest.raises(PreconditionError):
-        to_lp2_params(UNIFORM, F(0))
     zero_low = make_instance([0, 1], [1, 1], [(1, 2), (1, 2)])
     with pytest.raises(PreconditionError):
-        to_lp2_params(zero_low, F(1))
+        to_lp2_params(zero_low)
 
 
 def test_from_lp2_params_examples():
@@ -227,12 +232,12 @@ def test_parameter_round_trip_randomized():
             [F(rng.randint(1, 11), 12) for _ in range(n)],
         )
         kappa = F(rng.randint(1, 9), rng.randint(1, 9))
-        params = to_lp2_params(inst, kappa)
+        params = at_scale(to_lp2_params(inst), kappa)
         assert params.kappa == kappa
         back, kappa_back = from_lp2_params(params)
         assert kappa_back == kappa
         assert back == inst
-        again = to_lp2_params(back, kappa_back)
+        again = at_scale(to_lp2_params(back), kappa_back)
         assert again.x == params.x and again.B == params.B
 
 
@@ -249,6 +254,16 @@ def test_instance_validation():
         make_instance([-1], [1], [(1, 2)])  # a must be nonnegative
     with pytest.raises(InputError):
         OMDInstance(n=2, a=(F(1),), d=(F(1), F(1)), p=(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+def test_instance_and_parameters_require_int_n(n):
+    # a float or bool n would reach `1 << n` in the greedy; refuse it first
+    ones, halves = (F(1), F(1)), (F(1, 2), F(1, 2))
+    with pytest.raises(InputError, match=rf"^n: expected an integer, got {n!r}$"):
+        OMDInstance(n=n, a=ones, d=ones, p=halves)
+    with pytest.raises(InputError, match=rf"^n: expected an integer, got {n!r}$"):
+        LP2Params(n=n, x=ones, B=F(3), d=ones, p=halves)
 
 
 @pytest.mark.parametrize("field", ["x", "d", "p"])

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -16,15 +17,19 @@ from optmech import (
     build_lp1,
     build_lp2,
     build_lp3,
+    canonical_solution,
     dump_problem,
     edge_var,
+    instance_to_json,
     q_var,
     solve_lp,
     solve_lp1,
+    to_lp2_params,
     u_var,
     unique_optimum,
 )
 from optmech import budgeted, exactlp
+from optmech.cli import main
 from tests.test_core import make_instance
 
 ZERO, ONE = F(0), F(1)
@@ -350,6 +355,28 @@ def test_solve_lp1_refuses_a_replay_that_breaks_a_held_row(monkeypatch):
     monkeypatch.setattr(exactlp._LP1Frame, "violated", lambda frame, assignment: [(0, 1)])
     with pytest.raises(VerificationError, match="truthfulness row the program holds"):
         solve_lp1(TWO_ROUND_LP1)
+
+
+def test_lp1_oracle_never_reads_scaled_subset_probs(monkeypatch, tmp_path, capsys):
+    # the oracle checks the closed form's revenue, so it must not share the
+    # int p(S) table that `expected_revenue` and the greedy read
+    def refuse(p):
+        raise AssertionError("scaled_subset_probs called")
+
+    importers = [module for name, module in sys.modules.items()
+                 if name.startswith("optmech") and hasattr(module, "scaled_subset_probs")]
+    assert {"optmech.core", "optmech.lattice", "optmech.mechanism"} <= {
+        module.__name__ for module in importers}
+    for module in importers:
+        monkeypatch.setattr(module, "scaled_subset_probs", refuse)
+    with pytest.raises(AssertionError, match="scaled_subset_probs called"):
+        canonical_solution(to_lp2_params(PINNED_LP1))
+    assert solve_lp1(PINNED_LP1).value == F(4133, 1200)
+    assert len(build_lp1(PINNED_LP1).constraints) == 56
+    instance = tmp_path / "inst.json"
+    instance.write_text(instance_to_json(PINNED_LP1))
+    assert main(["solve", str(instance), "--oracle-only"]) == 0
+    assert "oracle optimal revenue: 4133/1200" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

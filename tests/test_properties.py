@@ -64,6 +64,7 @@ from optmech import (
 )
 from optmech.exactlp import _LP1Frame, _check_feasible, _simplex_max
 from optmech.reduction import _dyadic_between
+from tests.test_core import at_scale
 from tests.test_exactlp import _explicit, vertex_enumeration_max
 from tests.test_mechanism import assert_certificate_agrees, shaped_mechanism
 
@@ -134,7 +135,7 @@ def test_index_list_round_trip(case):
 @exact
 @given(instances(low=positive), positive)
 def test_parameter_map_round_trip(inst, kappa):
-    assert from_lp2_params(to_lp2_params(inst, kappa)) == (inst, kappa)
+    assert from_lp2_params(at_scale(to_lp2_params(inst), kappa)) == (inst, kappa)
 
 
 # parts of up to 300 decimal digits, either sign, zero and integers included
@@ -449,8 +450,8 @@ def test_menu_and_fill_do_not_depend_on_kappa(params, kappa):
     # the fill order, S* and the menu stay, and the flow's amounts scale
     assume(params.kappa > 0)
     inst, _ = from_lp2_params(params)
-    base = canonical_solution(to_lp2_params(inst, F(1)))
-    flow = canonical_solution(to_lp2_params(inst, kappa))
+    base = canonical_solution(to_lp2_params(inst))
+    flow = canonical_solution(at_scale(to_lp2_params(inst), kappa))
     assert (flow.fill_order, flow.partially_filled) == (base.fill_order, base.partially_filled)
     assert (flow.supply, flow.total_cost) == (kappa * base.supply, kappa * base.total_cost)
     assert flow.absorbed == {S: kappa * v for S, v in base.absorbed.items()}
