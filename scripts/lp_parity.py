@@ -53,7 +53,12 @@ to write, with the temporary directory's path replaced by `{tmp}`:
   * cli-sample  -- `sample` of one single-positive instance at n = 5 for
                   each reported type in SAMPLE_TYPES;
   * cli-files   -- `solve --json-out --dump-lattice` of the same instance,
-                  both written files included;
+                  both written files included; `solve --json-out` of one
+                  single-positive instance at n = FILES_N, its 1,024-entry
+                  menu document included; and `solve` of the two-item
+                  instance whose prices pass the interpreter's int/str
+                  digit limit (`digit_limit_doc`), refused with exit code 2
+                  and its message;
   * cli-general -- `solve` on GENERAL_REFUSALS general instances drawn by
                   `general_doc`, most of them refused with exit code 2.
 
@@ -93,6 +98,7 @@ BOUNDED_CASES = 300
 CLI_OPS = 100
 SAMPLE_TYPES = ("-", "1", "1,3", "2,4,5")
 GENERAL_REFUSALS = 30
+FILES_N = 10
 
 
 class Recorder:
@@ -206,6 +212,18 @@ def bounded_program(rng: random.Random) -> LPProblem:
                      lower=lower, upper=upper)
 
 
+def digit_limit_doc() -> dict:
+    """Two items with a_i = d_i, denominators of half the interpreter's
+    int/str digit limit plus 40 digits: the menu certifies, but a price's
+    denominator has about twice that many digits, so printing it refuses.
+    The same draw as the CLI test of that refusal."""
+    rng = random.Random(5)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() // 2 + 40
+    values = [f"{rng.randrange(1, 10**6)}/{rng.randrange(10**(digits - 1), 10**digits) | 1}"
+              for _ in range(2)]
+    return {"n": 2, "a": values, "d": values, "p": ["1/2", "1/2"]}
+
+
 def pool(workload: str, seed: int, count: int):
     """The first ``count`` (doc, argv) of the workload's perfbench pool."""
     make = inputs.GENERATORS[workload]
@@ -256,10 +274,13 @@ def run(seed: int) -> None:
     families["cli-sample"] = [
         (doc, ["sample", "{path}", "--type", t, "--seed", str(seed)]) for t in SAMPLE_TYPES
     ]
-    families["cli-files"] = [(doc, [
-        "solve", "{path}", "--json-out", "{tmp}/mechanism.json",
-        "--dump-lattice", "{tmp}/lattice.txt",
-    ])]
+    families["cli-files"] = [
+        (doc, ["solve", "{path}", "--json-out", "{tmp}/mechanism.json",
+               "--dump-lattice", "{tmp}/lattice.txt"]),
+        (inputs.instance_doc(random.Random(f"cli-files:{seed}"), FILES_N),
+         ["solve", "{path}", "--json-out", "{tmp}/mechanism.json"]),
+        (digit_limit_doc(), ["solve", "{path}"]),
+    ]
     general = random.Random(f"cli-general:{seed}")
     families["cli-general"] = [
         (general_doc(general, 2 + i % 5), ["solve", "{path}"])

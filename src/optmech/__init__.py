@@ -60,6 +60,7 @@ from .mechanism import (
     is_monotone_supermodular,
     mechanism_from_json_dict,
     mechanism_to_json_dict,
+    price_menu,
     sample_allocation,
     verify_bic_ir,
 )

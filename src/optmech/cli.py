@@ -53,6 +53,7 @@ from .mechanism import (
     closed_form_mechanism,
     expected_revenue,
     mechanism_to_json_dict,
+    menu_strings,
     sample_allocation,
 )
 from .reduction import (
@@ -166,8 +167,8 @@ def _mechanism_json(doc: dict) -> str:
     return f'{{\n  "n": {_ENTRY_VALUE(doc["n"])},\n  "menu": [\n    {menu}\n  ]\n}}\n'
 
 
-def _q_tuple(values) -> str:
-    return "(" + ", ".join(map(format_rational, values)) + ")"
+def _tuple_text(texts) -> str:
+    return "(" + ", ".join(texts) + ")"
 
 
 def _closed_form(inst: OMDInstance, report: RunReport):
@@ -221,9 +222,10 @@ def cmd_solve(args) -> RunReport:
     params, flow, mech = _closed_form(inst, report)
     revenue = expected_revenue(inst, mech)
 
+    # each value is formatted once, for the menu and the --json-out document
+    strings = u, q, tau = menu_strings(mech)
     menu_lines = [
-        f"  type {label:<12} u={format_rational(mech.u[S]):<8} "
-        f"q={_q_tuple(mech.q[S]):<20} price={format_rational(mech.tau[S])}"
+        f"  type {label:<12} u={u[S]:<8} q={_tuple_text(q[S]):<20} price={tau[S]}"
         for S, label in types_by_size(inst.n)
     ]
     report.outputs["menu"] = "\n" + "\n".join(menu_lines)
@@ -245,7 +247,7 @@ def cmd_solve(args) -> RunReport:
         _write_text(args.dump_lattice, dump_lattice(params, flow))
         report.outputs["lattice dump"] = args.dump_lattice
     if args.json_out:
-        _write_text(args.json_out, _mechanism_json(mechanism_to_json_dict(mech)))
+        _write_text(args.json_out, _mechanism_json(mechanism_to_json_dict(mech, strings)))
         report.outputs["mechanism json"] = args.json_out
 
     return report
@@ -271,8 +273,8 @@ def cmd_reduce(args) -> RunReport:
         report.outputs["collection C"] = "(" + ", ".join(str(c) for c in C) + ")"
         report.outputs["query"] = f"S={subset_label(S)} k={k}"
         report.outputs["p~"] = format_rational(out.p_tilde)
-        report.outputs["d"] = _q_tuple(out.params.d)
-        report.outputs["x"] = _q_tuple(out.params.x)
+        report.outputs["d"] = _tuple_text(map(format_rational, out.params.d))
+        report.outputs["x"] = _tuple_text(map(format_rational, out.params.x))
         report.outputs["B"] = format_rational(out.params.B)
         report.outputs["target node T*"] = subset_label(out.target_T_star)
         report.outputs["probe type"] = subset_label(out.probe_type)

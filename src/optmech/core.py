@@ -1,17 +1,19 @@
 """Exact-arithmetic foundations: rationals, item subsets, instances, parameters.
 
-Every quantity in this package is a `fractions.Fraction`; there is no floating
-point anywhere. The paper numbers items 1..n; inside the package every item
-index is 0-based: item ``i`` is bit ``i`` of a mask and entry ``i`` of a
-per-item vector. A bidder *type* is the set of items she values high,
-represented as an int mask; the 2^n types of an instance are
-``range(1 << n)``, and per-type quantities are lists indexed by mask.
-Integer masks order types lexicographically (the larger top element sorts
-later). Item numbers are 1-based only where they are printed: in labels,
-variable and row names, and messages. `check_subset` turns a 1-based index
-list into a mask, and `subset_to_list` / `subset_label` turn a mask back for
-output; `types_by_size` lists every mask with its label in the order `solve`
-prints its menu.
+Every quantity in this package is exact: a `fractions.Fraction`, or ints
+over a stated int scale; there is no floating point anywhere. The paper
+numbers items 1..n; inside the package every item index is 0-based: item
+``i`` is bit ``i`` of a mask and entry ``i`` of a per-item vector. A bidder
+*type* is the set of items she values high, represented as an int mask; the
+2^n types of an instance are ``range(1 << n)``, and per-type quantities are
+lists indexed by mask. Integer masks order types lexicographically (the
+larger top element sorts later). Item numbers are 1-based only where they
+are printed: in labels, variable and row names, and messages.
+`check_subset` turns a 1-based index list into a mask, and `subset_to_list`
+/ `subset_label` turn a mask back for output; `types_by_size` lists every
+mask with its label in the order `solve` prints its menu, built once per n.
+`format_ratio` writes every rational the package prints, from a `Fraction`
+(`format_rational`) or an int pair.
 
 An instance is the triple of per-item low values ``a``, increments ``d`` and
 high-value probabilities ``p``: item ``i`` is worth ``a[i]`` with probability
@@ -28,9 +30,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
 
@@ -69,15 +72,30 @@ def parse_rational(value, field: str = "value") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize exactly: "9/2" or, for integers, just "4" (`Fraction`'s own
-    ``str``, so a printed `solve` menu costs one conversion per value).
+    """Serialize exactly: "9/2" or, for integers, just "4", as `Fraction`'s
+    own ``str`` writes it, through `format_ratio`."""
+    return format_ratio(value.numerator, value.denominator)
 
-    A numerator or denominator with more decimal digits than the
-    interpreter's int/str conversion limit makes ``str`` raise `ValueError`,
-    which becomes a `PreconditionError` naming the limit.
+
+def format_ratio(num: int, den: int) -> str:
+    """The wire text of the rational num/den, den > 0, without building a
+    `Fraction`: the pair is reduced by one gcd, and 0 and 1 skip even that.
+    Every rational the package prints goes through here.
+
+    A part with more decimal digits than the interpreter's int/str
+    conversion limit makes ``str`` raise `ValueError`, which becomes a
+    `PreconditionError` naming the limit.
     """
+    if not num:
+        return "0"
+    if num == den:
+        return "1"
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise PreconditionError(
             f"a rational with more than {sys.get_int_max_str_digits()} decimal "
@@ -87,8 +105,9 @@ def format_rational(value: Fraction) -> str:
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm L of their denominators, as ints, and L. The
-    greedy, the closed-form menu, its certificate and revenue, and
-    `solve_lp`'s proof of its answer all turn rationals into ints here."""
+    greedy, the closed-form menu's prices, `Mechanism.from_fractions`, the
+    int truthfulness replay and `solve_lp`'s proof of its answer all turn
+    rationals into ints here."""
     pairs = [v.as_integer_ratio() for v in values]
     L = lcm(*{den for _, den in pairs})
     return [num * (L // den) for num, den in pairs], L
@@ -161,15 +180,18 @@ def subset_label(S: Subset) -> str:
     return _label(map(str, subset_to_list(S)))
 
 
-def types_by_size(n: int) -> Iterator[tuple[Subset, str]]:
+@cache
+def types_by_size(n: int) -> tuple[tuple[Subset, str], ...]:
     """Every mask over items 1..n with its `subset_label`, ordered by size and
     then by ascending index list: "{}", "{1}", ..., "{n}", "{1,2}", ...
-    Mask and label come from the same index tuple, so nothing is sorted."""
+    Mask and label come from the same index tuple, so nothing is sorted;
+    the order is built once per n."""
     bits = [1 << i for i in range(n)]
     names = [str(i + 1) for i in range(n)]
-    for k in range(n + 1):
-        for items in combinations(range(n), k):
-            yield sum(map(bits.__getitem__, items)), _label(map(names.__getitem__, items))
+    return tuple([
+        (sum(map(bits.__getitem__, items)), _label(map(names.__getitem__, items)))
+        for k in range(n + 1) for items in combinations(range(n), k)
+    ])
 
 
 def subset_sums(values: Sequence) -> list:
@@ -314,7 +336,7 @@ def to_lp2_params(inst: OMDInstance) -> LP2Params:
                 f"a: entry {i} is 0; the structured pipeline requires a_i > 0"
             )
     B = ONE + sum((ai / di for ai, di in zip(inst.a, inst.d)), ZERO)
-    x = tuple(ai / (pi * di) for ai, di, pi in zip(inst.a, inst.d, inst.p))
+    x = tuple([ai / (pi * di) for ai, di, pi in zip(inst.a, inst.d, inst.p)])
     return LP2Params(n=inst.n, x=x, B=B, d=inst.d, p=inst.p)
 
 
@@ -370,9 +392,9 @@ def instance_from_json_dict(doc) -> OMDInstance:
     for field, raw in zip("adp", vectors):
         if not isinstance(raw, list):
             raise InputError(f"{field}: expected a list of rational strings")
-        seqs.append(tuple(
+        seqs.append(tuple([
             parse_rational(v, field=f"{field}[{i}]") for i, v in enumerate(raw, start=1)
-        ))
+        ]))
     return OMDInstance(n, *seqs)
 
 

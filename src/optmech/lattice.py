@@ -41,10 +41,11 @@ from .core import (
 from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
-# certificate, the reduction) is capped here: in-process `solve` takes about
-# 0.3 s end to end at n = 14 on a 2-vCPU machine, printing its 16,384-line
-# menu included (n = 10: 0.013-0.023 s, n = 12: 0.06-0.1 s;
-# scripts/solve_latency.py, four runs), and each item adds a factor of 2-4.
+# certificate, the reduction) is capped here: in-process `solve` takes
+# 0.23-0.34 s end to end at n = 14 on a 2-vCPU machine, printing its
+# 16,384-line menu included (n = 10: 0.009-0.015 s, n = 12: 0.069-0.074 s;
+# scripts/solve_latency.py, three runs, Python 3.11.7), and each item adds a
+# factor of 2-5.
 LATTICE_GUARD = 14
 
 

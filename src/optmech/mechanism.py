@@ -10,46 +10,48 @@ mechanism, but it is flagged as possibly non-unique; with zero supply u is
 0 everywhere and the all-zero-utility mechanism is returned, likewise
 flagged.
 
-`Mechanism` keeps every u, q and price as a `Fraction`, but the arithmetic
-behind them runs on ints over common denominators: `closed_form_mechanism`
-prices every type from the flow's scaled utilities and cost gaps, and
-`expected_revenue` is one int dot product, each building a `Fraction` only
-for a value it hands back.
+`Mechanism` stores the menu as scaled ints: u over one u-scale, each item's
+q over its own q-scale, and the prices over one price scale. Its `Fraction`
+views ``u``, ``q`` and ``tau`` are built only when first read.
+`price_menu` prices every type from scaled utilities and the instance,
+`closed_form_mechanism` hands it the flow's, and `expected_revenue` is one
+int dot product on the stored prices. `menu_strings` formats each value once
+from its int pair, for the printed menu and the menu document alike.
 
 `certify_bic_ir` certifies every truthfulness, rationality and probability
 constraint of the full program in O(2^n n^2) exact checks, for a mechanism
 of this closed-form shape: given the shape, those 4^n rows follow from
 u >= 0, 0 <= q <= 1 and supermodularity of u, and each of those checks is
 itself one of the rows, so a failed check names one violated row. It runs
-them as int comparisons on the mechanism's u and q scaled to common
-denominators, and builds the exact `Fraction` slack of the first failing
-row only. `verify_bic_ir` replays all rows and names every violated one
-with its exact `Fraction` slack; it is the reference the certificate is
-tested against. Its 4^n truthfulness rows come from `bic_violations`, the
-int replay that `exactlp.solve_lp1` runs on each of its answers. Ties are
-acceptable: a weakly satisfied constraint is satisfied (deterministic
-tie-breaking in favor of the higher-priced entry replaces any rebate
-scheme).
+them as int comparisons on the mechanism's stored ints, and builds the exact
+`Fraction` slack of the first failing row only. `verify_bic_ir` replays all
+rows on the `Fraction` views and names every violated one with its exact
+slack; it is the reference the certificate is tested against. Its 4^n
+truthfulness rows come from `bic_violations`, the int replay that
+`exactlp.solve_lp1` runs on each of its answers. Ties are acceptable: a
+weakly satisfied constraint is satisfied (deterministic tie-breaking in
+favor of the higher-priced entry replaces any rebate scheme).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .core import (
     OMDInstance,
     Subset,
-    ZERO,
     ONE,
     check_guard,
     check_mask,
     check_subset,
     document_fields,
-    format_rational,
+    format_ratio,
     over_common_denominator,
     parse_rational,
     scaled_subset_probs,
@@ -69,81 +71,139 @@ from .lattice import FlowSolution
 VERIFY_GUARD = 12
 
 
+def _check_menu_shape(n, u: Sequence, q: Sequence[Sequence], tau: Sequence) -> None:
+    """Refuse, with a `PreconditionError` naming the field, an n that is not
+    an int >= 1, a ``u``, ``q`` or ``tau`` without 2^n entries, or a type
+    without n probabilities."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise PreconditionError(f"n: expected an integer >= 1, got {n!r}")
+    for name, values in (("u", u), ("q", q), ("tau", tau)):
+        size = len(values)
+        # compare bit lengths first so an absurd n never builds 1 << n
+        if size.bit_length() != n + 1 or size != 1 << n:
+            raise PreconditionError(f"{name}: expected 2^{n} entries, got {size}")
+    for S, qS in enumerate(q):
+        if len(qS) != n:
+            raise PreconditionError(
+                f"q: type {subset_label(S)}: expected {n} probabilities, got {len(qS)}"
+            )
+
+
 @dataclass(frozen=True)
 class Mechanism:
-    """A direct mechanism over all 2^n types.
+    """A direct mechanism over all 2^n types, stored as scaled ints.
 
-    ``u``, ``q`` and ``tau`` are lists indexed by type mask: each type's
-    truthful expected utility, its vector of per-item allocation
-    probabilities, and its expected price. ``unique`` records whether the
-    construction certified the mechanism as the unique optimum (strictly
-    partial saturation). A menu that does not list 2^n entries in each of
-    ``u``, ``q`` and ``tau``, or n probabilities per type, is refused with a
-    `PreconditionError` naming the field.
+    Lists are indexed by type mask. ``scaled_u[S]`` is type S's truthful
+    expected utility times ``u_scale``, ``scaled_q[S][i]`` its probability
+    of getting item i times ``q_scales[i]``, and ``scaled_tau[S]`` its
+    expected price times ``tau_scale``; every scale is a positive int. The
+    `Fraction` views ``u``, ``q`` (a tuple per type) and ``tau`` are built
+    on first read; `Mechanism.from_fractions` builds a mechanism from such
+    lists. ``unique`` records whether the construction certified the
+    mechanism as the unique optimum (strictly partial saturation). A menu
+    that does not list 2^n entries in each of u, q and tau, or n
+    probabilities per type, is refused with a `PreconditionError` naming the
+    field, as is a scale that is not a positive int.
     """
 
     n: int
-    u: list[Fraction]
-    q: list[tuple[Fraction, ...]]
-    tau: list[Fraction]
+    scaled_u: list[int] = field(repr=False)
+    u_scale: int
+    scaled_q: list[list[int]] = field(repr=False)
+    q_scales: list[int]
+    scaled_tau: list[int] = field(repr=False)
+    tau_scale: int
     unique: bool
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise PreconditionError(f"n: expected an integer >= 1, got {n!r}")
-        for name in ("u", "q", "tau"):
-            size = len(getattr(self, name))
-            # compare bit lengths first so an absurd n never builds 1 << n
-            if size.bit_length() != n + 1 or size != 1 << n:
-                raise PreconditionError(f"{name}: expected 2^{n} entries, got {size}")
-        for S, qS in enumerate(self.q):
-            if len(qS) != n:
-                raise PreconditionError(
-                    f"q: type {subset_label(S)}: expected {n} probabilities, got {len(qS)}"
-                )
+        _check_menu_shape(self.n, self.scaled_u, self.scaled_q, self.scaled_tau)
+        if len(self.q_scales) != self.n:
+            raise PreconditionError(
+                f"q: expected {self.n} scales, got {len(self.q_scales)}"
+            )
+        for name, scale in (("u", self.u_scale), ("tau", self.tau_scale),
+                            *(("q", s) for s in self.q_scales)):
+            if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
+                raise PreconditionError(f"{name}: scale must be a positive integer, got {scale!r}")
+
+    @classmethod
+    def from_fractions(cls, n: int, u: Sequence[Fraction], q: Sequence[Sequence[Fraction]],
+                       tau: Sequence[Fraction], unique: bool) -> Mechanism:
+        """The mechanism whose views are these rationals, scaled once: u and
+        tau each over the lcm of their denominators, and each item's q over
+        the lcm of its own."""
+        _check_menu_shape(n, u, q, tau)
+        U, u_scale = over_common_denominator(u)
+        columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
+        Q = [list(row) for row in zip(*[column for column, _ in columns])]
+        T, tau_scale = over_common_denominator(tau)
+        return cls(n, U, u_scale, Q, [Lq for _, Lq in columns], T, tau_scale, unique)
+
+    @cached_property
+    def u(self) -> list[Fraction]:
+        scale = self.u_scale
+        return [Fraction(v, scale) for v in self.scaled_u]
+
+    @cached_property
+    def q(self) -> list[tuple[Fraction, ...]]:
+        scales = self.q_scales
+        return [tuple([Fraction(v, s) for v, s in zip(QS, scales)]) for QS in self.scaled_q]
+
+    @cached_property
+    def tau(self) -> list[Fraction]:
+        scale = self.tau_scale
+        return [Fraction(v, scale) for v in self.scaled_tau]
+
+
+def price_menu(inst: OMDInstance, U: Sequence[int], scale: int, unique: bool) -> Mechanism:
+    """The menu of closed-form shape on the utilities u(S) = U[S] / scale:
+    q_i(S) = 1 for i in S and (u(S+{i}) - u(S)) / d_i otherwise, and the
+    price v(S).q(S) - u(S). It reads only (U, scale) and the instance.
+
+    Item i's q-scale is d_i * scale over g_i = gcd(den(d_i), scale), so Q_i(S)
+    is the gain U(S+{i}) - U(S) times den(d_i) / g_i; when den(d_i) divides
+    the scale, as it does for the flow's, that factor is 1. Each price over
+    one common denominator M is the int
+
+        tau(S) * M = sum_{i in S} (a_i + d_i) * M
+                     + sum_{i not in S} (a_i * M / (d_i * scale)) * (U(S+{i}) - U(S))
+                     - (M / scale) * U(S).
+    """
+    n = inst.n
+    if len(U) != 1 << n or not isinstance(scale, int) or scale < 1:
+        raise PreconditionError(f"utilities: expected 2^{n} ints over a positive int scale")
+    q_scales, factors = [], []
+    for di in inst.d:
+        g = gcd(di.denominator, scale)
+        q_scales.append(di.numerator * (scale // g))
+        factors.append(di.denominator // g)
+    high = [ai + di for ai, di in zip(inst.a, inst.d)]
+    low_per_d = [ai / (di * scale) for ai, di in zip(inst.a, inst.d)]
+    (C, *scaled), M = over_common_denominator([Fraction(1, scale), *high, *low_per_d])
+    H = subset_sums(scaled[:n])
+    items = list(zip(range(n), [1 << i for i in range(n)], factors, scaled[n:]))
+    Q, T = [], []
+    for S, US in enumerate(U):
+        t = H[S] - C * US
+        QS = q_scales[:]  # q_i(S) = 1 for i in S
+        for i, bit, f, Ai in items:
+            if not S & bit:
+                g = U[S | bit] - US
+                t += Ai * g
+                QS[i] = g * f
+        Q.append(QS)
+        T.append(t)
+    return Mechanism(n, list(U), scale, Q, q_scales, T, M, unique)
 
 
 def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
     """The menu read off the canonical flow on ``inst``'s parameters: each
-    type's u and q from the flow, and its price v(S).q(S) - u(S).
-
-    It runs on the flow's ints U(S) = u(S) * cost_scale and D_i = d_i *
-    cost_scale: q_i(S) = (U(S+{i}) - U(S)) / D_i for i outside S, and each
-    price over one common denominator M is the int
-
-        tau(S) * M = sum_{i in S} (a_i + d_i) * M
-                     + sum_{i not in S} (a_i * M / D_i) * (U(S+{i}) - U(S))
-                     - (M / cost_scale) * U(S).
-
-    Each value is then built as one `Fraction`; a q of 0 or 1 is ZERO or ONE.
-    """
+    type's u and q from the flow, and its price v(S).q(S) - u(S), priced by
+    `price_menu` from the flow's ints U(S) = u(S) * cost_scale."""
     if flow.n != inst.n:
         raise PreconditionError("flow and instance disagree on the item count")
-    n, size, scale = inst.n, 1 << inst.n, flow.cost_scale
-    U = list(map(flow.scaled_utility, range(size)))
-    D = flow.scaled_d
-    high = [ai + di for ai, di in zip(inst.a, inst.d)]
-    low_per_d = [ai / Di for ai, Di in zip(inst.a, D)]
-    (C, *scaled), M = over_common_denominator([Fraction(1, scale), *high, *low_per_d])
-    H = subset_sums(scaled[:n])
-    items = list(zip(range(n), D, scaled[n:]))
-    u, q, tau = [], [], []
-    for S in range(size):
-        US = U[S]
-        t = H[S] - C * US
-        qS = []
-        for i, Di, Ai in items:
-            if S >> i & 1:
-                qS.append(ONE)
-                continue
-            g = U[S | 1 << i] - US
-            t += Ai * g
-            qS.append(ZERO if not g else ONE if g == Di else Fraction(g, Di))
-        u.append(Fraction(US, scale) if US else ZERO)
-        q.append(tuple(qS))
-        tau.append(Fraction(t, M))
-    return Mechanism(n=n, u=u, q=q, tau=tau, unique=flow.partially_filled is not None)
+    U = list(map(flow.scaled_utility, range(1 << inst.n)))
+    return price_menu(inst, U, flow.cost_scale, flow.partially_filled is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +296,13 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     with the same slack. So on shaped mechanisms the certificate and the
     replay accept the same set.
 
-    Every check is an int comparison. The mechanism's u is scaled to one
-    common denominator Lu, giving U, and each item's q to its own common
-    denominator Lq_i, giving Q_i; the shape row for i outside S reads
-    (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu * Q_i(S), the
-    probability rows 0 <= Q_i(S) <= Lq_i, and supermodularity compares the
-    Q_i, a positive multiple of each item's marginal.
+    Every check is an int comparison on the stored ints: U over the u-scale
+    Lu and each item's Q_i over its q-scale Lq_i. The shape row for i
+    outside S reads (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu *
+    Q_i(S), both sides divided by the gcd of their factors, so a q-scale
+    that does not match d_i fails it; the probability rows read
+    0 <= Q_i(S) <= Lq_i, and supermodularity compares the Q_i, a positive
+    multiple of each item's marginal.
 
     The report counts the rows the replay checks. When the certificate does
     not cover them, its one violation is the first failing row: an ir, prob
@@ -252,19 +313,15 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     n = inst.n
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    size = 1 << n
-    u, q, d = mech.u, mech.q, inst.d
-    U, Lu = over_common_denominator(u)
-    columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
-    Q = list(zip(*[column for column, _ in columns]))
-    items = [
-        (i, Lq, Lq * di.denominator, di.numerator * Lu)
-        for i, ((_, Lq), di) in enumerate(zip(columns, d))
-    ]
-    for S in range(size):
-        US, QS = U[S], Q[S]
+    U, Lu, Q, d = mech.scaled_u, mech.u_scale, mech.scaled_q, inst.d
+    items = []
+    for i, (Lq, di) in enumerate(zip(mech.q_scales, d)):
+        left, right = Lq * di.denominator, di.numerator * Lu
+        g = gcd(left, right)
+        items.append((i, Lq, left // g, right // g))
+    for S, (US, QS) in enumerate(zip(U, Q)):
         if US < 0:
-            return _report(n, (f"ir({subset_label(S)})", u[S]))
+            return _report(n, (f"ir({subset_label(S)})", Fraction(US, Lu)))
         for i, Lq, left, right in items:
             Qi = QS[i]
             if S >> i & 1:
@@ -272,19 +329,20 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
             else:
                 shaped = (U[S | 1 << i] - US) * left == right * Qi
             if not shaped:
-                qi = q[S][i]
-                residual = ONE - qi if S >> i & 1 else u[S | 1 << i] - u[S] - d[i] * qi
+                qi = Fraction(Qi, Lq)
+                residual = (ONE - qi if S >> i & 1
+                            else Fraction(U[S | 1 << i] - US, Lu) - d[i] * qi)
                 return _report(n, (f"shape({subset_label(S)},{i + 1})", residual))
             if Qi < 0:
-                return _report(n, (f"prob({subset_label(S)},{i + 1},>=0)", q[S][i]))
+                return _report(n, (f"prob({subset_label(S)},{i + 1},>=0)", Fraction(Qi, Lq)))
             if Qi > Lq:
-                return _report(n, (f"prob({subset_label(S)},{i + 1},<=1)", ONE - q[S][i]))
+                return _report(n, (f"prob({subset_label(S)},{i + 1},<=1)", ONE - Fraction(Qi, Lq)))
     falling = _first_falling_gain(Q, n)
     if falling is not None:
         S, i, j = falling
         return _report(n, (
             f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
-            d[i] * (q[S | 1 << j][i] - q[S][i]),
+            d[i] * Fraction(Q[S | 1 << j][i] - Q[S][i], mech.q_scales[i]),
         ))
     return _report(n)
 
@@ -317,12 +375,11 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
     """sum_S p(S) * tau(S), as one int dot product: p(S) * prod(den p_i) from
-    `scaled_subset_probs`, and tau over the lcm of its denominators."""
+    `scaled_subset_probs`, and the stored prices over their scale."""
     if mech.n != inst.n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    tau, L = over_common_denominator(mech.tau)
     probs, scale = scaled_subset_probs(inst.p)
-    return Fraction(sum(map(mul, probs, tau)), L * scale)
+    return Fraction(sum(map(mul, probs, mech.scaled_tau)), mech.tau_scale * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +425,25 @@ def sample_allocation(
 # Mechanism JSON document
 # ---------------------------------------------------------------------------
 
-def mechanism_to_json_dict(mech: Mechanism) -> dict:
-    menu = []
-    for S, (uS, qS, tS) in enumerate(zip(mech.u, mech.q, mech.tau)):
-        menu.append(
-            {
-                "type": subset_to_list(S),
-                "u": format_rational(uS),
-                "q": [format_rational(v) for v in qS],
-                "price": format_rational(tS),
-            }
-        )
+def menu_strings(mech: Mechanism) -> tuple[list[str], list[list[str]], list[str]]:
+    """Every type's u, q and price in the wire format, by mask, each written
+    once by `format_ratio` from its stored int and scale."""
+    u_scale, q_scales, tau_scale = mech.u_scale, mech.q_scales, mech.tau_scale
+    return (
+        [format_ratio(v, u_scale) for v in mech.scaled_u],
+        [list(map(format_ratio, QS, q_scales)) for QS in mech.scaled_q],
+        [format_ratio(v, tau_scale) for v in mech.scaled_tau],
+    )
+
+
+def mechanism_to_json_dict(mech: Mechanism, strings=None) -> dict:
+    """The menu document; ``strings``, when given, is `menu_strings(mech)`
+    already made, so no value is formatted twice."""
+    u, q, tau = strings or menu_strings(mech)
+    menu = [
+        {"type": subset_to_list(S), "u": u[S], "q": q[S], "price": tau[S]}
+        for S in range(1 << mech.n)
+    ]
     return {"n": mech.n, "menu": menu}
 
 
@@ -417,4 +482,4 @@ def mechanism_from_json_dict(doc) -> Mechanism:
             parse_rational(v, field=f"menu[{idx}].q[{k}]") for k, v in enumerate(raw_q)
         )
         tau[S] = parse_rational(entry["price"], field=f"menu[{idx}].price")
-    return Mechanism(n=n, u=u, q=q, tau=tau, unique=False)
+    return Mechanism.from_fractions(n, u, q, tau, unique=False)

@@ -78,9 +78,9 @@ def test_mechanism_json_is_the_indented_document(n):
     def value():
         return F(rng.randint(-30, 30), rng.randint(1, 12))
     size = 1 << n
-    mech = Mechanism(n, [value() for _ in range(size)],
-                     [tuple(value() for _ in range(n)) for _ in range(size)],
-                     [value() for _ in range(size)], unique=False)
+    mech = Mechanism.from_fractions(n, [value() for _ in range(size)],
+                                    [tuple(value() for _ in range(n)) for _ in range(size)],
+                                    [value() for _ in range(size)], unique=False)
     doc = mechanism_to_json_dict(mech)
     assert cli._mechanism_json(doc) == json.dumps(doc, indent=2) + "\n"
 
@@ -155,6 +155,19 @@ def single_positive(n):
     d = [str(i) for i in range(1, n + 1)]
     a = [f"{i}/{n - 1}" for i in range(1, n + 1)]
     return json.dumps({"n": n, "a": a, "d": d, "p": ["1/2"] * n})
+
+
+@pytest.mark.parametrize("flags", [[], ["--json-out", "mech.json"]])
+def test_solve_builds_no_fraction_view_of_its_menu(tmp_path, capsys, monkeypatch, flags):
+    # the menu is priced, certified, summed and printed on its stored ints
+    def refuse(mech):
+        raise AssertionError("solve built a Fraction view of its menu")
+    for view in ("u", "q", "tau"):
+        monkeypatch.setattr(Mechanism, view, property(refuse))
+    instance = write(tmp_path, "inst.json", single_positive(6))
+    argv = ["solve", instance, *[str(tmp_path / f) if f.endswith(".json") else f for f in flags]]
+    assert main(argv) == 0
+    assert "violations=0" in capsys.readouterr().out
 
 
 def test_solve_past_verification_guard_exit_2(tmp_path, capsys):

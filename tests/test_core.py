@@ -24,6 +24,7 @@ from optmech.core import (
     check_mask,
     check_nonnegative_int,
     format_rational,
+    format_ratio,
     parse_rational,
     subset_sums,
     types_by_size,
@@ -88,6 +89,12 @@ def test_format_rational_refuses_past_digit_limit():
     for value in (F(top), F(-top), F(1, top), F(top + 1, 7)):
         with pytest.raises(PreconditionError, match=f"more than {limit} decimal digits"):
             format_rational(value)
+    # the int-pair formatter refuses the same values, and a pair past the
+    # limit that reduces to one within it prints
+    for value in (F(top), F(-top), F(1, top), F(top + 1, 7)):
+        with pytest.raises(PreconditionError, match=f"more than {limit} decimal digits"):
+            format_ratio(value.numerator * 3, value.denominator * 3)
+    assert format_ratio(2 * top, top) == "2"
 
 
 def test_types_by_size_matches_sorted_labels():

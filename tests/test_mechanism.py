@@ -23,9 +23,10 @@ from optmech import (
     node_costs,
     sample_allocation,
     solve_lp,
+    to_lp2_params,
     verify_bic_ir,
 )
-from optmech.mechanism import bernoulli
+from optmech.mechanism import bernoulli, price_menu
 from tests.subsets import mask
 from tests.test_core import make_instance
 from tests.test_lattice import PARAMS_A, PARAMS_B, PARAMS_TIE, _random_single_positive
@@ -103,7 +104,7 @@ def test_verify_constructed_mechanism_clean():
 
 def test_verify_flags_broken_mechanism():
     inst = make_instance([(1, 2), (3, 2)], [1, 2], [(1, 2), (1, 2)])
-    broken = Mechanism(
+    broken = Mechanism.from_fractions(
         n=2,
         u=[ZERO, F(2), ZERO, ONE],  # by mask: {}, {1}, {2}, {1,2}
         q=[(ONE, ONE) for S in range(1 << 2)],
@@ -123,7 +124,8 @@ def test_verify_reports_exact_violation_labels():
     mech = mech_for(PARAMS_B)
     u = list(mech.u)
     u[mask(1, 2)] = F(-1)
-    report = verify_bic_ir(inst, replace(mech, u=u))
+    report = verify_bic_ir(inst, Mechanism.from_fractions(mech.n, u, mech.q, mech.tau,
+                                                          mech.unique))
     assert report.violations == (
         ("ir({1,2})", F(-1)),
         ("bic({1,2}|{})", F(-1)),
@@ -144,7 +146,7 @@ def test_verify_refuses_past_guard_at_once():
 def test_verify_bundle_menu_mechanism():
     # selling the bundle at 3: buyers are every type except the low-low one
     inst = make_instance([1, 1], [1, 1], [(1, 2), (1, 2)])
-    bundle = Mechanism(
+    bundle = Mechanism.from_fractions(
         n=2,
         u=[ZERO, ZERO, ZERO, ONE],  # by mask: {}, {1}, {2}, {1,2}
         q=[(ZERO, ZERO), (ONE, ONE), (ONE, ONE), (ONE, ONE)],
@@ -168,15 +170,15 @@ def shaped_mechanism(inst, u):
         tuple(ONE if S >> i & 1 else (u[S | 1 << i] - u[S]) / inst.d[i] for i in range(n))
         for S in range(1 << n)
     ]
-    return Mechanism(n=n, u=list(u), q=q, tau=[ZERO] * (1 << n), unique=False)
+    return Mechanism.from_fractions(n=n, u=list(u), q=q, tau=[ZERO] * (1 << n), unique=False)
 
 
 def zero_mechanism(n):
     """Truthful and rational, but not of closed-form shape: q_i(S) = 0 for i
     in S."""
     size = 1 << n
-    return Mechanism(n=n, u=[ZERO] * size, q=[(ZERO,) * n] * size, tau=[ZERO] * size,
-                     unique=False)
+    return Mechanism.from_fractions(n=n, u=[ZERO] * size, q=[(ZERO,) * n] * size,
+                                    tau=[ZERO] * size, unique=False)
 
 
 def unshaped_mechanism(n):
@@ -184,8 +186,8 @@ def unshaped_mechanism(n):
     certificate checks, but not the shape equality, and type {} gains by
     reporting any other type."""
     size = 1 << n
-    return Mechanism(n=n, u=[F(2 * S.bit_count()) for S in range(size)],
-                     q=[(ONE,) * n] * size, tau=[ZERO] * size, unique=False)
+    return Mechanism.from_fractions(n=n, u=[F(2 * S.bit_count()) for S in range(size)],
+                                    q=[(ONE,) * n] * size, tau=[ZERO] * size, unique=False)
 
 
 def assert_certificate_agrees(inst, mech):
@@ -249,7 +251,7 @@ def test_certify_rejects_negative_utility():
 def test_certify_passes_bundle_menu():
     # the bundle menu happens to have closed-form shape, and its utility is
     # supermodular: the certificate covers it without the replay
-    bundle = Mechanism(
+    bundle = Mechanism.from_fractions(
         n=2,
         u=[ZERO, ZERO, ZERO, ONE],
         q=[(ZERO, ZERO), (ONE, ONE), (ONE, ONE), (ONE, ONE)],
@@ -257,6 +259,63 @@ def test_certify_passes_bundle_menu():
         unique=False,
     )
     assert assert_certificate_agrees(UNIT_D, bundle).ok
+
+
+# a boundary closed form whose stored ints are u = (0, 0, 0, 120, 0, 66, 0,
+# 186) / 102 by mask, with q-scales (289, 120, 66): d_1 = 17/6 does not
+# divide the u-scale, and item 1's marginal at {2,3} is 186/289 > 1/2
+MUTATED = make_instance([(34, 3), (400, 323), (440, 969)], [(17, 6), (20, 17), (11, 17)],
+                        [(4, 5), (3, 4), (1, 2)])
+
+
+def mutated_mechanism(mutate):
+    mech = closed_form_mechanism(MUTATED, canonical_solution(to_lp2_params(MUTATED)))
+    assert mech.scaled_u == [0, 0, 0, 120, 0, 66, 0, 186] and mech.q_scales == [289, 120, 66]
+    U, Q, scales = list(mech.scaled_u), [list(QS) for QS in mech.scaled_q], list(mech.q_scales)
+    mutate(U, Q, scales)
+    return replace(mech, scaled_u=U, scaled_q=Q, q_scales=scales)
+
+
+def bump(S, i, delta):
+    def mutate(U, Q, scales):
+        Q[S][i] += delta
+    return mutate
+
+
+def double_scale(U, Q, scales):
+    scales[0] *= 2
+
+
+def negative_utility(U, Q, scales):
+    U[0] = -1
+
+
+@pytest.mark.parametrize("mutate, row", [
+    # q_2({}) is 0: 1/120 breaks the shape row and bic({2}|{}), -1/120 the
+    # shape row and prob({},2,>=0)
+    (bump(mask(), 1, 1), ("shape({},2)", F(-1, 120) * F(20, 17))),
+    (bump(mask(), 1, -1), ("shape({},2)", F(1, 120) * F(20, 17))),
+    # every q_1 halves: q_1({1}) = 1/2 breaks the shape row, and type {2,3}
+    # gains by reporting {1,2,3}
+    (double_scale, ("shape({1},1)", F(1, 2))),
+    (negative_utility, ("ir({})", F(-1, 102))),
+])
+def test_certificate_rejects_mutated_ints(mutate, row):
+    mech = mutated_mechanism(mutate)
+    assert certify_bic_ir(MUTATED, mech).violations == (row,)
+    assert not verify_bic_ir(MUTATED, mech).ok
+
+
+def test_certificate_rejects_one_falling_gain():
+    # u({1,2,3}) lowered from 186/102 to u({1,2}) = 120/102, priced in
+    # closed-form shape: item 2's gain falls from 120 at {1} to 54 at {1,3},
+    # which is the truthfulness row bic({1,2,3}|{1}) with the same slack
+    mech = mutated_mechanism(lambda U, Q, scales: None)
+    U = list(mech.scaled_u)
+    U[mask(1, 2, 3)] = U[mask(1, 2)]
+    falling = price_menu(MUTATED, U, mech.u_scale, unique=False)
+    cert = assert_certificate_agrees(MUTATED, falling)
+    assert cert.violations == (("bic({1,2,3}|{1})", F(-11, 17)),)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +365,7 @@ def test_expected_revenue_examples():
     assert expected_revenue(halves, mech) == F(41, 16)
     assert solve_lp(build_lp1(halves)).value == F(41, 16)
 
-    zero = Mechanism(
+    zero = Mechanism.from_fractions(
         n=2,
         u=[ZERO for S in range(1 << 2)],
         q=[(ZERO, ZERO) for S in range(1 << 2)],
@@ -358,7 +417,20 @@ NO_PROBABILITIES = dict(n=1, u=[ZERO, ZERO], q=[(), ()], tau=[ZERO, ZERO])
 ])
 def test_malformed_menu_refused(check, fields, message):
     with pytest.raises(PreconditionError, match=message):
-        check(ONE_ITEM, Mechanism(unique=False, **fields))
+        check(ONE_ITEM, Mechanism.from_fractions(unique=False, **fields))
+
+
+def test_stored_scales_and_utilities_refused():
+    # a scale that is not a positive int would flip the certificate's int
+    # comparisons, and pricing needs 2^n utilities over a positive scale
+    for u_scale, q_scales, message in ((0, [1], r"u: scale must be a positive integer"),
+                                       (1, [-2], r"q: scale must be a positive integer"),
+                                       (1, [], r"q: expected 1 scales, got 0")):
+        with pytest.raises(PreconditionError, match=message):
+            Mechanism(1, [0, 0], u_scale, [[0], [1]], q_scales, [0, 0], 1, unique=False)
+    for U, scale in (([0], 1), ([0, 1], 0)):
+        with pytest.raises(PreconditionError, match=r"expected 2\^1 ints over a positive int"):
+            price_menu(ONE_ITEM, U, scale, unique=False)
 
 
 # ---------------------------------------------------------------------------

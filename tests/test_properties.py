@@ -2,16 +2,18 @@
 lists filled by one pass agree with the direct sum or product over each
 mask's items; the boundary conversions, the parameter map and the instance
 and mechanism documents round-trip exactly, and a rational prints as its
-lowest-terms numerator, over its denominator unless that is 1. The integer
+lowest-terms numerator, over its denominator unless that is 1, from a
+`Fraction` or from any int pair of the same value. The integer
 greedy flow gives every field of a `Fraction` greedy over the sorted (cost,
 mask) order, and refuses exactly the parameters whose expected demand
 sum(p_i x_i) exceeds B. Its closed-form utility and allocation match ones
 computed from the `Fraction` node costs, exact-boundary and zero-supply
 flows included; the closed-form menu's int-built prices equal
-v(S).q(S) - u(S) on `Fraction`s, and the int revenue total equals the direct
-sum. The parameter map's scale kappa leaves the fill order, the partially
-filled node and the menu unchanged and scales the flow's amounts by kappa.
-The bisection's dyadic midpoint lies strictly inside its bracket. The
+v(S).q(S) - u(S) on `Fraction`s, as `price_menu`'s do on any int utilities
+over any scale, and the int revenue total equals the direct sum. The
+parameter map's scale kappa leaves the fill order, the partially filled
+node and the menu unchanged and scales the flow's amounts by kappa. The
+bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
 tiny bounded programs, its dual multipliers certifying its optimum. Its
@@ -62,7 +64,9 @@ from optmech import (
     type_vectors,
     verify_bic_ir,
 )
+from optmech.core import format_ratio
 from optmech.exactlp import _LP1Frame, _check_feasible, _simplex_max
+from optmech.mechanism import price_menu
 from optmech.reduction import _dyadic_between
 from tests.test_core import at_scale
 from tests.test_exactlp import _explicit, vertex_enumeration_max
@@ -149,6 +153,9 @@ def test_format_rational_prints_lowest_terms(num, den):
     value = F(num, den)
     top, bottom = value.numerator, value.denominator
     assert format_rational(value) == (str(top) if bottom == 1 else f"{top}/{bottom}")
+    # the int-pair formatter writes the same text without the Fraction, and
+    # so does any multiple of the pair
+    assert format_ratio(num, den) == format_ratio(num * 7, den * 7) == format_rational(value)
 
 
 @exact
@@ -164,7 +171,7 @@ def mechanisms(draw):
     u = draw(st.lists(rational, min_size=size, max_size=size))
     q = draw(st.lists(st.tuples(*[rational] * n), min_size=size, max_size=size))
     tau = draw(st.lists(rational, min_size=size, max_size=size))
-    return Mechanism(n=n, u=u, q=q, tau=tau, unique=False)
+    return Mechanism.from_fractions(n=n, u=u, q=q, tau=tau, unique=False)
 
 
 @exact
@@ -406,9 +413,9 @@ def test_int_replay_matches_fraction_replay(inst, moves):
     def assert_replays_agree():
         rows = fraction_replay(inst, assignment)
         assert frame.violated(assignment) == [pair for pair, _, _ in rows]
-        mech = Mechanism(n=inst.n, u=[assignment[v] for v in frame.u],
-                         q=[tuple(assignment[v] for v in qS) for qS in frame.q],
-                         tau=[F(0)] * len(frame.u), unique=False)
+        mech = Mechanism.from_fractions(n=inst.n, u=[assignment[v] for v in frame.u],
+                                        q=[tuple(assignment[v] for v in qS) for qS in frame.q],
+                                        tau=[F(0)] * len(frame.u), unique=False)
         bic = [row for row in verify_bic_ir(inst, mech).violations if row[0].startswith("bic")]
         assert bic == [(name, slack) for _, name, slack in rows]
         return rows
@@ -426,8 +433,9 @@ menu_sizes = st.integers(min_value=1, max_value=8)
 @given(st.one_of(single_positive_parameters(sizes=menu_sizes),
                  exact_boundary_parameters(sizes=menu_sizes)))
 def test_closed_form_menu_matches_flow_and_fraction_prices(params):
-    # the int prices equal v(S).q(S) - u(S) on `Fraction`s, and u and q are
-    # the flow's; kappa = B - sum(p_i x_i) is 0 on a boundary draw at equality
+    # the int menu's `Fraction` views: prices equal v(S).q(S) - u(S) on
+    # `Fraction`s, and u and q are the flow's; kappa = B - sum(p_i x_i) is 0
+    # on a boundary draw at equality
     assume(params.kappa > 0)
     inst, _ = from_lp2_params(params)
     flow = canonical_solution(params)
@@ -437,6 +445,25 @@ def test_closed_form_menu_matches_flow_and_fraction_prices(params):
         assert mech.q[S] == q, S
         assert mech.u[S] == flow.utility(S), S
         assert mech.tau[S] == sum(vi * qi for vi, qi in zip(vec, q)) - flow.utility(S), S
+
+
+@exact
+@given(sizes.flatmap(lambda n: st.tuples(
+    instances(low=nonnegative, sizes=st.just(n)),
+    st.lists(st.integers(-400, 400), min_size=1 << n, max_size=1 << n),
+    st.integers(1, 60))))
+def test_price_menu_prices_any_scaled_utilities(case):
+    # any int utilities over any scale, even one that no den(d_i) divides:
+    # q_i(S) = 1 for i in S, else (u(S+{i}) - u(S)) / d_i, and the price is
+    # v(S).q(S) - u(S), all on `Fraction`s
+    inst, U, scale = case
+    mech = price_menu(inst, U, scale, unique=False)
+    u = [F(v, scale) for v in U]
+    for S, vec in enumerate(type_vectors(inst)):
+        q = tuple(F(1) if S >> i & 1 else (u[S | 1 << i] - u[S]) / inst.d[i]
+                  for i in range(inst.n))
+        assert (mech.u[S], mech.q[S]) == (u[S], q), S
+        assert mech.tau[S] == sum(vi * qi for vi, qi in zip(vec, q)) - u[S], S
 
 
 # tiny, huge and non-integer scales, e.g. 1/1000 and (10^6+1)/3
