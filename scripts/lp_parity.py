@@ -63,6 +63,15 @@ to write, with the temporary directory's path replaced by `{tmp}`:
                   `general_doc`, most of them refused with exit code 2.
 
 Each of their lines reads `<family> <calls> <sha256>`.
+
+One more family checks the truthfulness replay alone, not an LP:
+
+  * replay      -- `mechanism.bic_violations` on REPLAY_MENUS random menus
+                  from `replay_menu`, n = 1..5, with rational d_i of
+                  differing denominators and about half the rows violated;
+                  each result is hashed as its list of (S, T, slack).
+
+Its line reads `replay <menus> <sha256>`.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ import inputs  # noqa: E402
 from solve_latency import general_doc  # noqa: E402
 from optmech import Constraint, LP2Params, LPProblem, build_lp2, build_lp3, exactlp  # noqa: E402
 from optmech.cli import main  # noqa: E402
+from optmech.mechanism import bic_violations  # noqa: E402
 
 CERTIFY_OPS = 100
 BUDGETED_OPS = 200
@@ -99,6 +109,7 @@ CLI_OPS = 100
 SAMPLE_TYPES = ("-", "1", "1,3", "2,4,5")
 GENERAL_REFUSALS = 30
 FILES_N = 10
+REPLAY_MENUS = 300
 
 
 class Recorder:
@@ -212,6 +223,19 @@ def bounded_program(rng: random.Random) -> LPProblem:
                      lower=lower, upper=upper)
 
 
+def replay_menu(rng: random.Random, n: int):
+    """(d, u, q) over n items: each d_i a rational with its own denominator
+    up to 9, and each type's u and q_i drawn at random, so that about half
+    of the 4^n truthfulness rows break."""
+    def fraction(high):
+        return Fraction(rng.randint(0, high), rng.randint(1, 9))
+
+    d = [Fraction(rng.randint(1, 30), rng.randint(1, 9)) for _ in range(n)]
+    u = [fraction(40) for _ in range(1 << n)]
+    q = [[min(fraction(9), Fraction(1)) for _ in range(n)] for _ in range(1 << n)]
+    return d, u, q
+
+
 def digit_limit_doc() -> dict:
     """Two items with a_i = d_i, denominators of half the interpreter's
     int/str digit limit plus 40 digits: the menu certifies, but a price's
@@ -267,6 +291,11 @@ def run(seed: int) -> None:
     for _ in range(BOUNDED_CASES):
         exactlp.solve_lp(bounded_program(rng))
     print("bounded", *recorder.take())
+    rng = random.Random(f"replay:{seed}")
+    digest = hashlib.sha256()
+    for k in range(REPLAY_MENUS):
+        digest.update(repr(bic_violations(*replay_menu(rng, 1 + k % 5))).encode())
+    print("replay", REPLAY_MENUS, digest.hexdigest())
 
     families = {f"cli-{w}": pool(w, seed, CLI_OPS) for w in inputs.GENERATORS}
     families["cli-examples"] = [(None, ["examples"])]

@@ -34,8 +34,12 @@ from .exactlp import Constraint, LPProblem, OPTIMAL, solve_lp
 # x = 1..10, budget 27 (min of 5; 2 vCPUs, Python 3.11.7).
 ORACLE_GUARD = 10
 # Steps n * min(2^n, budget + 1, sum(x) + 1) bound the best-bundle DP's work.
-# At about 200 ns per step when every sum is reachable, and 2^18 dict entries
-# (~50 MiB) for 18 power-of-two items, the bound keeps a run near 1 s.
+# At the guard, `best_affordable_bundle` took 0.46-0.83 s at a peak RSS of
+# 37.6 MiB (17.4 MiB before the call) on 40 items drawn from 1000..6000
+# (seed 1), budget 124,999: 5,000,000 steps, about 90-170 ns each. On the
+# 18 items 1, 2, 4, ..., 2^17 with budget = sum (4,718,592 steps) it built
+# 2^18 dict entries in 0.09-0.16 s at a peak RSS of 52.0 MiB (3 runs each,
+# 2 vCPUs, Python 3.11.7). So the bound keeps a run under 1 s and 64 MiB.
 BUNDLE_DP_GUARD = 5_000_000
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 import time
@@ -143,28 +142,26 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-# `json.dumps(..., indent=2)` runs the pure-Python encoder, because an indent
-# turns the C one off. Here the C encoder does every value of a menu entry: a
-# list in one call, with the comma and the next line's indentation as its
-# item separator.
-_ENTRY_VALUE = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+# One menu entry as `json.dumps(..., indent=2)` writes it. Its keys are fixed
+# ASCII, and every u, q and price string holds only digits, "-" and "/", so
+# nothing needs escaping; q always has n >= 1 entries.
+_ENTRY = ('{\n      "type": %s,\n      "u": "%s",\n      "q": [\n        "%s"\n      ],'
+          '\n      "price": "%s"\n    }')
 
 
 def _mechanism_json(doc: dict) -> str:
     """The text of ``json.dumps(doc, indent=2) + "\n"`` for the document of
     `mechanism_to_json_dict`: {"n": int, "menu": [entry, ...]}, each entry
-    a dict of strings and lists of strings or ints."""
+    {"type": [int, ...], "u": str, "q": [str, ...], "price": str}, written
+    straight from its strings."""
     entries = []
     for entry in doc["menu"]:
-        fields = []
-        for key, value in entry.items():
-            text = _ENTRY_VALUE(value)
-            if isinstance(value, list) and value:
-                text = f"[\n        {text[1:-1]}\n      ]"
-            fields.append(f"{_ENTRY_VALUE(key)}: {text}")
-        entries.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+        items = entry["type"]
+        types = "[\n        " + ",\n        ".join(map(str, items)) + "\n      ]" if items else "[]"
+        q = '",\n        "'.join(entry["q"])
+        entries.append(_ENTRY % (types, entry["u"], q, entry["price"]))
     menu = ",\n    ".join(entries)
-    return f'{{\n  "n": {_ENTRY_VALUE(doc["n"])},\n  "menu": [\n    {menu}\n  ]\n}}\n'
+    return f'{{\n  "n": {doc["n"]},\n  "menu": [\n    {menu}\n  ]\n}}\n'
 
 
 def _tuple_text(texts) -> str:

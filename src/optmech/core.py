@@ -236,7 +236,9 @@ def scaled_subset_probs(p: Sequence[Fraction]) -> tuple[list[int], int]:
 def _check_vectors(obj, fields: tuple[str, ...]) -> None:
     """Checks shared by `OMDInstance` and `LP2Params`: n an int >= 1, each
     vector field coerced to a tuple of n `Fraction` entries, every d_i > 0
-    and every p_i in (0,1)."""
+    and every p_i in (0,1). A `Fraction`'s denominator is positive, so each
+    sign and range check reads its numerator and denominator: d_i > 0 is
+    num > 0, and 0 < p_i < 1 is 0 < num < den."""
     if not isinstance(obj.n, int) or isinstance(obj.n, bool):
         raise InputError(f"n: expected an integer, got {obj.n!r}")
     if obj.n < 1:
@@ -251,10 +253,10 @@ def _check_vectors(obj, fields: tuple[str, ...]) -> None:
         if not all(isinstance(v, Fraction) for v in seq):
             raise InputError(f"{field}: entries must be rationals")
     for i, v in enumerate(obj.d, start=1):
-        if v <= 0:
+        if v.numerator <= 0:
             raise InputError(f"d: entry {i} must be > 0, got {format_rational(v)}")
     for i, v in enumerate(obj.p, start=1):
-        if not ZERO < v < ONE:
+        if not 0 < v.numerator < v.denominator:
             raise InputError(f"p: entry {i} must lie in (0,1), got {format_rational(v)}")
 
 
@@ -275,7 +277,7 @@ class OMDInstance:
     def __post_init__(self):
         _check_vectors(self, ("a", "d", "p"))
         for i, v in enumerate(self.a, start=1):
-            if v < 0:
+            if v.numerator < 0:
                 raise InputError(f"a: entry {i} must be >= 0, got {format_rational(v)}")
 
 
@@ -298,10 +300,10 @@ class LP2Params:
 
     def __post_init__(self):
         _check_vectors(self, ("x", "d", "p"))
-        if not isinstance(self.B, Fraction) or self.B <= 0:
+        if not isinstance(self.B, Fraction) or self.B.numerator <= 0:
             raise InputError("B: must be a positive rational")
         for i, v in enumerate(self.x, start=1):
-            if v <= 0:
+            if v.numerator <= 0:
                 raise InputError(f"x: entry {i} must be > 0, got {format_rational(v)}")
 
     @property

@@ -31,7 +31,11 @@ The three builders produce, for a given instance / parameter vector:
     ``solve_lp1`` finds its optimum without building it: it solves the
     program on the adjacent-type truthfulness rows, replays all 4^n
     truthfulness rows on each answer with `mechanism.bic_violations`, and
-    adds only the rows that fail;
+    adds only the rows that fail. What depends on n alone (the labels, the
+    u and q names, the q <= 1 bounds, and each adjacent row's name and
+    variables) is built once per n and cached as an immutable value;
+    each call builds only the instance's `Fraction` objective and its
+    row weights -d_i and d_i, and builds any other row when it is added;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -42,8 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping
 
 from .core import (
@@ -57,6 +63,7 @@ from .core import (
     over_common_denominator,
     subset_label,
     subset_probs,
+    types_by_size,
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
@@ -696,45 +703,93 @@ def check_lp1_guard(n: int) -> None:
     check_guard(n, LP1_GUARD, "full-program enumeration guard")
 
 
+@dataclass(frozen=True)
+class _LP1Layout:
+    """What LP1 has that depends on n alone, built once per n by
+    `_lp1_layout` and never written: every type's label (indexed by mask)
+    and u and q names, the variables, the q <= 1 bounds, the adjacent pairs
+    (S, T) in `build_lp1`'s order, and each adjacent pair's row layout."""
+
+    labels: tuple[str, ...]
+    u: tuple[str, ...]
+    q: tuple[tuple[str, ...], ...]
+    variables: tuple[str, ...]
+    upper: Mapping[str, Fraction]
+    adjacent: tuple[tuple[Subset, Subset], ...]
+    rows: Mapping[tuple[Subset, Subset], tuple]
+
+    def row(self, S: Subset, T: Subset) -> tuple:
+        """The layout of truthfulness row (S, T), cached for an adjacent
+        pair and built by `_row_layout` for any other."""
+        return self.rows.get((S, T)) or _row_layout(self.labels, self.u, self.q, S, T)
+
+
+def _row_layout(labels, u, q, S: Subset, T: Subset) -> tuple:
+    """Truthfulness row (S, T)'s name, u(S), u(T), and (q_i(T), i, bit i of
+    T) for each item i in S ^ T."""
+    D, qT = S ^ T, q[T]
+    return (f"bic({labels[S]}|{labels[T]})", u[S], u[T],
+            tuple([(qT[i], i, T >> i & 1) for i in range(len(qT)) if D >> i & 1]))
+
+
+@cache
+def _lp1_layout(n: int) -> _LP1Layout:
+    """LP1's n-only layout, immutable: tuples, and read-only mappings."""
+    labels = [""] * (1 << n)
+    for S, label in types_by_size(n):
+        labels[S] = label
+    types = range(1 << n)
+    u = tuple([u_var(S) for S in types])
+    q = tuple([tuple([q_var(i, S) for i in range(n)]) for S in types])
+    adjacent = tuple([(S, T) for S in types for T in sorted(S ^ 1 << i for i in range(n))])
+    return _LP1Layout(
+        labels=tuple(labels), u=u, q=q,
+        variables=u + tuple([name for qS in q for name in qS]),
+        upper=MappingProxyType({name: ONE for qS in q for name in qS}),
+        adjacent=adjacent,
+        rows=MappingProxyType({(S, T): _row_layout(labels, u, q, S, T) for S, T in adjacent}),
+    )
+
+
 class _LP1Frame:
     """What every row set of the full revenue program shares: its variables
     (u >= 0 is their default lower bound, so IR needs no rows), objective and
     q <= 1 bounds, a maker for the truthfulness row of one ordered pair of
-    types, and the replay of all those rows on an assignment."""
+    types, and the replay of all those rows on an assignment.
+
+    Names, bounds and row layouts come from the cached `_lp1_layout(n)`,
+    shared by every instance with n items and never written. Per instance
+    the frame builds only the `Fraction` objective, from its own
+    `subset_probs` table, and the row weights -d_i and d_i; every row is
+    built from a layout and those weights when asked for."""
 
     def __init__(self, inst: OMDInstance):
         n = inst.n
         check_lp1_guard(n)
+        self.layout = layout = _lp1_layout(n)
+        self.u, self.q, self.variables, self.upper = (
+            layout.u, layout.q, layout.variables, layout.upper)
         self.d = inst.d
-        types = range(1 << n)
-        prob_of = subset_probs(inst.p)
-        # every name and label once per mask, not once per pair of types
-        self.labels = [subset_label(S) for S in types]
-        self.u = u = [u_var(S) for S in types]
-        self.q = q = [[q_var(i, S) for i in range(n)] for S in types]
         # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for
         # i in S, d_i for i in T
         self.row_weights = [(-di, di) for di in inst.d]
-        self.variables = tuple(u + [name for qS in q for name in qS])
         # type S values item i at a_i, or a_i + d_i when i is in S
         values = [(ai, ai + di) for ai, di in zip(inst.a, inst.d)]
-        self.objective = {}
-        for S in types:
-            pS = prob_of[S]
-            self.objective[u[S]] = -pS
-            for i, name in enumerate(q[S]):
-                self.objective[name] = pS * values[i][S >> i & 1]
-        self.upper = {name: ONE for qS in q for name in qS}
+        self.objective = objective = {}
+        for S, (uS, qS, pS) in enumerate(zip(layout.u, layout.q, subset_probs(inst.p))):
+            objective[uS] = -pS
+            for i, name in enumerate(qS):
+                objective[name] = pS * values[i][S >> i & 1]
 
     def bic(self, S: Subset, T: Subset) -> Constraint:
         """Type S gains nothing by reporting T: u(S) - u(T) - sum_i
         (v_S,i - v_T,i) q_i(T) >= 0."""
-        coeffs = {self.u[S]: ONE, self.u[T]: -ONE}
-        D = S ^ T
-        for i, (name, weights) in enumerate(zip(self.q[T], self.row_weights)):
-            if D >> i & 1:
-                coeffs[name] = weights[T >> i & 1]
-        return Constraint(coeffs, ">=", ZERO, name=f"bic({self.labels[S]}|{self.labels[T]})")
+        name, uS, uT, entries = self.layout.row(S, T)
+        coeffs = {uS: ONE, uT: -ONE}
+        weights = self.row_weights
+        for qi, i, side in entries:
+            coeffs[qi] = weights[i][side]
+        return Constraint(coeffs, ">=", ZERO, name=name)
 
     def problem(self, constraints: list[Constraint]) -> LPProblem:
         return LPProblem(self.variables, self.objective, "max", constraints, upper=self.upper)
@@ -773,8 +828,7 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
     program holds raises `VerificationError`, so at most 4^n rows are ever
     added."""
     frame = _LP1Frame(inst)
-    n = inst.n
-    adjacent = [(S, T) for S in range(1 << n) for T in sorted(S ^ 1 << i for i in range(n))]
+    adjacent = frame.layout.adjacent
     rows = [frame.bic(S, T) for S, T in adjacent]
     held = set(adjacent)
     while True:

@@ -234,20 +234,26 @@ def bic_violations(
     """Every ordered pair of types (S, T) whose truthfulness row
     u(S) - u(T) >= sum_{i in S ^ T} W_i(T) breaks, S-major, with its exact
     slack (left side minus right), where W_i(T) = d_i q_i(T) for i outside
-    T and -d_i q_i(T) for i in T. On ints: u and every d_i q_i(T) go over
-    one common denominator L; one T at a time, the sums of W(T) over all
-    masks are built by doubling and T's violated rows kept for one sort."""
+    T and -d_i q_i(T) for i in T. On ints, with no `Fraction` product: u and
+    every q_i(T) go over one common denominator L, and the d_i over their
+    own, M, as D_i = d_i M = num(d_i) (M / den(d_i)); the row times L M
+    reads U(S) M - U(T) M >= sum_i (+-D_i) Q_i(T). One T at a time, the sums
+    of W(T) over all masks are built by doubling and T's violated rows kept
+    for one sort; each slack is its int gap over L M."""
     n, size = len(d), len(u)
-    ints, L = over_common_denominator([*u, *(di * qi for qT in q for di, qi in zip(d, qT))])
-    U = ints[:size]
+    ints, L = over_common_denominator([*u, *(qi for qT in q for qi in qT)])
+    D, M = over_common_denominator(d)
+    U = [v * M for v in ints[:size]]
     violated = []
     for T, UT in enumerate(U):
-        W = ints[size + T * n:size + T * n + n]
-        sums = subset_sums([-w if T >> i & 1 else w for i, w in enumerate(W)])
+        Q = ints[size + T * n:size + T * n + n]
+        sums = subset_sums([(-Di if T >> i & 1 else Di) * Qi
+                            for i, (Di, Qi) in enumerate(zip(D, Q))])
         # S == T reads 0 < 0
         violated += [(S, T, US - UT - sums[S ^ T])
                      for S, US in enumerate(U) if US - UT < sums[S ^ T]]
-    return [(S, T, Fraction(gap, L)) for S, T, gap in sorted(violated)]
+    LM = L * M
+    return [(S, T, Fraction(gap, LM)) for S, T, gap in sorted(violated)]
 
 
 def _report(n: int, *violations: tuple[str, Fraction]) -> BicIrReport:

@@ -402,6 +402,42 @@ def test_solve_lp1_first_program_is_filtered_lp1(monkeypatch, n):
     assert dump_problem(programs[0]) == dump_problem(replace(full, constraints=rows))
 
 
+def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
+    # both instances have n = 3, so they share one cached layout; the second
+    # adds non-adjacent rows in a second round
+    programs = []
+
+    def recording_solve(prob):
+        programs.append(prob)
+        return solve_lp(prob)
+
+    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    first = solve_lp1(PINNED_LP1)
+    start = len(programs)
+    solve_lp1(TWO_ROUND_LP1)
+    assert len(programs) - start == 2
+    start = len(programs)
+    again = solve_lp1(PINNED_LP1)
+    assert (again.value, again.assignment) == (first.value, first.assignment)
+
+    full = build_lp1(PINNED_LP1)
+    types = range(8)
+    pairs = [S ^ T for S in types for T in types if S != T]
+    adjacent = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
+    assert dump_problem(programs[start]) == dump_problem(replace(full, constraints=adjacent))
+
+    frame = exactlp._LP1Frame(PINNED_LP1)
+    assert frame.layout is exactlp._LP1Frame(TWO_ROUND_LP1).layout
+    name = frame.variables[-1]
+    with pytest.raises(TypeError):
+        frame.upper[name] = ZERO
+    with pytest.raises(TypeError):
+        frame.layout.rows[0, 3] = frame.layout.row(0, 3)
+    with pytest.raises(TypeError):
+        frame.q[1][0] = name
+    assert frame.upper[name] == ONE and (0, 3) not in frame.layout.rows
+
+
 def test_pinned_vertex_budgeted_oracle(monkeypatch):
     # "=" rows need phase 1, and the free prices split into two columns
     solved = []
