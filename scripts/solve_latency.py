@@ -19,8 +19,14 @@ times `reduce lexrank` in milliseconds on one query drawn like the
 |C| in RANK_SIZES, and a fourth `budgeted --oracle`, in milliseconds, on one
 instance drawn like the `budgeted` workload's (values 1..6, a random budget
 and eps) for each n in BUDGETED_SIZES, which holds the workload's n = 1..4.
-Each figure is the minimum of REPEATS runs, with stdout captured and the
-exit code required to be 0. The reduction's parameter and pipeline caches
+A last table times `solve --oracle-only` in seconds, with the round count
+and the optimal revenue, on GENERAL_N6 general instances at n = 6, drawn
+in turn with `general_doc` from a stream of their own seeded with
+GENERAL_N6_SEED (the draw `exactlp.LP1_GUARD` is timed on), and then on
+NAMED_N6, the slowest n = 6 instance known under smallest-index pricing.
+Each of those figures is one run, since a slow instance can take minutes;
+every other figure is the minimum of REPEATS runs. Stdout is captured and
+the exit code required to be 0. The reduction's parameter and pipeline caches
 are cleared before every run, so each figure is a cold query, except in
 the reduction table's warm column: there the parameter bisection's cache
 keeps the query's (|C|, |S|, k) from the cold runs and only the pipeline
@@ -52,7 +58,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402
-from optmech import reduction  # noqa: E402
+from optmech import exactlp, reduction  # noqa: E402
 from optmech.cli import build_parser, main  # noqa: E402
 
 SEED = 1
@@ -62,6 +68,14 @@ GENERAL_SIZES = (3, 4, 5)
 RANK_SIZES = (4, 7, 10, 13)
 BUDGETED_SIZES = (1, 2, 3, 4, 6, 8, 10)
 REPEATS = 3
+GENERAL_N6 = 12
+GENERAL_N6_SEED = "guard-general:7"
+NAMED_N6 = {
+    "n": 6,
+    "a": ["4", "10", "6", "5", "9", "7"],
+    "d": ["3", "1", "6", "8", "10", "9"],
+    "p": ["7/10", "17/20", "1/4", "9/10", "1/4", "17/20"],
+}
 
 
 def best_of(argv: list[str], keep_parameters: bool = False) -> float:
@@ -78,6 +92,29 @@ def best_of(argv: list[str], keep_parameters: bool = False) -> float:
             raise SystemExit(f"exit {code} from {argv}")
         best = min(best, elapsed)
     return best
+
+
+def lp1_once(path: str, doc: dict) -> tuple[float, int, str]:
+    """One `solve --oracle-only` run: seconds, LP1 rounds and the value."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    rounds, solve_lp = [], exactlp.solve_lp
+
+    def recording_solve(prob):
+        rounds.append(solve_lp(prob))
+        return rounds[-1]
+
+    exactlp.solve_lp = recording_solve
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            t0 = time.perf_counter()
+            code = main(["solve", path, "--oracle-only"])
+            elapsed = time.perf_counter() - t0
+    finally:
+        exactlp.solve_lp = solve_lp
+    if code != 0:
+        raise SystemExit(f"exit {code} from solve --oracle-only on {doc}")
+    return elapsed, len(rounds), str(rounds[-1].value)
 
 
 def parser_build_s() -> float:
@@ -172,6 +209,15 @@ def run() -> None:
         for n in BUDGETED_SIZES:
             oracle = timed(inst, budgeted_doc(budgets, n), ["budgeted", inst, "--oracle"])
             print(f"{n:>3} {oracle * 1e3:>19.3f}")
+        sixes = random.Random(GENERAL_N6_SEED)
+        draws = [(f"general {k}", general_doc(sixes, 6)) for k in range(1, GENERAL_N6 + 1)]
+        print(f"{'n=6 oracle-only, one run':<24} {'s':>8} {'rounds':>6}  value")
+        total = 0.0
+        for label, doc in draws + [("named", NAMED_N6)]:
+            elapsed, count, value = lp1_once(inst, doc)
+            total += elapsed
+            print(f"{label:<24} {elapsed:>8.3f} {count:>6}  {value}")
+        print(f"{'total':<24} {total:>8.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")
 

@@ -1,17 +1,18 @@
 """Exact rational linear programming, plus builders for the three programs.
 
 The solver is a dense two-phase bounded-variable tableau simplex over exact
-rationals with the smallest-index (Bland) anti-cycling pivot rule, so it
-terminates and is fully deterministic: identical problems yield identical
-optimal assignments. A finite upper bound stays a bound, never a row: a
-column at its bound is complemented (x' = ub - x), and the ratio test weighs
-a basic variable falling to 0, a bounded basic variable rising to its bound,
-and the entering column reaching its own bound, which flips it without a
-pivot. Every optimal answer is proved post hoc, not trusted to the pivots:
-the assignment meets the original constraints and bounds, the simplex's row
-multipliers y have the right signs and, with each bound priced at
-w_j = max(0, c_j - (y.A)_j), cover every column, and y.b + w.ub equals the
-assignment's value c.x.
+rationals. The column with the largest reduced cost enters (Dantzig's rule),
+and the smallest-index one (Bland's rule) while a run of zero-length steps
+lasts, so it terminates and is fully deterministic: identical problems
+yield identical optimal assignments. A finite upper bound stays a bound,
+never a row: a column at its bound is complemented (x' = ub - x), and the
+ratio test weighs a basic variable falling to 0, a bounded basic variable
+rising to its bound, and the entering column reaching its own bound, which
+flips it without a pivot. Every optimal answer is proved post hoc, not
+trusted to the pivots: the assignment meets the original constraints and
+bounds, the simplex's row multipliers y have the right signs and, with each
+bound priced at w_j = max(0, c_j - (y.A)_j), cover every column, and
+y.b + w.ub equals the assignment's value c.x.
 
 The tableau holds integers. `solve_lp` builds each row in one pass over its
 coefficient map, reading each coefficient's numerator and denominator once,
@@ -71,14 +72,14 @@ from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). At n=6, the full program's guard,
-# `solve_lp1` took 0.05-0.11 s on 12 seeded single-positive instances and
-# 0.36-32 s on 12 seeded general ones (a_i in 0..10, d_i in 1..10, p_i in
-# k/20; nine needed a second round), but 263 s, at 30 MiB, on
-# a=(4,10,6,5,9,7), d=(3,1,6,8,10,9), p=(7/10,17/20,1/4,9/10,1/4,17/20),
-# 258 s of it in a third round of 672 rows (2 vCPUs, Python 3.11). At n=7,
-# measured while the q <= 1 bounds were still rows, one general instance
-# took 3.2 s in one round; another broke 512 rows after a 3.8 s first
-# round, and its second round (1,536 rows) ran for over 9 minutes. The
+# `solve_lp1` took 0.05-0.08 s on 12 seeded single-positive instances, and
+# `solve --oracle-only` 0.07-1.4 s on the 12 seeded general ones of
+# scripts/solve_latency.py (a_i in 0..10, d_i in 1..10, p_i in k/20; eight
+# needed a second round, one of them a third) and 0.42 s on
+# a=(4,10,6,5,9,7), d=(3,1,6,8,10,9), p=(7/10,17/20,1/4,9/10,1/4,17/20) in
+# three rounds, which took 0.18-20 s and 200 s under smallest-index pricing
+# (2 vCPUs, Python 3.11). At n=7 four general instances drawn the same way
+# took 0.79-8.8 s, in one or two rounds; the worst n=7 case is unknown. The
 # relaxed program's guard is set by memory: on a random single-positive
 # instance one solve took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS
 # of 1.3 GiB; LP2 at n=12 did not finish in 4 GiB of address space (2 vCPUs).
@@ -180,7 +181,8 @@ class LPSolution:
 #
 # `_simplex_max` solves  max c.x  over rows {<=, =, >=} with 0 <= x_j <= ub_j
 # (ub_j finite on the bounded columns, +inf elsewhere) by the two-phase dense
-# tableau method, Bland's smallest-index rule throughout. It reports, besides
+# tableau method, entering by the largest reduced cost and falling back to
+# Bland's smallest index when degenerate steps stall. It reports, besides
 # the optimal column values, the dual multiplier of every input row. No bound
 # is ever a row. `solve_lp` checks the assignment those column values give,
 # scaled to ints, against the original constraints and bounds, and the
@@ -201,8 +203,11 @@ class LPSolution:
 # columns; otherwise with pc and f divided by their gcd, and the result by
 # the gcd of its entries. Rows with f = 0 are not touched. A cost row has the
 # same form, with its positive denominator as one more entry. Ratio tests
-# compare by cross-multiplication. Bland's rule reads only signs and ratio
-# order, so every pivot, vertex and dual is the rational tableau's.
+# compare by cross-multiplication. The entering rule reads the cost row's
+# signs and the order of its entries, which are the rational reduced costs
+# times one positive denominator, so the argmax does not depend on the row's
+# scale; the leaving rule reads only ratio order. So every pivot, vertex and
+# dual is the rational tableau's.
 #
 # Bounds. Every nonbasic column sits at 0 in its current orientation. A
 # bounded column that must sit at its bound ub = num / den is complemented:
@@ -220,9 +225,23 @@ class LPSolution:
 #     pivots nothing.
 # The least t wins, ties to the smallest index of the variable that leaves,
 # where a flip counts e itself. A basic variable that leaves at its bound is
-# complemented after the pivot, so it sits at 0 again. Why this terminates:
-# write each bound as an explicit row x_j + s_j = ub_j, and order s_j right
-# after x_j. The bounded tableau is that explicit tableau with each bound row
+# complemented after the pivot, so it sits at 0 again.
+#
+# Pricing. The column with the largest positive reduced cost enters, ties to
+# the smallest index (Dantzig's rule). A step has length 0 when its least t
+# is 0: a pivot on a row whose ratio numerator is 0, or the flip of a
+# column whose bound is 0. Once more than len(T) steps in a row had length
+# 0, the smallest eligible index enters instead (Bland's rule), until a
+# step of positive length. The slack of len(T) lets Dantzig's rule cross
+# most degenerate vertices itself; Bland after the first zero-length step
+# was measured slower. Why this terminates: a step of length t > 0 raises
+# the objective by t times the entering reduced cost, so no basis (with its
+# complemented columns) met before it comes back after it, and there are
+# finitely many such steps. A run of zero-length steps is pure Bland from
+# its (len(T) + 2)-th step on, and Bland's rule cannot cycle from any
+# basis, so the run ends. Why the bounded Bland method cannot cycle: write
+# each bound as an explicit row x_j + s_j = ub_j, and order s_j right after
+# x_j. The bounded tableau is that explicit tableau with each bound row
 # solved out: a nonbasic column j stands for x_j, or for s_j once
 # complemented, and the other of the two is basic in the bound row. The
 # three candidates are exactly the explicit basic variables that can reach 0
@@ -230,7 +249,7 @@ class LPSolution:
 # explicit program, because for two columns j < k both x_j and s_j precede
 # both x_k and s_k. Bland's rule terminates for every fixed order of the
 # variables, so this does too. A program with no bounded column takes
-# exactly the pivots of the plain method.
+# exactly the pivots of the plain method under the same pricing.
 #
 # The cost row is always the objective minus a combination of the input rows,
 # so the reduced cost of a row's slack or artificial column is minus that
@@ -390,15 +409,19 @@ def _simplex_max(ncols, rows, objective, upper):
         return cost
 
     def run(enterable):
-        # Bland: entering = smallest eligible positive reduced cost; leaving
-        # = least step t, ties to the smallest index of the variable that
-        # leaves (see the comment block for the three kinds of candidate)
+        # Dantzig: entering = largest positive reduced cost, ties to the
+        # smallest index; Bland's smallest index instead once more than
+        # len(T) steps in a row had length 0. Leaving = least step t, ties
+        # to the smallest index of the variable that leaves (see the comment
+        # block for the three kinds of candidate and why this terminates)
+        stalled = 0
         while True:
-            enter = -1
+            enter, top, bland = -1, 0, stalled > len(T)
             for j in range(total):
-                if enterable[j] and cost[j] > 0:
-                    enter = j
-                    break
+                if cost[j] > top and enterable[j]:
+                    enter, top = j, cost[j]
+                    if bland:
+                        break
             if enter < 0:
                 return OPTIMAL
             # the best row so far, whose basic variable leaves after a step
@@ -427,10 +450,12 @@ def _simplex_max(ncols, rows, objective, upper):
                     lhs, rhs = num * best_den, best_num * den
                     flip = lhs < rhs or (lhs == rhs and enter < basis[leave])
                 if flip:
+                    stalled = 0 if num else stalled + 1
                     complement(enter)
                     continue
             if leave < 0:
                 return UNBOUNDED
+            stalled = 0 if best_num else stalled + 1
             if bounded and T[leave][enter] < 0:
                 # its basic variable rises to its bound, and leaves there
                 b = basis[leave]

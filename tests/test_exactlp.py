@@ -1,6 +1,8 @@
 import random
 import re
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -292,7 +294,43 @@ def test_problem_rejects_malformed_models(change, message):
 
 
 # ---------------------------------------------------------------------------
-# pinned vertices: Bland's rule makes the optimal vertex part of the contract
+# pricing: the largest reduced cost enters, and Bland's smallest index once
+# the steps stall, so the program below ends instead of cycling
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _hang_guard(seconds):
+    """Fail, rather than hang, if the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s: the simplex cycles")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_degenerate_steps_fall_back_to_bland():
+    # Chvatal's cycling program (Linear Programming, 1983, ch. 3): the
+    # largest reduced cost with smallest-index ties on both sides returns
+    # to its first basis after six zero-length pivots, forever
+    names = ("x1", "x2", "x3", "x4")
+    prob = LPProblem(names, dict(zip(names, map(F, (10, -57, -9, -24)))), "max", (
+        Constraint(dict(zip(names, (F(1, 2), F(-11, 2), F(-5, 2), F(9)))), "<=", ZERO),
+        Constraint(dict(zip(names, (F(1, 2), F(-3, 2), F(-1, 2), ONE))), "<=", ZERO),
+        Constraint({"x1": ONE}, "<=", ONE),
+    ))
+    with _hang_guard(5):
+        sol = solve_lp(prob)
+    assert (sol.status, sol.value) == ("optimal", ONE)
+    assert sol.assignment == {"x1": ONE, "x2": ZERO, "x3": ONE, "x4": ZERO}
+
+
+# ---------------------------------------------------------------------------
+# pinned vertices: a deterministic pivot rule makes the optimal vertex part
+# of the contract
 # ---------------------------------------------------------------------------
 
 def _with_zeros(prob, nonzero):
@@ -348,6 +386,17 @@ def test_solve_lp1_adds_violated_rows(monkeypatch):
     sol = solve_lp1(TWO_ROUND_LP1)
     assert [r.value for r in rounds] == [F(47809, 2000), F(239, 10)]
     assert sol.value == F(239, 10) == solve_lp(build_lp1(TWO_ROUND_LP1)).value
+
+
+# a general n=6 instance whose restricted program's answers break rows, so
+# it takes more than one round (three today); the value is pinned, not the
+# rounds, whose sizes depend on the vertices they reach
+NAMED_N6 = make_instance([4, 10, 6, 5, 9, 7], [3, 1, 6, 8, 10, 9],
+                         [(7, 10), (17, 20), (1, 4), (9, 10), (1, 4), (17, 20)])
+
+
+def test_solve_lp1_reaches_a_multi_round_n6_optimum():
+    assert solve_lp1(NAMED_N6).value == F(106681781, 1920000)
 
 
 def test_solve_lp1_refuses_a_replay_that_breaks_a_held_row(monkeypatch):
