@@ -59,7 +59,7 @@ from .mechanism import (
     expected_revenue,
     is_monotone_supermodular,
     mechanism_from_json_dict,
-    mechanism_to_json_dict,
+    mechanism_to_json,
     price_menu,
     sample_allocation,
     verify_bic_ir,

@@ -51,7 +51,7 @@ from .mechanism import (
     certify_bic_ir,
     closed_form_mechanism,
     expected_revenue,
-    mechanism_to_json_dict,
+    mechanism_to_json,
     menu_strings,
     sample_allocation,
 )
@@ -142,28 +142,6 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-# One menu entry as `json.dumps(..., indent=2)` writes it. Its keys are fixed
-# ASCII, and every u, q and price string holds only digits, "-" and "/", so
-# nothing needs escaping; q always has n >= 1 entries.
-_ENTRY = ('{\n      "type": %s,\n      "u": "%s",\n      "q": [\n        "%s"\n      ],'
-          '\n      "price": "%s"\n    }')
-
-
-def _mechanism_json(doc: dict) -> str:
-    """The text of ``json.dumps(doc, indent=2) + "\n"`` for the document of
-    `mechanism_to_json_dict`: {"n": int, "menu": [entry, ...]}, each entry
-    {"type": [int, ...], "u": str, "q": [str, ...], "price": str}, written
-    straight from its strings."""
-    entries = []
-    for entry in doc["menu"]:
-        items = entry["type"]
-        types = "[\n        " + ",\n        ".join(map(str, items)) + "\n      ]" if items else "[]"
-        q = '",\n        "'.join(entry["q"])
-        entries.append(_ENTRY % (types, entry["u"], q, entry["price"]))
-    menu = ",\n    ".join(entries)
-    return f'{{\n  "n": {doc["n"]},\n  "menu": [\n    {menu}\n  ]\n}}\n'
-
-
 def _tuple_text(texts) -> str:
     return "(" + ", ".join(texts) + ")"
 
@@ -244,7 +222,7 @@ def cmd_solve(args) -> RunReport:
         _write_text(args.dump_lattice, dump_lattice(params, flow))
         report.outputs["lattice dump"] = args.dump_lattice
     if args.json_out:
-        _write_text(args.json_out, _mechanism_json(mechanism_to_json_dict(mech, strings)))
+        _write_text(args.json_out, mechanism_to_json(mech, strings))
         report.outputs["mechanism json"] = args.json_out
 
     return report

@@ -364,15 +364,6 @@ def from_lp2_params(params: LP2Params) -> tuple[OMDInstance, Fraction]:
 # Instance JSON document
 # ---------------------------------------------------------------------------
 
-def instance_to_json_dict(inst: OMDInstance) -> dict:
-    return {
-        "n": inst.n,
-        "a": [format_rational(v) for v in inst.a],
-        "d": [format_rational(v) for v in inst.d],
-        "p": [format_rational(v) for v in inst.p],
-    }
-
-
 def document_fields(doc, what: str, *fields: str) -> list:
     """The values of ``fields`` in the decoded JSON document ``doc``, in
     order, or an `InputError` naming ``what`` if ``doc`` is not an object,
@@ -401,7 +392,14 @@ def instance_from_json_dict(doc) -> OMDInstance:
 
 
 def instance_to_json(inst: OMDInstance) -> str:
-    return json.dumps(instance_to_json_dict(inst), indent=2) + "\n"
+    """The instance document that `instance_from_json` reads, indented by 2."""
+    doc = {
+        "n": inst.n,
+        "a": [format_rational(v) for v in inst.a],
+        "d": [format_rational(v) for v in inst.d],
+        "p": [format_rational(v) for v in inst.p],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def decode_json(text: str, what: str):

@@ -342,7 +342,6 @@ def _simplex_max(ncols, rows, objective, upper):
     ub = [None] * total
     for j, bound in upper.items():
         ub[j] = bound
-    bounded = bool(upper)   # False: the plain ratio test, no bound candidates
     complemented = set()    # the columns that stand for ub - x
 
     def eliminate(row, c, prow, nz):
@@ -431,7 +430,7 @@ def _simplex_max(ncols, rows, objective, upper):
                 coeff = row[enter]
                 if coeff > 0:
                     num, den = row[-1], coeff
-                elif bounded and coeff < 0 and ub[basis[i]]:
+                elif coeff < 0 and ub[basis[i]]:
                     b = basis[i]
                     ub_num, ub_den = ub[b]
                     num, den = ub_num * row[b] - ub_den * row[-1], -coeff * ub_den
@@ -442,7 +441,7 @@ def _simplex_max(ncols, rows, objective, upper):
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                         continue
                 best_num, best_den, leave = num, den, i
-            if bounded and ub[enter]:
+            if ub[enter]:
                 # the entering column's own bound is one more candidate
                 num, den = ub[enter]
                 flip = leave < 0
@@ -456,7 +455,7 @@ def _simplex_max(ncols, rows, objective, upper):
             if leave < 0:
                 return UNBOUNDED
             stalled = 0 if best_num else stalled + 1
-            if bounded and T[leave][enter] < 0:
+            if T[leave][enter] < 0:
                 # its basic variable rises to its bound, and leaves there
                 b = basis[leave]
                 pivot(leave, enter)

@@ -49,10 +49,11 @@ from .errors import PreconditionError
 LATTICE_GUARD = 14
 
 
-def node_costs(d: Sequence[Fraction]) -> list[Fraction]:
+def node_costs(d: Sequence[Fraction] | Sequence[int]) -> list[Fraction] | list[int]:
     """Cost of every lattice node S over ground set {1..len(d)}, by mask: the
     sum of d_i over the items missing from S, i.e. the sum over the
-    complement mask, which reverses the mask order."""
+    complement mask, which reverses the mask order. Ints in give ints out, as
+    `canonical_solution` uses it on the d_i over their common denominator."""
     return subset_sums(d)[::-1]
 
 
@@ -89,8 +90,9 @@ class FlowSolution:
     `Fraction`s, derived on first access. ``partially_filled`` is the last
     filled node when it ended strictly below capacity, else None. ``costs``
     holds every node's cost times ``cost_scale`` as an int, by mask;
-    `scaled_utility` and `scaled_d` read the closed-form menu off it, and
-    `utility` and `allocation` give its entries as `Fraction`s. ``flows``
+    `scaled_utility` reads the closed-form menu off it, and `utility` and
+    `allocation` give its entries as `Fraction`s, the latter with d_i read
+    as the cost gap costs[{}] - costs[{i}]. ``flows``
     maps covering edges (src, dst) to the amount carried; it is derived from
     the fill on first access.
     """
@@ -116,12 +118,6 @@ class FlowSolution:
         gap = (self.costs[self.fill_order[-1]] if self.fill_order else 0) - self.costs[S]
         return gap if gap > 0 else 0
 
-    @cached_property
-    def scaled_d(self) -> list[int]:
-        """D_i = d_i times ``cost_scale``, item i 0-based: the cost gap
-        costs[S] - costs[S+{i}] of any S without i, here S = {}."""
-        return [self.costs[0] - self.costs[1 << i] for i in range(self.n)]
-
     def utility(self, S: Subset) -> Fraction:
         """The optimal u(S) = max(cost(S*) - cost(S), 0), S* the last filled
         node; 0 for every S when nothing was filled (zero supply)."""
@@ -129,11 +125,12 @@ class FlowSolution:
 
     def allocation(self, S: Subset, i: int) -> Fraction:
         """The optimal q_i(S), item i 0-based: 1 for i in S, else
-        (u(S+{i}) - u(S)) / d_i = (U(S+{i}) - U(S)) / D_i."""
+        (u(S+{i}) - u(S)) / d_i = (U(S+{i}) - U(S)) / D_i, where
+        D_i = d_i times ``cost_scale`` is the cost gap costs[{}] - costs[{i}]."""
         if S >> i & 1:
             return ONE
         u = self.scaled_utility
-        return Fraction(u(S | 1 << i) - u(S), self.scaled_d[i])
+        return Fraction(u(S | 1 << i) - u(S), self.costs[0] - self.costs[1 << i])
 
     @cached_property
     def absorbed(self) -> dict[Subset, Fraction]:
@@ -189,7 +186,7 @@ def canonical_solution(params: LP2Params) -> FlowSolution:
             f"{format_rational(params.B)}"
         )
     D, cost_scale = over_common_denominator(params.d)
-    costs = subset_sums(D)[::-1]
+    costs = node_costs(D)
     (B, *X), weight_scale = over_common_denominator([params.B, *params.x])
     weights = subset_sums(X)
     probs, prob_scale = scaled_subset_probs(params.p)

@@ -16,7 +16,9 @@ views ``u``, ``q`` and ``tau`` are built only when first read.
 `price_menu` prices every type from scaled utilities and the instance,
 `closed_form_mechanism` hands it the flow's, and `expected_revenue` is one
 int dot product on the stored prices. `menu_strings` formats each value once
-from its int pair, for the printed menu and the menu document alike.
+from its int pair, for the printed menu and the menu document alike, and
+`mechanism_to_json` writes that document from the strings, while
+`mechanism_from_json_dict` reads it back: the menu format lives here alone.
 
 `certify_bic_ir` certifies every truthfulness, rationality and probability
 constraint of the full program in O(2^n n^2) exact checks, for a mechanism
@@ -442,15 +444,34 @@ def menu_strings(mech: Mechanism) -> tuple[list[str], list[list[str]], list[str]
     )
 
 
-def mechanism_to_json_dict(mech: Mechanism, strings=None) -> dict:
-    """The menu document; ``strings``, when given, is `menu_strings(mech)`
-    already made, so no value is formatted twice."""
+# One menu entry as `json.dumps(..., indent=2)` writes it. Its keys are fixed
+# ASCII, and every u, q and price string holds only digits, "-" and "/", so
+# nothing needs escaping; q always has n >= 1 entries.
+_ENTRY = ('{\n      "type": %s,\n      "u": "%s",\n      "q": [\n        "%s"\n      ],'
+          '\n      "price": "%s"\n    }')
+
+
+def mechanism_to_json(mech: Mechanism, strings=None) -> str:
+    """The menu document {"n": int, "menu": [entry, ...]}, each entry
+    {"type": [1-based item, ...], "u": str, "q": [str, ...], "price": str}
+    in mask order, as the text ``json.dumps(doc, indent=2)`` writes, plus a
+    final newline. It is written straight from the strings; ``strings``,
+    when given, is `menu_strings(mech)` already made, so no value is
+    formatted twice."""
+    n = mech.n
     u, q, tau = strings or menu_strings(mech)
-    menu = [
-        {"type": subset_to_list(S), "u": u[S], "q": q[S], "price": tau[S]}
-        for S in range(1 << mech.n)
-    ]
-    return {"n": mech.n, "menu": menu}
+    # each type's item list by mask, doubled one bit at a time: S + {i} for
+    # S below bit i appends item i + 1 to S's list
+    lists = [""]
+    for i in range(n):
+        item = str(i + 1)
+        lists += [f"{items},\n        {item}" if items else item for items in lists]
+    menu = ",\n    ".join([
+        _ENTRY % (f"[\n        {items}\n      ]" if items else "[]",
+                  u[S], '",\n        "'.join(q[S]), tau[S])
+        for S, items in enumerate(lists)
+    ])
+    return f'{{\n  "n": {n},\n  "menu": [\n    {menu}\n  ]\n}}\n'
 
 
 def mechanism_from_json_dict(doc) -> Mechanism:

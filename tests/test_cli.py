@@ -21,7 +21,6 @@ from optmech.mechanism import (
     certify_bic_ir,
     closed_form_mechanism,
     mechanism_from_json_dict,
-    mechanism_to_json_dict,
     verify_bic_ir,
 )
 from tests.test_mechanism import shaped_mechanism, zero_mechanism
@@ -69,20 +68,6 @@ def test_solve_lottery_menu(tmp_path, capsys):
 
     dump = lattice_out.read_text()
     assert dump.count("node=") == 4
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_mechanism_json_is_the_indented_document(n):
-    rng = random.Random(n)
-
-    def value():
-        return F(rng.randint(-30, 30), rng.randint(1, 12))
-    size = 1 << n
-    mech = Mechanism.from_fractions(n, [value() for _ in range(size)],
-                                    [tuple(value() for _ in range(n)) for _ in range(size)],
-                                    [value() for _ in range(size)], unique=False)
-    doc = mechanism_to_json_dict(mech)
-    assert cli._mechanism_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_solve_with_oracle(tmp_path, capsys):

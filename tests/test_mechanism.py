@@ -19,7 +19,7 @@ from optmech import (
     from_lp2_params,
     is_monotone_supermodular,
     mechanism_from_json_dict,
-    mechanism_to_json_dict,
+    mechanism_to_json,
     node_costs,
     sample_allocation,
     solve_lp,
@@ -515,11 +515,10 @@ def test_sample_lottery_frequency_and_reproducibility():
 
 def test_mechanism_json_round_trip():
     mech = mech_for(PARAMS_B)
-    doc = mechanism_to_json_dict(mech)
+    doc = json.loads(mechanism_to_json(mech))
     assert doc["n"] == 2
     assert len(doc["menu"]) == 4
-    text = json.dumps(doc)
-    back = mechanism_from_json_dict(json.loads(text))
+    back = mechanism_from_json_dict(doc)
     assert back.u == mech.u
     assert back.q == mech.q
     assert back.tau == mech.tau
@@ -528,8 +527,23 @@ def test_mechanism_json_round_trip():
     assert verify_bic_ir(inst, back).ok
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mechanism_json_is_the_indented_document(n):
+    # values of both signs, and the empty type's list written as []
+    rng = random.Random(n)
+
+    def value():
+        return F(rng.randint(-30, 30), rng.randint(1, 12))
+    size = 1 << n
+    mech = Mechanism.from_fractions(n, [value() for _ in range(size)],
+                                    [tuple(value() for _ in range(n)) for _ in range(size)],
+                                    [value() for _ in range(size)], unique=False)
+    text = mechanism_to_json(mech)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_mechanism_json_rejects_bad_n():
-    doc = mechanism_to_json_dict(mech_for(PARAMS_B))
+    doc = json.loads(mechanism_to_json(mech_for(PARAMS_B)))
     # a negative n must not escape as a bare shift-count ValueError, and an
     # absurd n must not build 1 << n before the menu length is compared
     for n in (-1, 10**9):
@@ -563,7 +577,7 @@ def test_mechanism_json_rejects_malformed_documents(doc, field):
 
 def test_mechanism_json_rejects_non_list_type():
     # a scalar type must not escape as a bare TypeError from the index check
-    doc = mechanism_to_json_dict(mech_for(PARAMS_B))
+    doc = json.loads(mechanism_to_json(mech_for(PARAMS_B)))
     for bad in (5, None, "12", {"1": 1}):
         menu = [dict(doc["menu"][0], type=bad)] + doc["menu"][1:]
         with pytest.raises(InputError, match=r"menu\[0\]\.type: expected a list"):

@@ -52,7 +52,7 @@ from optmech import (
     instance_from_json,
     instance_to_json,
     mechanism_from_json_dict,
-    mechanism_to_json_dict,
+    mechanism_to_json,
     node_balances,
     node_costs,
     subset_probs,
@@ -177,7 +177,9 @@ def mechanisms(draw):
 @exact
 @given(mechanisms())
 def test_mechanism_json_round_trip(mech):
-    back = mechanism_from_json_dict(json.loads(json.dumps(mechanism_to_json_dict(mech))))
+    text = mechanism_to_json(mech)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    back = mechanism_from_json_dict(json.loads(text))
     assert back.n == mech.n
     assert back.u == mech.u
     assert back.q == mech.q
