@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Two sha256 per program family over every exact LP answer the family
-produces: one over each `solve_lp` call's status, value, assignment and row
-multipliers, and a value-only one over each call's status and value. One
-more per CLI family over every call's printed output.
+produces: one over each `_simplex_max` outcome (status, column values and
+row multipliers) and each `solve_lp` or `solve_lp1` answer (status, value
+and assignment), and a value-only one over each answer's status and value.
+One more per CLI family over every call's printed output.
 
     python3 scripts/lp_parity.py [--seed 17]
 
@@ -17,11 +18,17 @@ sits in, the seeded generators of its `perfbench` directory and
 `general_doc` of `solve_latency.py` beside it; uses the standard library
 only.
 
-The multipliers are recorded by wrapping `exactlp._simplex_max`, whatever
-its arguments, as the rationals duals[k] / den, so they do not depend on
-how the integer rows are scaled. They are the multipliers of the rows the
+The outcomes are recorded by wrapping `exactlp._simplex_max`, whatever
+its arguments: the column values as a dense list of rationals, and the
+multipliers as the rationals duals[k] / den, so they do not depend on how
+the integer rows are scaled. They are the multipliers of the rows the
 simplex was given: a solver that keeps upper bounds as bounds reports none
-for them. The families:
+for them. The answers are recorded by wrapping `solve_lp` and `solve_lp1`
+wherever the package binds them; a call of one made while the other runs
+is not an answer of its own. So the lines do not depend on whether
+`solve_lp1` reaches the simplex through `solve_lp` or directly: two trees
+that hand the simplex the same programs print the same lines. The
+families:
 
   * certify    -- `solve --oracle` on the first CERTIFY_OPS inputs of the
                   `certify` workload's pool (LP1 at n = 3);
@@ -41,7 +48,7 @@ for them. The families:
                   free below, rows of every relation.
 
 Every CLI call of those families must exit 0. Each line reads
-`<family> <solves> <sha256> <value-only sha256>`.
+`<family> <answers> <simplex calls> <sha256> <value-only sha256>`.
 
 The CLI families hash, per in-process `cli.main` call, its exit code, its
 stdout without the `elapsed:` line, its stderr and every file it was told
@@ -113,41 +120,56 @@ REPLAY_MENUS = 300
 
 
 class Recorder:
-    """Wraps `solve_lp` wherever the package binds it, and `_simplex_max`,
-    and hashes every answer in call order, in full and value only."""
+    """Wraps `_simplex_max`, and `solve_lp` and `solve_lp1` wherever the
+    package binds them, and hashes every simplex outcome and every answer in
+    call order: both in full, the answers also value only."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
         self.values = hashlib.sha256()
-        self.solves = 0
-        self.duals = None
-        solve_lp, simplex = exactlp.solve_lp, exactlp._simplex_max
+        self.answers = self.simplex_calls = 0
+        self.depth = 0  # solve_lp / solve_lp1 calls in flight
+        simplex = exactlp._simplex_max
 
-        def recording_simplex(*args):
-            outcome = simplex(*args)
-            self.duals = outcome.duals and [Fraction(y, outcome.den) for y in outcome.duals]
+        def recording_simplex(ncols, *args):
+            outcome = simplex(ncols, *args)
+            colvals = duals = None
+            if outcome.status == exactlp.OPTIMAL:
+                colvals = [outcome.colvals.get(j, 0) for j in range(ncols)]
+                duals = [Fraction(y, outcome.den) for y in outcome.duals]
+            self.digest.update(repr((outcome.status, colvals, duals)).encode())
+            self.simplex_calls += 1
             return outcome
 
-        def recording_solve(prob):
-            self.duals = None
-            sol = solve_lp(prob)
-            record = (sol.status, sol.value, list(sol.assignment.items()), self.duals)
-            self.digest.update(repr(record).encode())
-            self.values.update(repr(record[:2]).encode())
-            self.solves += 1
-            return sol
+        def recording(solve):
+            def run(prob):
+                self.depth += 1
+                try:
+                    sol = solve(prob)
+                finally:
+                    self.depth -= 1
+                if not self.depth:
+                    record = (sol.status, sol.value, list(sol.assignment.items()))
+                    self.digest.update(repr(record).encode())
+                    self.values.update(repr(record[:2]).encode())
+                    self.answers += 1
+                return sol
+            return run
 
+        wrappers = [(solve, recording(solve)) for solve in (exactlp.solve_lp, exactlp.solve_lp1)]
         exactlp._simplex_max = recording_simplex
         for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "optmech"]:
             for key, value in list(vars(module).items()):
-                if value is solve_lp:
-                    setattr(module, key, recording_solve)
+                for solve, wrapper in wrappers:
+                    if value is solve:
+                        setattr(module, key, wrapper)
 
-    def take(self) -> tuple[int, str, str]:
-        """The solve count, digest and value-only digest since the last
-        call, then reset."""
-        out = self.solves, self.digest.hexdigest(), self.values.hexdigest()
-        self.digest, self.values, self.solves = hashlib.sha256(), hashlib.sha256(), 0
+    def take(self) -> tuple[int, int, str, str]:
+        """The answer and simplex call counts, digest and value-only digest
+        since the last call, then reset."""
+        out = self.answers, self.simplex_calls, self.digest.hexdigest(), self.values.hexdigest()
+        self.digest, self.values = hashlib.sha256(), hashlib.sha256()
+        self.answers = self.simplex_calls = 0
         return out
 
 

@@ -95,26 +95,31 @@ def best_of(argv: list[str], keep_parameters: bool = False) -> float:
 
 
 def lp1_once(path: str, doc: dict) -> tuple[float, int, str]:
-    """One `solve --oracle-only` run: seconds, LP1 rounds and the value."""
+    """One `solve --oracle-only` run: seconds, LP1 rounds (one simplex run
+    each) and the printed value."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
-    rounds, solve_lp = [], exactlp.solve_lp
+    rounds, simplex = 0, exactlp._simplex_max
 
-    def recording_solve(prob):
-        rounds.append(solve_lp(prob))
-        return rounds[-1]
+    def counting_simplex(*args):
+        nonlocal rounds
+        rounds += 1
+        return simplex(*args)
 
-    exactlp.solve_lp = recording_solve
+    exactlp._simplex_max = counting_simplex
+    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(out):
             t0 = time.perf_counter()
             code = main(["solve", path, "--oracle-only"])
             elapsed = time.perf_counter() - t0
     finally:
-        exactlp.solve_lp = solve_lp
+        exactlp._simplex_max = simplex
     if code != 0:
         raise SystemExit(f"exit {code} from solve --oracle-only on {doc}")
-    return elapsed, len(rounds), str(rounds[-1].value)
+    prefix = "oracle optimal revenue: "
+    value = next(line for line in out.getvalue().splitlines() if line.startswith(prefix))
+    return elapsed, rounds, value[len(prefix):]
 
 
 def parser_build_s() -> float:

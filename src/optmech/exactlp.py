@@ -29,14 +29,17 @@ The three builders produce, for a given instance / parameter vector:
   * ``build_lp1`` -- the full revenue program: utilities u(S) and allocation
     marginals q_i(S) with truthfulness rows for every ordered pair of types.
     IR is the variables' default lower bound u >= 0, not a row.
-    ``solve_lp1`` finds its optimum without building it: it solves the
-    program on the adjacent-type truthfulness rows, replays all 4^n
-    truthfulness rows on each answer with `mechanism.bic_violations`, and
-    adds only the rows that fail. What depends on n alone (the labels, the
-    u and q names, the q <= 1 bounds, and each adjacent row's name and
-    variables) is built once per n and cached as an immutable value;
-    each call builds only the instance's `Fraction` objective and its
-    row weights -d_i and d_i, and builds any other row when it is added;
+    ``solve_lp1`` finds its optimum without building it, and without
+    `solve_lp`: it hands the simplex LP1's int rows directly, the ints
+    `solve_lp` would compile them to. It solves the program on the
+    adjacent-type truthfulness rows, replays all 4^n truthfulness rows on
+    each answer with `mechanism.bic_violations`, and adds only the rows that
+    fail. Its proof has three parts, on ints: the answer's bounds, that
+    replay, and the dual certificate. What depends on n alone (the labels,
+    the u and q names, the q <= 1 bounds and the adjacent pairs) is built
+    once per n and cached as an immutable value; each call builds only the
+    instance's int objective, from its own `Fraction` p(S), and each int
+    row when it is added;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -72,17 +75,18 @@ from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). At n=6, the full program's guard,
-# `solve_lp1` took 0.05-0.08 s on 12 seeded single-positive instances, and
-# `solve --oracle-only` 0.07-1.4 s on the 12 seeded general ones of
+# `solve_lp1` took 0.04-0.09 s on 12 seeded single-positive instances, and
+# `solve --oracle-only` 0.08-1.7 s on the 12 seeded general ones of
 # scripts/solve_latency.py (a_i in 0..10, d_i in 1..10, p_i in k/20; eight
-# needed a second round, one of them a third) and 0.42 s on
+# needed a second round, one of them a third) and 0.47-0.67 s on
 # a=(4,10,6,5,9,7), d=(3,1,6,8,10,9), p=(7/10,17/20,1/4,9/10,1/4,17/20) in
 # three rounds, which took 0.18-20 s and 200 s under smallest-index pricing
-# (2 vCPUs, Python 3.11). At n=7 four general instances drawn the same way
-# took 0.79-8.8 s, in one or two rounds; the worst n=7 case is unknown. The
-# relaxed program's guard is set by memory: on a random single-positive
-# instance one solve took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS
-# of 1.3 GiB; LP2 at n=12 did not finish in 4 GiB of address space (2 vCPUs).
+# (2 vCPUs, Python 3.11, two runs each on a host whose speed drifted by up
+# to 1.5x). At n=7 four general instances drawn the same way took
+# 1.0-10.3 s; the worst n=7 case is unknown. The relaxed program's guard
+# is set by memory: on a random single-positive instance one solve took
+# 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS of 1.3 GiB; LP2 at
+# n=12 did not finish in 4 GiB of address space (2 vCPUs).
 LP1_GUARD = 6
 LP23_GUARD = 11
 
@@ -267,7 +271,9 @@ class LPSolution:
 # `Constraint`'s own coefficient map and never the rows built here), y has
 # the right signs and covers every column without a bound, and y.b + w.ub
 # equals c.x (`_check_duals`, which computes w itself and never reads the
-# tableau).
+# tableau). `solve_lp1` proves its answers the same way, except that its
+# bounds are checked on their own and the 4^n replay of `bic_violations`,
+# which covers every row the program holds, stands for `_check_feasible`.
 
 
 class _SimplexOutcome:
@@ -731,99 +737,75 @@ def check_lp1_guard(n: int) -> None:
 class _LP1Layout:
     """What LP1 has that depends on n alone, built once per n by
     `_lp1_layout` and never written: every type's label (indexed by mask)
-    and u and q names, the variables, the q <= 1 bounds, the adjacent pairs
-    (S, T) in `build_lp1`'s order, and each adjacent pair's row layout."""
+    and u and q names, the variables in column order (u(S) is column S and
+    q_i(S) column 2^n + n S + i), the q <= 1 bounds as `_simplex_max` reads
+    them, {column: (1, 1)}, and the adjacent pairs (S, T) in `build_lp1`'s
+    order."""
 
     labels: tuple[str, ...]
     u: tuple[str, ...]
     q: tuple[tuple[str, ...], ...]
     variables: tuple[str, ...]
-    upper: Mapping[str, Fraction]
+    upper: Mapping[int, tuple[int, int]]
     adjacent: tuple[tuple[Subset, Subset], ...]
-    rows: Mapping[tuple[Subset, Subset], tuple]
-
-    def row(self, S: Subset, T: Subset) -> tuple:
-        """The layout of truthfulness row (S, T), cached for an adjacent
-        pair and built by `_row_layout` for any other."""
-        return self.rows.get((S, T)) or _row_layout(self.labels, self.u, self.q, S, T)
-
-
-def _row_layout(labels, u, q, S: Subset, T: Subset) -> tuple:
-    """Truthfulness row (S, T)'s name, u(S), u(T), and (q_i(T), i, bit i of
-    T) for each item i in S ^ T."""
-    D, qT = S ^ T, q[T]
-    return (f"bic({labels[S]}|{labels[T]})", u[S], u[T],
-            tuple([(qT[i], i, T >> i & 1) for i in range(len(qT)) if D >> i & 1]))
 
 
 @cache
 def _lp1_layout(n: int) -> _LP1Layout:
-    """LP1's n-only layout, immutable: tuples, and read-only mappings."""
+    """LP1's n-only layout, immutable: tuples, and a read-only mapping."""
     labels = [""] * (1 << n)
     for S, label in types_by_size(n):
         labels[S] = label
     types = range(1 << n)
     u = tuple([u_var(S) for S in types])
     q = tuple([tuple([q_var(i, S) for i in range(n)]) for S in types])
-    adjacent = tuple([(S, T) for S in types for T in sorted(S ^ 1 << i for i in range(n))])
     return _LP1Layout(
         labels=tuple(labels), u=u, q=q,
         variables=u + tuple([name for qS in q for name in qS]),
-        upper=MappingProxyType({name: ONE for qS in q for name in qS}),
-        adjacent=adjacent,
-        rows=MappingProxyType({(S, T): _row_layout(labels, u, q, S, T) for S, T in adjacent}),
+        upper=MappingProxyType(dict.fromkeys(range(1 << n, (n + 1) << n), (1, 1))),
+        adjacent=tuple([(S, T) for S in types for T in sorted(S ^ 1 << i for i in range(n))]),
     )
 
 
 class _LP1Frame:
-    """What every row set of the full revenue program shares: its variables
-    (u >= 0 is their default lower bound, so IR needs no rows), objective and
-    q <= 1 bounds, a maker for the truthfulness row of one ordered pair of
-    types, and the replay of all those rows on an assignment.
-
-    Names, bounds and row layouts come from the cached `_lp1_layout(n)`,
-    shared by every instance with n items and never written. Per instance
-    the frame builds only the `Fraction` objective, from its own
-    `subset_probs` table, and the row weights -d_i and d_i; every row is
-    built from a layout and those weights when asked for."""
+    """LP1 of one instance as `_simplex_max` reads it, the ints `solve_lp`
+    compiles `build_lp1(inst)` to, built without it: ``ncols`` columns in
+    the layout's order, each >= 0 (u >= 0 is IR, so IR needs no rows), the
+    layout's q <= 1 bounds, the objective as (ints, scale), and `row`, the
+    int truthfulness row of one ordered pair of types. The objective, -p(S)
+    on u(S) and p(S) v_S,i on q_i(S) from the frame's own `subset_probs`
+    table, goes over one denominator and is reduced by the gcd, which leaves
+    the lcm of its denominators as the scale."""
 
     def __init__(self, inst: OMDInstance):
         n = inst.n
         check_lp1_guard(n)
-        self.layout = layout = _lp1_layout(n)
-        self.u, self.q, self.variables, self.upper = (
-            layout.u, layout.q, layout.variables, layout.upper)
-        self.d = inst.d
-        # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for
-        # i in S, d_i for i in T
-        self.row_weights = [(-di, di) for di in inst.d]
-        # type S values item i at a_i, or a_i + d_i when i is in S
-        values = [(ai, ai + di) for ai, di in zip(inst.a, inst.d)]
-        self.objective = objective = {}
-        for S, (uS, qS, pS) in enumerate(zip(layout.u, layout.q, subset_probs(inst.p))):
-            objective[uS] = -pS
-            for i, name in enumerate(qS):
-                objective[name] = pS * values[i][S >> i & 1]
+        self.layout = _lp1_layout(n)
+        self.ncols = len(self.layout.variables)
+        self.d = [di.as_integer_ratio() for di in inst.d]
+        P, Lp = over_common_denominator(subset_probs(inst.p))
+        # type S values item i at a_i, or a_i + d_i when i is in S: V[2i + bit i of S]
+        V, M = over_common_denominator([v for ai, di in zip(inst.a, inst.d) for v in (ai, ai + di)])
+        ints = [-PS * M for PS in P]
+        ints += [PS * V[2 * i + (S >> i & 1)] for S, PS in enumerate(P) for i in range(n)]
+        g = gcd(*ints, Lp * M)
+        self.objective = [c // g for c in ints], Lp * M // g
 
-    def bic(self, S: Subset, T: Subset) -> Constraint:
-        """Type S gains nothing by reporting T: u(S) - u(T) - sum_i
-        (v_S,i - v_T,i) q_i(T) >= 0."""
-        name, uS, uT, entries = self.layout.row(S, T)
-        coeffs = {uS: ONE, uT: -ONE}
-        weights = self.row_weights
-        for qi, i, side in entries:
-            coeffs[qi] = weights[i][side]
-        return Constraint(coeffs, ">=", ZERO, name=name)
-
-    def problem(self, constraints: list[Constraint]) -> LPProblem:
-        return LPProblem(self.variables, self.objective, "max", constraints, upper=self.upper)
-
-    def violated(self, assignment: Mapping[str, Fraction]) -> list[tuple[Subset, Subset]]:
-        """The ordered pairs (S, T) whose truthfulness row ``assignment``
-        breaks, S-major as `build_lp1` lists them, by `bic_violations`."""
-        u = [assignment[v] for v in self.u]
-        q = [[assignment[v] for v in qT] for qT in self.q]
-        return [(S, T) for S, T, _ in bic_violations(self.d, u, q)]
+    def row(self, S: Subset, T: Subset) -> tuple[list[int], str, int]:
+        """Type S gains nothing by reporting T: u(S) - u(T) + sum over i in
+        S ^ T of (d_i if i in T, else -d_i) q_i(T) >= 0, right-hand side
+        last, times L, the lcm of those d_i's denominators:
+        (ints, ">=", L)."""
+        D, n = S ^ T, len(self.d)
+        items = [(i, num, den) for i, (num, den) in enumerate(self.d) if D >> i & 1]
+        L = lcm(*[den for _, _, den in items])
+        ints = [0] * (self.ncols + 1)
+        ints[S], ints[T] = L, -L
+        base = (1 << n) + n * T
+        for i, num, den in items:
+            c = num * (L // den)
+            ints[base + i] = c if T >> i & 1 else -c
+        return ints, ">=", L
 
 
 def build_lp1(inst: OMDInstance) -> LPProblem:
@@ -831,40 +813,88 @@ def build_lp1(inst: OMDInstance) -> LPProblem:
 
     Variables u(S) >= 0 (IR) for every type and 0 <= q_i(S) <= 1 for every
     type/item pair; one truthfulness row per ordered pair of distinct types,
-    S-major.
+    S-major. It is built on `Fraction`s, apart from `solve_lp1`'s int rows,
+    and is the reference the tests hold those rows to.
     """
-    frame = _LP1Frame(inst)
-    types = range(1 << inst.n)
-    return frame.problem([frame.bic(S, T) for S in types for T in types if S != T])
+    n = inst.n
+    check_lp1_guard(n)
+    layout = _lp1_layout(n)
+    labels, u, q = layout.labels, layout.u, layout.q
+    # type S values item i at a_i, or a_i + d_i when i is in S
+    values = [(ai, ai + di) for ai, di in zip(inst.a, inst.d)]
+    objective = {}
+    for S, (uS, qS, pS) in enumerate(zip(u, q, subset_probs(inst.p))):
+        objective[uS] = -pS
+        for i, name in enumerate(qS):
+            objective[name] = pS * values[i][S >> i & 1]
+    # row (S, T) weighs q_i(T), i in S ^ T, by v_T,i - v_S,i: -d_i for i in
+    # S, d_i for i in T
+    weights = [(-di, di) for di in inst.d]
+    types = range(1 << n)
+    constraints = []
+    for S in types:
+        for T in types:
+            if S != T:
+                coeffs = {u[S]: ONE, u[T]: -ONE}
+                for i, name in enumerate(q[T]):
+                    if (S ^ T) >> i & 1:
+                        coeffs[name] = weights[i][T >> i & 1]
+                constraints.append(
+                    Constraint(coeffs, ">=", ZERO, name=f"bic({labels[S]}|{labels[T]})"))
+    upper = {name: ONE for qS in q for name in qS}
+    return LPProblem(layout.variables, objective, "max", constraints, upper=upper)
 
 
 def solve_lp1(inst: OMDInstance) -> LPSolution:
-    """The full revenue program's optimum, by constraint generation. The
-    first program holds only the adjacent truthfulness rows (types one item
+    """The full revenue program's optimum, by constraint generation on
+    `_LP1Frame`'s int rows, handed straight to `_simplex_max`. The first
+    program holds only the adjacent truthfulness rows (types one item
     apart, both directions, in `build_lp1`'s order) and the bounds u >= 0,
     0 <= q <= 1: a relaxation of the full program, feasible at u = q = 0 and
-    bounded. Every one of the full program's 4^n truthfulness rows is
-    replayed on each answer by `bic_violations`; the violated rows
-    are appended and the program solved again. The certified duals of the
-    last program, extended by zeros, are dual-feasible for the full program,
-    so an answer that passes the replay is the full optimum. The full
-    program itself is never built. A replay that reports a row the solved
-    program holds raises `VerificationError`, so at most 4^n rows are ever
-    added."""
+    bounded. Each answer is proved in three parts, on ints over one common
+    denominator:
+
+      * its bounds: u >= 0 and 0 <= q <= 1;
+      * its rows: every one of the full program's 4^n truthfulness rows is
+        replayed by `bic_violations`. A violated row the program holds
+        raises `VerificationError`, so at most 4^n rows are ever added; the
+        other violated rows are appended and the program solved again;
+      * its optimality, once no row is violated: `_check_duals` proves the
+        simplex's multipliers a dual certificate for the last program whose
+        bound equals c.x. Extended by zeros they are dual-feasible for the
+        full program, so the answer is the full optimum.
+
+    The full program itself is never built."""
     frame = _LP1Frame(inst)
-    adjacent = frame.layout.adjacent
-    rows = [frame.bic(S, T) for S, T in adjacent]
-    held = set(adjacent)
+    layout, n, ncols = frame.layout, inst.n, frame.ncols
+    size = 1 << n
+    rows = [frame.row(S, T) for S, T in layout.adjacent]
+    held = set(layout.adjacent)
     while True:
-        sol = solve_lp(frame.problem(rows))
-        violated = frame.violated(sol.assignment)
+        outcome = _simplex_max(ncols, rows, frame.objective, layout.upper)
+        if outcome.status != OPTIMAL:
+            raise VerificationError(f"the restricted full program is {outcome.status}")
+        x = [outcome.colvals.get(j, ZERO) for j in range(ncols)]
+        ints, X = over_common_denominator(x)
+        for j, a in enumerate(ints):
+            if a < 0 or a > X and j in layout.upper:
+                side = "lower" if a < 0 else "upper"
+                raise VerificationError(
+                    f"assignment violates {side} bound of {layout.variables[j]}")
+        q = [x[size + n * T:size + n * T + n] for T in range(size)]
+        violated = [(S, T) for S, T, _ in bic_violations(inst.d, x[:size], q)]
         if not violated:
-            return sol
-        # a row the certified answer satisfies would come back every round
+            obj, scale = frame.objective
+            value = Fraction(sum(map(mul, obj, ints)), scale * X)
+            _check_duals(rows, frame.objective, layout.upper, outcome, value)
+            return LPSolution(OPTIMAL, value, dict(zip(layout.variables, x)))
+        # the answer should meet every row it was solved under; a held row
+        # reported broken would come back every round
         if not held.isdisjoint(violated):
             raise VerificationError("the replay breaks a truthfulness row the program holds")
         held.update(violated)
-        rows += [frame.bic(S, T) for S, T in violated]
+        # a new list, so each round's program stays as the simplex got it
+        rows = rows + [frame.row(S, T) for S, T in violated]
 
 
 def build_lp2(params: LP2Params) -> LPProblem:

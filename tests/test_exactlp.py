@@ -375,17 +375,63 @@ def test_tall_program_reports_unbounded():
 TWO_ROUND_LP1 = make_instance([8, 2, 3], [4, 10, 3], [(1, 2), (9, 10), (17, 20)])
 
 
+def _compiled(prob):
+    """The (ncols, rows, objective, upper) that `solve_lp` hands
+    `_simplex_max` for ``prob``; the simplex does not run."""
+    class Compiled(Exception):
+        pass
+
+    def stop(*args):
+        raise Compiled(args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_simplex_max", stop)
+        with pytest.raises(Compiled) as caught:
+            solve_lp(prob)
+    return caught.value.args[0]
+
+
+def _pairs(n):
+    """The ordered pairs of distinct types over n items, S-major, as
+    `build_lp1` lists its truthfulness rows."""
+    types = range(1 << n)
+    return [(S, T) for S in types for T in types if S != T]
+
+
+def _with_rows(inst, pairs):
+    """`build_lp1(inst)` holding only the truthfulness rows of ``pairs``, in
+    that order."""
+    full = build_lp1(inst)
+    row = dict(zip(_pairs(inst.n), full.constraints))
+    return replace(full, constraints=[row[pair] for pair in pairs])
+
+
+def _adjacent(n):
+    """The pairs of types one item apart, in `build_lp1`'s order."""
+    return [(S, T) for S, T in _pairs(n) if (S ^ T).bit_count() == 1]
+
+
+def _kernel_value(call):
+    """c.x of a recorded `_simplex_max` call's answer."""
+    (_, _, (objective, scale), _), outcome = call
+    return F(sum(c * outcome.colvals.get(j, ZERO) for j, c in enumerate(objective)), scale)
+
+
 def test_solve_lp1_adds_violated_rows(monkeypatch):
-    rounds = []
-
-    def recording_solve(prob):
-        rounds.append(solve_lp(prob))
-        return rounds[-1]
-
-    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    calls = _recording_simplex(monkeypatch)
     sol = solve_lp1(TWO_ROUND_LP1)
-    assert [r.value for r in rounds] == [F(47809, 2000), F(239, 10)]
+    assert [_kernel_value(call) for call in calls] == [F(47809, 2000), F(239, 10)]
     assert sol.value == F(239, 10) == solve_lp(build_lp1(TWO_ROUND_LP1)).value
+    # the second program is the first plus the rows of `build_lp1` that the
+    # first answer breaks, by `Fraction` sums, in the program's order
+    full = build_lp1(TWO_ROUND_LP1)
+    adjacent = _adjacent(3)
+    assert calls[0][0] == _compiled(_with_rows(TWO_ROUND_LP1, adjacent))
+    answer = {v: calls[0][1].colvals.get(j, ZERO) for j, v in enumerate(full.variables)}
+    broken = [pair for pair, con in zip(_pairs(3), full.constraints)
+              if sum(c * answer[v] for v, c in con.coeffs.items()) < con.rhs]
+    assert broken and set(broken).isdisjoint(adjacent)
+    assert calls[1][0] == _compiled(_with_rows(TWO_ROUND_LP1, adjacent + broken))
 
 
 # a general n=6 instance whose restricted program's answers break rows, so
@@ -400,10 +446,13 @@ def test_solve_lp1_reaches_a_multi_round_n6_optimum():
 
 
 def test_solve_lp1_refuses_a_replay_that_breaks_a_held_row(monkeypatch):
-    # without the check the same row would be added every round
-    monkeypatch.setattr(exactlp._LP1Frame, "violated", lambda frame, assignment: [(0, 1)])
+    # without the check the same row would be added every round; (0, 1) is
+    # adjacent, so the first program holds it
+    calls = _recording_simplex(monkeypatch)
+    monkeypatch.setattr(exactlp, "bic_violations", lambda d, u, q: [(0, 1, F(-1))])
     with pytest.raises(VerificationError, match="truthfulness row the program holds"):
         solve_lp1(TWO_ROUND_LP1)
+    assert len(calls) == 1
 
 
 def test_lp1_oracle_never_reads_scaled_subset_probs(monkeypatch, tmp_path, capsys):
@@ -435,56 +484,48 @@ def test_solve_lp1_first_program_is_filtered_lp1(monkeypatch, n):
     inst = make_instance([rng.randint(0, 10) for _ in range(n)],
                          [rng.randint(1, 10) for _ in range(n)],
                          [(rng.randint(1, 19), 20) for _ in range(n)])
-    programs = []
-
-    def recording_solve(prob):
-        programs.append(prob)
-        return solve_lp(prob)
-
-    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    calls = _recording_simplex(monkeypatch)
     solve_lp1(inst)
-    full = build_lp1(inst)
-    types = range(1 << n)
-    pairs = [S ^ T for S in types for T in types if S != T]
-    rows = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
-    rows += full.constraints[len(pairs):]
-    assert dump_problem(programs[0]) == dump_problem(replace(full, constraints=rows))
+    assert calls[0][0] == _compiled(_with_rows(inst, _adjacent(n)))
 
 
 def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
     # both instances have n = 3, so they share one cached layout; the second
     # adds non-adjacent rows in a second round
-    programs = []
-
-    def recording_solve(prob):
-        programs.append(prob)
-        return solve_lp(prob)
-
-    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    calls = _recording_simplex(monkeypatch)
     first = solve_lp1(PINNED_LP1)
-    start = len(programs)
+    start = len(calls)
     solve_lp1(TWO_ROUND_LP1)
-    assert len(programs) - start == 2
-    start = len(programs)
+    assert len(calls) - start == 2
+    start = len(calls)
     again = solve_lp1(PINNED_LP1)
     assert (again.value, again.assignment) == (first.value, first.assignment)
+    assert calls[start][0] == _compiled(_with_rows(PINNED_LP1, _adjacent(3)))
 
-    full = build_lp1(PINNED_LP1)
-    types = range(8)
-    pairs = [S ^ T for S in types for T in types if S != T]
-    adjacent = [con for D, con in zip(pairs, full.constraints) if D & (D - 1) == 0]
-    assert dump_problem(programs[start]) == dump_problem(replace(full, constraints=adjacent))
+    layout = exactlp._LP1Frame(PINNED_LP1).layout
+    assert layout is exactlp._LP1Frame(TWO_ROUND_LP1).layout
+    column = len(layout.variables) - 1
+    with pytest.raises(TypeError):
+        layout.upper[column] = (0, 1)
+    with pytest.raises(TypeError):
+        layout.adjacent[0] = (0, 3)
+    with pytest.raises(TypeError):
+        layout.q[1][0] = layout.variables[column]
+    assert layout.upper[column] == (1, 1) and (0, 3) not in layout.adjacent
 
-    frame = exactlp._LP1Frame(PINNED_LP1)
-    assert frame.layout is exactlp._LP1Frame(TWO_ROUND_LP1).layout
-    name = frame.variables[-1]
-    with pytest.raises(TypeError):
-        frame.upper[name] = ZERO
-    with pytest.raises(TypeError):
-        frame.layout.rows[0, 3] = frame.layout.row(0, 3)
-    with pytest.raises(TypeError):
-        frame.q[1][0] = name
-    assert frame.upper[name] == ONE and (0, 3) not in frame.layout.rows
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lp1_int_rows_match_solve_lps_compilation(n):
+    # d_i with differing denominators, so each row's scale is the lcm of
+    # the ones it reads; a_i = 0 gives zero objective coefficients
+    rng = random.Random(f"int-rows:{n}")
+    inst = make_instance([(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(n)],
+                         [(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)],
+                         [(rng.randint(1, 19), 20) for _ in range(n)])
+    ncols, rows, objective, upper = _compiled(build_lp1(inst))
+    frame = exactlp._LP1Frame(inst)
+    assert [frame.row(S, T) for S, T in _pairs(n)] == rows
+    assert (frame.ncols, frame.objective, dict(frame.layout.upper)) == (ncols, objective, upper)
 
 
 def test_pinned_vertex_budgeted_oracle(monkeypatch):
@@ -517,8 +558,8 @@ def test_pinned_vertex_lp3():
     })
 
 
-def _tampered(shift=0, zero=False, dual=None):
-    """`_simplex_max` with column 0 of its answer raised by ``shift``, or
+def _tampered(shift=0, zero=False, dual=None, column=0):
+    """`_simplex_max` with ``column`` of its answer raised by ``shift``, or
     every column set to 0 if ``zero``, and its multipliers, ints over the
     denominator den, passed through ``dual(duals, den)``."""
     solver = exactlp._simplex_max
@@ -526,7 +567,7 @@ def _tampered(shift=0, zero=False, dual=None):
     def run(ncols, rows, objective, upper):
         outcome = solver(ncols, rows, objective, upper)
         colvals = {} if zero else dict(outcome.colvals)
-        colvals[0] = colvals.get(0, ZERO) + shift
+        colvals[column] = colvals.get(column, ZERO) + shift
         duals = dual(list(outcome.duals), outcome.den) if dual else outcome.duals
         return exactlp._SimplexOutcome("optimal", colvals, duals, outcome.den)
     return run
@@ -645,6 +686,33 @@ def test_solve_lp_proves_rows_of_translated_variables(monkeypatch, program):
         solve_lp(prob)
 
 
+# each tampered answer to PINNED_LP1 and the part of `solve_lp1`'s proof
+# that refuses it: u({}) raised by 100 breaks the held row bic({1}|{}); the
+# all-zero answer passes the replay but falls short of the dual bound; with
+# the right answer, the first nonzero multiplier flipped has the wrong sign
+# for its ">=" row, and the last one, -1/20, raised by 1/2400 keeps its
+# sign but moves the bound y.b + w.ub; and q1({1}), column 8 + 3 = 11,
+# raised from 1 to 3/2 breaks its bound
+LP1_TAMPERS = {
+    "shift": (dict(shift=100), "the replay breaks a truthfulness row the program holds"),
+    "zero": (dict(zero=True), "dual certificate: bound 4133/1200 != value 0"),
+    "flip first dual": (dict(dual=_flip_first),
+                        "dual certificate: row 3 (>=) has multiplier 1/40"),
+    "raise last dual": (dict(dual=_raise_last),
+                        "dual certificate: bound 3307/960 != value 4133/1200"),
+    "q above 1": (dict(shift=F(1, 2), column=11), "assignment violates upper bound of q1({1})"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(LP1_TAMPERS))
+def test_solve_lp1_proves_every_answer(monkeypatch, tamper):
+    kwargs, message = LP1_TAMPERS[tamper]
+    assert exactlp._lp1_layout(3).variables[11] == "q1({1})"
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(**kwargs))
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        solve_lp1(PINNED_LP1)
+
+
 # multipliers with the right signs that leave a column without an upper
 # bound short of its objective coefficient: all zero fall short of x's and
 # y's 1 in the small program; in LP1, whose q columns are bounded and priced,
@@ -668,12 +736,13 @@ def test_solve_lp_refuses_uncovered_columns(monkeypatch, program):
 # ---------------------------------------------------------------------------
 
 def _recording_simplex(monkeypatch):
-    """Each `_simplex_max` call's (ncols, rows, objective, upper), in order."""
+    """Each `_simplex_max` call's arguments (ncols, rows, objective, upper)
+    and its outcome, in call order."""
     calls, solver = [], exactlp._simplex_max
 
     def run(*args):
-        calls.append(args)
-        return solver(*args)
+        calls.append((args, solver(*args)))
+        return calls[-1][1]
     monkeypatch.setattr(exactlp, "_simplex_max", run)
     return calls
 
@@ -730,7 +799,7 @@ def test_bounded_columns_reach_the_explicit_optimum(monkeypatch, program):
     sol = solve_lp(prob)
     assert (sol.status, sol.assignment) == ("optimal", answer)
     # one column per variable, one row per constraint: no bound became a row
-    [(ncols, rows, _, upper)] = calls
+    [((ncols, rows, _, upper), _)] = calls
     assert (ncols, len(rows), upper) == (len(prob.variables), len(prob.constraints), bounds)
     assert solve_lp(_explicit(prob)).value == sol.value
 

@@ -65,8 +65,8 @@ from optmech import (
     verify_bic_ir,
 )
 from optmech.core import format_ratio
-from optmech.exactlp import _LP1Frame, _check_feasible, _simplex_max
-from optmech.mechanism import price_menu
+from optmech.exactlp import _check_feasible, _lp1_layout, _simplex_max
+from optmech.mechanism import bic_violations, price_menu
 from optmech.reduction import _dyadic_between
 from tests.test_core import at_scale
 from tests.test_exactlp import _explicit, vertex_enumeration_max
@@ -409,22 +409,22 @@ def fraction_replay(inst, assignment):
 def test_int_replay_matches_fraction_replay(inst, moves):
     # on solve_lp1's answer, then after each of a few moves of one variable;
     # verify_bic_ir reads each assignment as the mechanism (u, q, tau = 0)
-    frame = _LP1Frame(inst)
+    layout = _lp1_layout(inst.n)
     assignment = dict(solve_lp1(inst).assignment)
 
     def assert_replays_agree():
         rows = fraction_replay(inst, assignment)
-        assert frame.violated(assignment) == [pair for pair, _, _ in rows]
-        mech = Mechanism.from_fractions(n=inst.n, u=[assignment[v] for v in frame.u],
-                                        q=[tuple(assignment[v] for v in qS) for qS in frame.q],
-                                        tau=[F(0)] * len(frame.u), unique=False)
+        u = [assignment[v] for v in layout.u]
+        q = [tuple(assignment[v] for v in qS) for qS in layout.q]
+        assert bic_violations(inst.d, u, q) == [(S, T, slack) for (S, T), _, slack in rows]
+        mech = Mechanism.from_fractions(n=inst.n, u=u, q=q, tau=[F(0)] * len(u), unique=False)
         bic = [row for row in verify_bic_ir(inst, mech).violations if row[0].startswith("bic")]
         assert bic == [(name, slack) for _, name, slack in rows]
         return rows
 
     assert assert_replays_agree() == []
     for k, delta in moves:
-        assignment[frame.variables[k % len(frame.variables)]] += delta / 4
+        assignment[layout.variables[k % len(layout.variables)]] += delta / 4
         assert_replays_agree()
 
 
