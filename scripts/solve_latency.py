@@ -19,16 +19,21 @@ times `reduce lexrank` in milliseconds on one query drawn like the
 |C| in RANK_SIZES, and a fourth `budgeted --oracle`, in milliseconds, on one
 instance drawn like the `budgeted` workload's (values 1..6, a random budget
 and eps) for each n in BUDGETED_SIZES, which holds the workload's n = 1..4.
-A last table times `solve --oracle-only` in seconds, with the round count
+Another table times `solve --oracle-only` in seconds, with the round count
 and the optimal revenue, on GENERAL_N6 general instances at n = 6, drawn
 in turn with `general_doc` from a stream of their own seeded with
 GENERAL_N6_SEED (the draw `exactlp.LP1_GUARD` is timed on), and then on
 NAMED_N6, the slowest n = 6 instance known under smallest-index pricing.
-Each of those figures is one run, since a slow instance can take minutes;
-every other figure is the minimum of REPEATS runs. Stdout is captured and
-the exit code required to be 0. The reduction's parameter and pipeline caches
-are cleared before every run, so each figure is a cold query, except in
-the reduction table's warm column: there the parameter bisection's cache
+A last table times `exactlp.solve_lp1` itself in seconds, with the round
+count and the optimal revenue, on GENERAL_N7 general instances at n = 7,
+one past `exactlp.LP1_GUARD`, drawn with `general_doc` from a stream
+seeded with GENERAL_N7_SEED; the guard is lifted for those calls only, in
+this process only. Each figure of the last two tables is one run, since a
+slow instance can take minutes; every other figure is the minimum of
+REPEATS runs. Stdout is captured and the exit code required to be 0. The
+reduction's parameter and pipeline caches are cleared before every run, so
+each figure is a cold query, except in the reduction table's warm column:
+there the parameter bisection's cache
 keeps the query's (|C|, |S|, k) from the cold runs and only the pipeline
 cache is cleared. That is the steady state of the `reduction` workload,
 whose |C| = 4..7 queries share at most 232 parameter keys. No table figure
@@ -60,6 +65,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import inputs  # noqa: E402
 from optmech import exactlp, reduction  # noqa: E402
 from optmech.cli import build_parser, main  # noqa: E402
+from optmech.core import format_rational, instance_from_json_dict  # noqa: E402
 
 SEED = 1
 SIZES = (8, 10, 12, 14)
@@ -70,6 +76,8 @@ BUDGETED_SIZES = (1, 2, 3, 4, 6, 8, 10)
 REPEATS = 3
 GENERAL_N6 = 12
 GENERAL_N6_SEED = "guard-general:7"
+GENERAL_N7 = 24
+GENERAL_N7_SEED = "n7-reanchor"
 NAMED_N6 = {
     "n": 6,
     "a": ["4", "10", "6", "5", "9", "7"],
@@ -94,32 +102,54 @@ def best_of(argv: list[str], keep_parameters: bool = False) -> float:
     return best
 
 
+@contextlib.contextmanager
+def counting_rounds():
+    """Counts the `exactlp._simplex_max` runs, one per LP1 round, that the
+    block makes: the yielded list holds the count."""
+    rounds, simplex = [0], exactlp._simplex_max
+
+    def counting_simplex(*args):
+        rounds[0] += 1
+        return simplex(*args)
+
+    exactlp._simplex_max = counting_simplex
+    try:
+        yield rounds
+    finally:
+        exactlp._simplex_max = simplex
+
+
 def lp1_once(path: str, doc: dict) -> tuple[float, int, str]:
     """One `solve --oracle-only` run: seconds, LP1 rounds (one simplex run
     each) and the printed value."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
-    rounds, simplex = 0, exactlp._simplex_max
-
-    def counting_simplex(*args):
-        nonlocal rounds
-        rounds += 1
-        return simplex(*args)
-
-    exactlp._simplex_max = counting_simplex
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            t0 = time.perf_counter()
-            code = main(["solve", path, "--oracle-only"])
-            elapsed = time.perf_counter() - t0
-    finally:
-        exactlp._simplex_max = simplex
+    with counting_rounds() as rounds, contextlib.redirect_stdout(out):
+        t0 = time.perf_counter()
+        code = main(["solve", path, "--oracle-only"])
+        elapsed = time.perf_counter() - t0
     if code != 0:
         raise SystemExit(f"exit {code} from solve --oracle-only on {doc}")
     prefix = "oracle optimal revenue: "
     value = next(line for line in out.getvalue().splitlines() if line.startswith(prefix))
-    return elapsed, rounds, value[len(prefix):]
+    return elapsed, rounds[0], value[len(prefix):]
+
+
+def lp1_past_guard(doc: dict) -> tuple[float, int, str]:
+    """One `exactlp.solve_lp1` call with `exactlp.LP1_GUARD` raised to the
+    instance's n for that call only: seconds, rounds and the value."""
+    inst = instance_from_json_dict(doc)
+    guard = exactlp.LP1_GUARD
+    exactlp.LP1_GUARD = max(guard, inst.n)
+    try:
+        with counting_rounds() as rounds:
+            t0 = time.perf_counter()
+            value = exactlp.solve_lp1(inst).value
+            elapsed = time.perf_counter() - t0
+    finally:
+        exactlp.LP1_GUARD = guard
+    return elapsed, rounds[0], format_rational(value)
 
 
 def parser_build_s() -> float:
@@ -222,6 +252,14 @@ def run() -> None:
             elapsed, count, value = lp1_once(inst, doc)
             total += elapsed
             print(f"{label:<24} {elapsed:>8.3f} {count:>6}  {value}")
+        print(f"{'total':<24} {total:>8.3f}")
+        sevens = random.Random(GENERAL_N7_SEED)
+        print(f"{'n=7 solve_lp1, one run':<24} {'s':>8} {'rounds':>6}  value")
+        total = 0.0
+        for k in range(1, GENERAL_N7 + 1):
+            elapsed, count, value = lp1_past_guard(general_doc(sevens, 7))
+            total += elapsed
+            print(f"{f'general {k}':<24} {elapsed:>8.3f} {count:>6}  {value}")
         print(f"{'total':<24} {total:>8.3f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")

@@ -31,15 +31,23 @@ The three builders produce, for a given instance / parameter vector:
     IR is the variables' default lower bound u >= 0, not a row.
     ``solve_lp1`` finds its optimum without building it, and without
     `solve_lp`: it hands the simplex LP1's int rows directly, the ints
-    `solve_lp` would compile them to. It solves the program on the
-    adjacent-type truthfulness rows, replays all 4^n truthfulness rows on
-    each answer with `mechanism.bic_violations`, and adds only the rows that
-    fail. Its proof has three parts, on ints: the answer's bounds, that
-    replay, and the dual certificate. What depends on n alone (the labels,
-    the u and q names, the q <= 1 bounds and the adjacent pairs) is built
-    once per n and cached as an immutable value; each call builds only the
-    instance's int objective, from its own `Fraction` p(S), and each int
-    row when it is added;
+    `solve_lp` would compile them to, and with them the columns q_i(S) for
+    i in S, which the simplex holds at their bound 1 and leaves out of its
+    tableau. That is a presolve step: such a column is dominated (its
+    objective coefficient p(S)(a_i + d_i) is positive and it weighs every
+    truthfulness row it is in by +d_i), so some optimum has it at 1.
+    `solve_lp1` solves the program on the adjacent-type truthfulness rows,
+    replays all 4^n truthfulness rows on each answer with
+    `mechanism.bic_violations`, and adds only the rows that fail. Its proof
+    has three parts, on ints, and reads every column of the full program,
+    the fixed ones included: the answer's bounds, that replay, and the dual
+    certificate on the full rows and objective, which prices each fixed
+    column's bound. So no answer rests on the dominance argument. What
+    depends on n alone (the labels, the u and q names, the q <= 1 bounds,
+    the fixed columns and the adjacent pairs) is built once per n and
+    cached as an immutable value; each call builds only the instance's int
+    objective, from its own int p(S) table, and each int row when it is
+    added;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -51,8 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import itemgetter, mul, neg
 from types import MappingProxyType
 from typing import Mapping
 
@@ -67,6 +75,7 @@ from .core import (
     over_common_denominator,
     subset_label,
     subset_probs,
+    subset_products,
     types_by_size,
 )
 from .errors import InputError, PreconditionError, VerificationError
@@ -75,18 +84,21 @@ from .mechanism import bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). At n=6, the full program's guard,
-# `solve_lp1` took 0.04-0.09 s on 12 seeded single-positive instances, and
-# `solve --oracle-only` 0.08-1.7 s on the 12 seeded general ones of
+# `solve_lp1` took 0.03-0.04 s on 12 seeded single-positive instances, and
+# `solve --oracle-only` 0.04-0.15 s on the 12 seeded general ones of
 # scripts/solve_latency.py (a_i in 0..10, d_i in 1..10, p_i in k/20; eight
-# needed a second round, one of them a third) and 0.47-0.67 s on
-# a=(4,10,6,5,9,7), d=(3,1,6,8,10,9), p=(7/10,17/20,1/4,9/10,1/4,17/20) in
-# three rounds, which took 0.18-20 s and 200 s under smallest-index pricing
-# (2 vCPUs, Python 3.11, two runs each on a host whose speed drifted by up
-# to 1.5x). At n=7 four general instances drawn the same way took
-# 1.0-10.3 s; the worst n=7 case is unknown. The relaxed program's guard
-# is set by memory: on a random single-positive instance one solve took
-# 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS of 1.3 GiB; LP2 at
-# n=12 did not finish in 4 GiB of address space (2 vCPUs).
+# needed a second round) and 0.18 s on a=(4,10,6,5,9,7), d=(3,1,6,8,10,9),
+# p=(7/10,17/20,1/4,9/10,1/4,17/20) in three rounds, which took 263 s under
+# smallest-index pricing. At n=7 `solve_lp1` took 0.16-1.9 s on the 24
+# seeded general instances of that script's n=7 table, in 1-3 rounds; the
+# slowest, a=(3,7,0,8,10,3,2), d=(6,4,9,3,10,2,5),
+# p=(9/20,3/10,3/10,1/20,3/10,19/20,13/20), took 51 s before the simplex
+# held q_i(S), i in S, at 1. Draws 25-72 of the same stream took up to
+# 5.7 s, so the worst n=7 case is still unknown, and the guard stays at 6
+# (2 vCPUs, Python 3.11.7, no gmpy2, one run each). The relaxed program's
+# guard is set by memory: on a random single-positive instance one solve
+# took 4.6 s (LP2) and 2.5 s (LP3) at n=11 with a peak RSS of 1.3 GiB; LP2
+# at n=12 did not finish in 4 GiB of address space (2 vCPUs).
 LP1_GUARD = 6
 LP23_GUARD = 11
 
@@ -255,6 +267,22 @@ class LPSolution:
 # variables, so this does too. A program with no bounded column takes
 # exactly the pivots of the plain method under the same pricing.
 #
+# Fixed columns. A caller may hold some bounded columns at their bounds
+# (`fixed`). They never enter the tableau: the copy of each input row into
+# it skips them, and the right-hand side loses sum_j a_j * ub_j over them,
+# with the row and its scale first multiplied by the lcm of their bounds'
+# denominators, so the tableau row is still a positive multiple of the
+# rational row of the reduced program. The objective loses them too, which
+# drops a constant. The simplex then solves the reduced program, and
+# reports each fixed column at its bound and every input row's multiplier
+# as before. Those multipliers are the reduced program's. Checked against
+# the full rows and objective, they price each fixed column's bound by
+# w_j = max(0, c_j - (y.A)_j) like any other; with the reduced program's
+# own y.b' + w.ub = c.x, y.b + w.ub over the full program equals c.x
+# exactly when no fixed column with a nonzero bound has a negative reduced
+# cost, and `_check_duals` refuses any other case. `solve_lp` holds no
+# column fixed, so its pivots are the ones described above.
+#
 # The cost row is always the objective minus a combination of the input rows,
 # so the reduced cost of a row's slack or artificial column is minus that
 # row's weight y_k (plus it, for a row the canonicalization negated), also
@@ -271,9 +299,10 @@ class LPSolution:
 # `Constraint`'s own coefficient map and never the rows built here), y has
 # the right signs and covers every column without a bound, and y.b + w.ub
 # equals c.x (`_check_duals`, which computes w itself and never reads the
-# tableau). `solve_lp1` proves its answers the same way, except that its
-# bounds are checked on their own and the 4^n replay of `bic_violations`,
-# which covers every row the program holds, stands for `_check_feasible`.
+# tableau). `solve_lp1` proves its answers the same way, on all of LP1's
+# columns, the fixed ones included, except that its bounds are checked on
+# their own and the 4^n replay of `bic_violations`, which covers every row
+# the program holds, stands for `_check_feasible`.
 
 
 class _SimplexOutcome:
@@ -286,7 +315,16 @@ class _SimplexOutcome:
         self.den = den
 
 
-def _simplex_max(ncols, rows, objective, upper):
+def _picker(columns):
+    """The function from a row to the tuple of its entries at ``columns``,
+    a nonempty list; `itemgetter` of one index returns the entry itself."""
+    if len(columns) == 1:
+        j = columns[0]
+        return lambda ints: (ints[j],)
+    return itemgetter(*columns)
+
+
+def _simplex_max(ncols, rows, objective, upper, fixed=()):
     """Maximize objective . x subject to the given rows and 0 <= x <= upper.
 
     ``rows``: list of (ints, rel, scale): ``ints`` holds the ncols
@@ -295,25 +333,46 @@ def _simplex_max(ncols, rows, objective, upper):
     ``objective``: (ints, scale), the ncols coefficients times ``scale``.
     ``upper``: {column: (num, den)}, the finite upper bound num / den >= 0
     of each bounded column, den > 0; the other columns have none.
+    ``fixed``: bounded columns held at their bound. They never enter the
+    tableau and are reported at their bound.
     Returns a _SimplexOutcome whose ``duals`` align with the input rows.
     """
+    keep, M = None, 1
+    if fixed:
+        # the fixed columns leave the tableau, and each row's right-hand side
+        # loses their a_j * ub_j: the row and its scale are multiplied first
+        # by M, the lcm of their bounds' denominators
+        fixed = sorted(fixed)
+        at_bound = [upper[j] for j in fixed]
+        M = lcm(*[den for _, den in at_bound])
+        weights = [num * (M // den) for num, den in at_bound]
+        skip = set(fixed)
+        keep = [j for j in range(ncols) if j not in skip]
+        at_fixed, at_kept = _picker(fixed), _picker(keep)
+        column = {j: k for k, j in enumerate(keep)}
+        upper = {column[j]: bound for j, bound in upper.items() if j in column}
+        objective = [objective[0][j] for j in keep], objective[1]
+        ncols = len(keep)
     # canonicalize: slack rows are "<=" with rhs >= 0, everything else gets
-    # an artificial variable; a sign flip negates the reported dual
+    # an artificial variable; a sign flip negates the row and the reported
+    # dual
     canon = []
     for ints, rel, scale in rows:
+        rhs = ints[-1]
+        if keep is not None:
+            rhs = M * rhs - sum(map(mul, weights, at_fixed(ints)))
+            scale *= M
         flipped = rel == ">="
         if flipped:
             rel = "<="
-        if (-ints[-1] if flipped else ints[-1]) < 0:
+        if (-rhs if flipped else rhs) < 0:
             flipped = not flipped
             if rel == "<=":
                 rel = ">=+"
-        if flipped:
-            ints = [-v for v in ints]
-        canon.append((ints, rel, scale, flipped))
+        canon.append((ints, rhs, rel, scale, flipped))
 
-    nslack = sum(1 for _, rel, _, _ in canon if rel in ("<=", ">=+"))
-    nart = sum(1 for _, rel, _, _ in canon if rel in ("=", ">=+"))
+    nslack = sum(1 for _, _, rel, _, _ in canon if rel in ("<=", ">=+"))
+    nart = sum(1 for _, _, rel, _, _ in canon if rel in ("=", ">=+"))
     width = ncols + nslack + nart + 1
     total = width - 1
     si = ncols
@@ -323,8 +382,15 @@ def _simplex_max(ncols, rows, objective, upper):
     basis = []
     art_cols = set()
     assoc = []      # per input row: its slack or artificial column
-    for ints, rel, scale, _ in canon:
-        row = ints[:-1] + pad + ints[-1:]
+    for ints, rhs, rel, scale, flipped in canon:
+        # the copy into the tableau drops the fixed columns
+        coeffs = ints[:-1] if keep is None else at_kept(ints)
+        m = -M if flipped else M
+        if m == -1:
+            coeffs = map(neg, coeffs)
+        elif m != 1:
+            coeffs = [m * v for v in coeffs]
+        row = [*coeffs, *pad, -rhs if flipped else rhs]
         if rel == "<=":
             row[si] = scale
             basis.append(si)
@@ -515,6 +581,9 @@ def _simplex_max(ncols, rows, objective, upper):
     for j in complemented:
         if j not in colvals:
             colvals[j] = Fraction(*ub[j])
+    if keep is not None:
+        colvals = {keep[j]: v for j, v in colvals.items()}
+        colvals.update((j, Fraction(*bound)) for j, bound in zip(fixed, at_bound))
     duals = [cost[col] if flipped else -cost[col] for col, (*_, flipped) in zip(assoc, canon)]
     return _SimplexOutcome(OPTIMAL, colvals, duals, den)
 
@@ -739,14 +808,16 @@ class _LP1Layout:
     `_lp1_layout` and never written: every type's label (indexed by mask)
     and u and q names, the variables in column order (u(S) is column S and
     q_i(S) column 2^n + n S + i), the q <= 1 bounds as `_simplex_max` reads
-    them, {column: (1, 1)}, and the adjacent pairs (S, T) in `build_lp1`'s
-    order."""
+    them, {column: (1, 1)}, the columns of q_i(S) for i in S, which
+    `solve_lp1` has the simplex hold at 1, and the adjacent pairs (S, T) in
+    `build_lp1`'s order."""
 
     labels: tuple[str, ...]
     u: tuple[str, ...]
     q: tuple[tuple[str, ...], ...]
     variables: tuple[str, ...]
     upper: Mapping[int, tuple[int, int]]
+    fixed: frozenset[int]
     adjacent: tuple[tuple[Subset, Subset], ...]
 
 
@@ -763,6 +834,7 @@ def _lp1_layout(n: int) -> _LP1Layout:
         labels=tuple(labels), u=u, q=q,
         variables=u + tuple([name for qS in q for name in qS]),
         upper=MappingProxyType(dict.fromkeys(range(1 << n, (n + 1) << n), (1, 1))),
+        fixed=frozenset([(1 << n) + n * S + i for S in types for i in range(n) if S >> i & 1]),
         adjacent=tuple([(S, T) for S in types for T in sorted(S ^ 1 << i for i in range(n))]),
     )
 
@@ -772,10 +844,12 @@ class _LP1Frame:
     compiles `build_lp1(inst)` to, built without it: ``ncols`` columns in
     the layout's order, each >= 0 (u >= 0 is IR, so IR needs no rows), the
     layout's q <= 1 bounds, the objective as (ints, scale), and `row`, the
-    int truthfulness row of one ordered pair of types. The objective, -p(S)
-    on u(S) and p(S) v_S,i on q_i(S) from the frame's own `subset_probs`
-    table, goes over one denominator and is reduced by the gcd, which leaves
-    the lcm of its denominators as the scale."""
+    int truthfulness row of one ordered pair of types. The objective is
+    -p(S) on u(S) and p(S) v_S,i on q_i(S). Its p(S) come from the frame's
+    own int table, `subset_products` of (num p_i, den p_i - num p_i), which
+    is p(S) times prod den p_i; it does not share `scaled_subset_probs` with
+    the revenue it checks. It goes over one denominator and is reduced by
+    the gcd, which leaves the lcm of its denominators as the scale."""
 
     def __init__(self, inst: OMDInstance):
         n = inst.n
@@ -783,7 +857,10 @@ class _LP1Frame:
         self.layout = _lp1_layout(n)
         self.ncols = len(self.layout.variables)
         self.d = [di.as_integer_ratio() for di in inst.d]
-        P, Lp = over_common_denominator(subset_probs(inst.p))
+        # p(S) times Lp = prod den(p_i): num(p_i) over S, den(p_i) - num(p_i) off S
+        ratios = [pi.as_integer_ratio() for pi in inst.p]
+        P = subset_products([(num, den - num) for num, den in ratios])
+        Lp = prod([den for _, den in ratios])
         # type S values item i at a_i, or a_i + d_i when i is in S: V[2i + bit i of S]
         V, M = over_common_denominator([v for ai, di in zip(inst.a, inst.d) for v in (ai, ai + di)])
         ints = [-PS * M for PS in P]
@@ -851,8 +928,10 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
     program holds only the adjacent truthfulness rows (types one item
     apart, both directions, in `build_lp1`'s order) and the bounds u >= 0,
     0 <= q <= 1: a relaxation of the full program, feasible at u = q = 0 and
-    bounded. Each answer is proved in three parts, on ints over one common
-    denominator:
+    bounded. The simplex holds the layout's fixed columns, q_i(S) for i in
+    S, at 1, and solves for the others; the rows stay LP1's full rows, and
+    the proof reads every column. Each answer is proved in three parts, on
+    ints over one common denominator:
 
       * its bounds: u >= 0 and 0 <= q <= 1;
       * its rows: every one of the full program's 4^n truthfulness rows is
@@ -860,9 +939,10 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
         raises `VerificationError`, so at most 4^n rows are ever added; the
         other violated rows are appended and the program solved again;
       * its optimality, once no row is violated: `_check_duals` proves the
-        simplex's multipliers a dual certificate for the last program whose
-        bound equals c.x. Extended by zeros they are dual-feasible for the
-        full program, so the answer is the full optimum.
+        simplex's multipliers, with every q bound priced, the fixed ones
+        included, a dual certificate for the last program whose bound
+        equals c.x. Extended by zeros they are dual-feasible for the full
+        program, so the answer is the full optimum.
 
     The full program itself is never built."""
     frame = _LP1Frame(inst)
@@ -871,7 +951,7 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
     rows = [frame.row(S, T) for S, T in layout.adjacent]
     held = set(layout.adjacent)
     while True:
-        outcome = _simplex_max(ncols, rows, frame.objective, layout.upper)
+        outcome = _simplex_max(ncols, rows, frame.objective, layout.upper, layout.fixed)
         if outcome.status != OPTIMAL:
             raise VerificationError(f"the restricted full program is {outcome.status}")
         x = [outcome.colvals.get(j, ZERO) for j in range(ncols)]

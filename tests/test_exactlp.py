@@ -411,9 +411,24 @@ def _adjacent(n):
     return [(S, T) for S, T in _pairs(n) if (S ^ T).bit_count() == 1]
 
 
+def _held_at_one(prob, n):
+    """The columns of ``prob``, a `build_lp1` program over n items, that
+    hold q_i(S) for i in S, found by name."""
+    column = {v: j for j, v in enumerate(prob.variables)}
+    return frozenset([column[q_var(i, S)] for S in range(1 << n) for i in range(n) if S >> i & 1])
+
+
+def _lp1_program(inst, pairs):
+    """The `_simplex_max` arguments of a `solve_lp1` round that holds the
+    truthfulness rows of ``pairs``: what `solve_lp` hands it for
+    `_with_rows(inst, pairs)`, and the columns q_i(S), i in S, held at 1."""
+    prob = _with_rows(inst, pairs)
+    return _compiled(prob) + (_held_at_one(prob, inst.n),)
+
+
 def _kernel_value(call):
     """c.x of a recorded `_simplex_max` call's answer."""
-    (_, _, (objective, scale), _), outcome = call
+    (_, _, (objective, scale), *_), outcome = call
     return F(sum(c * outcome.colvals.get(j, ZERO) for j, c in enumerate(objective)), scale)
 
 
@@ -426,12 +441,12 @@ def test_solve_lp1_adds_violated_rows(monkeypatch):
     # first answer breaks, by `Fraction` sums, in the program's order
     full = build_lp1(TWO_ROUND_LP1)
     adjacent = _adjacent(3)
-    assert calls[0][0] == _compiled(_with_rows(TWO_ROUND_LP1, adjacent))
+    assert calls[0][0] == _lp1_program(TWO_ROUND_LP1, adjacent)
     answer = {v: calls[0][1].colvals.get(j, ZERO) for j, v in enumerate(full.variables)}
     broken = [pair for pair, con in zip(_pairs(3), full.constraints)
               if sum(c * answer[v] for v, c in con.coeffs.items()) < con.rhs]
     assert broken and set(broken).isdisjoint(adjacent)
-    assert calls[1][0] == _compiled(_with_rows(TWO_ROUND_LP1, adjacent + broken))
+    assert calls[1][0] == _lp1_program(TWO_ROUND_LP1, adjacent + broken)
 
 
 # a general n=6 instance whose restricted program's answers break rows, so
@@ -486,7 +501,7 @@ def test_solve_lp1_first_program_is_filtered_lp1(monkeypatch, n):
                          [(rng.randint(1, 19), 20) for _ in range(n)])
     calls = _recording_simplex(monkeypatch)
     solve_lp1(inst)
-    assert calls[0][0] == _compiled(_with_rows(inst, _adjacent(n)))
+    assert calls[0][0] == _lp1_program(inst, _adjacent(n))
 
 
 def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
@@ -500,7 +515,7 @@ def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
     start = len(calls)
     again = solve_lp1(PINNED_LP1)
     assert (again.value, again.assignment) == (first.value, first.assignment)
-    assert calls[start][0] == _compiled(_with_rows(PINNED_LP1, _adjacent(3)))
+    assert calls[start][0] == _lp1_program(PINNED_LP1, _adjacent(3))
 
     layout = exactlp._LP1Frame(PINNED_LP1).layout
     assert layout is exactlp._LP1Frame(TWO_ROUND_LP1).layout
@@ -511,7 +526,45 @@ def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
         layout.adjacent[0] = (0, 3)
     with pytest.raises(TypeError):
         layout.q[1][0] = layout.variables[column]
+    with pytest.raises(AttributeError):
+        layout.fixed.add(8)
     assert layout.upper[column] == (1, 1) and (0, 3) not in layout.adjacent
+    assert 8 not in layout.fixed and len(layout.fixed) == 12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lp1_holds_exactly_the_high_value_allocations_at_one(n):
+    # q_i(S) for i in S, by name; at n = 1 the set is one column, q1({1}),
+    # and `solve_lp1`'s first program there is held to this set too
+    layout = exactlp._lp1_layout(n)
+    names = {layout.variables[j] for j in layout.fixed}
+    assert len(names) == len(layout.fixed) == n << (n - 1)
+    assert names == {q_var(i, S) for S in range(1 << n) for i in range(n) if S >> i & 1}
+    assert layout.fixed <= layout.upper.keys()
+
+
+def test_solve_lp_holds_no_column_fixed(monkeypatch):
+    # only `solve_lp1` holds columns at their bound; every program `solve_lp`
+    # compiles, LP1's own included, keeps all its columns in the tableau
+    calls = _recording_simplex(monkeypatch)
+    assert solve_lp(build_lp1(PINNED_LP1)).value == F(4133, 1200)
+    assert budgeted.budgeted_oracle_lp(budgeted.BudgetedInstance((1, 2, 4), 5, F(1, 9))) == F(61, 9)
+    assert len(calls) == 2
+    assert all(len(args) == 4 for args, _ in calls)
+    solve_lp1(PINNED_LP1)
+    assert len(calls[-1][0]) == 5 and calls[-1][0][4]
+
+
+def test_simplex_reports_fixed_columns_at_their_bound():
+    # x in [0, 1/2] is held at 1/2: the rows become y <= 3 - 1/2 and
+    # 2y >= -4 + 1/2, each scaled by 2 to stay integral, and x is reported
+    # at its bound; the optimum y = 5/2 has multiplier 1 on the first row
+    # and 0 on the second
+    outcome = exactlp._simplex_max(
+        2, [([1, 1, 3], "<=", 1), ([-1, 2, -4], ">=", 1)], ([2, 1], 1),
+        {0: (1, 2), 1: (5, 1)}, {0})
+    assert outcome.colvals == {0: F(1, 2), 1: F(5, 2)}
+    assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -564,8 +617,8 @@ def _tampered(shift=0, zero=False, dual=None, column=0):
     denominator den, passed through ``dual(duals, den)``."""
     solver = exactlp._simplex_max
 
-    def run(ncols, rows, objective, upper):
-        outcome = solver(ncols, rows, objective, upper)
+    def run(*args):
+        outcome = solver(*args)
         colvals = {} if zero else dict(outcome.colvals)
         colvals[column] = colvals.get(column, ZERO) + shift
         duals = dual(list(outcome.duals), outcome.den) if dual else outcome.duals
@@ -690,24 +743,32 @@ def test_solve_lp_proves_rows_of_translated_variables(monkeypatch, program):
 # that refuses it: u({}) raised by 100 breaks the held row bic({1}|{}); the
 # all-zero answer passes the replay but falls short of the dual bound; with
 # the right answer, the first nonzero multiplier flipped has the wrong sign
-# for its ">=" row, and the last one, -1/20, raised by 1/2400 keeps its
-# sign but moves the bound y.b + w.ub; and q1({1}), column 8 + 3 = 11,
-# raised from 1 to 3/2 breaks its bound
+# for its ">=" row, and the last one, -1/20, raised by one unit of their
+# denominator, 1/600, keeps its sign but moves the bound y.b + w.ub;
+# q2({1,3}), column 8 + 3 * 5 + 1 = 24, which the simplex solves for,
+# raised from 1 to 3/2 breaks its bound; and q1({1}), column 8 + 3 = 11,
+# which the simplex holds at 1, lowered to 1/2 passes the replay, but c.x
+# falls by p({1})(a_1 + d_1)/2 = 3/40 below the dual bound, which prices
+# that column's bound from the full rows
 LP1_TAMPERS = {
     "shift": (dict(shift=100), "the replay breaks a truthfulness row the program holds"),
     "zero": (dict(zero=True), "dual certificate: bound 4133/1200 != value 0"),
     "flip first dual": (dict(dual=_flip_first),
                         "dual certificate: row 3 (>=) has multiplier 1/40"),
     "raise last dual": (dict(dual=_raise_last),
-                        "dual certificate: bound 3307/960 != value 4133/1200"),
-    "q above 1": (dict(shift=F(1, 2), column=11), "assignment violates upper bound of q1({1})"),
+                        "dual certificate: bound 517/150 != value 4133/1200"),
+    "q above 1": (dict(shift=F(1, 2), column=24), "assignment violates upper bound of q2({1,3})"),
+    "fixed q below 1": (dict(shift=F(-1, 2), column=11),
+                        "dual certificate: bound 4133/1200 != value 4043/1200"),
 }
 
 
 @pytest.mark.parametrize("tamper", sorted(LP1_TAMPERS))
 def test_solve_lp1_proves_every_answer(monkeypatch, tamper):
     kwargs, message = LP1_TAMPERS[tamper]
-    assert exactlp._lp1_layout(3).variables[11] == "q1({1})"
+    layout = exactlp._lp1_layout(3)
+    assert (layout.variables[24], layout.variables[11]) == ("q2({1,3})", "q1({1})")
+    assert 24 not in layout.fixed and 11 in layout.fixed
     monkeypatch.setattr(exactlp, "_simplex_max", _tampered(**kwargs))
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         solve_lp1(PINNED_LP1)

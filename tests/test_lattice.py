@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -106,6 +107,17 @@ def test_canonical_rejects_multi_positive():
     with pytest.raises(PreconditionError) as err:
         canonical_solution(params)
     assert "{1}" in str(err.value)
+
+
+def test_a_proper_subset_exactly_at_budget_is_a_second_positive_node():
+    # x = (3, 2): the heaviest proper subset, {1}, sums to exactly B = 3, so
+    # its balance is 0, not negative, and the full set is not the only
+    # non-negative node
+    params = LP2Params(2, (F(3), F(2)), F(3), (F(1), F(1)), (F(1, 2), F(1, 2)))
+    assert not check_single_positive(params)
+    message = "multiple positive nodes: proper subset {1} sums to 3 >= B = 3"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        canonical_solution(params)
 
 
 def test_canonical_rejects_a_full_set_below_budget():
