@@ -19,7 +19,8 @@ sits in, the seeded generators of its `perfbench` directory and
 only.
 
 The outcomes are recorded by wrapping `exactlp._simplex_max`, whatever
-its arguments: the column values as a dense list of rationals, and the
+its arguments: the column values as a dense list of `Fraction`s, whichever
+form the simplex reports them in (`dense_values`), and the
 multipliers as the rationals duals[k] / den, so they do not depend on how
 the integer rows are scaled. They are the multipliers of the rows the
 simplex was given: a solver that keeps upper bounds as bounds reports none
@@ -119,6 +120,16 @@ FILES_N = 10
 REPLAY_MENUS = 300
 
 
+def dense_values(outcome, ncols: int) -> list[Fraction]:
+    """An optimal outcome's column values as a dense list of `Fraction`s,
+    whichever form the simplex reports them in: a {column: value} dict that
+    leaves out the columns at 0, or one int per column over `colden`."""
+    colvals = outcome.colvals
+    if isinstance(colvals, dict):
+        return [Fraction(colvals.get(j, 0)) for j in range(ncols)]
+    return [Fraction(a, outcome.colden) for a in colvals]
+
+
 class Recorder:
     """Wraps `_simplex_max`, and `solve_lp` and `solve_lp1` wherever the
     package binds them, and hashes every simplex outcome and every answer in
@@ -135,7 +146,7 @@ class Recorder:
             outcome = simplex(ncols, *args)
             colvals = duals = None
             if outcome.status == exactlp.OPTIMAL:
-                colvals = [outcome.colvals.get(j, 0) for j in range(ncols)]
+                colvals = dense_values(outcome, ncols)
                 duals = [Fraction(y, outcome.den) for y in outcome.duals]
             self.digest.update(repr((outcome.status, colvals, duals)).encode())
             self.simplex_calls += 1

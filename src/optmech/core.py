@@ -106,8 +106,8 @@ def format_ratio(num: int, den: int) -> str:
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm L of their denominators, as ints, and L. The
     greedy, the closed-form menu's prices, `Mechanism.from_fractions`, the
-    int truthfulness replay and `solve_lp`'s proof of its answer all turn
-    rationals into ints here."""
+    `Fraction` entry of the int truthfulness replay and LP1's int objective
+    and replay all turn rationals into ints here."""
     pairs = [v.as_integer_ratio() for v in values]
     L = lcm(*{den for _, den in pairs})
     return [num * (L // den) for num, den in pairs], L

@@ -18,11 +18,15 @@ The tableau holds integers. `solve_lp` builds each row in one pass over its
 coefficient map, reading each coefficient's numerator and denominator once,
 and scales it by the lcm of its denominators; each tableau row holds a
 positive multiple of its rational row, so every pivot is the one a rational
-tableau would make. The interface stays `fractions.Fraction`. The post-hoc
-checks do not read the tableau and run on ints: the assignment, over one
-common denominator, is checked against each `Constraint`'s own coefficients
-and each bound, and the duals and bound prices against the integer input
-rows.
+tableau would make. The simplex reports its column values as ints over
+their least common denominator, and its row multipliers as ints over one
+denominator of their own. `solve_lp` takes `Fraction` programs and undoes
+its variable translation on those ints. An `LPSolution` stores its
+assignment as ints over one scale; the `Fraction` view ``assignment`` is
+built on first read. The post-hoc checks do not read the tableau and run
+on ints: the assignment, over one common denominator, is checked against
+each `Constraint`'s own coefficients and each bound, and the duals and
+bound prices against the integer input rows.
 
 The three builders produce, for a given instance / parameter vector:
 
@@ -38,16 +42,17 @@ The three builders produce, for a given instance / parameter vector:
     truthfulness row it is in by +d_i), so some optimum has it at 1.
     `solve_lp1` solves the program on the adjacent-type truthfulness rows,
     replays all 4^n truthfulness rows on each answer with
-    `mechanism.bic_violations`, and adds only the rows that fail. Its proof
-    has three parts, on ints, and reads every column of the full program,
-    the fixed ones included: the answer's bounds, that replay, and the dual
-    certificate on the full rows and objective, which prices each fixed
-    column's bound. So no answer rests on the dominance argument. What
-    depends on n alone (the labels, the u and q names, the q <= 1 bounds,
-    the fixed columns and the adjacent pairs) is built once per n and
-    cached as an immutable value; each call builds only the instance's int
-    objective, from its own int p(S) table, and each int row when it is
-    added;
+    `mechanism.scaled_bic_violations`, and adds only the rows that fail. Its
+    proof has three parts, on the simplex's int column values as they come,
+    and reads every column of the full program, the fixed ones included:
+    the answer's bounds, that replay, and the dual certificate on the full
+    rows and objective, which prices each fixed column's bound. So no answer
+    rests on the dominance argument. What depends on n alone (the labels,
+    the u and q names, the q <= 1 bounds, the fixed columns, the adjacent
+    pairs, and which q columns each row reads, with which sign) is built
+    once per n and cached as an immutable value; each call builds only the
+    instance's int objective, from its own int p(S) table, and each int row
+    when it is added, by scaling the layout's signs by the d_i;
   * ``build_lp2`` -- the relaxed program over u alone, with one row per
     adjacent pair u(S+{i}) - u(S) <= d_i;
   * ``build_lp3`` -- the dual of the relaxed program: a min-cost flow on the
@@ -58,11 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from itertools import compress
 from math import gcd, lcm, prod
 from operator import itemgetter, mul, neg
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import (
     LP2Params,
@@ -80,7 +86,7 @@ from .core import (
 )
 from .errors import InputError, PreconditionError, VerificationError
 from .lattice import node_balances
-from .mechanism import bic_violations
+from .mechanism import scaled_bic_violations
 
 # Enumeration guards: constraint counts grow as 4^n (full program) / 2^n
 # (relaxed program and its dual). At n=6, the full program's guard,
@@ -186,9 +192,21 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """An LP's status and, when optimal, its value and an optimal point,
+    stored as ints over one positive int scale: ``scaled[k] / scale`` is the
+    value of ``variables[k]``. The `Fraction` view ``assignment``, a dict by
+    variable name, is built on first read."""
+
     status: str
     value: Fraction | None
-    assignment: dict[str, Fraction]
+    variables: tuple[str, ...] = ()
+    scaled: Sequence[int] = field(default=(), repr=False)
+    scale: int = 1
+
+    @cached_property
+    def assignment(self) -> dict[str, Fraction]:
+        scale = self.scale
+        return {v: Fraction(a, scale) for v, a in zip(self.variables, self.scaled)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +216,15 @@ class LPSolution:
 # `_simplex_max` solves  max c.x  over rows {<=, =, >=} with 0 <= x_j <= ub_j
 # (ub_j finite on the bounded columns, +inf elsewhere) by the two-phase dense
 # tableau method, entering by the largest reduced cost and falling back to
-# Bland's smallest index when degenerate steps stall. It reports, besides
-# the optimal column values, the dual multiplier of every input row. No bound
-# is ever a row. `solve_lp` checks the assignment those column values give,
-# scaled to ints, against the original constraints and bounds, and the
-# multipliers as a dual certificate of optimality.
+# Bland's smallest index when degenerate steps stall. It reports the optimal
+# column values as ints over their least common denominator X (each value
+# reduced to lowest terms, X the lcm of those denominators, so
+# gcd(X, *values) == 1), with no `Fraction` per column, and the dual
+# multiplier of every input row. No bound is ever a row. `solve_lp` checks
+# the assignment those column values give, scaled to ints, against the
+# original constraints and bounds, and the multipliers as a dual
+# certificate of optimality; `solve_lp1` checks the column values' ints
+# themselves.
 #
 # The tableau is fraction-free. Each input row arrives as ints: the rational
 # row, right-hand side included, times the lcm of its denominators, built
@@ -301,16 +323,19 @@ class LPSolution:
 # equals c.x (`_check_duals`, which computes w itself and never reads the
 # tableau). `solve_lp1` proves its answers the same way, on all of LP1's
 # columns, the fixed ones included, except that its bounds are checked on
-# their own and the 4^n replay of `bic_violations`, which covers every row
-# the program holds, stands for `_check_feasible`.
+# their own and the 4^n replay of `scaled_bic_violations`, which covers
+# every row the program holds, stands for `_check_feasible`; both read the
+# column values' ints over X as the simplex reports them.
 
 
 class _SimplexOutcome:
-    __slots__ = ("status", "colvals", "duals", "den")
+    __slots__ = ("status", "colvals", "colden", "duals", "den")
 
-    def __init__(self, status, colvals=None, duals=None, den=1):
+    def __init__(self, status, colvals=None, colden=1, duals=None, den=1):
         self.status = status
+        # one int per column over the least common denominator colden > 0
         self.colvals = colvals
+        self.colden = colden
         self.duals = duals  # ints over the common denominator den > 0
         self.den = den
 
@@ -335,9 +360,11 @@ def _simplex_max(ncols, rows, objective, upper, fixed=()):
     of each bounded column, den > 0; the other columns have none.
     ``fixed``: bounded columns held at their bound. They never enter the
     tableau and are reported at their bound.
-    Returns a _SimplexOutcome whose ``duals`` align with the input rows.
+    Returns a _SimplexOutcome whose ``colvals`` hold one int per column, the
+    column's value times ``colden``, the least common denominator of the
+    values, and whose ``duals`` align with the input rows.
     """
-    keep, M = None, 1
+    columns, keep, M = ncols, None, 1
     if fixed:
         # the fixed columns leave the tableau, and each row's right-hand side
         # loses their a_j * ub_j: the row and its scale are multiplied first
@@ -418,7 +445,7 @@ def _simplex_max(ncols, rows, objective, upper, fixed=()):
 
     def eliminate(row, c, prow, nz):
         """A positive multiple of pc * row - row[c] * prow, where
-        pc = prow[c] > 0 and ``nz`` lists the nonzero columns of prow."""
+        pc = prow[c] > 0 and ``nz`` yields the nonzero columns of prow."""
         pc, f = prow[c], row[c]
         g = gcd(pc, f)
         if g == pc:
@@ -441,7 +468,7 @@ def _simplex_max(ncols, rows, objective, upper, fixed=()):
         if prow[c] < 0:
             # the new basic coefficient must be positive
             T[r] = prow = [-v for v in prow]
-        nz = [j for j, v in enumerate(prow) if v]
+        nz = list(compress(range(width), prow))
         for i, row in enumerate(T):
             if row[c] and i != r:
                 T[i] = eliminate(row, c, prow, nz)
@@ -476,7 +503,7 @@ def _simplex_max(ncols, rows, objective, upper, fixed=()):
         """Reduced costs of ``cost`` under the current basis."""
         for row, b in zip(T, basis):
             if cost[b]:
-                cost = eliminate(cost, b, row, [j for j, v in enumerate(row) if v])
+                cost = eliminate(cost, b, row, compress(range(width), row))
         return cost
 
     def run(enterable):
@@ -569,23 +596,29 @@ def _simplex_max(ncols, rows, objective, upper, fixed=()):
     if status == UNBOUNDED:
         return _SimplexOutcome(UNBOUNDED)
 
-    den = cost[-1]
-    colvals = {}
+    # the value num / den of each basic column, of each nonbasic one
+    # complemented to its bound, and of each fixed one; the others sit at 0
+    values = []
     for row, b in zip(T, basis):
         if b < ncols:
             if b in complemented:
                 ub_num, ub_den = ub[b]
-                colvals[b] = Fraction(ub_num * row[b] - ub_den * row[-1], ub_den * row[b])
+                values.append((b, ub_num * row[b] - ub_den * row[-1], ub_den * row[b]))
             else:
-                colvals[b] = Fraction(row[-1], row[b])
-    for j in complemented:
-        if j not in colvals:
-            colvals[j] = Fraction(*ub[j])
+                values.append((b, row[-1], row[b]))
+    basic = set(basis)
+    values += [(j, *ub[j]) for j in complemented if j not in basic]
     if keep is not None:
-        colvals = {keep[j]: v for j, v in colvals.items()}
-        colvals.update((j, Fraction(*bound)) for j, bound in zip(fixed, at_bound))
+        values = [(keep[j], num, den) for j, num, den in values]
+        values += [(j, num, den) for j, (num, den) in zip(fixed, at_bound)]
+    # all of them over X, the lcm of their denominators in lowest terms,
+    # which is the least common denominator: gcd(X, *colvals) == 1
+    X = lcm(*[den // gcd(num, den) for _, num, den in values])
+    colvals = [0] * columns
+    for j, num, den in values:
+        colvals[j] = num * X // den
     duals = [cost[col] if flipped else -cost[col] for col, (*_, flipped) in zip(assoc, canon)]
-    return _SimplexOutcome(OPTIMAL, colvals, duals, den)
+    return _SimplexOutcome(OPTIMAL, colvals, X, duals, cost[-1])
 
 
 def solve_lp(prob: LPProblem) -> LPSolution:
@@ -622,7 +655,7 @@ def solve_lp(prob: LPProblem) -> LPSolution:
                 up -= low
             num, den = up.as_integer_ratio()
             if num < 0:
-                return LPSolution(status=INFEASIBLE, value=None, assignment={})
+                return LPSolution(INFEASIBLE, None)
             upper[ncols - 1] = (num, den)
 
     def int_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
@@ -665,30 +698,35 @@ def solve_lp(prob: LPProblem) -> LPSolution:
 
     outcome = _simplex_max(ncols, rows, objective, upper)
     if outcome.status != OPTIMAL:
-        return LPSolution(status=outcome.status, value=None, assignment={})
+        return LPSolution(outcome.status, None)
 
     # --- extract and certify: the assignment over one common denominator X,
-    # its value c.x on those ints, then the multipliers
-    colvals = outcome.colvals
-    assignment = {}
+    # the simplex's times the lcm of the shifts' denominators, with the
+    # translation undone on those ints; its value c.x on them, then the
+    # multipliers
+    shifts = {v: s.as_integer_ratio() for v, s in shift.items()}
+    m = lcm(*[den for _, den in shifts.values()])
+    colvals, X = outcome.colvals, outcome.colden * m
+    if m > 1:
+        colvals = [a * m for a in colvals]
+    ints = []
     for v in prob.variables:
-        x = colvals.get(col[v], ZERO)
+        a = colvals[col[v]]
         if v in neg:
-            x -= colvals.get(neg[v], ZERO)
-        elif v in mirror:
-            x = shift[v] - x
-        elif v in shift:
-            x += shift[v]
-        assignment[v] = x
-    ints, X = over_common_denominator(assignment.values())
-    scaled = dict(zip(assignment, ints))
+            a -= colvals[neg[v]]
+        elif v in shifts:
+            num, den = shifts[v]
+            s = num * (X // den)
+            a = s - a if v in mirror else a + s
+        ints.append(a)
+    scaled = dict(zip(prob.variables, ints))
     num, den = _dot(prob.objective, scaled)
     value = Fraction(num, den * X)
 
     _check_feasible(prob, scaled, X)
     _check_duals(rows, objective, upper, outcome,
                  -(value + obj_rhs) if negate else value + obj_rhs)
-    return LPSolution(status=OPTIMAL, value=value, assignment=assignment)
+    return LPSolution(OPTIMAL, value, prob.variables, ints, X)
 
 
 def _dot(coeffs: Mapping[str, Fraction], scaled: Mapping[str, int]) -> tuple[int, int]:
@@ -809,8 +847,12 @@ class _LP1Layout:
     and u and q names, the variables in column order (u(S) is column S and
     q_i(S) column 2^n + n S + i), the q <= 1 bounds as `_simplex_max` reads
     them, {column: (1, 1)}, the columns of q_i(S) for i in S, which
-    `solve_lp1` has the simplex hold at 1, and the adjacent pairs (S, T) in
-    `build_lp1`'s order."""
+    `solve_lp1` has the simplex hold at 1, the adjacent pairs (S, T) in
+    `build_lp1`'s order, and what each truthfulness row (S, T) reads besides
+    u(S) and u(T): ``q_base[T]``, the column of q_1(T), and ``items[S ^ T]``,
+    the 0-based items where the two types differ, in order. So the row's q
+    columns are q_base[T] + i for i in items[S ^ T], and each one's sign is
+    bit i of T."""
 
     labels: tuple[str, ...]
     u: tuple[str, ...]
@@ -819,6 +861,8 @@ class _LP1Layout:
     upper: Mapping[int, tuple[int, int]]
     fixed: frozenset[int]
     adjacent: tuple[tuple[Subset, Subset], ...]
+    q_base: tuple[int, ...]
+    items: tuple[tuple[int, ...], ...]
 
 
 @cache
@@ -836,6 +880,8 @@ def _lp1_layout(n: int) -> _LP1Layout:
         upper=MappingProxyType(dict.fromkeys(range(1 << n, (n + 1) << n), (1, 1))),
         fixed=frozenset([(1 << n) + n * S + i for S in types for i in range(n) if S >> i & 1]),
         adjacent=tuple([(S, T) for S in types for T in sorted(S ^ 1 << i for i in range(n))]),
+        q_base=tuple([(1 << n) + n * T for T in types]),
+        items=tuple([tuple([i for i in range(n) if D >> i & 1]) for D in types]),
     )
 
 
@@ -849,14 +895,20 @@ class _LP1Frame:
     own int table, `subset_products` of (num p_i, den p_i - num p_i), which
     is p(S) times prod den p_i; it does not share `scaled_subset_probs` with
     the revenue it checks. It goes over one denominator and is reduced by
-    the gcd, which leaves the lcm of its denominators as the scale."""
+    the gcd, which leaves the lcm of its denominators as the scale. The d_i
+    over their common denominator M, (D, M), are what `solve_lp1`'s replay
+    reads."""
 
     def __init__(self, inst: OMDInstance):
         n = inst.n
         check_lp1_guard(n)
         self.layout = _lp1_layout(n)
         self.ncols = len(self.layout.variables)
-        self.d = [di.as_integer_ratio() for di in inst.d]
+        d = [di.as_integer_ratio() for di in inst.d]
+        # a row weighs q_i(T) by -num(d_i) when bit i of T is 0, +num(d_i) when 1
+        self.signed = [(-num, num) for num, _ in d]
+        self.dens = [den for _, den in d]
+        self.D, self.M = over_common_denominator(inst.d)
         # p(S) times Lp = prod den(p_i): num(p_i) over S, den(p_i) - num(p_i) off S
         ratios = [pi.as_integer_ratio() for pi in inst.p]
         P = subset_products([(num, den - num) for num, den in ratios])
@@ -872,16 +924,14 @@ class _LP1Frame:
         """Type S gains nothing by reporting T: u(S) - u(T) + sum over i in
         S ^ T of (d_i if i in T, else -d_i) q_i(T) >= 0, right-hand side
         last, times L, the lcm of those d_i's denominators:
-        (ints, ">=", L)."""
-        D, n = S ^ T, len(self.d)
-        items = [(i, num, den) for i, (num, den) in enumerate(self.d) if D >> i & 1]
-        L = lcm(*[den for _, _, den in items])
+        (ints, ">=", L). The layout gives the row's q columns and signs."""
+        items, signed, dens = self.layout.items[S ^ T], self.signed, self.dens
+        L = lcm(*[dens[i] for i in items])
         ints = [0] * (self.ncols + 1)
         ints[S], ints[T] = L, -L
-        base = (1 << n) + n * T
-        for i, num, den in items:
-            c = num * (L // den)
-            ints[base + i] = c if T >> i & 1 else -c
+        base = self.layout.q_base[T]
+        for i in items:
+            ints[base + i] = signed[i][T >> i & 1] * (L // dens[i])
         return ints, ">=", L
 
 
@@ -931,11 +981,11 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
     bounded. The simplex holds the layout's fixed columns, q_i(S) for i in
     S, at 1, and solves for the others; the rows stay LP1's full rows, and
     the proof reads every column. Each answer is proved in three parts, on
-    ints over one common denominator:
+    the simplex's column values, ints over their least common denominator:
 
       * its bounds: u >= 0 and 0 <= q <= 1;
       * its rows: every one of the full program's 4^n truthfulness rows is
-        replayed by `bic_violations`. A violated row the program holds
+        replayed by `scaled_bic_violations`. A violated row the program holds
         raises `VerificationError`, so at most 4^n rows are ever added; the
         other violated rows are appended and the program solved again;
       * its optimality, once no row is violated: `_check_duals` proves the
@@ -944,30 +994,28 @@ def solve_lp1(inst: OMDInstance) -> LPSolution:
         equals c.x. Extended by zeros they are dual-feasible for the full
         program, so the answer is the full optimum.
 
-    The full program itself is never built."""
+    The full program itself is never built. The answer keeps those ints;
+    its `Fraction` assignment is built only when read."""
     frame = _LP1Frame(inst)
-    layout, n, ncols = frame.layout, inst.n, frame.ncols
-    size = 1 << n
+    layout = frame.layout
     rows = [frame.row(S, T) for S, T in layout.adjacent]
     held = set(layout.adjacent)
     while True:
-        outcome = _simplex_max(ncols, rows, frame.objective, layout.upper, layout.fixed)
+        outcome = _simplex_max(frame.ncols, rows, frame.objective, layout.upper, layout.fixed)
         if outcome.status != OPTIMAL:
             raise VerificationError(f"the restricted full program is {outcome.status}")
-        x = [outcome.colvals.get(j, ZERO) for j in range(ncols)]
-        ints, X = over_common_denominator(x)
+        ints, X = outcome.colvals, outcome.colden
         for j, a in enumerate(ints):
             if a < 0 or a > X and j in layout.upper:
                 side = "lower" if a < 0 else "upper"
                 raise VerificationError(
                     f"assignment violates {side} bound of {layout.variables[j]}")
-        q = [x[size + n * T:size + n * T + n] for T in range(size)]
-        violated = [(S, T) for S, T, _ in bic_violations(inst.d, x[:size], q)]
+        violated = [(S, T) for S, T, _ in scaled_bic_violations(frame.D, frame.M, ints)]
         if not violated:
             obj, scale = frame.objective
             value = Fraction(sum(map(mul, obj, ints)), scale * X)
             _check_duals(rows, frame.objective, layout.upper, outcome, value)
-            return LPSolution(OPTIMAL, value, dict(zip(layout.variables, x)))
+            return LPSolution(OPTIMAL, value, layout.variables, ints, X)
         # the answer should meet every row it was solved under; a held row
         # reported broken would come back every round
         if not held.isdisjoint(violated):

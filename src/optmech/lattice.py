@@ -42,10 +42,10 @@ from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
 # certificate, the reduction) is capped here: in-process `solve` takes
-# 0.23-0.34 s end to end at n = 14 on a 2-vCPU machine, printing its
-# 16,384-line menu included (n = 10: 0.009-0.015 s, n = 12: 0.069-0.074 s;
-# scripts/solve_latency.py, three runs, Python 3.11.7), and each item adds a
-# factor of 2-5.
+# 0.16-0.20 s end to end at n = 14 on a 2-vCPU machine, printing its
+# 16,384-line menu included (n = 10: 0.008 s, n = 12: 0.034-0.041 s;
+# scripts/solve_latency.py, five runs, Python 3.11.7, no gmpy2), and each
+# item multiplies that by 2.1-2.3.
 LATTICE_GUARD = 14
 
 

@@ -29,8 +29,10 @@ them as int comparisons on the mechanism's stored ints, and builds the exact
 `Fraction` slack of the first failing row only. `verify_bic_ir` replays all
 rows on the `Fraction` views and names every violated one with its exact
 slack; it is the reference the certificate is tested against. Its 4^n
-truthfulness rows come from `bic_violations`, the int replay that
-`exactlp.solve_lp1` runs on each of its answers. Ties are acceptable: a
+truthfulness rows come from `bic_violations`, which puts the `Fraction`
+menu over one denominator and hands it to `scaled_bic_violations`, the one
+int replay, which `exactlp.solve_lp1` runs on the simplex's int answers
+directly. Ties are acceptable: a
 weakly satisfied constraint is satisfied (deterministic tie-breaking in
 favor of the higher-priced entry replaces any rebate scheme).
 """
@@ -237,14 +239,27 @@ def bic_violations(
     u(S) - u(T) >= sum_{i in S ^ T} W_i(T) breaks, S-major, with its exact
     slack (left side minus right), where W_i(T) = d_i q_i(T) for i outside
     T and -d_i q_i(T) for i in T. On ints, with no `Fraction` product: u and
-    every q_i(T) go over one common denominator L, and the d_i over their
-    own, M, as D_i = d_i M = num(d_i) (M / den(d_i)); the row times L M
-    reads U(S) M - U(T) M >= sum_i (+-D_i) Q_i(T). One T at a time, the sums
-    of W(T) over all masks are built by doubling and T's violated rows kept
-    for one sort; each slack is its int gap over L M."""
-    n, size = len(d), len(u)
+    every q_i(T) go over one common denominator L, the d_i over their own,
+    M, and `scaled_bic_violations` replays the rows; each slack is its int
+    gap over L M."""
     ints, L = over_common_denominator([*u, *(qi for qT in q for qi in qT)])
     D, M = over_common_denominator(d)
+    LM = L * M
+    return [(S, T, Fraction(gap, LM)) for S, T, gap in scaled_bic_violations(D, M, ints)]
+
+
+def scaled_bic_violations(
+    D: Sequence[int], M: int, ints: Sequence[int]
+) -> list[tuple[Subset, Subset, int]]:
+    """`bic_violations` on ints: item i's d_i is D[i] / M, and ``ints``
+    holds every type's u(S) and then q_i(T) at index 2^n + n T + i, all
+    over one common denominator L > 0, which is never read. Each violated
+    row comes with its slack times L M: the row times L M reads
+    U(S) M - U(T) M >= sum_i (+-D_i) Q_i(T). One T at a time, the sums of
+    W(T) over all masks are built by doubling and T's violated rows kept for
+    one sort."""
+    n = len(D)
+    size = 1 << n
     U = [v * M for v in ints[:size]]
     violated = []
     for T, UT in enumerate(U):
@@ -254,8 +269,8 @@ def bic_violations(
         # S == T reads 0 < 0
         violated += [(S, T, US - UT - sums[S ^ T])
                      for S, US in enumerate(U) if US - UT < sums[S ^ T]]
-    LM = L * M
-    return [(S, T, Fraction(gap, LM)) for S, T, gap in sorted(violated)]
+    violated.sort()
+    return violated
 
 
 def _report(n: int, *violations: tuple[str, Fraction]) -> BicIrReport:

@@ -196,7 +196,7 @@ def test_failed_certificate_exit_3(tmp_path, capsys, monkeypatch):
 
 def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     instance = write(tmp_path, "inst.json", HALVES)
-    monkeypatch.setattr(cli, "solve_lp1", lambda inst: optmech.LPSolution("optimal", F(3), {}))
+    monkeypatch.setattr(cli, "solve_lp1", lambda inst: optmech.LPSolution("optimal", F(3)))
     assert main(["solve", instance, "--oracle"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -344,9 +346,14 @@ PINNED_LP1 = make_instance([(1, 2), (2, 3), 1], [(3, 2), 1, (5, 4)], [(1, 2), (2
 
 
 def test_pinned_vertex_lp1():
+    # the answer is stored as ints over one scale, and its `Fraction`
+    # assignment is built on first read, then kept
     prob = build_lp1(PINNED_LP1)
     sol = solve_lp1(PINNED_LP1)
     assert sol.value == F(4133, 1200)
+    assert "assignment" not in vars(sol)
+    assert sol.assignment is sol.assignment
+    assert all(type(x) is F for x in sol.assignment.values())
     assert sol.assignment == _with_zeros(prob, {
         "u({1,2,3})": "1",
         "q1({1})": "1", "q2({2})": "1", "q3({3})": "1",
@@ -429,7 +436,7 @@ def _lp1_program(inst, pairs):
 def _kernel_value(call):
     """c.x of a recorded `_simplex_max` call's answer."""
     (_, _, (objective, scale), *_), outcome = call
-    return F(sum(c * outcome.colvals.get(j, ZERO) for j, c in enumerate(objective)), scale)
+    return F(sum(map(mul, objective, outcome.colvals)), scale * outcome.colden)
 
 
 def test_solve_lp1_adds_violated_rows(monkeypatch):
@@ -442,7 +449,8 @@ def test_solve_lp1_adds_violated_rows(monkeypatch):
     full = build_lp1(TWO_ROUND_LP1)
     adjacent = _adjacent(3)
     assert calls[0][0] == _lp1_program(TWO_ROUND_LP1, adjacent)
-    answer = {v: calls[0][1].colvals.get(j, ZERO) for j, v in enumerate(full.variables)}
+    first = calls[0][1]
+    answer = {v: F(a, first.colden) for v, a in zip(full.variables, first.colvals)}
     broken = [pair for pair, con in zip(_pairs(3), full.constraints)
               if sum(c * answer[v] for v, c in con.coeffs.items()) < con.rhs]
     assert broken and set(broken).isdisjoint(adjacent)
@@ -464,7 +472,7 @@ def test_solve_lp1_refuses_a_replay_that_breaks_a_held_row(monkeypatch):
     # without the check the same row would be added every round; (0, 1) is
     # adjacent, so the first program holds it
     calls = _recording_simplex(monkeypatch)
-    monkeypatch.setattr(exactlp, "bic_violations", lambda d, u, q: [(0, 1, F(-1))])
+    monkeypatch.setattr(exactlp, "scaled_bic_violations", lambda D, M, ints: [(0, 1, -1)])
     with pytest.raises(VerificationError, match="truthfulness row the program holds"):
         solve_lp1(TWO_ROUND_LP1)
     assert len(calls) == 1
@@ -528,6 +536,10 @@ def test_lp1_layout_carries_no_state_between_instances(monkeypatch):
         layout.q[1][0] = layout.variables[column]
     with pytest.raises(AttributeError):
         layout.fixed.add(8)
+    with pytest.raises(TypeError):
+        layout.items[3] = (0,)
+    with pytest.raises(TypeError):
+        layout.q_base[0] = 0
     assert layout.upper[column] == (1, 1) and (0, 3) not in layout.adjacent
     assert 8 not in layout.fixed and len(layout.fixed) == 12
 
@@ -559,11 +571,12 @@ def test_simplex_reports_fixed_columns_at_their_bound():
     # x in [0, 1/2] is held at 1/2: the rows become y <= 3 - 1/2 and
     # 2y >= -4 + 1/2, each scaled by 2 to stay integral, and x is reported
     # at its bound; the optimum y = 5/2 has multiplier 1 on the first row
-    # and 0 on the second
+    # and 0 on the second; the values are ints over their least common
+    # denominator, 2
     outcome = exactlp._simplex_max(
         2, [([1, 1, 3], "<=", 1), ([-1, 2, -4], ">=", 1)], ([2, 1], 1),
         {0: (1, 2), 1: (5, 1)}, {0})
-    assert outcome.colvals == {0: F(1, 2), 1: F(5, 2)}
+    assert (outcome.colvals, outcome.colden) == ([1, 5], 2)
     assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 
 
@@ -611,18 +624,26 @@ def test_pinned_vertex_lp3():
     })
 
 
-def _tampered(shift=0, zero=False, dual=None, column=0):
+def _tampered(shift=0, zero=False, dual=None, column=0, halve=False):
     """`_simplex_max` with ``column`` of its answer raised by ``shift``, or
-    every column set to 0 if ``zero``, and its multipliers, ints over the
-    denominator den, passed through ``dual(duals, den)``."""
+    every column set to 0 if ``zero``, or every column halved by doubling
+    the denominator of its ints if ``halve``, and its multipliers, ints over
+    the denominator den, passed through ``dual(duals, den)``. The column
+    values stay ints over one denominator, which a shift may raise."""
     solver = exactlp._simplex_max
 
     def run(*args):
         outcome = solver(*args)
-        colvals = {} if zero else dict(outcome.colvals)
-        colvals[column] = colvals.get(column, ZERO) + shift
+        colvals, X = list(outcome.colvals), outcome.colden
+        if zero:
+            colvals = [0] * len(colvals)
+        num, den = F(shift).as_integer_ratio()
+        m = den // gcd(X, den)
+        colvals, X = [a * m for a in colvals], X * m
+        colvals[column] += num * (X // den)
         duals = dual(list(outcome.duals), outcome.den) if dual else outcome.duals
-        return exactlp._SimplexOutcome("optimal", colvals, duals, outcome.den)
+        return exactlp._SimplexOutcome(
+            "optimal", colvals, 2 * X if halve else X, duals, outcome.den)
     return run
 
 
@@ -671,6 +692,16 @@ def test_solve_lp_certifies_the_duals(monkeypatch, program, dual):
     assert solve_lp(prob).status == "optimal"
     monkeypatch.setattr(exactlp, "_simplex_max", _tampered(dual=dual))
     with pytest.raises(VerificationError, match="dual certificate"):
+        solve_lp(prob)
+
+
+@pytest.mark.parametrize("program", sorted(CERTIFIED))
+def test_solve_lp_refuses_a_doubled_denominator(monkeypatch, program):
+    # the same ints over twice the denominator halve every column: a
+    # feasible point of each program, below its optimum
+    prob = CERTIFIED[program]()
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(halve=True))
+    with pytest.raises(VerificationError, match="dual certificate: bound"):
         solve_lp(prob)
 
 
@@ -761,6 +792,15 @@ LP1_TAMPERS = {
     "fixed q below 1": (dict(shift=F(-1, 2), column=11),
                         "dual certificate: bound 4133/1200 != value 4043/1200"),
 }
+
+
+def test_solve_lp1_refuses_a_doubled_denominator(monkeypatch):
+    # every LP1 row is homogeneous, so the halved answer keeps every bound
+    # and passes the replay; its c.x is half the dual bound
+    monkeypatch.setattr(exactlp, "_simplex_max", _tampered(halve=True))
+    message = "dual certificate: bound 4133/1200 != value 4133/2400"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        solve_lp1(PINNED_LP1)
 
 
 @pytest.mark.parametrize("tamper", sorted(LP1_TAMPERS))
@@ -869,10 +909,10 @@ def test_simplex_flips_and_leaves_at_bounds():
     # the pinned programs in `_simplex_max`'s own terms: column values, and
     # row multipliers over den; the bounds are priced by `_check_duals`
     flip = exactlp._simplex_max(2, [([1, 1, 3], "<=", 1)], ([2, 1], 1), {0: (1, 1), 1: (5, 1)})
-    assert flip.colvals == {0: ONE, 1: F(2)}
+    assert (flip.colvals, flip.colden) == ([1, 2], 1)
     assert [F(y, flip.den) for y in flip.duals] == [ONE]
     at_bound = exactlp._simplex_max(2, [([-1, 1, 0], "<=", 1)], ([0, 1], 1), {0: (1, 1), 1: (1, 2)})
-    assert at_bound.colvals == {0: F(1, 2), 1: F(1, 2)}
+    assert (at_bound.colvals, at_bound.colden) == ([1, 1], 2)
     assert [F(y, at_bound.den) for y in at_bound.duals] == [ZERO]
 
 
@@ -884,7 +924,7 @@ def test_solve_lp_refuses_a_bound_below_its_lower_bound(monkeypatch):
     for low, up in ((F(2), F(1)), (F(-1, 3), F(-1, 2)), (3, 2)):
         prob = LPProblem(("x", "y"), {"x": ONE}, "max", (Constraint({"y": ONE}, "<=", ONE),),
                          lower={"x": low}, upper={"x": up})
-        assert solve_lp(prob) == exactlp.LPSolution("infeasible", None, {})
+        assert solve_lp(prob) == exactlp.LPSolution("infeasible", None)
 
 
 def test_solve_lp_prices_the_bounds(monkeypatch):
@@ -998,7 +1038,7 @@ def test_redundant_equality_row_dropped_with_zero_dual():
     sol = solve_lp(prob)
     assert (sol.status, sol.value, sol.assignment) == ("optimal", 1, {"x": ONE, "y": ZERO})
     outcome = exactlp._simplex_max(2, [([1, 1, 1], "=", 1), ([2, 2, 2], "=", 1)], ([1, 0], 1), {})
-    assert (outcome.status, outcome.colvals) == ("optimal", {0: ONE})
+    assert (outcome.status, outcome.colvals, outcome.colden) == ("optimal", [1, 0], 1)
     assert [F(y, outcome.den) for y in outcome.duals] == [ONE, ZERO]
 
 

@@ -16,7 +16,10 @@ node and the menu unchanged and scales the flow's amounts by kappa. The
 bisection's dyadic midpoint lies strictly inside its bracket. The
 O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
 4^n replay does, and the exact simplex agrees with vertex enumeration on
-tiny bounded programs, its dual multipliers certifying its optimum. Its
+tiny bounded programs, its dual multipliers certifying its optimum, and
+reports its column values as ints over their least common denominator,
+which reach the enumerated maximum also with some columns held at their
+bounds. Its
 integer feasibility proof accepts every optimum, whose value is the
 `Fraction` sum c.x, and refuses a nudged answer exactly when a `Fraction`
 check does, with the same message, free and shifted variables included.
@@ -27,7 +30,8 @@ the whole program."""
 
 import json
 from fractions import Fraction as F
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -64,7 +68,7 @@ from optmech import (
     type_vectors,
     verify_bic_ir,
 )
-from optmech.core import format_ratio
+from optmech.core import format_ratio, over_common_denominator
 from optmech.exactlp import _check_feasible, _lp1_layout, _simplex_max
 from optmech.mechanism import bic_violations, price_menu
 from optmech.reduction import _dyadic_between
@@ -590,12 +594,50 @@ def test_simplex_duals_certify_optimum(case):
         return
     assert outcome.status == "optimal"
     y = [F(v, outcome.den) for v in outcome.duals]
-    value = sum(c * outcome.colvals.get(j, 0) for j, c in enumerate(objective))
+    value = sum(c * a for c, a in zip(objective, outcome.colvals)) / outcome.colden
     assert value == sum(yk * rhs for yk, (_, _, rhs) in zip(y, rows))
     for yk, (_, rel, _) in zip(y, rows):
         assert yk >= 0 if rel == "<=" else yk <= 0 if rel == ">=" else True
     for j in range(nvars):
         assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, rows)) >= objective[j]
+
+
+@exact
+@given(tiny_programs(), st.data())
+def test_simplex_reports_column_values_over_their_least_denominator(case, data):
+    # every column bounded by a drawn rational, some held at it: the answer
+    # comes as ints over one denominator X with gcd(X, *ints) == 1, so X is
+    # the least, and those ints over X are the `Fraction` values put over
+    # their common denominator; they meet every row and bound, hold each
+    # fixed column at its bound, and reach the vertex enumeration's maximum
+    nvars, rows, objective, _ = case
+    bounds = [data.draw(st.builds(F, st.integers(0, 10), st.integers(1, 6))) for _ in range(nvars)]
+    fixed = data.draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    int_rows = []
+    for coeffs, rel, rhs in rows:
+        ints, scale = scaled([*coeffs, rhs])
+        int_rows.append((ints, rel, scale))
+    upper = {j: ub.as_integer_ratio() for j, ub in enumerate(bounds)}
+    outcome = _simplex_max(nvars, int_rows, scaled(objective), upper, fixed)
+    oracle_rows = []
+    for coeffs, rel, rhs in rows:
+        if rel != ">=":
+            oracle_rows.append((coeffs, rhs))
+        if rel != "<=":
+            oracle_rows.append(([-c for c in coeffs], -rhs))
+    for j, ub in enumerate(bounds):
+        unit = [F(int(i == j)) for i in range(nvars)]
+        oracle_rows += [(unit, ub), ([-c for c in unit], -ub if j in fixed else F(0))]
+    best = vertex_enumeration_max(nvars, oracle_rows, objective)
+    if outcome.status == "infeasible":
+        assert best is None
+        return
+    ints, X = outcome.colvals, outcome.colden
+    assert len(ints) == nvars and X >= 1 and gcd(X, *ints) == 1
+    x = [F(a, X) for a in ints]
+    assert over_common_denominator(x) == (ints, X)
+    assert all(sum(map(mul, coeffs, x)) <= rhs for coeffs, rhs in oracle_rows)
+    assert sum(map(mul, objective, x)) == best
 
 
 @st.composite
