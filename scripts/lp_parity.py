@@ -15,8 +15,8 @@ simplex to other optimal vertices changes the first LP digest of a family
 but not its value-only digest, which shows that every optimum is unchanged.
 Imports the package from the `src` directory of the checkout this script
 sits in, the seeded generators of its `perfbench` directory and
-`general_doc` of `solve_latency.py` beside it; uses the standard library
-only.
+`general_doc` and `hard_doc` of `solve_latency.py` beside it; uses the
+standard library only.
 
 The outcomes are recorded by wrapping `exactlp._simplex_max`, whatever
 its arguments: the column values as a dense list of `Fraction`s, whichever
@@ -68,7 +68,12 @@ to write, with the temporary directory's path replaced by `{tmp}`:
                   digit limit (`digit_limit_doc`), refused with exit code 2
                   and its message;
   * cli-general -- `solve` on GENERAL_REFUSALS general instances drawn by
-                  `general_doc`, most of them refused with exit code 2.
+                  `general_doc`, most of them refused with exit code 2;
+  * cli-hard    -- `solve --json-out` on HARD_PER_N instances built by the
+                  reduction for each |C| = n - 1 in 3..9 (n = 4..10), drawn
+                  by `hard_doc` of `solve_latency.py`: the greedy fills
+                  many sinks, so each menu has a large support, and its
+                  document is included.
 
 Each of their lines reads `<family> <calls> <sha256>`.
 
@@ -101,7 +106,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 import inputs  # noqa: E402
-from solve_latency import general_doc  # noqa: E402
+from solve_latency import general_doc, hard_doc  # noqa: E402
 from optmech import Constraint, LP2Params, LPProblem, build_lp2, build_lp3, exactlp  # noqa: E402
 from optmech.cli import main  # noqa: E402
 from optmech.mechanism import bic_violations  # noqa: E402
@@ -116,6 +121,8 @@ BOUNDED_CASES = 300
 CLI_OPS = 100
 SAMPLE_TYPES = ("-", "1", "1,3", "2,4,5")
 GENERAL_REFUSALS = 30
+HARD_SIZES = range(4, 11)
+HARD_PER_N = 3
 FILES_N = 10
 REPLAY_MENUS = 300
 
@@ -347,6 +354,11 @@ def run(seed: int) -> None:
     families["cli-general"] = [
         (general_doc(general, 2 + i % 5), ["solve", "{path}"])
         for i in range(GENERAL_REFUSALS)
+    ]
+    hard = random.Random(f"cli-hard:{seed}")
+    families["cli-hard"] = [
+        (hard_doc(hard, n), ["solve", "{path}", "--json-out", "{tmp}/mechanism.json"])
+        for n in HARD_SIZES for _ in range(HARD_PER_N)
     ]
     with tempfile.TemporaryDirectory() as tmp:
         for family, calls in families.items():

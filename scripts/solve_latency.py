@@ -9,7 +9,12 @@ sits in, and the seeded single-positive instance generator of the `solve`
 benchmark workload from its `perfbench` directory; uses the standard library
 only. For each n in SIZES it writes one instance drawn from SEED to a
 temporary directory, then times `optmech.cli.main(["solve", ...])` three
-ways: plain, with `--json-out` and with `--dump-lattice`. A second table
+ways: plain, with `--json-out` and with `--dump-lattice`. The dense-support
+table times plain `solve` on one instance built by the reduction
+(`hard_doc`: a rank query at its middle rank, drawn from a stream seeded
+with SEED) for each n in DENSE_SIZES, next to the support of its menu, the
+types with u > 0, which holds the pricing and the certificate's work. A
+second table
 times `solve --oracle`, which also solves the full revenue program exactly,
 for each n in ORACLE_SIZES, and `solve --oracle-only` on one general
 instance (a_i from 0 to 10, so not single-positive, which `--oracle`
@@ -28,9 +33,9 @@ A last table times `exactlp.solve_lp1` itself in seconds, with the round
 count and the optimal revenue, on GENERAL_N7 general instances at n = 7,
 one past `exactlp.LP1_GUARD`, drawn with `general_doc` from a stream
 seeded with GENERAL_N7_SEED; the guard is lifted for those calls only, in
-this process only. Each figure of the last two tables is one run, since a
-slow instance can take minutes; every other figure is the minimum of
-REPEATS runs. Stdout is captured and the exit code required to be 0. The
+this process only. Each figure of that table is one run, since a slow
+instance can take minutes; every other figure, the n = 6 table's
+included, is the minimum of REPEATS runs. Stdout is captured and the exit code required to be 0. The
 reduction's parameter and pipeline caches are cleared before every run, so
 each figure is a cold query, except in the reduction table's warm column:
 there the parameter bisection's cache
@@ -63,12 +68,22 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402
-from optmech import exactlp, reduction  # noqa: E402
+from optmech import (  # noqa: E402
+    canonical_solution,
+    closed_form_mechanism,
+    exactlp,
+    from_lp2_params,
+    instance_to_json,
+    lexrank_to_omd,
+    reduction,
+    to_lp2_params,
+)
 from optmech.cli import build_parser, main  # noqa: E402
 from optmech.core import format_rational, instance_from_json_dict  # noqa: E402
 
 SEED = 1
 SIZES = (8, 10, 12, 14)
+DENSE_SIZES = (10, 12, 14)
 ORACLE_SIZES = (3, 4, 5, 6)
 GENERAL_SIZES = (3, 4, 5)
 RANK_SIZES = (4, 7, 10, 13)
@@ -119,21 +134,24 @@ def counting_rounds():
         exactlp._simplex_max = simplex
 
 
-def lp1_once(path: str, doc: dict) -> tuple[float, int, str]:
-    """One `solve --oracle-only` run: seconds, LP1 rounds (one simplex run
-    each) and the printed value."""
+def lp1_best(path: str, doc: dict) -> tuple[float, int, str]:
+    """`solve --oracle-only`, the minimum seconds of REPEATS runs, with the
+    LP1 rounds (one simplex run each) and the printed value of the last."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
-    out = io.StringIO()
-    with counting_rounds() as rounds, contextlib.redirect_stdout(out):
-        t0 = time.perf_counter()
-        code = main(["solve", path, "--oracle-only"])
-        elapsed = time.perf_counter() - t0
-    if code != 0:
-        raise SystemExit(f"exit {code} from solve --oracle-only on {doc}")
+    best = float("inf")
+    for _ in range(REPEATS):
+        out = io.StringIO()
+        with counting_rounds() as rounds, contextlib.redirect_stdout(out):
+            t0 = time.perf_counter()
+            code = main(["solve", path, "--oracle-only"])
+            elapsed = time.perf_counter() - t0
+        if code != 0:
+            raise SystemExit(f"exit {code} from solve --oracle-only on {doc}")
+        best = min(best, elapsed)
     prefix = "oracle optimal revenue: "
     value = next(line for line in out.getvalue().splitlines() if line.startswith(prefix))
-    return elapsed, rounds[0], value[len(prefix):]
+    return best, rounds[0], value[len(prefix):]
 
 
 def lp1_past_guard(doc: dict) -> tuple[float, int, str]:
@@ -183,6 +201,26 @@ def general_doc(rng: random.Random, n: int) -> dict:
     }
 
 
+def hard_doc(rng: random.Random, n: int, middle: bool = False) -> dict:
+    """The instance document that the reduction (`lexrank_to_omd`) builds
+    for a seeded rank query over n - 1 entries in 1..6: a random probe set
+    and rank, or with ``middle`` a probe set of (n - 1) // 2 entries at the
+    middle rank, whose menu has a large support."""
+    m = n - 1
+    C = [rng.randint(1, 6) for _ in range(m)]
+    s = m // 2 if middle else rng.randint(1, m - 1)
+    k = comb(m, s) // 2 if middle else rng.randint(1, comb(m, s))
+    S = sum(1 << i for i in rng.sample(range(m), s))
+    return json.loads(instance_to_json(from_lp2_params(lexrank_to_omd(C, S, k).params)[0]))
+
+
+def support_size(doc: dict) -> int:
+    """The number of types with u > 0 in the closed-form menu of ``doc``."""
+    inst = instance_from_json_dict(doc)
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst)))
+    return sum(1 for v in mech.scaled_u if v)
+
+
 def rank_query_doc(rng: random.Random, n: int) -> dict:
     """A seeded rank query over n entries in 1..6."""
     C = [rng.randint(1, 6) for _ in range(n)]
@@ -220,6 +258,12 @@ def run() -> None:
             json_out = best_of(["solve", inst, "--json-out", os.path.join(tmp, "m.json")])
             dump = best_of(["solve", inst, "--dump-lattice", os.path.join(tmp, "l.txt")])
             print(f"{n:>3} {plain:>9.3f} {json_out:>11.3f} {dump:>15.3f}")
+        dense = random.Random(SEED)
+        print(f"{'n':>3} {'dense plain s':>14} {'support':>8}")
+        for n in DENSE_SIZES:
+            doc = hard_doc(dense, n, middle=True)
+            plain = timed(inst, doc, ["solve", inst])
+            print(f"{n:>3} {plain:>14.3f} {support_size(doc):>8}")
         # general instances draw from a stream of their own, so the
         # single-positive draws do not depend on GENERAL_SIZES
         general = random.Random(SEED)
@@ -246,10 +290,10 @@ def run() -> None:
             print(f"{n:>3} {oracle * 1e3:>19.3f}")
         sixes = random.Random(GENERAL_N6_SEED)
         draws = [(f"general {k}", general_doc(sixes, 6)) for k in range(1, GENERAL_N6 + 1)]
-        print(f"{'n=6 oracle-only, one run':<24} {'s':>8} {'rounds':>6}  value")
+        print(f"{f'n=6 oracle-only, min of {REPEATS}':<24} {'s':>8} {'rounds':>6}  value")
         total = 0.0
         for label, doc in draws + [("named", NAMED_N6)]:
-            elapsed, count, value = lp1_once(inst, doc)
+            elapsed, count, value = lp1_best(inst, doc)
             total += elapsed
             print(f"{label:<24} {elapsed:>8.3f} {count:>6}  {value}")
         print(f"{'total':<24} {total:>8.3f}")

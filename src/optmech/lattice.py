@@ -42,10 +42,11 @@ from .errors import PreconditionError
 
 # Every pipeline that walks all 2^n lattice nodes (the closed form and its
 # certificate, the reduction) is capped here: in-process `solve` takes
-# 0.16-0.20 s end to end at n = 14 on a 2-vCPU machine, printing its
-# 16,384-line menu included (n = 10: 0.008 s, n = 12: 0.034-0.041 s;
-# scripts/solve_latency.py, five runs, Python 3.11.7, no gmpy2), and each
-# item multiplies that by 2.1-2.3.
+# 0.07-0.11 s end to end at n = 14 on a 2-vCPU machine, printing its
+# 16,384-line menu included (n = 10: 0.003-0.006 s, n = 12: 0.014-0.024 s),
+# and 0.16-0.24 s on the reduction-built instance whose menu is nonzero on
+# 6,475 types (scripts/solve_latency.py, five runs, Python 3.11.7, no
+# gmpy2); each item multiplies that by 2.1-2.4.
 LATTICE_GUARD = 14
 
 

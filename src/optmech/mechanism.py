@@ -11,28 +11,39 @@ mechanism, but it is flagged as possibly non-unique; with zero supply u is
 flagged.
 
 `Mechanism` stores the menu as scaled ints: u over one u-scale, each item's
-q over its own q-scale, and the prices over one price scale. Its `Fraction`
-views ``u``, ``q`` and ``tau`` are built only when first read.
-`price_menu` prices every type from scaled utilities and the instance,
-`closed_form_mechanism` hands it the flow's, and `expected_revenue` is one
-int dot product on the stored prices. `menu_strings` formats each value once
-from its int pair, for the printed menu and the menu document alike, and
-`mechanism_to_json` writes that document from the strings, while
-`mechanism_from_json_dict` reads it back: the menu format lives here alone.
+column of q over its own q-scale, and the prices over one price scale. Its
+`Fraction` views ``u``, ``q`` (one tuple per type) and ``tau`` are built
+only when first read. `price_menu` prices every type from scaled utilities
+and the instance, `closed_form_mechanism` hands it the flow's, and
+`expected_revenue` is one int dot product on the stored prices.
+`menu_strings` formats each value once from its int pair, for the printed
+menu and the menu document alike, and `mechanism_to_json` writes that
+document from the strings, while `mechanism_from_json_dict` reads it back:
+the menu format lives here alone.
+
+Pricing and the certificate both start from the menu of u = 0: q_i(S) = 1
+for i in S and 0 otherwise, priced at sum_{i in S} (a_i + d_i). Each item's
+column of that menu is one list repetition, and its prices are subset sums.
+A marginal U(R+{i}) - U(R) can be nonzero only when R or R+{i} is in the
+support of U (the types with u != 0), that is at R = S - {i} for S in the
+support, so only those masks are visited. The cost is O(2^n n) list work
+done by the interpreter's list primitives, plus work proportional to the
+support (times n, for each item's masks): on a flow's menu u is nonzero
+only on the types S with cost(S) < cost(S*).
 
 `certify_bic_ir` certifies every truthfulness, rationality and probability
-constraint of the full program in O(2^n n^2) exact checks, for a mechanism
-of this closed-form shape: given the shape, those 4^n rows follow from
-u >= 0, 0 <= q <= 1 and supermodularity of u, and each of those checks is
-itself one of the rows, so a failed check names one violated row. It runs
-them as int comparisons on the mechanism's stored ints, and builds the exact
-`Fraction` slack of the first failing row only. `verify_bic_ir` replays all
-rows on the `Fraction` views and names every violated one with its exact
-slack; it is the reference the certificate is tested against. Its 4^n
-truthfulness rows come from `bic_violations`, which puts the `Fraction`
-menu over one denominator and hands it to `scaled_bic_violations`, the one
-int replay, which `exactlp.solve_lp1` runs on the simplex's int answers
-directly. Ties are acceptable: a
+constraint of the full program, for a mechanism of this closed-form shape:
+given the shape, those 4^n rows follow from u >= 0, 0 <= q <= 1 and
+supermodularity of u, and each of those checks is itself one of the rows, so
+a failed check names one violated row. It runs them as int comparisons on
+the mechanism's stored ints, and when one fails, a scan in type order
+names the first failing row and builds its exact `Fraction` slack.
+`verify_bic_ir` replays all rows on the `Fraction` views and names every
+violated one with its exact slack; it is the reference the certificate is
+tested against. Its 4^n truthfulness rows come from `bic_violations`, which
+puts the `Fraction` menu over one denominator and hands it to
+`scaled_bic_violations`, the one int replay, which `exactlp.solve_lp1` runs
+on the simplex's int answers directly. Ties are acceptable: a
 weakly satisfied constraint is satisfied (deterministic tie-breaking in
 favor of the higher-priced entry replaces any rebate scheme).
 """
@@ -43,8 +54,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from math import gcd
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from .core import (
@@ -63,7 +75,7 @@ from .core import (
     subset_sums,
     subset_to_list,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, VerificationError
 from .lattice import FlowSolution
 
 # Time (x4 per item) sets the guard: `verify_bic_ir` on a closed-form menu
@@ -75,17 +87,25 @@ from .lattice import FlowSolution
 VERIFY_GUARD = 12
 
 
-def _check_menu_shape(n, u: Sequence, q: Sequence[Sequence], tau: Sequence) -> None:
-    """Refuse, with a `PreconditionError` naming the field, an n that is not
-    an int >= 1, a ``u``, ``q`` or ``tau`` without 2^n entries, or a type
-    without n probabilities."""
+def _check_n(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionError(f"n: expected an integer >= 1, got {n!r}")
+
+
+def _check_count(n: int, name: str, values: Sequence) -> None:
+    size = len(values)
+    # compare bit lengths first so an absurd n never builds 1 << n
+    if size.bit_length() != n + 1 or size != 1 << n:
+        raise PreconditionError(f"{name}: expected 2^{n} entries, got {size}")
+
+
+def _check_menu_shape(n, u: Sequence, q: Sequence[Sequence], tau: Sequence) -> None:
+    """Refuse, with a `PreconditionError` naming the field, an n that is not
+    an int >= 1, a ``u``, ``q`` (one entry per type) or ``tau`` without 2^n
+    entries, or a type without n probabilities."""
+    _check_n(n)
     for name, values in (("u", u), ("q", q), ("tau", tau)):
-        size = len(values)
-        # compare bit lengths first so an absurd n never builds 1 << n
-        if size.bit_length() != n + 1 or size != 1 << n:
-            raise PreconditionError(f"{name}: expected 2^{n} entries, got {size}")
+        _check_count(n, name, values)
     for S, qS in enumerate(q):
         if len(qS) != n:
             raise PreconditionError(
@@ -97,17 +117,17 @@ def _check_menu_shape(n, u: Sequence, q: Sequence[Sequence], tau: Sequence) -> N
 class Mechanism:
     """A direct mechanism over all 2^n types, stored as scaled ints.
 
-    Lists are indexed by type mask. ``scaled_u[S]`` is type S's truthful
-    expected utility times ``u_scale``, ``scaled_q[S][i]`` its probability
-    of getting item i times ``q_scales[i]``, and ``scaled_tau[S]`` its
-    expected price times ``tau_scale``; every scale is a positive int. The
-    `Fraction` views ``u``, ``q`` (a tuple per type) and ``tau`` are built
-    on first read; `Mechanism.from_fractions` builds a mechanism from such
-    lists. ``unique`` records whether the construction certified the
-    mechanism as the unique optimum (strictly partial saturation). A menu
-    that does not list 2^n entries in each of u, q and tau, or n
-    probabilities per type, is refused with a `PreconditionError` naming the
-    field, as is a scale that is not a positive int.
+    ``scaled_u[S]`` is type S's truthful expected utility times ``u_scale``,
+    ``scaled_q[i][S]`` its probability of getting item i times
+    ``q_scales[i]`` (one column per item, indexed by type mask), and
+    ``scaled_tau[S]`` its expected price times ``tau_scale``; every scale is
+    a positive int. The `Fraction` views ``u``, ``q`` (a tuple per type) and
+    ``tau`` are built on first read; `Mechanism.from_fractions` builds a
+    mechanism from such lists. ``unique`` records whether the construction
+    certified the mechanism as the unique optimum (strictly partial
+    saturation). A menu without 2^n entries in u, in tau or in each of n
+    q columns is refused with a `PreconditionError` naming the field, as is
+    a scale that is not a positive int.
     """
 
     n: int
@@ -120,11 +140,16 @@ class Mechanism:
     unique: bool
 
     def __post_init__(self):
-        _check_menu_shape(self.n, self.scaled_u, self.scaled_q, self.scaled_tau)
-        if len(self.q_scales) != self.n:
-            raise PreconditionError(
-                f"q: expected {self.n} scales, got {len(self.q_scales)}"
-            )
+        n = self.n
+        _check_n(n)
+        _check_count(n, "u", self.scaled_u)
+        _check_count(n, "tau", self.scaled_tau)
+        if len(self.scaled_q) != n:
+            raise PreconditionError(f"q: expected {n} columns, got {len(self.scaled_q)}")
+        for i, column in enumerate(self.scaled_q, start=1):
+            _check_count(n, f"q: item {i}", column)
+        if len(self.q_scales) != n:
+            raise PreconditionError(f"q: expected {n} scales, got {len(self.q_scales)}")
         for name, scale in (("u", self.u_scale), ("tau", self.tau_scale),
                             *(("q", s) for s in self.q_scales)):
             if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
@@ -133,15 +158,15 @@ class Mechanism:
     @classmethod
     def from_fractions(cls, n: int, u: Sequence[Fraction], q: Sequence[Sequence[Fraction]],
                        tau: Sequence[Fraction], unique: bool) -> Mechanism:
-        """The mechanism whose views are these rationals, scaled once: u and
-        tau each over the lcm of their denominators, and each item's q over
-        the lcm of its own."""
+        """The mechanism whose views are these rationals, ``q`` one tuple per
+        type, scaled once: u and tau each over the lcm of their denominators,
+        and each item's column of q over the lcm of its own."""
         _check_menu_shape(n, u, q, tau)
         U, u_scale = over_common_denominator(u)
         columns = [over_common_denominator([qS[i] for qS in q]) for i in range(n)]
-        Q = [list(row) for row in zip(*[column for column, _ in columns])]
         T, tau_scale = over_common_denominator(tau)
-        return cls(n, U, u_scale, Q, [Lq for _, Lq in columns], T, tau_scale, unique)
+        return cls(n, U, u_scale, [column for column, _ in columns],
+                   [Lq for _, Lq in columns], T, tau_scale, unique)
 
     @cached_property
     def u(self) -> list[Fraction]:
@@ -150,13 +175,26 @@ class Mechanism:
 
     @cached_property
     def q(self) -> list[tuple[Fraction, ...]]:
-        scales = self.q_scales
-        return [tuple([Fraction(v, s) for v, s in zip(QS, scales)]) for QS in self.scaled_q]
+        return list(zip(*[[Fraction(v, s) for v in column]
+                          for column, s in zip(self.scaled_q, self.q_scales)]))
 
     @cached_property
     def tau(self) -> list[Fraction]:
         scale = self.tau_scale
         return [Fraction(v, scale) for v in self.scaled_tau]
+
+
+def _unit_column(bit: int, size: int, one: int) -> list[int]:
+    """Item ``bit``'s column of the u = 0 menu over ``size`` types: ``one``
+    (q = 1) on the masks holding the bit and 0 elsewhere."""
+    return ([0] * bit + [one] * bit) * (size // (2 * bit))
+
+
+def _gain_masks(support: Sequence[int], bit: int) -> dict[int, None]:
+    """The masks R without ``bit`` at which U(R + bit) - U(R) can be nonzero
+    when U is nonzero only on ``support``: S - bit for each S in it (S
+    itself when it lacks the bit), each once, as the keys of a dict."""
+    return dict.fromkeys(map(and_, support, repeat(~bit)))
 
 
 def price_menu(inst: OMDInstance, U: Sequence[int], scale: int, unique: bool) -> Mechanism:
@@ -172,9 +210,14 @@ def price_menu(inst: OMDInstance, U: Sequence[int], scale: int, unique: bool) ->
         tau(S) * M = sum_{i in S} (a_i + d_i) * M
                      + sum_{i not in S} (a_i * M / (d_i * scale)) * (U(S+{i}) - U(S))
                      - (M / scale) * U(S).
+
+    The first sum and each q column start as the u = 0 menu's; the other
+    terms are added only on the support of U and at the masks
+    `_gain_masks` lists, the only places where they can be nonzero.
     """
     n = inst.n
-    if len(U) != 1 << n or not isinstance(scale, int) or scale < 1:
+    size = 1 << n
+    if len(U) != size or not isinstance(scale, int) or scale < 1:
         raise PreconditionError(f"utilities: expected 2^{n} ints over a positive int scale")
     q_scales, factors = [], []
     for di in inst.d:
@@ -184,29 +227,31 @@ def price_menu(inst: OMDInstance, U: Sequence[int], scale: int, unique: bool) ->
     high = [ai + di for ai, di in zip(inst.a, inst.d)]
     low_per_d = [ai / (di * scale) for ai, di in zip(inst.a, inst.d)]
     (C, *scaled), M = over_common_denominator([Fraction(1, scale), *high, *low_per_d])
-    H = subset_sums(scaled[:n])
-    items = list(zip(range(n), [1 << i for i in range(n)], factors, scaled[n:]))
-    Q, T = [], []
-    for S, US in enumerate(U):
-        t = H[S] - C * US
-        QS = q_scales[:]  # q_i(S) = 1 for i in S
-        for i, bit, f, Ai in items:
-            if not S & bit:
-                g = U[S | bit] - US
-                t += Ai * g
-                QS[i] = g * f
-        Q.append(QS)
-        T.append(t)
+    T = subset_sums(scaled[:n])
+    support = list(compress(range(size), U))
+    for S in support:
+        T[S] -= C * U[S]
+    Q = []
+    for i, (Lq, f, Ai) in enumerate(zip(q_scales, factors, scaled[n:])):
+        bit = 1 << i
+        column = _unit_column(bit, size, Lq)
+        for R in _gain_masks(support, bit):
+            g = U[R | bit] - U[R]
+            column[R] = g * f
+            T[R] += Ai * g
+        Q.append(column)
     return Mechanism(n, list(U), scale, Q, q_scales, T, M, unique)
 
 
 def closed_form_mechanism(inst: OMDInstance, flow: FlowSolution) -> Mechanism:
     """The menu read off the canonical flow on ``inst``'s parameters: each
     type's u and q from the flow, and its price v(S).q(S) - u(S), priced by
-    `price_menu` from the flow's ints U(S) = u(S) * cost_scale."""
+    `price_menu` from the flow's ints U(S) = u(S) * cost_scale, that is
+    max(costs[S*] - costs[S], 0), and 0 everywhere when nothing was filled."""
     if flow.n != inst.n:
         raise PreconditionError("flow and instance disagree on the item count")
-    U = list(map(flow.scaled_utility, range(1 << inst.n)))
+    top = flow.costs[flow.fill_order[-1]] if flow.fill_order else 0
+    U = [top - cost if cost < top else 0 for cost in flow.costs]
     return price_menu(inst, U, flow.cost_scale, flow.partially_filled is not None)
 
 
@@ -305,7 +350,8 @@ def verify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
 
 
 def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
-    """Certify the rows `verify_bic_ir` replays in O(2^n n^2) exact checks.
+    """Certify the rows `verify_bic_ir` replays, with work proportional to
+    the support of u on top of O(2^n n) list work.
 
     The certificate checks the closed-form shape (q_i(S) = 1 for i in S,
     d_i q_i(S) = u(S+{i}) - u(S) otherwise), u >= 0, 0 <= q <= 1, and
@@ -320,33 +366,93 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     replay accept the same set.
 
     Every check is an int comparison on the stored ints: U over the u-scale
-    Lu and each item's Q_i over its q-scale Lq_i. The shape row for i
-    outside S reads (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu *
+    Lu and each item's column Q_i over its q-scale Lq_i. The shape row for
+    i outside S reads (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu *
     Q_i(S), both sides divided by the gcd of their factors, so a q-scale
-    that does not match d_i fails it; the probability rows read
-    0 <= Q_i(S) <= Lq_i, and supermodularity compares the Q_i, a positive
-    multiple of each item's marginal.
+    that does not match d_i fails it. `_rows_hold` checks them a column at
+    a time: the expected column is the u = 0 menu's, with the gain times
+    the left factor, which must divide exactly by the right one, written
+    at each of `_gain_masks`; the stored column must equal it, and its
+    minimum and maximum must lie in [0, Lq_i]. Supermodularity compares the
+    Q_i, a positive multiple of each item's marginal, and is checked only
+    where Q_i(S) > 0: once q >= 0 holds, Q_i(S+{j}) >= 0 = Q_i(S) wherever
+    Q_i(S) = 0, so a zero marginal cannot fall, and given the shape Q_i(S)
+    is nonzero only at the gain masks.
 
     The report counts the rows the replay checks. When the certificate does
-    not cover them, its one violation is the first failing row: an ir, prob
-    or bic row with its exact `Fraction` slack, or a ``shape(S,i)`` row with
-    the residual of its equality when the mechanism is not of closed-form
-    shape.
+    not cover them, `_first_failing_row` scans the types in mask order, and
+    the report's one violation is the first failing row: an ir, prob or bic
+    row with its exact `Fraction` slack, or a ``shape(S,i)`` row with the
+    residual of its equality when the mechanism is not of closed-form
+    shape. A scan that finds no failing row after the checks failed raises
+    `VerificationError`.
     """
     n = inst.n
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    U, Lu, Q, d = mech.scaled_u, mech.u_scale, mech.scaled_q, inst.d
-    items = []
-    for i, (Lq, di) in enumerate(zip(mech.q_scales, d)):
-        left, right = Lq * di.denominator, di.numerator * Lu
+    if _rows_hold(inst, mech):
+        return _report(n)
+    row = _first_failing_row(inst, mech)
+    if row is None:
+        raise VerificationError("the BIC/IR certificate failed a menu whose every row holds")
+    return _report(n, row)
+
+
+def _shape_factors(inst: OMDInstance, mech: Mechanism):
+    """Per item (i, column Q_i, Lq_i, left, right): the shape row for i
+    outside S reads (U(S+{i}) - U(S)) * left == right * Q_i(S)."""
+    for i, (column, Lq, di) in enumerate(zip(mech.scaled_q, mech.q_scales, inst.d)):
+        left, right = Lq * di.denominator, di.numerator * mech.u_scale
         g = gcd(left, right)
-        items.append((i, Lq, left // g, right // g))
-    for S, (US, QS) in enumerate(zip(U, Q)):
+        yield i, column, Lq, left // g, right // g
+
+
+def _rows_hold(inst: OMDInstance, mech: Mechanism) -> bool:
+    """True when the ir, shape, prob and supermodularity checks all hold."""
+    U = mech.scaled_u
+    if min(U) < 0:
+        return False
+    size = len(U)
+    support = list(compress(range(size), U))
+    columns = []
+    for i, column, Lq, left, right in _shape_factors(inst, mech):
+        bit = 1 << i
+        expected = _unit_column(bit, size, Lq)
+        masks = _gain_masks(support, bit)
+        for R in masks:
+            Qi, rest = divmod((U[R | bit] - U[R]) * left, right)
+            if rest:
+                return False
+            expected[R] = Qi
+        if column != expected or min(column) < 0 or max(column) > Lq:
+            return False
+        columns.append((bit, column, masks))
+    full = size - 1
+    for bit, column, masks in columns:
+        for R in masks:
+            QR = column[R]
+            if QR > 0:
+                # each item j != i outside R, lowest bit first
+                outside = full ^ R ^ bit
+                while outside:
+                    other = outside & -outside
+                    if column[R | other] < QR:
+                        return False
+                    outside ^= other
+    return True
+
+
+def _first_failing_row(inst: OMDInstance, mech: Mechanism) -> tuple[str, Fraction] | None:
+    """The first row the certificate's checks fail, scanning the types in
+    mask order for ir, then per item shape and prob rows, and then the
+    supermodularity rows; None when every check holds."""
+    U, Lu, d = mech.scaled_u, mech.u_scale, inst.d
+    items = list(_shape_factors(inst, mech))
+    for S, US in enumerate(U):
         if US < 0:
-            return _report(n, (f"ir({subset_label(S)})", Fraction(US, Lu)))
-        for i, Lq, left, right in items:
-            Qi = QS[i]
+            return f"ir({subset_label(S)})", Fraction(US, Lu)
+        for i, column, Lq, left, right in items:
+            Qi = column[S]
             if S >> i & 1:
                 shaped = Qi == Lq
             else:
@@ -355,35 +461,33 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
                 qi = Fraction(Qi, Lq)
                 residual = (ONE - qi if S >> i & 1
                             else Fraction(U[S | 1 << i] - US, Lu) - d[i] * qi)
-                return _report(n, (f"shape({subset_label(S)},{i + 1})", residual))
+                return f"shape({subset_label(S)},{i + 1})", residual
             if Qi < 0:
-                return _report(n, (f"prob({subset_label(S)},{i + 1},>=0)", Fraction(Qi, Lq)))
+                return f"prob({subset_label(S)},{i + 1},>=0)", Fraction(Qi, Lq)
             if Qi > Lq:
-                return _report(n, (f"prob({subset_label(S)},{i + 1},<=1)", ONE - Fraction(Qi, Lq)))
-    falling = _first_falling_gain(Q, n)
-    if falling is not None:
-        S, i, j = falling
-        return _report(n, (
-            f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
-            d[i] * Fraction(Q[S | 1 << j][i] - Q[S][i], mech.q_scales[i]),
-        ))
-    return _report(n)
+                return f"prob({subset_label(S)},{i + 1},<=1)", ONE - Fraction(Qi, Lq)
+    Q = mech.scaled_q
+    falling = _first_falling_gain(Q, mech.n)
+    if falling is None:
+        return None
+    S, i, j = falling
+    return (f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
+            d[i] * Fraction(Q[i][S | 1 << j] - Q[i][S], mech.q_scales[i]))
 
 
 def _first_falling_gain(
     gains: Sequence[Sequence], n: int
 ) -> tuple[Subset, int, int] | None:
     """The first (S, i, j), for items i != j outside S, where
-    gains[S+{j}][i] < gains[S][i]; None when there is none. With gains[S][i]
+    gains[i][S+{j}] < gains[i][S]; None when there is none. With gains[i][S]
     the marginal u(S+{i}) - u(S), or any positive multiple of it per item,
     this is where u fails supermodularity."""
     for S in range(1 << n):
         outside = [i for i in range(n) if not S >> i & 1]
-        gS = gains[S]
         for j in outside:
-            gSj = gains[S | 1 << j]
+            Sj = S | 1 << j
             for i in outside:
-                if i != j and gSj[i] < gS[i]:
+                if i != j and gains[i][Sj] < gains[i][S]:
                     return S, i, j
     return None
 
@@ -392,8 +496,8 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
     """True iff u (indexed by type mask) is nondecreasing along lattice edges
     and satisfies u(S+{i}+{j}) - u(S+{j}) >= u(S+{i}) - u(S) for all S and
     items i != j outside S."""
-    gains = [tuple(u[S | 1 << i] - u[S] for i in range(n)) for S in range(1 << n)]
-    return all(g >= 0 for gS in gains for g in gS) and _first_falling_gain(gains, n) is None
+    gains = [[u[S | 1 << i] - u[S] for S in range(1 << n)] for i in range(n)]
+    return all(g >= 0 for column in gains for g in column) and _first_falling_gain(gains, n) is None
 
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
@@ -448,13 +552,15 @@ def sample_allocation(
 # Mechanism JSON document
 # ---------------------------------------------------------------------------
 
-def menu_strings(mech: Mechanism) -> tuple[list[str], list[list[str]], list[str]]:
-    """Every type's u, q and price in the wire format, by mask, each written
-    once by `format_ratio` from its stored int and scale."""
-    u_scale, q_scales, tau_scale = mech.u_scale, mech.q_scales, mech.tau_scale
+def menu_strings(mech: Mechanism) -> tuple[list[str], list[tuple[str, ...]], list[str]]:
+    """Every type's u, q (a tuple per type) and price in the wire format, by
+    mask, each written once by `format_ratio` from its stored int and scale;
+    q is formatted a column at a time."""
+    u_scale, tau_scale = mech.u_scale, mech.tau_scale
     return (
         [format_ratio(v, u_scale) for v in mech.scaled_u],
-        [list(map(format_ratio, QS, q_scales)) for QS in mech.scaled_q],
+        list(zip(*[[format_ratio(v, Lq) for v in column]
+                   for column, Lq in zip(mech.scaled_q, mech.q_scales)])),
         [format_ratio(v, tau_scale) for v in mech.scaled_tau],
     )
 

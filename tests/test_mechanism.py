@@ -11,6 +11,7 @@ from optmech import (
     LP2Params,
     Mechanism,
     PreconditionError,
+    VerificationError,
     build_lp1,
     canonical_solution,
     certify_bic_ir,
@@ -18,6 +19,7 @@ from optmech import (
     expected_revenue,
     from_lp2_params,
     is_monotone_supermodular,
+    lexrank_to_omd,
     mechanism_from_json_dict,
     mechanism_to_json,
     node_costs,
@@ -26,6 +28,7 @@ from optmech import (
     to_lp2_params,
     verify_bic_ir,
 )
+from optmech import mechanism
 from optmech.mechanism import bernoulli, price_menu
 from tests.subsets import mask
 from tests.test_core import make_instance
@@ -271,14 +274,14 @@ MUTATED = make_instance([(34, 3), (400, 323), (440, 969)], [(17, 6), (20, 17), (
 def mutated_mechanism(mutate):
     mech = closed_form_mechanism(MUTATED, canonical_solution(to_lp2_params(MUTATED)))
     assert mech.scaled_u == [0, 0, 0, 120, 0, 66, 0, 186] and mech.q_scales == [289, 120, 66]
-    U, Q, scales = list(mech.scaled_u), [list(QS) for QS in mech.scaled_q], list(mech.q_scales)
+    U, Q, scales = list(mech.scaled_u), [list(column) for column in mech.scaled_q], list(mech.q_scales)
     mutate(U, Q, scales)
     return replace(mech, scaled_u=U, scaled_q=Q, q_scales=scales)
 
 
 def bump(S, i, delta):
     def mutate(U, Q, scales):
-        Q[S][i] += delta
+        Q[i][S] += delta
     return mutate
 
 
@@ -316,6 +319,68 @@ def test_certificate_rejects_one_falling_gain():
     falling = price_menu(MUTATED, U, mech.u_scale, unique=False)
     cert = assert_certificate_agrees(MUTATED, falling)
     assert cert.violations == (("bic({1,2,3}|{1})", F(-11, 17)),)
+
+
+def test_certificate_refuses_q_rounded_off_its_grid():
+    # item 1's column rounded down to halves, q_1 = 1 kept on its types:
+    # every stored entry is the floor of its exact quotient, so only the
+    # exact division refuses the column; the first failing row in mask order
+    # is at {2}, whose marginal 120/289 was rounded to 0
+    def halves(U, Q, scales):
+        Q[0] = [2 * v // 289 for v in Q[0]]
+        scales[0] = 2
+    mech = mutated_mechanism(halves)
+    assert mech.scaled_q[0] == [0, 2, 0, 2, 0, 2, 1, 2]
+    assert certify_bic_ir(MUTATED, mech).violations == (("shape({2},1)", F(20, 17)),)
+
+
+def test_certificate_refuses_to_pass_when_its_scan_finds_no_row(monkeypatch):
+    # the checks and the scan in mask order must agree: a failed check that
+    # the scan cannot name is an error, never a pass
+    inst, mech = region_mechanism()
+    monkeypatch.setattr(mechanism, "_rows_hold", lambda inst, mech: False)
+    with pytest.raises(VerificationError, match="failed a menu whose every row holds"):
+        certify_bic_ir(inst, mech)
+
+
+def region_mechanism():
+    """The reduction's closed form for the rank query ((2, 5, 3), {2}, 2):
+    n = 4, integer d = (194, 244, 216, 1), u-scale 1, and u nonzero on five
+    of the 16 types, the lowest of them {2,3}."""
+    out = lexrank_to_omd((2, 5, 3), mask(2), 2)
+    inst = from_lp2_params(out.params)[0]
+    mech = closed_form_mechanism(inst, out.flow)
+    assert (mech.u_scale, mech.q_scales) == (1, [194, 244, 216, 1])
+    assert {S: U for S, U in enumerate(mech.scaled_u) if U} == {
+        mask(2, 3): 22, mask(1, 2, 3): 216, mask(1, 2, 4): 1, mask(2, 3, 4): 23,
+        mask(1, 2, 3, 4): 217}
+    assert certify_bic_ir(inst, mech).ok
+    return inst, mech
+
+
+@pytest.mark.parametrize("field, S, i, delta, row", [
+    # {} and each type above it by one item are outside the support
+    ("q", mask(), 0, 1, ("shape({},1)", F(-1))),
+    ("u", mask(), None, 1, ("shape({},1)", F(-1))),
+    # a support type: its u, then its q_4, the gain 217 - 216 toward {1,2,3,4}
+    ("u", mask(1, 2, 3), None, 1, ("shape({1,2},3)", ONE)),
+    ("q", mask(1, 2, 3), 3, 1, ("shape({1,2,3},4)", F(-1))),
+    # {2} lies just below the support: its q_3, the gain 22 toward {2,3}
+    ("q", mask(2), 2, 1, ("shape({2},3)", F(-1))),
+    ("u", mask(2), None, 1, ("shape({},2)", ONE)),
+    # the marginal of item 1 at the support's lowest type {2,3}, lowered
+    ("q", mask(2, 3), 0, -1, ("shape({2,3},1)", ONE)),
+])
+def test_certificate_names_the_first_row_in_every_region(field, S, i, delta, row):
+    # one stored int bumped, inside, below and away from the support of u:
+    # the certificate names the first row that a scan in mask order fails
+    inst, mech = region_mechanism()
+    U, Q = list(mech.scaled_u), [list(column) for column in mech.scaled_q]
+    if field == "u":
+        U[S] += delta
+    else:
+        Q[i][S] += delta
+    assert certify_bic_ir(inst, replace(mech, scaled_u=U, scaled_q=Q)).violations == (row,)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +492,7 @@ def test_stored_scales_and_utilities_refused():
                                        (1, [-2], r"q: scale must be a positive integer"),
                                        (1, [], r"q: expected 1 scales, got 0")):
         with pytest.raises(PreconditionError, match=message):
-            Mechanism(1, [0, 0], u_scale, [[0], [1]], q_scales, [0, 0], 1, unique=False)
+            Mechanism(1, [0, 0], u_scale, [[0, 1]], q_scales, [0, 0], 1, unique=False)
     for U, scale in (([0], 1), ([0, 1], 0)):
         with pytest.raises(PreconditionError, match=r"expected 2\^1 ints over a positive int"):
             price_menu(ONE_ITEM, U, scale, unique=False)

@@ -14,9 +14,10 @@ over any scale, and the int revenue total equals the direct sum. The
 parameter map's scale kappa leaves the fill order, the partially filled
 node and the menu unchanged and scales the flow's amounts by kappa. The
 bisection's dyadic midpoint lies strictly inside its bracket. The
-O(2^n n^2) BIC/IR certificate accepts a shaped mechanism exactly when the
-4^n replay does, and the exact simplex agrees with vertex enumeration on
-tiny bounded programs, its dual multipliers certifying its optimum, and
+support-proportional BIC/IR certificate accepts a shaped mechanism exactly
+when the 4^n replay does, also on the reduction's instances, plain and
+jittered, whose greedy fills many sinks, and the exact simplex agrees with
+vertex enumeration on tiny bounded programs, its dual multipliers certifying its optimum, and
 reports its column values as ints over their least common denominator,
 which reach the enumerated maximum also with some columns held at their
 bounds. Its
@@ -30,7 +31,7 @@ the whole program."""
 
 import json
 from fractions import Fraction as F
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -55,6 +56,7 @@ from optmech import (
     from_lp2_params,
     instance_from_json,
     instance_to_json,
+    lexrank_to_omd,
     mechanism_from_json_dict,
     mechanism_to_json,
     node_balances,
@@ -382,6 +384,39 @@ def closed_form_mechanisms(params):
                  max_of_affine_mechanisms()))
 def test_certificate_accepts_exactly_what_the_replay_accepts(case):
     assert_certificate_agrees(*case)
+
+
+@st.composite
+def hard_parameters(draw, sizes=st.integers(min_value=4, max_value=8)):
+    """The reduction's parameters for a rank query over n - 1 entries in
+    1..6, whose one bisected p~ makes the greedy fill many sinks, or, when
+    a drawn flag is set, the same with each d_i scaled by 0.9..1.1 and each
+    p_i by 0.95..1. Both stay single-positive and feasible: neither property
+    depends on d, and lowering a p_i only lowers sum(p_i x_i)."""
+    n = draw(sizes)
+    C = draw(st.lists(st.integers(1, 6), min_size=n - 1, max_size=n - 1))
+    s = draw(st.integers(1, n - 2))
+    S = sum(1 << i for i in draw(st.permutations(range(n - 1)))[:s])
+    params = lexrank_to_omd(C, S, draw(st.integers(1, comb(n - 1, s)))).params
+    if draw(st.booleans()):
+        d = tuple(di * F(draw(st.integers(90, 110)), 100) for di in params.d)
+        p = tuple(pi * F(draw(st.integers(95, 100)), 100) for pi in params.p)
+        params = LP2Params(n=n, x=params.x, B=params.B, d=d, p=p)
+    return params
+
+
+@settings(deadline=None, max_examples=100)
+@given(hard_parameters(), st.lists(st.tuples(st.integers(0, 255), st.integers(-3, 3)),
+                                   max_size=2))
+def test_certificate_agrees_with_the_replay_on_long_fills(params, moves):
+    # the closed form certifies; then up to two utilities moved by a few
+    # scale units, anywhere, and repriced in closed-form shape
+    inst, mech = closed_form_mechanisms(params)
+    assert assert_certificate_agrees(inst, mech).ok
+    U = list(mech.scaled_u)
+    for S, delta in moves:
+        U[S % len(U)] += delta
+    assert_certificate_agrees(inst, price_menu(inst, U, mech.u_scale, unique=False))
 
 
 lp1_sizes = st.integers(min_value=1, max_value=4)
