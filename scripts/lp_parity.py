@@ -85,6 +85,17 @@ One more family checks the truthfulness replay alone, not an LP:
                   each result is hashed as its list of (S, T, slack).
 
 Its line reads `replay <menus> <sha256>`.
+
+One more checks the BIC/IR certificate alone:
+
+  * certificate -- `mechanism.certify_bic_ir` on CERTIFICATE_MENUS closed
+                  forms from `mutated_closed_form`, n = 2..7, random and
+                  reduction-built, each mutated once or twice; each
+                  report's violations (the one failing row and its slack,
+                  or none) are hashed.
+
+Its line reads `certificate <menus> <failed> <sha256>`, with <failed> the
+menus whose certificate names a row.
 """
 
 from __future__ import annotations
@@ -98,6 +109,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,8 +119,12 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 import inputs  # noqa: E402
 from solve_latency import general_doc, hard_doc  # noqa: E402
-from optmech import Constraint, LP2Params, LPProblem, build_lp2, build_lp3, exactlp  # noqa: E402
+from optmech import (  # noqa: E402
+    Constraint, LP2Params, LPProblem, build_lp2, build_lp3, canonical_solution,
+    certify_bic_ir, closed_form_mechanism, exactlp, price_menu, to_lp2_params,
+)
 from optmech.cli import main  # noqa: E402
+from optmech.core import instance_from_json_dict  # noqa: E402
 from optmech.mechanism import bic_violations  # noqa: E402
 
 CERTIFY_OPS = 100
@@ -125,6 +141,7 @@ HARD_SIZES = range(4, 11)
 HARD_PER_N = 3
 FILES_N = 10
 REPLAY_MENUS = 300
+CERTIFICATE_MENUS = 3000
 
 
 def dense_values(outcome, ncols: int) -> list[Fraction]:
@@ -276,6 +293,35 @@ def replay_menu(rng: random.Random, n: int):
     return d, u, q
 
 
+def mutated_closed_form(rng: random.Random, n: int):
+    """(instance, menu): the closed form of a single-positive instance drawn
+    like the perfbench pools' or, at n >= 3 in one draw of two, of the
+    reduction's instance from `hard_doc`, whose support is large; then one
+    or two mutations, each one of: a stored int of u or of one q column
+    moved by -2..2, one item's q-scale times 2 or 3, or, in three draws of
+    six, a utility of the support lowered by 1..3 and the menu repriced by
+    `price_menu`, which is what breaks supermodularity."""
+    doc = hard_doc(rng, n) if n >= 3 and rng.randrange(2) else inputs.instance_doc(rng, n)
+    inst = instance_from_json_dict(doc)
+    mech = closed_form_mechanism(inst, canonical_solution(to_lp2_params(inst)))
+    U, Q, scales = list(mech.scaled_u), [list(c) for c in mech.scaled_q], list(mech.q_scales)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            U[rng.randrange(len(U))] += rng.choice((-2, -1, 1, 2))
+        elif kind == 1:
+            Q[rng.randrange(n)][rng.randrange(len(U))] += rng.choice((-2, -1, 1, 2))
+        elif kind == 2:
+            scales[rng.randrange(n)] *= rng.choice((2, 3))
+        else:
+            support = [S for S, v in enumerate(U) if v]
+            if support:
+                U[rng.choice(support)] -= rng.randint(1, 3)
+            mech = price_menu(inst, U, mech.u_scale, unique=False)
+            Q, scales = [list(c) for c in mech.scaled_q], list(mech.q_scales)
+    return inst, replace(mech, scaled_u=U, scaled_q=Q, q_scales=scales)
+
+
 def digit_limit_doc() -> dict:
     """Two items with a_i = d_i, denominators of half the interpreter's
     int/str digit limit plus 40 digits: the menu certifies, but a price's
@@ -336,6 +382,13 @@ def run(seed: int) -> None:
     for k in range(REPLAY_MENUS):
         digest.update(repr(bic_violations(*replay_menu(rng, 1 + k % 5))).encode())
     print("replay", REPLAY_MENUS, digest.hexdigest())
+    rng = random.Random(f"certificate:{seed}")
+    digest, failed = hashlib.sha256(), 0
+    for k in range(CERTIFICATE_MENUS):
+        violations = certify_bic_ir(*mutated_closed_form(rng, 2 + k % 6)).violations
+        failed += bool(violations)
+        digest.update(repr(violations).encode())
+    print("certificate", CERTIFICATE_MENUS, failed, digest.hexdigest())
 
     families = {f"cli-{w}": pool(w, seed, CLI_OPS) for w in inputs.GENERATORS}
     families["cli-examples"] = [(None, ["examples"])]

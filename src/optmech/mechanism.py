@@ -35,9 +35,11 @@ only on the types S with cost(S) < cost(S*).
 constraint of the full program, for a mechanism of this closed-form shape:
 given the shape, those 4^n rows follow from u >= 0, 0 <= q <= 1 and
 supermodularity of u, and each of those checks is itself one of the rows, so
-a failed check names one violated row. It runs them as int comparisons on
-the mechanism's stored ints, and when one fails, a scan in type order
-names the first failing row and builds its exact `Fraction` slack.
+a failed check names one violated row. It runs them in one pass, as int
+comparisons on the mechanism's stored ints, a column at a time; only a
+check that fails is scanned for its first failing type, and the least
+failing row, by type and then by its rank within the type, is named with
+its exact `Fraction` slack.
 `verify_bic_ir` replays all rows on the `Fraction` views and names every
 violated one with its exact slack; it is the reference the certificate is
 tested against. Its 4^n truthfulness rows come from `bic_violations`, which
@@ -75,7 +77,7 @@ from .core import (
     subset_sums,
     subset_to_list,
 )
-from .errors import InputError, PreconditionError, VerificationError
+from .errors import InputError, PreconditionError
 from .lattice import FlowSolution
 
 # Time (x4 per item) sets the guard: `verify_bic_ir` on a closed-form menu
@@ -369,64 +371,73 @@ def certify_bic_ir(inst: OMDInstance, mech: Mechanism) -> BicIrReport:
     Lu and each item's column Q_i over its q-scale Lq_i. The shape row for
     i outside S reads (U(S+{i}) - U(S)) * Lq_i * den(d_i) == num(d_i) * Lu *
     Q_i(S), both sides divided by the gcd of their factors, so a q-scale
-    that does not match d_i fails it. `_rows_hold` checks them a column at
-    a time: the expected column is the u = 0 menu's, with the gain times
-    the left factor, which must divide exactly by the right one, written
-    at each of `_gain_masks`; the stored column must equal it, and its
-    minimum and maximum must lie in [0, Lq_i]. Supermodularity compares the
-    Q_i, a positive multiple of each item's marginal, and is checked only
-    where Q_i(S) > 0: once q >= 0 holds, Q_i(S+{j}) >= 0 = Q_i(S) wherever
+    that does not match d_i fails it. `_first_failing_row` runs every check
+    in one pass, a column at a time: u >= 0 is min(U) >= 0; item i's
+    expected column is the u = 0 menu's, with the gain times the left
+    factor, which must divide exactly by the right one, written at each of
+    `_gain_masks`; the stored column must equal it, and its minimum and
+    maximum must lie in [0, Lq_i]. Supermodularity compares the Q_i, a
+    positive multiple of each item's marginal, and is checked only where
+    Q_i(S) > 0: once q >= 0 holds, Q_i(S+{j}) >= 0 = Q_i(S) wherever
     Q_i(S) = 0, so a zero marginal cannot fall, and given the shape Q_i(S)
     is nonzero only at the gain masks.
 
-    The report counts the rows the replay checks. When the certificate does
-    not cover them, `_first_failing_row` scans the types in mask order, and
-    the report's one violation is the first failing row: an ir, prob or bic
-    row with its exact `Fraction` slack, or a ``shape(S,i)`` row with the
-    residual of its equality when the mechanism is not of closed-form
-    shape. A scan that finds no failing row after the checks failed raises
-    `VerificationError`.
+    The report counts the rows the replay checks. Its one violation, when a
+    check fails, is the least failing row by type and then by rank within
+    the type: the ir row, then for each item in turn its ``shape(S,i)`` row
+    (with the residual of its equality), its prob row >= 0 and its prob row
+    <= 1. Only a check that failed is scanned for its first failing type.
+    The supermodularity rows, named as the bic rows above, come after all
+    of those, by (S, j, i), and are checked only once the others hold. Every
+    slack is an exact `Fraction`.
     """
     n = inst.n
     if mech.n != n:
         raise PreconditionError("mechanism and instance disagree on the item count")
-    if _rows_hold(inst, mech):
-        return _report(n)
     row = _first_failing_row(inst, mech)
-    if row is None:
-        raise VerificationError("the BIC/IR certificate failed a menu whose every row holds")
-    return _report(n, row)
+    return _report(n) if row is None else _report(n, row)
 
 
-def _shape_factors(inst: OMDInstance, mech: Mechanism):
-    """Per item (i, column Q_i, Lq_i, left, right): the shape row for i
-    outside S reads (U(S+{i}) - U(S)) * left == right * Q_i(S)."""
-    for i, (column, Lq, di) in enumerate(zip(mech.scaled_q, mech.q_scales, inst.d)):
-        left, right = Lq * di.denominator, di.numerator * mech.u_scale
-        g = gcd(left, right)
-        yield i, column, Lq, left // g, right // g
-
-
-def _rows_hold(inst: OMDInstance, mech: Mechanism) -> bool:
-    """True when the ir, shape, prob and supermodularity checks all hold."""
-    U = mech.scaled_u
-    if min(U) < 0:
-        return False
+def _first_failing_row(inst: OMDInstance, mech: Mechanism) -> tuple[str, Fraction] | None:
+    """The least row, in `certify_bic_ir`'s order, that its checks fail;
+    None when every check holds."""
+    U, Lu = mech.scaled_u, mech.u_scale
     size = len(U)
+    # ((type, rank within the type), name, slack) of each failed check
+    failed = []
+    if min(U) < 0:
+        S = next(S for S, US in enumerate(U) if US < 0)
+        failed.append(((S, 0), f"ir({subset_label(S)})", Fraction(U[S], Lu)))
     support = list(compress(range(size), U))
     columns = []
-    for i, column, Lq, left, right in _shape_factors(inst, mech):
+    for i, (column, Lq, di) in enumerate(zip(mech.scaled_q, mech.q_scales, inst.d)):
+        left, right = Lq * di.denominator, di.numerator * Lu
+        g = gcd(left, right)
+        left, right = left // g, right // g
         bit = 1 << i
         expected = _unit_column(bit, size, Lq)
         masks = _gain_masks(support, bit)
         for R in masks:
             Qi, rest = divmod((U[R | bit] - U[R]) * left, right)
-            if rest:
-                return False
-            expected[R] = Qi
+            # no int Q_i(R) meets the shape row when the division leaves a rest
+            expected[R] = None if rest else Qi
         if column != expected or min(column) < 0 or max(column) > Lq:
-            return False
+            S = next(S for S, (Qi, Ei) in enumerate(zip(column, expected))
+                     if Qi != Ei or Qi < 0 or Qi > Lq)
+            qi, where = Fraction(column[S], Lq), f"{subset_label(S)},{i + 1}"
+            if column[S] != expected[S]:
+                rank, name = 1, f"shape({where})"
+                slack = ONE - qi if S & bit else Fraction(U[S | bit] - U[S], Lu) - di * qi
+            elif qi < 0:
+                rank, name, slack = 2, f"prob({where},>=0)", qi
+            else:
+                rank, name, slack = 3, f"prob({where},<=1)", ONE - qi
+            failed.append(((S, 3 * i + rank), name, slack))
         columns.append((bit, column, masks))
+    if failed:
+        return min(failed)[1:]
+    # the least (S, j, i), as masks, where Q_i(S+{j}) < Q_i(S)
+    fall = None
     full = size - 1
     for bit, column, masks in columns:
         for R in masks:
@@ -436,60 +447,16 @@ def _rows_hold(inst: OMDInstance, mech: Mechanism) -> bool:
                 outside = full ^ R ^ bit
                 while outside:
                     other = outside & -outside
-                    if column[R | other] < QR:
-                        return False
+                    if column[R | other] < QR and (fall is None or (R, other, bit) < fall):
+                        fall = R, other, bit
                     outside ^= other
-    return True
-
-
-def _first_failing_row(inst: OMDInstance, mech: Mechanism) -> tuple[str, Fraction] | None:
-    """The first row the certificate's checks fail, scanning the types in
-    mask order for ir, then per item shape and prob rows, and then the
-    supermodularity rows; None when every check holds."""
-    U, Lu, d = mech.scaled_u, mech.u_scale, inst.d
-    items = list(_shape_factors(inst, mech))
-    for S, US in enumerate(U):
-        if US < 0:
-            return f"ir({subset_label(S)})", Fraction(US, Lu)
-        for i, column, Lq, left, right in items:
-            Qi = column[S]
-            if S >> i & 1:
-                shaped = Qi == Lq
-            else:
-                shaped = (U[S | 1 << i] - US) * left == right * Qi
-            if not shaped:
-                qi = Fraction(Qi, Lq)
-                residual = (ONE - qi if S >> i & 1
-                            else Fraction(U[S | 1 << i] - US, Lu) - d[i] * qi)
-                return f"shape({subset_label(S)},{i + 1})", residual
-            if Qi < 0:
-                return f"prob({subset_label(S)},{i + 1},>=0)", Fraction(Qi, Lq)
-            if Qi > Lq:
-                return f"prob({subset_label(S)},{i + 1},<=1)", ONE - Fraction(Qi, Lq)
-    Q = mech.scaled_q
-    falling = _first_falling_gain(Q, mech.n)
-    if falling is None:
+    if fall is None:
         return None
-    S, i, j = falling
-    return (f"bic({subset_label(S | 1 << i | 1 << j)}|{subset_label(S)})",
-            d[i] * Fraction(Q[i][S | 1 << j] - Q[i][S], mech.q_scales[i]))
-
-
-def _first_falling_gain(
-    gains: Sequence[Sequence], n: int
-) -> tuple[Subset, int, int] | None:
-    """The first (S, i, j), for items i != j outside S, where
-    gains[i][S+{j}] < gains[i][S]; None when there is none. With gains[i][S]
-    the marginal u(S+{i}) - u(S), or any positive multiple of it per item,
-    this is where u fails supermodularity."""
-    for S in range(1 << n):
-        outside = [i for i in range(n) if not S >> i & 1]
-        for j in outside:
-            Sj = S | 1 << j
-            for i in outside:
-                if i != j and gains[i][Sj] < gains[i][S]:
-                    return S, i, j
-    return None
+    S, other, bit = fall
+    i = bit.bit_length() - 1
+    Q = mech.scaled_q[i]
+    return (f"bic({subset_label(S | bit | other)}|{subset_label(S)})",
+            inst.d[i] * Fraction(Q[S | other] - Q[S], mech.q_scales[i]))
 
 
 def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
@@ -497,7 +464,10 @@ def is_monotone_supermodular(u: Sequence[Fraction], n: int) -> bool:
     and satisfies u(S+{i}+{j}) - u(S+{j}) >= u(S+{i}) - u(S) for all S and
     items i != j outside S."""
     gains = [[u[S | 1 << i] - u[S] for S in range(1 << n)] for i in range(n)]
-    return all(g >= 0 for column in gains for g in column) and _first_falling_gain(gains, n) is None
+    return all(g >= 0 for column in gains for g in column) and all(
+        column[S | 1 << j] >= column[S]
+        for i, column in enumerate(gains) for S in range(1 << n) for j in range(n)
+        if not (S | 1 << i) >> j & 1)
 
 
 def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
@@ -513,15 +483,15 @@ def expected_revenue(inst: OMDInstance, mech: Mechanism) -> Fraction:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def bernoulli(rng: random.Random, prob: Fraction) -> bool:
-    """Exact Bernoulli(prob) draw: compare a uniform dyadic rational, refined
-    one random bit at a time, against the rational threshold."""
-    if prob <= 0:
+def bernoulli(rng: random.Random, num: int, den: int) -> bool:
+    """Exact Bernoulli(num / den) draw for an int den > 0: compare a uniform
+    dyadic rational, refined one random bit at a time, against the rational
+    threshold. Every comparison is the same on any multiple of (num, den),
+    so the draws do not depend on whether the pair is in lowest terms."""
+    if num <= 0:
         return False
-    if prob >= 1:
+    if num >= den:
         return True
-    num = prob.numerator
-    den = prob.denominator
     drawn = 0
     scale = 1
     while True:
@@ -539,13 +509,14 @@ def sample_allocation(
 ) -> tuple[Subset, Fraction]:
     """Draw one allocation (a mask) for reported type S: item i is included
     independently with probability q_i(S); the price is the deterministic
-    tau(S)."""
+    tau(S). Only type S's stored ints are read, so the `Fraction` views of
+    the whole menu are not built."""
     S = check_mask(S, mech.n)
     allocated = 0
-    for i, qi in enumerate(mech.q[S]):
-        if bernoulli(rng, qi):
+    for i, (column, Lq) in enumerate(zip(mech.scaled_q, mech.q_scales)):
+        if bernoulli(rng, column[S], Lq):
             allocated |= 1 << i
-    return allocated, mech.tau[S]
+    return allocated, Fraction(mech.scaled_tau[S], mech.tau_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,24 @@ def test_sample_deterministic(tmp_path, capsys):
     assert strip(first) == strip(second)
 
 
+def test_sample_reads_one_type_without_building_the_views(tmp_path, capsys, monkeypatch):
+    # the menu's Fraction views cost 2^n (n + 2) Fractions; sample prints one
+    # type's price and marginals from its stored ints
+    built, closed_form = [], cli._closed_form
+
+    def keep(inst, report):
+        built.append(closed_form(inst, report))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_closed_form", keep)
+    instance = write(tmp_path, "inst.json", LOTTERY)
+    assert main(["sample", instance, "--type", "1", "--count", "20", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "price: 5/2" in out and "marginal 1/2)" in out
+    mech = built[0][2]
+    assert "q" not in vars(mech) and "tau" not in vars(mech) and "u" not in vars(mech)
+
+
 def test_sample_empty_type(tmp_path, capsys):
     instance = write(tmp_path, "inst.json", LOTTERY)
     code = main(["sample", instance, "--type", "-", "--count", "10", "--seed", "1"])

@@ -11,7 +11,6 @@ from optmech import (
     LP2Params,
     Mechanism,
     PreconditionError,
-    VerificationError,
     build_lp1,
     canonical_solution,
     certify_bic_ir,
@@ -28,7 +27,6 @@ from optmech import (
     to_lp2_params,
     verify_bic_ir,
 )
-from optmech import mechanism
 from optmech.mechanism import bernoulli, price_menu
 from tests.subsets import mask
 from tests.test_core import make_instance
@@ -293,6 +291,10 @@ def negative_utility(U, Q, scales):
     U[0] = -1
 
 
+def negative_top_utility(U, Q, scales):
+    U[mask(1, 2, 3)] = -1
+
+
 @pytest.mark.parametrize("mutate, row", [
     # q_2({}) is 0: 1/120 breaks the shape row and bic({2}|{}), -1/120 the
     # shape row and prob({},2,>=0)
@@ -302,6 +304,9 @@ def negative_utility(U, Q, scales):
     # gains by reporting {1,2,3}
     (double_scale, ("shape({1},1)", F(1, 2))),
     (negative_utility, ("ir({})", F(-1, 102))),
+    # u({1,2,3}) = -1/102 breaks its ir row, but the shape row of the lower
+    # type {1,2}, whose item 3 gain now reads -1/102 - 120/102, comes first
+    (negative_top_utility, ("shape({1,2},3)", F(-11, 6))),
 ])
 def test_certificate_rejects_mutated_ints(mutate, row):
     mech = mutated_mechanism(mutate)
@@ -321,6 +326,23 @@ def test_certificate_rejects_one_falling_gain():
     assert cert.violations == (("bic({1,2,3}|{1})", F(-11, 17)),)
 
 
+def test_certificate_names_the_least_falling_gain():
+    # the reduction's n = 3 closed form for ((3, 2), {1}, 2), u = (0, 6, 0,
+    # 66, 0, 7, 1, 67) by mask, with u({1,2,3}) lowered by 1 and repriced:
+    # gains into {1,2,3} fall at {1} and at {2}; the least row by (S, j, i)
+    # is at {1}, though item 1's column, read first, falls only at {2}
+    out = lexrank_to_omd((3, 2), mask(1), 2)
+    inst = from_lp2_params(out.params)[0]
+    mech = closed_form_mechanism(inst, out.flow)
+    assert (mech.scaled_u, mech.u_scale) == ([0, 6, 0, 66, 0, 7, 1, 67], 1)
+    U = list(mech.scaled_u)
+    U[mask(1, 2, 3)] -= 1
+    falling = price_menu(inst, U, mech.u_scale, unique=False)
+    cert = assert_certificate_agrees(inst, falling)
+    assert cert.violations == (("bic({1,2,3}|{1})", F(-1)),)
+    assert ("bic({1,2,3}|{2})", F(-1)) in verify_bic_ir(inst, falling).violations
+
+
 def test_certificate_refuses_q_rounded_off_its_grid():
     # item 1's column rounded down to halves, q_1 = 1 kept on its types:
     # every stored entry is the floor of its exact quotient, so only the
@@ -332,15 +354,6 @@ def test_certificate_refuses_q_rounded_off_its_grid():
     mech = mutated_mechanism(halves)
     assert mech.scaled_q[0] == [0, 2, 0, 2, 0, 2, 1, 2]
     assert certify_bic_ir(MUTATED, mech).violations == (("shape({2},1)", F(20, 17)),)
-
-
-def test_certificate_refuses_to_pass_when_its_scan_finds_no_row(monkeypatch):
-    # the checks and the scan in mask order must agree: a failed check that
-    # the scan cannot name is an error, never a pass
-    inst, mech = region_mechanism()
-    monkeypatch.setattr(mechanism, "_rows_hold", lambda inst, mech: False)
-    with pytest.raises(VerificationError, match="failed a menu whose every row holds"):
-        certify_bic_ir(inst, mech)
 
 
 def region_mechanism():
@@ -535,8 +548,9 @@ def test_q_monotone_randomized():
 
 def test_bernoulli_degenerate():
     rng = random.Random(0)
-    assert bernoulli(rng, ZERO) is False
-    assert bernoulli(rng, ONE) is True
+    assert bernoulli(rng, 0, 1) is False
+    assert bernoulli(rng, 1, 1) is True
+    assert bernoulli(rng, 2, 2) is True
 
 
 def test_sample_deterministic_marginals():
@@ -549,6 +563,12 @@ def test_sample_deterministic_marginals():
         allocated, price = sample_allocation(mech, mask(), rng)
         assert allocated == mask()
         assert price == 0
+
+
+def test_sample_reads_one_type_without_building_the_views():
+    mech = mech_for(PARAMS_B)
+    assert sample_allocation(mech, mask(1, 2), random.Random(1)) == (mask(1, 2), 4)
+    assert "q" not in vars(mech) and "tau" not in vars(mech)
 
 
 def test_sample_lottery_frequency_and_reproducibility():

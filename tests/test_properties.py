@@ -405,18 +405,39 @@ def hard_parameters(draw, sizes=st.integers(min_value=4, max_value=8)):
     return params
 
 
-@settings(deadline=None, max_examples=100)
-@given(hard_parameters(), st.lists(st.tuples(st.integers(0, 255), st.integers(-3, 3)),
-                                   max_size=2))
-def test_certificate_agrees_with_the_replay_on_long_fills(params, moves):
-    # the closed form certifies; then up to two utilities moved by a few
-    # scale units, anywhere, and repriced in closed-form shape
+def assert_certificate_agrees_after_moves(params, moves):
+    """The closed form certifies; then up to two utilities moved by a few
+    scale units, anywhere, and repriced in closed-form shape, and the
+    certificate still agrees with the replay."""
     inst, mech = closed_form_mechanisms(params)
     assert assert_certificate_agrees(inst, mech).ok
     U = list(mech.scaled_u)
     for S, delta in moves:
         U[S % len(U)] += delta
     assert_certificate_agrees(inst, price_menu(inst, U, mech.u_scale, unique=False))
+
+
+@settings(deadline=None, max_examples=100)
+@given(hard_parameters(), st.lists(st.tuples(st.integers(0, 255), st.integers(-3, 3)),
+                                   max_size=2))
+def test_certificate_agrees_with_the_replay_on_long_fills(params, moves):
+    assert_certificate_agrees_after_moves(params, moves)
+
+
+@settings(deadline=None, max_examples=10)
+@given(hard_parameters(sizes=st.integers(min_value=9, max_value=10)),
+       st.lists(st.tuples(st.integers(0, 1023), st.integers(-3, 3)), max_size=2))
+def test_certificate_agrees_with_the_replay_on_fills_at_n_9_and_10(params, moves):
+    # the replay takes about 0.07 s at n = 9 and 0.25 s at n = 10
+    assert_certificate_agrees_after_moves(params, moves)
+
+
+@settings(deadline=None, max_examples=30)
+@given(hard_parameters(sizes=st.integers(min_value=3, max_value=6)))
+def test_closed_form_revenue_equals_lp1_on_long_fills(params):
+    # solve_lp1 took 2-4 ms at n = 4 and 52-88 ms at n = 6 on these
+    inst, mech = closed_form_mechanisms(params)
+    assert expected_revenue(inst, mech) == solve_lp1(inst).value
 
 
 lp1_sizes = st.integers(min_value=1, max_value=4)
